@@ -1,0 +1,6 @@
+"""``python -m beliefgames <command> ...`` runs the command-line interface."""
+
+from .cli import entrypoint
+
+if __name__ == "__main__":
+    entrypoint()

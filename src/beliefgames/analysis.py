@@ -122,9 +122,7 @@ def hessian_blocks(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     m, n = game.num_players, game.num_actions
     blocks = np.zeros((m, m, n, n))
     for j in range(m):
-        p = profile.player(j)
-        dens = np.array([float(fams[j].density_at_quantile(i, p[i])) for i in range(n)])
-        blocks[j, j] = np.diag(-1.0 / dens)
+        blocks[j, j] = np.diag(-1.0 / fams[j].density_vector(profile.player(j)))
     for j in range(m):
         for k in range(j + 1, m):
             rest = [profile.player(r) for r in range(m) if r not in (j, k)]
@@ -147,30 +145,10 @@ def game_hessian(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     return assemble_hessian(hessian_blocks(game, profile, fams))
 
 
-def operator_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on a^T a.
-
-    Deterministic start vector; the Rayleigh estimate converges even with
-    repeated extremal singular values.
-    """
+def operator_norm(a: np.ndarray) -> float:
+    """Largest singular value (spectral norm); 0 for an empty matrix."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0 or not np.any(a):
-        return 0.0
-    ata = a.T @ a
-    v = np.ones(ata.shape[0]) + 1e-3 * np.arange(ata.shape[0])
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(max_iter):
-        w = ata @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - last) <= tol * max(1.0, norm):
-            last = norm
-            break
-        last = norm
-    return float(np.sqrt(last))
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +198,17 @@ class StabilityReport:
         }
 
 
+def _density_grid(fam: MarginalFamily) -> np.ndarray:
+    """Densities at the quantiles on the shared p-grid, shape (CURVATURE_GRID, N)."""
+    p = np.linspace(_GRID_EDGE, 1.0 - _GRID_EDGE, CURVATURE_GRID)
+    return fam.density_vector(np.repeat(p[:, None], fam.n_actions, axis=1))
+
+
 def _curvature_grid_values(fam: MarginalFamily) -> tuple[float, float]:
     """Grid infimum of 1 / (best-action density) and 1 / (worst-action density)."""
-    p = np.linspace(_GRID_EDGE, 1.0 - _GRID_EDGE, CURVATURE_GRID)
-    dens = np.stack([np.asarray(fam.density_at_quantile(i, p), dtype=float)
-                     for i in range(fam.n_actions)])
-    best = dens.min(axis=0)   # min over actions at each p
-    worst = dens.max(axis=0)
+    dens = _density_grid(fam)
+    best = dens.min(axis=1)   # min over actions at each p
+    worst = dens.max(axis=1)
     return float(1.0 / best.max()), float(1.0 / worst.max())
 
 
@@ -442,10 +424,7 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
     """
     lipschitz = fam.lipschitz_constant()
     if lipschitz is None:
-        p = np.linspace(_GRID_EDGE, 1.0 - _GRID_EDGE, CURVATURE_GRID)
-        dens = np.stack([np.asarray(fam.density_at_quantile(i, p), dtype=float)
-                         for i in range(fam.n_actions)])
-        lipschitz = float(dens.max())
+        lipschitz = float(_density_grid(fam).max())
     if not np.isfinite(lipschitz) or lipschitz <= 0.0:
         raise ValueError("family has no finite positive CDF slope bound")
     modulus = 1.0 / lipschitz

@@ -98,7 +98,6 @@ def cmd_simulate(args) -> int:
         belief_families=cfg.belief_families,
         initial_estimates=cfg.initial_estimates,
         probability_clamp=cfg.clamp,
-        seed=cfg.seed,
         record_every=cfg.downsample,
     )
     try:

@@ -130,7 +130,6 @@ class RunConfig:
     belief_families: tuple
     initial_estimates: np.ndarray | None = None
     probability_clamp: float = PROBABILITY_CLAMP
-    seed: int = 0  # reserved for randomized initialization variants
     record_every: int = 1
 
     def __post_init__(self) -> None:

@@ -16,6 +16,8 @@ with dyadic refinement toward the possibly singular endpoint.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .games import SIMPLEX_TOL
@@ -76,28 +78,104 @@ def _validate_simplex(p, n: int) -> np.ndarray:
     return arr
 
 
-def _check_unit(t) -> np.ndarray:
+def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
+    """t as a float array inside ``domain``, the unit interval with or without ends."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("argument must lie in [0, 1]")
+    below = arr <= 0.0 if domain[0] == "(" else arr < 0.0
+    above = arr >= 1.0 if domain[-1] == ")" else arr > 1.0
+    if (below | above).any():
+        raise ValueError(f"argument must lie in {domain}")
     return arr
 
 
-class MarginalFamily:
-    """Base class: N per-action marginals plus the induced regularizer."""
+def _scalar(out):
+    """0-d results come back as plain floats; arrays pass through."""
+    return out if np.ndim(out) else float(out)
 
-    kind = "generic"
+
+_ALL = slice(None)  # kernel action selector: all N, along the last axis
+
+
+class MarginalFamily:
+    """Base class: N per-action marginals plus the induced regularizer.
+
+    Subclasses write each formula once, as a kernel on arrays whose last axis
+    is the action axis: ``_cdf``, then ``_tail_quantile`` or ``_quantile``
+    (each defaults to the other), and ``_density`` and ``_regularizer`` where
+    closed forms exist.  A kernel's ``a`` picks the per-action parameters:
+    ``_ALL`` lines all N up with the last axis, an index broadcasts one.  The
+    public methods validate once and call the kernels; the per-action methods
+    are views of one column.
+    """
+
+    #: The p-interval on which the density at the quantile is defined.
+    density_domain = "(0, 1)"
+
+    #: False for families whose CDF has flat stretches strictly inside (0, 1),
+    #: which break uniqueness of the quantal response.
+    strictly_increasing_cdf = True
 
     def __init__(self, n_actions: int) -> None:
         if n_actions < 1:
             raise ValueError("need at least one action")
         self.n_actions = int(n_actions)
 
-    # -- per-marginal queries ------------------------------------------------
+    # -- argument checks and kernel defaults ---------------------------------
+
+    def _action(self, i) -> int:
+        i = operator.index(i)
+        if not 0 <= i < self.n_actions:
+            raise ValueError(f"action index {i} out of range")
+        return i
+
+    def _actions_last(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n_actions,):
+            raise ValueError(f"last axis must hold the {self.n_actions} actions")
+        return x
+
+    def _quantile(self, t, a):
+        return self._tail_quantile(1.0 - t, a)
+
+    def _tail_quantile(self, mass, a):
+        return self._quantile(1.0 - mass, a)
+
+    def _density(self, p, a):
+        """Central difference of the CDF at the quantile, step scaled per entry."""
+        s = self._tail_quantile(p, a)
+        h = 1e-7 * np.maximum(1.0, np.abs(s))
+        return (self._cdf(s + h, a) - self._cdf(s - h, a)) / (2.0 * h)
+
+    def _regularizer(self, p):
+        """Panel quadrature of each action's tail quantile."""
+        return sum(
+            integrate_quantile_tail(lambda s, i=i: self._tail_quantile(s, i), float(p[i]))
+            for i in range(self.n_actions)
+        )
+
+    # -- batched queries: the last axis is the action axis -------------------
+
+    def cdf_vector(self, s) -> np.ndarray:
+        """Per-action CDF values: component i is F_i(s_i)."""
+        return self._cdf(self._actions_last(s), _ALL)
+
+    def quantile_vector(self, t) -> np.ndarray:
+        """Per-action left quantiles: component i is F_i^{-1}(t_i)."""
+        return self._quantile(_check_unit(self._actions_last(t)), _ALL)
+
+    def tail_quantile_vector(self, mass) -> np.ndarray:
+        """Per-action quantiles at 1 - mass_i (see :meth:`tail_quantile`)."""
+        return self._tail_quantile(_check_unit(self._actions_last(mass)), _ALL)
+
+    def density_vector(self, p) -> np.ndarray:
+        """Per-action densities at the quantiles: F_i' at F_i^{-1}(1 - p_i)."""
+        return self._density(_check_unit(self._actions_last(p), self.density_domain), _ALL)
+
+    # -- per-marginal queries: one column of the kernels ---------------------
 
     def cdf(self, i: int, s):
         """F_i evaluated at s (scalar or array)."""
-        raise NotImplementedError
+        return _scalar(self._cdf(np.asarray(s, dtype=float), self._action(i)))
 
     def quantile(self, i: int, t):
         """Left quantile F_i^{-1}(t) for t in [0, 1].
@@ -105,25 +183,7 @@ class MarginalFamily:
         t = 0 gives the lower end of the support; t = 1 gives the upper end,
         which is +inf for unbounded marginals.
         """
-        raise NotImplementedError
-
-    def density_at_quantile(self, i: int, p):
-        """F_i' evaluated at F_i^{-1}(1 - p); default is a central difference.
-
-        Valid for p in (0, 1); bounded subclasses extend this one-sidedly to
-        the endpoints.
-        """
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("density_at_quantile needs p in (0, 1)")
-        s = self.quantile(i, 1.0 - p)
-        h = 1e-7 * max(1.0, float(np.max(np.abs(s))))
-        return (self.cdf(i, s + h) - self.cdf(i, s - h)) / (2.0 * h)
-
-    def quantile_vector(self, t: np.ndarray) -> np.ndarray:
-        """Per-action quantiles: component i is F_i^{-1}(t_i)."""
-        t = np.asarray(t, dtype=float)
-        return np.array([float(self.quantile(i, t[i])) for i in range(self.n_actions)])
+        return _scalar(self._quantile(_check_unit(t), self._action(i)))
 
     def tail_quantile(self, i: int, mass):
         """Quantile at probability 1 - mass, stable for tiny tail masses.
@@ -131,30 +191,20 @@ class MarginalFamily:
         Closed-form subclasses evaluate directly in the mass variable, so
         masses far below float epsilon do not collapse onto t = 1.
         """
-        mass = np.asarray(mass, dtype=float)
-        return self.quantile(i, 1.0 - mass)
+        return _scalar(self._tail_quantile(_check_unit(mass), self._action(i)))
 
-    def tail_quantile_vector(self, mass: np.ndarray) -> np.ndarray:
-        """Per-action quantiles at 1 - mass_i (see :meth:`tail_quantile`)."""
-        mass = np.asarray(mass, dtype=float)
-        return np.array([
-            float(self.tail_quantile(i, mass[i])) for i in range(self.n_actions)
-        ])
+    def density_at_quantile(self, i: int, p):
+        """F_i' evaluated at F_i^{-1}(1 - p).
 
-    def cdf_vector(self, s: np.ndarray) -> np.ndarray:
-        """Per-action CDF values: component i is F_i(s_i)."""
-        s = np.asarray(s, dtype=float)
-        return np.array([float(self.cdf(i, s[i])) for i in range(self.n_actions)])
+        The central-difference default needs p in (0, 1); closed forms also
+        accept the ends included in :attr:`density_domain`.
+        """
+        return _scalar(self._density(_check_unit(p, self.density_domain), self._action(i)))
 
     def support(self, i: int) -> tuple[float, float]:
         """Essential range of marginal i (upper end may be inf)."""
-        return float(self.quantile(i, 0.0)), float(self.quantile(i, 1.0))
-
-    #: False for families whose CDF has flat stretches strictly inside (0, 1),
-    #: which break uniqueness of the quantal response.
-    @property
-    def strictly_increasing_cdf(self) -> bool:
-        return True
+        lo, hi = self.quantile(i, np.array([0.0, 1.0]))
+        return float(lo), float(hi)
 
     # -- regularizer ---------------------------------------------------------
 
@@ -164,15 +214,10 @@ class MarginalFamily:
         Unlike :meth:`regularizer` this does not require p to be on the
         simplex, which makes it usable inside finite-difference checks.
         """
-        p = np.asarray(p, dtype=float)
+        p = _check_unit(p)
         if p.shape != (self.n_actions,):
             raise ValueError(f"need a length-{self.n_actions} vector")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("components must lie in [0, 1]")
-        return sum(
-            integrate_quantile_tail(lambda s, i=i: self.tail_quantile(i, s), float(p[i]))
-            for i in range(self.n_actions)
-        )
+        return float(self._regularizer(p))
 
     def regularizer(self, p) -> float:
         """Concave perturbation value h(p) for a simplex point p."""
@@ -206,17 +251,13 @@ class ExponentialFamily(MarginalFamily):
     and the quantal response is a weighted softmax.
     """
 
-    kind = "exponential"
+    density_domain = "(0, 1]"
 
     def __init__(self, gamma: float, eta=None, n_actions: int | None = None) -> None:
-        if eta is None:
-            if n_actions is None:
-                raise ValueError("give eta or n_actions")
-            eta = np.ones(n_actions)
-        eta = np.asarray(eta, dtype=float)
+        eta = np.asarray(1.0 if eta is None else eta, dtype=float)
         if eta.ndim == 0:
             if n_actions is None:
-                raise ValueError("scalar eta needs n_actions")
+                raise ValueError("give a per-action eta or n_actions")
             eta = np.full(n_actions, float(eta))
         super().__init__(eta.size)
         if gamma <= 0.0:
@@ -227,56 +268,22 @@ class ExponentialFamily(MarginalFamily):
         self.eta = eta.copy()
         self.eta.setflags(write=False)
 
-    def cdf(self, i: int, s):
-        s = np.asarray(s, dtype=float)
+    def _cdf(self, s, a):
         with np.errstate(over="ignore"):
-            return np.maximum(0.0, 1.0 - self.eta[i] * np.exp(-s / self.gamma - 1.0))
+            return np.maximum(0.0, 1.0 - self.eta[a] * np.exp(-s / self.gamma - 1.0))
 
-    def quantile(self, i: int, t):
-        t = _check_unit(t)
-        p = 1.0 - t
+    def _tail_quantile(self, mass, a):
         with np.errstate(divide="ignore"):
-            out = self.gamma * (np.log(self.eta[i] / p) - 1.0)
-        return out if out.ndim else float(out)
+            return self.gamma * (np.log(self.eta[a] / mass) - 1.0)
 
-    def density_at_quantile(self, i: int, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p > 1.0):
-            raise ValueError("density_at_quantile needs p in (0, 1]")
-        out = p / self.gamma
-        return out if out.ndim else float(out)
+    def _density(self, p, a):
+        return p / self.gamma
 
-    def quantile_vector(self, t: np.ndarray) -> np.ndarray:
-        t = _check_unit(t)
-        with np.errstate(divide="ignore"):
-            return self.gamma * (np.log(self.eta / (1.0 - t)) - 1.0)
-
-    def tail_quantile(self, i: int, mass):
-        mass = _check_unit(mass)
-        with np.errstate(divide="ignore"):
-            out = self.gamma * (np.log(self.eta[i] / mass) - 1.0)
-        return out if out.ndim else float(out)
-
-    def tail_quantile_vector(self, mass: np.ndarray) -> np.ndarray:
-        mass = _check_unit(mass)
-        with np.errstate(divide="ignore"):
-            return self.gamma * (np.log(self.eta / mass) - 1.0)
-
-    def cdf_vector(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
-
-    def regularizer_terms(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n_actions,):
-            raise ValueError(f"need a length-{self.n_actions} vector")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("components must lie in [0, 1]")
+    def _regularizer(self, p):
         # p log(eta/p) with the 0 log 0 = 0 convention
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0.0, p * np.log(self.eta / np.where(p > 0.0, p, 1.0)), 0.0)
-        return float(self.gamma * terms.sum())
+        return self.gamma * terms.sum()
 
     def curvature_scale(self) -> float:
         return self.gamma
@@ -296,7 +303,7 @@ class UniformFamily(MarginalFamily):
     response is the sparse thresholded map (see ``response.sparsemax``).
     """
 
-    kind = "uniform"
+    density_domain = "[0, 1]"
 
     def __init__(self, gamma: float, n_actions: int) -> None:
         super().__init__(n_actions)
@@ -304,62 +311,24 @@ class UniformFamily(MarginalFamily):
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
 
-    def cdf(self, i: int, s):
-        self._check_action(i)
-        s = np.asarray(s, dtype=float)
+    def _cdf(self, s, a):
         raw = 1.0 - (0.5 - s / (2.0 * self.gamma)) / self.n_actions
         return np.clip(raw, 0.0, 1.0)
 
-    def quantile(self, i: int, t):
-        self._check_action(i)
-        t = _check_unit(t)
-        out = self.gamma * (1.0 - 2.0 * self.n_actions * (1.0 - t))
-        return out if out.ndim else float(out)
+    def _tail_quantile(self, mass, a):
+        return self.gamma * (1.0 - 2.0 * self.n_actions * mass)
 
-    def density_at_quantile(self, i: int, p):
-        self._check_action(i)
-        p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("density_at_quantile needs p in [0, 1]")
-        out = np.full_like(p, 1.0 / (2.0 * self.gamma * self.n_actions))
-        return out if out.ndim else float(out)
+    def _density(self, p, a):
+        return np.full_like(p, 1.0 / (2.0 * self.gamma * self.n_actions))
 
-    def quantile_vector(self, t: np.ndarray) -> np.ndarray:
-        t = _check_unit(t)
-        return self.gamma * (1.0 - 2.0 * self.n_actions * (1.0 - np.asarray(t, dtype=float)))
-
-    def tail_quantile(self, i: int, mass):
-        self._check_action(i)
-        mass = _check_unit(mass)
-        out = self.gamma * (1.0 - 2.0 * self.n_actions * mass)
-        return out if out.ndim else float(out)
-
-    def tail_quantile_vector(self, mass: np.ndarray) -> np.ndarray:
-        mass = _check_unit(mass)
-        return self.gamma * (1.0 - 2.0 * self.n_actions * np.asarray(mass, dtype=float))
-
-    def cdf_vector(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        raw = 1.0 - (0.5 - s / (2.0 * self.gamma)) / self.n_actions
-        return np.clip(raw, 0.0, 1.0)
-
-    def regularizer_terms(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n_actions,):
-            raise ValueError(f"need a length-{self.n_actions} vector")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("components must lie in [0, 1]")
-        return float(self.gamma * (p.sum() - self.n_actions * np.dot(p, p)))
+    def _regularizer(self, p):
+        return self.gamma * (p.sum() - self.n_actions * np.dot(p, p))
 
     def curvature_scale(self) -> float:
         return 2.0 * self.gamma * self.n_actions
 
     def lipschitz_constant(self) -> float:
         return 1.0 / (2.0 * self.gamma * self.n_actions)
-
-    def _check_action(self, i: int) -> None:
-        if not 0 <= i < self.n_actions:
-            raise ValueError(f"action index {i} out of range")
 
     def to_dict(self) -> dict:
         return {"type": "uniform", "gamma": self.gamma, "actions": self.n_actions}
@@ -375,7 +344,7 @@ class ParetoFamily(MarginalFamily):
     family and q = 2 with eta = 1/N recovers the uniform family.
     """
 
-    kind = "pareto"
+    density_domain = "(0, 1]"
 
     def __init__(self, gamma: float, q: float, eta) -> None:
         eta = np.asarray(eta, dtype=float)
@@ -393,75 +362,27 @@ class ParetoFamily(MarginalFamily):
         self.eta = eta.copy()
         self.eta.setflags(write=False)
 
-    def cdf(self, i: int, s):
-        s = np.asarray(s, dtype=float)
-        q, g, eta = self.q, self.gamma, self.eta[i]
+    def _cdf(self, s, a):
+        q, g = self.q, self.gamma
         w = 1.0 / q - s * (q - 1.0) / (g * q)
         with np.errstate(invalid="ignore", divide="ignore"):
-            body = 1.0 - eta * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
+            body = 1.0 - self.eta[a] * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
         # beyond the zero of w: above the support when q > 1, below it when q < 1
-        edge = 1.0 if q > 1.0 else 0.0
-        out = np.where(w > 0.0, np.clip(body, 0.0, 1.0), edge)
-        return out if out.ndim else float(out)
-
-    def quantile(self, i: int, t):
-        t = _check_unit(t)
-        p = 1.0 - np.asarray(t, dtype=float)
-        q, g, eta = self.q, self.gamma, self.eta[i]
-        with np.errstate(divide="ignore"):
-            ratio = np.power(p / eta, q - 1.0) if q > 1.0 else _neg_power(p / eta, q - 1.0)
-        out = g / (q - 1.0) * (1.0 - q * ratio)
-        return out if out.ndim else float(out)
-
-    def density_at_quantile(self, i: int, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p > 1.0):
-            raise ValueError("density_at_quantile needs p in (0, 1]")
-        q, g, eta = self.q, self.gamma, self.eta[i]
-        out = eta / (g * q) * np.power(p / eta, 2.0 - q)
-        return out if out.ndim else float(out)
-
-    def quantile_vector(self, t: np.ndarray) -> np.ndarray:
-        t = _check_unit(t)
-        p = 1.0 - np.asarray(t, dtype=float)
-        q, g = self.q, self.gamma
-        with np.errstate(divide="ignore"):
-            ratio = np.power(p / self.eta, q - 1.0) if q > 1.0 else _neg_power(p / self.eta, q - 1.0)
-        return g / (q - 1.0) * (1.0 - q * ratio)
-
-    def tail_quantile(self, i: int, mass):
-        mass = _check_unit(mass)
-        q, g, eta = self.q, self.gamma, self.eta[i]
-        ratio = np.power(mass / eta, q - 1.0) if q > 1.0 else _neg_power(mass / eta, q - 1.0)
-        out = g / (q - 1.0) * (1.0 - q * ratio)
-        return out if out.ndim else float(out)
-
-    def tail_quantile_vector(self, mass: np.ndarray) -> np.ndarray:
-        mass = _check_unit(mass)
-        q, g = self.q, self.gamma
-        scaled = np.asarray(mass, dtype=float) / self.eta
-        ratio = np.power(scaled, q - 1.0) if q > 1.0 else _neg_power(scaled, q - 1.0)
-        return g / (q - 1.0) * (1.0 - q * ratio)
-
-    def cdf_vector(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        q, g = self.q, self.gamma
-        w = 1.0 / q - s * (q - 1.0) / (g * q)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            body = 1.0 - self.eta * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
         edge = 1.0 if q > 1.0 else 0.0
         return np.where(w > 0.0, np.clip(body, 0.0, 1.0), edge)
 
+    def _tail_quantile(self, mass, a):
+        q = self.q
+        with np.errstate(divide="ignore"):  # q < 1 at mass 0: the unbounded top
+            ratio = np.power(mass / self.eta[a], q - 1.0)
+        return self.gamma / (q - 1.0) * (1.0 - q * ratio)
+
+    def _density(self, p, a):
+        q, eta = self.q, self.eta[a]
+        return eta / (self.gamma * q) * np.power(p / eta, 2.0 - q)
+
     def to_dict(self) -> dict:
         return {"type": "pareto", "gamma": self.gamma, "q": self.q, "eta": self.eta.tolist()}
-
-
-def _neg_power(x, e: float):
-    """x**e for negative exponents, mapping x = 0 to +inf without warnings."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.where(x > 0.0, np.power(np.where(x > 0.0, x, 1.0), e), np.inf)
-    return out
 
 
 class TabulatedFamily(MarginalFamily):
@@ -472,7 +393,7 @@ class TabulatedFamily(MarginalFamily):
     regularizer concave and piecewise quadratic, so it integrates exactly.
     """
 
-    kind = "tabulated"
+    density_domain = "[0, 1]"
 
     def __init__(self, tables) -> None:
         grids = []
@@ -496,51 +417,32 @@ class TabulatedFamily(MarginalFamily):
         # a flat run of quantile values is an atom of the marginal
         return all(np.all(np.diff(vs) > 0.0) for _, vs in self._grids)
 
-    def cdf(self, i: int, s):
-        ts, vs = self._grids[i]
-        out = np.interp(np.asarray(s, dtype=float), vs, ts)
-        return out if out.ndim else float(out)
+    def _columns(self, fn, x, a):
+        """``fn(x, ts, vs)`` on action a's table, or on each column of x."""
+        if a is not _ALL:
+            return fn(x, *self._grids[a])
+        return np.stack([fn(x[..., i], ts, vs) for i, (ts, vs) in enumerate(self._grids)],
+                        axis=-1)
 
-    def quantile(self, i: int, t):
-        t = _check_unit(t)
-        ts, vs = self._grids[i]
-        out = np.interp(np.asarray(t, dtype=float), ts, vs)
-        return out if out.ndim else float(out)
+    def _cdf(self, s, a):
+        return self._columns(lambda x, ts, vs: np.interp(x, vs, ts), s, a)
 
-    def quantile_vector(self, t: np.ndarray) -> np.ndarray:
-        t = _check_unit(t)
-        return np.array([
-            float(np.interp(t[i], ts, vs)) for i, (ts, vs) in enumerate(self._grids)
-        ])
+    def _quantile(self, t, a):
+        return self._columns(lambda x, ts, vs: np.interp(x, ts, vs), t, a)
 
-    def density_at_quantile(self, i: int, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("density_at_quantile needs p in [0, 1]")
-        ts, _ = self._grids[i]
-        h = min(1e-7, 0.49 * float(np.min(np.diff(ts))))
+    def _density(self, p, a):
+        # quantile slope, one-sided at the ends of [0, 1]; flat runs are atoms
+        def slope(x, ts, vs):
+            h = min(1e-7, 0.49 * float(np.min(np.diff(ts))))
+            lo, hi = np.maximum(1.0 - x - h, 0.0), np.minimum(1.0 - x + h, 1.0)
+            dq = np.interp(hi, ts, vs) - np.interp(lo, ts, vs)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(dq > 0.0, (hi - lo) / dq, np.inf)
 
-        def slope(pp: float) -> float:
-            lo, hi = max(1.0 - pp - h, 0.0), min(1.0 - pp + h, 1.0)
-            dq = self.quantile(i, hi) - self.quantile(i, lo)
-            if dq <= 0.0:
-                return np.inf
-            return (hi - lo) / dq
+        return self._columns(slope, p, a)
 
-        if p.ndim:
-            return np.array([slope(float(x)) for x in p])
-        return slope(float(p))
-
-    def regularizer_terms(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n_actions,):
-            raise ValueError(f"need a length-{self.n_actions} vector")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("components must lie in [0, 1]")
-        total = 0.0
-        for i in range(self.n_actions):
-            total += self._exact_tail(i, float(p[i]))
-        return total
+    def _regularizer(self, p):
+        return sum(self._exact_tail(i, float(p[i])) for i in range(self.n_actions))
 
     def _exact_tail(self, i: int, mass: float) -> float:
         """Exact integral of the piecewise-linear quantile over [1 - mass, 1]."""
@@ -582,14 +484,10 @@ def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
         fam = UniformFamily(float(doc.get("gamma", 1.0)), int(n))
     elif kind == "pareto":
         eta = doc.get("eta")
-        if eta is None:
+        if eta is None or np.ndim(eta) == 0:
             if n_actions is None:
-                raise ValueError("pareto family needs eta or an action count")
-            eta = np.ones(n_actions)
-        elif np.ndim(eta) == 0:
-            if n_actions is None:
-                raise ValueError("scalar eta needs an action count")
-            eta = np.full(int(n_actions), float(eta))
+                raise ValueError("pareto family needs a per-action eta or an action count")
+            eta = np.full(int(n_actions), 1.0 if eta is None else float(eta))
         fam = ParetoFamily(float(doc.get("gamma", 1.0)), float(doc["q"]), eta)
     elif kind == "tabulated":
         fam = TabulatedFamily(doc["table"])

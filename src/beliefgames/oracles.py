@@ -60,9 +60,7 @@ def coupling_expected_max(fam: MarginalFamily, u, copula: str, n: int,
         t = np.minimum(rng.random((n, k)), _T_CAP)
     else:
         t = np.minimum(rng.random(n), _T_CAP)[:, None] * np.ones((1, k))
-    draws = np.column_stack([
-        np.asarray(fam.quantile(i, t[:, i]), dtype=float) for i in range(k)
-    ])
+    draws = fam.quantile_vector(t)
     if copula == "permutation":
         perms = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
         draws = np.take_along_axis(draws, perms, axis=1)

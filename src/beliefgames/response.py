@@ -102,7 +102,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
             "the response is not unique"
         )
     n = fam.n_actions
-    lows = np.array([fam.support(i)[0] for i in range(n)])
+    lows = fam.quantile_vector(np.zeros(n))
 
     def probs(kappa: float) -> np.ndarray:
         return 1.0 - fam.cdf_vector(kappa - u)

@@ -150,6 +150,11 @@ def test_operator_norm_matches_numpy():
         a = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), abs=1e-8)
     assert operator_norm(np.zeros((3, 3))) == 0.0
+    # top singular vector orthogonal to a power-iteration start of ones + 1e-3 k
+    v = np.ones(3) + 1e-3 * np.arange(3)
+    v /= np.linalg.norm(v)
+    u = np.array([v[1], -v[0], 0.0]) / np.hypot(v[0], v[1])
+    assert operator_norm(2.0 * np.outer(u, u) + np.outer(v, v)) == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,17 @@ def test_verify_filtered_run(tmp_path, capsys):
 def test_verify_rejects_unknown_filter(capsys):
     assert main(["verify", "--only", "zzz_nothing"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "beliefgames", "verify", "--only", "sparsemax_projection"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS sparsemax_projection" in done.stdout
 
 
 # ---------------------------------------------------------------------------

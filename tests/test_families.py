@@ -60,8 +60,8 @@ def test_exponential_support_and_unbounded_top():
 def test_exponential_density_is_mass_over_gamma():
     fam = ExponentialFamily(gamma=0.5, n_actions=2)
     assert fam.density_at_quantile(0, 0.3) == pytest.approx(0.6)
-    # agrees with the generic finite-difference fallback
-    fd = MarginalFamily.density_at_quantile(fam, 0, 0.3)
+    # agrees with the generic finite-difference kernel
+    fd = float(MarginalFamily._density(fam, np.asarray(0.3), 0))
     assert fd == pytest.approx(0.6, abs=1e-6)
 
 
@@ -70,7 +70,7 @@ def test_exponential_regularizer_is_weighted_entropy():
     assert fam.regularizer([0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-14)
     assert fam.regularizer([1.0, 0.0]) == 0.0  # 0 log 0 = 0 and log(1/1) = 0
     # generic quadrature route lands on the same number (within its 1e-10 tol)
-    generic = MarginalFamily.regularizer_terms(fam, np.array([0.5, 0.5]))
+    generic = MarginalFamily._regularizer(fam, np.array([0.5, 0.5]))
     assert generic == pytest.approx(np.log(2.0), abs=1e-9)
 
 
@@ -114,7 +114,7 @@ def test_uniform_regularizer_closed_form():
     fam = UniformFamily(gamma=2.0, n_actions=3)
     assert fam.regularizer([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(0.0, abs=1e-15)
     assert fam.regularizer([1.0, 0.0, 0.0]) == pytest.approx(2.0 * (1.0 - 3.0))
-    generic = MarginalFamily.regularizer_terms(fam, np.array([0.2, 0.5, 0.3]))
+    generic = MarginalFamily._regularizer(fam, np.array([0.2, 0.5, 0.3]))
     assert generic == pytest.approx(fam.regularizer([0.2, 0.5, 0.3]), abs=1e-10)
 
 
@@ -122,12 +122,6 @@ def test_uniform_quantile_roundtrip_inside_support():
     fam = UniformFamily(gamma=0.8, n_actions=4)
     for t in (0.05, 0.4, 0.75, 1.0):
         assert float(fam.cdf(0, fam.quantile(0, t))) == pytest.approx(t, abs=1e-12)
-
-
-def test_uniform_action_index_checked():
-    fam = UniformFamily(gamma=1.0, n_actions=2)
-    with pytest.raises(ValueError, match="out of range"):
-        fam.quantile(5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +174,7 @@ def test_pareto_regularizer_agrees_with_adaptive_quadrature(q):
 def test_pareto_density_matches_finite_difference():
     fam = ParetoFamily(gamma=1.1, q=1.6, eta=np.array([0.5, 0.5]))
     for p in (0.1, 0.5, 0.9):
-        fd = MarginalFamily.density_at_quantile(fam, 0, p)
+        fd = float(MarginalFamily._density(fam, np.asarray(p), 0))
         assert fam.density_at_quantile(0, p) == pytest.approx(fd, rel=1e-5)
 
 
@@ -226,7 +220,7 @@ def test_tabulated_regularizer_is_exact_for_piecewise_linear():
     fam = TabulatedFamily([table, table])
     p = np.array([0.45, 0.55])
     exact = fam.regularizer(p)
-    generic = MarginalFamily.regularizer_terms(fam, p)
+    generic = MarginalFamily._regularizer(fam, p)
     assert exact == pytest.approx(generic, abs=1e-10)
 
 
@@ -280,6 +274,30 @@ def test_vectorized_methods_match_scalar_loops(any_family):
     np.testing.assert_array_equal(
         fam.quantile_vector(t), [float(fam.quantile(i, t[i])) for i in range(n)]
     )
+    np.testing.assert_array_equal(
+        fam.density_vector(t), [float(fam.density_at_quantile(i, t[i])) for i in range(n)]
+    )
+    # a leading batch axis broadcasts; each column is the per-action method
+    batch = rng.uniform(0.01, 0.99, size=(5, n))
+    for vector, single in ((fam.cdf_vector, fam.cdf), (fam.quantile_vector, fam.quantile),
+                           (fam.tail_quantile_vector, fam.tail_quantile),
+                           (fam.density_vector, fam.density_at_quantile)):
+        got = vector(batch)
+        assert got.shape == (5, n)
+        for i in range(n):
+            np.testing.assert_array_equal(got[:, i], single(i, batch[:, i]))
+
+
+def test_action_index_checked(any_family):
+    fam = any_family
+    n = fam.n_actions
+    for i in (n, -1):
+        for method, arg in ((fam.cdf, 0.0), (fam.quantile, 0.5), (fam.tail_quantile, 0.5),
+                            (fam.density_at_quantile, 0.5)):
+            with pytest.raises(ValueError, match="out of range"):
+                method(i, arg)
+        with pytest.raises(ValueError, match="out of range"):
+            fam.support(i)
 
 
 def test_regularizer_requires_simplex_but_terms_do_not():
