@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import MarginalFamily
-from .games import Game, StrategyProfile, pairwise_payoff_matrix, payoff_vector, uniform_profile
+from .games import (Game, StrategyProfile, _check_pair, pairwise_payoff_matrix, payoff_vector,
+                    payoff_vector_rows, uniform_profile)
 from .response import response_probabilities, smooth_payoff_gradient
 
 #: resolution of the probability grid used when no closed-form curvature
@@ -73,13 +74,14 @@ def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-
         raise ValueError("damping must lie in (0, 1]")
     m = game.num_players
     current = (uniform_profile(m, game.num_actions) if start is None else start)
+    _check_pair(game, current)
     probs = current.probs.copy()
     movement = np.inf
     iterations = 0
+    # each sweep's rows are a convex mix of simplex rows: no profile to validate
     for iterations in range(1, max_iter + 1):
-        profile = StrategyProfile(probs)
         targets = np.stack([
-            response_probabilities(fams[j], payoff_vector(game, j, profile))
+            response_probabilities(fams[j], payoff_vector_rows(game, j, probs))
             for j in range(m)
         ])
         new = (1.0 - damping) * probs + damping * targets

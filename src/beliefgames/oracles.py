@@ -3,7 +3,8 @@
 Nothing here reuses the closed forms it is meant to confirm.  Expectations of
 maxima are estimated by Monte Carlo under explicit couplings of the marginals;
 regularizers are integrated with scipy's adaptive quadrature; the sparse
-response is rebuilt from a sort-based simplex projection; small fixed points
+response is rebuilt from a sort-based simplex projection; the generic response
+is re-solved by plain bisection, evaluating every midpoint; small fixed points
 are located by exhaustive grid search.  All sampling goes through NumPy's
 seeded PCG64 generator, so every estimate is reproducible from its seed.
 """
@@ -14,11 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .families import ExponentialFamily, MarginalFamily, UniformFamily
 from .games import Game, StrategyProfile
-from .response import response_probabilities
+from .response import BISECT_TOL, response_probabilities
 
 #: quantile arguments are capped at this level so draws stay finite even for
 #: unbounded marginals.
@@ -111,8 +111,11 @@ def quadrature_regularizer(fam: MarginalFamily, p) -> float:
 
     An independent route around the families' own closed forms and panel
     integration: h(p) = sum_i integral over (1 - p_i, 1) of the quantile,
-    computed as an integral over the upper-tail mass.
+    computed as an integral over the upper-tail mass.  scipy is imported
+    here, on first use, so importing the package does not load it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     p = np.asarray(p, dtype=float)
     if p.shape != (fam.n_actions,):
         raise ValueError(f"need a length-{fam.n_actions} vector")
@@ -131,6 +134,60 @@ def quadrature_regularizer(fam: MarginalFamily, p) -> float:
             )
         total += val
     return total
+
+
+def bisection_response(fam: MarginalFamily, u) -> tuple[np.ndarray, float]:
+    """Plain bisection for sum_i (1 - F_i(kappa - u_i)) = 1: (p, kappa).
+
+    Evaluates the CDFs at every midpoint.  The package's solver must return
+    exactly these bits while skipping the midpoints it has certified.
+    """
+    u = np.asarray(u, dtype=float)
+    if not fam.strictly_increasing_cdf:
+        raise ValueError(
+            f"{type(fam).__name__} has a non-strictly-increasing CDF; "
+            "the response is not unique"
+        )
+    n = fam.n_actions
+    lows = fam.quantile_vector(np.zeros(n))
+
+    def probs(kappa: float) -> np.ndarray:
+        return 1.0 - fam.cdf_vector(kappa - u)
+
+    lo = float(np.min(u + lows))  # here some component hits probability 1
+    if n == 1:
+        return np.array([1.0]), lo
+    hi = float(np.max(u + fam.tail_quantile_vector(np.full(n, 1.0 / n))))
+    hi = max(hi, lo + 1e-12)
+    step = max(1.0, hi - lo)
+    for _ in range(200):
+        if probs(hi).sum() <= 1.0:
+            break
+        hi += step
+        step *= 2.0
+    else:
+        raise RuntimeError(
+            f"bisection bracket failure: sum of probabilities still above 1 at "
+            f"kappa = {hi!r} (lo = {lo!r})"
+        )
+    kappa = 0.5 * (lo + hi)
+    for _ in range(200):
+        kappa = 0.5 * (lo + hi)
+        gap = probs(kappa).sum() - 1.0
+        if abs(gap) <= BISECT_TOL:
+            break
+        if gap > 0.0:
+            lo = kappa
+        else:
+            hi = kappa
+    p = probs(kappa)
+    total = p.sum()
+    if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
+        raise RuntimeError(
+            f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
+            f"(bracket [{lo!r}, {hi!r}])"
+        )
+    return p / total, float(kappa)
 
 
 def grid_fixed_point(game: Game, fams, resolution: float = 1e-2) -> StrategyProfile:

@@ -7,7 +7,11 @@ everything else is solved through the stationarity system
 
     u_i + F_i^{-1}(1 - p_i) = kappa   (p_i > 0),
 
-whose scalar unknown kappa is bisected until sum_i p_i(kappa) = 1.
+whose scalar unknown kappa is bisected until sum_i p_i(kappa) = 1.  A
+safeguarded Newton phase first brackets the root between two points whose
+sums certify the sign of every gap beyond them; the bisection then takes
+each branch decided by that bracket without evaluating the CDFs, so it
+returns the bits plain bisection would, after a fraction of the evaluations.
 """
 
 from __future__ import annotations
@@ -16,12 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ExponentialFamily, MarginalFamily, UniformFamily
+from .families import _ALL, ExponentialFamily, MarginalFamily, UniformFamily
 from .games import Game, StrategyProfile, payoff_vector
 
 #: |sum p - 1| target for the kappa bisection.
 BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+#: Newton stops once |sum p - 1| and its step are both this small (the step
+#: relative to |kappa|); the next step then lands within the certification
+#: step of the root.  Its iterations and the certification tries are capped,
+#: since failing only leaves more midpoints to evaluate.
+_NEWTON_GAP = 1e-6
+_NEWTON_MAX_ITER = 30
+_CERT_MAX_TRIES = 6
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,10 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
     """Solve sum_i (1 - F_i(kappa - u_i)) = 1 for kappa by bisection.
 
     Components with kappa - u_i at or above the support's upper end come out
-    exactly zero (their CDF saturates at one).
+    exactly zero (their CDF saturates at one).  The midpoints are those of
+    plain bisection, but a midpoint outside the bracket certified by
+    :func:`_certified_bracket` takes its branch without evaluating the CDFs:
+    the result is the plain bisection's, bit for bit.
     """
     if not fam.strictly_increasing_cdf:
         raise ValueError(
@@ -103,18 +117,23 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
         )
     n = fam.n_actions
     lows = fam.quantile_vector(np.zeros(n))
+    last_kappa, last_p = None, None
 
     def probs(kappa: float) -> np.ndarray:
-        return 1.0 - fam.cdf_vector(kappa - u)
+        nonlocal last_kappa, last_p
+        if kappa != last_kappa:
+            last_kappa, last_p = kappa, 1.0 - fam.cdf_vector(kappa - u)
+        return last_p
 
     lo = float(np.min(u + lows))  # here some component hits probability 1
     if n == 1:
         return np.array([1.0]), lo
     hi = float(np.max(u + fam.tail_quantile_vector(np.full(n, 1.0 / n))))
     hi = max(hi, lo + 1e-12)
+    a_cert, b_cert = _certified_bracket(fam, probs, lo, hi)
     step = max(1.0, hi - lo)
     for _ in range(200):
-        if probs(hi).sum() <= 1.0:
+        if hi >= b_cert or (hi > a_cert and probs(hi).sum() <= 1.0):
             break
         hi += step
         step *= 2.0
@@ -126,6 +145,12 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
     kappa = 0.5 * (lo + hi)
     for _ in range(_BISECT_MAX_ITER):
         kappa = 0.5 * (lo + hi)
+        if kappa <= a_cert:
+            lo = kappa
+            continue
+        if kappa >= b_cert:
+            hi = kappa
+            continue
         gap = probs(kappa).sum() - 1.0
         if abs(gap) <= BISECT_TOL:
             break
@@ -141,6 +166,78 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
             f"(bracket [{lo!r}, {hi!r}])"
         )
     return p / total, float(kappa)
+
+
+def _certified_bracket(fam: MarginalFamily, probs, lo: float,
+                       start: float) -> tuple[float, float]:
+    """Bracket (a, b) outside which every bisection branch is already decided.
+
+    The computed gap g = sum p - 1 is at least ``need`` at a and at most
+    ``-need`` at b.  The computed sum is monotone in kappa up to a few ulps
+    per term, and ``need`` exceeds BISECT_TOL by a margin above that noise,
+    so the gap computed at any kappa <= a is still above BISECT_TOL (and at
+    any kappa >= b below -BISECT_TOL).
+
+    A safeguarded Newton phase from ``start`` locates the root; then points
+    a small step to each side of it are evaluated, the step growing fourfold
+    until that side certifies.  Every evaluated point certifies wherever its
+    gap allows.  Failure only widens the bracket, up to (-inf, inf).
+    """
+    need = BISECT_TOL + max(1e-13, 64.0 * fam.n_actions * np.finfo(float).eps)
+    a_cert, b_cert = -np.inf, np.inf
+
+    def gap(kappa: float) -> float:
+        nonlocal a_cert, b_cert
+        g = float(probs(kappa).sum() - 1.0)
+        if g >= need:
+            a_cert = max(a_cert, kappa)
+        elif g <= -need:
+            b_cert = min(b_cert, kappa)
+        return g
+
+    def slope(kappa: float) -> float:
+        """-dg/dkappa: sum_i f_i(kappa - u_i) over the components inside their support."""
+        p = probs(kappa)
+        with np.errstate(all="ignore"):  # p = 0 may meet an unbounded density
+            f = fam._density(p, _ALL)
+        return float(f[(p > 0.0) & (p < 1.0)].sum())
+
+    # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it
+    a, b = lo, np.inf
+    kappa, root = start, None
+    for _ in range(_NEWTON_MAX_ITER):
+        g = gap(kappa)
+        if g > 0.0:
+            a = max(a, kappa)
+        elif g < 0.0:
+            b = min(b, kappa)
+        d = slope(kappa)
+        if 0.0 < d < np.inf:
+            nxt = kappa + g / d
+            if abs(g) <= _NEWTON_GAP and abs(nxt - kappa) <= _NEWTON_GAP * max(1.0, abs(kappa)):
+                root = nxt
+                break
+        elif g == 0.0:  # every component saturated, and the sum is exactly one
+            break
+        else:
+            nxt = np.nan
+        if not a < nxt < b:
+            if b == np.inf:
+                break
+            nxt = 0.5 * (a + b)
+        kappa = nxt
+    if root is None:
+        return a_cert, b_cert
+    for side in (-1.0, 1.0):
+        h = 1.25 * need / d
+        for _ in range(_CERT_MAX_TRIES):
+            x = root + side * h
+            if (x <= a_cert) if side < 0.0 else (x >= b_cert):
+                break
+            if gap(x) == 0.0:  # a flat stretch of saturated components
+                break
+            h *= 4.0
+    return a_cert, b_cert
 
 
 def response_probabilities(fam: MarginalFamily, u, method: str = "auto") -> np.ndarray:

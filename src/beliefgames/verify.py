@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import equilibrium_residual, fixed_point_iterate
-from .families import ExponentialFamily, ParetoFamily, UniformFamily
+from .families import ExponentialFamily, ParetoFamily, TabulatedFamily, UniformFamily
 from .games import matching_game, random_game
 from .oracles import (
+    bisection_response,
     coupling_expected_max,
     finite_difference_gradient,
     grid_fixed_point,
@@ -20,7 +21,13 @@ from .oracles import (
     project_simplex,
     quadrature_regularizer,
 )
-from .response import quantal_response, response_probabilities, sparsemax, weighted_softmax
+from .response import (
+    _bisection_response,
+    quantal_response,
+    response_probabilities,
+    sparsemax,
+    weighted_softmax,
+)
 
 
 def _check_softmax_bisection() -> tuple[bool, str]:
@@ -58,6 +65,27 @@ def _check_sparsemax_bisection() -> tuple[bool, str]:
         generic = response_probabilities(fam, u, method="bisection")
         worst = max(worst, float(np.abs(direct - generic).max()))
     return worst <= 1e-8, f"max deviation {worst:.3e}"
+
+
+def _check_kkt_bisection_replay() -> tuple[bool, str]:
+    rng = np.random.default_rng(22)
+    mismatches = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 6))
+        if trial % 4 == 3:
+            tables = []
+            for _ in range(n):
+                ts = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]))
+                tables.append(np.column_stack((ts, np.cumsum(rng.uniform(0.1, 2.0, 5)))))
+            fam = TabulatedFamily(tables)
+        else:
+            q = float(rng.uniform(0.3, 0.9) if trial % 2 == 0 else rng.uniform(1.2, 3.0))
+            fam = ParetoFamily(float(rng.uniform(0.5, 6.0)), q, rng.uniform(0.5, 2.0, n))
+        u = rng.uniform(-1.0, 1.0, n) * float(rng.uniform(0.1, 10.0))
+        p, kappa = _bisection_response(fam, u)
+        p_ref, kappa_ref = bisection_response(fam, u)
+        mismatches += not (np.array_equal(p, p_ref) and kappa == kappa_ref)
+    return mismatches == 0, f"{mismatches} of 40 responses differ in some bit"
 
 
 def _check_regularizer_quadrature() -> tuple[bool, str]:
@@ -200,6 +228,7 @@ CHECKS = {
     "softmax_bisection": _check_softmax_bisection,
     "sparsemax_projection": _check_sparsemax_projection,
     "sparsemax_bisection": _check_sparsemax_bisection,
+    "kkt_bisection_replay": _check_kkt_bisection_replay,
     "regularizer_quadrature": _check_regularizer_quadrature,
     "density_finite_difference": _check_density_finite_difference,
     "quantile_roundtrip": _check_quantile_roundtrip,

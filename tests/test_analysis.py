@@ -77,6 +77,12 @@ def test_fixed_point_reports_nonconvergence():
         fixed_point_iterate(game, _exp(1.0), damping=0.0)
 
 
+def test_fixed_point_rejects_a_mismatched_start_profile():
+    start = StrategyProfile([[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]])
+    with pytest.raises(ValueError, match="does not match game"):
+        fixed_point_iterate(matching_game(2), _exp(1.0), start=start)
+
+
 def test_fixed_point_accepts_a_start_profile():
     game = matching_game(2)
     fams = _exp(3.0)

@@ -172,15 +172,29 @@ def test_verify_rejects_unknown_filter(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_module_form_runs_the_cli(tmp_path):
+def _src_env():
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_module_form_runs_the_cli(tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", "beliefgames", "verify", "--only", "sparsemax_projection"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "PASS sparsemax_projection" in done.stdout
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    # scipy's import dominates CLI start-up; only quadrature_regularizer needs it
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, beliefgames, beliefgames.cli; print('scipy' in sys.modules)"],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

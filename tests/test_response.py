@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefgames.families import (
     ExponentialFamily,
@@ -8,8 +10,9 @@ from beliefgames.families import (
     UniformFamily,
 )
 from beliefgames.games import matching_game, uniform_profile
-from beliefgames.oracles import finite_difference_gradient, project_simplex
+from beliefgames.oracles import bisection_response, finite_difference_gradient, project_simplex
 from beliefgames.response import (
+    _bisection_response,
     optimistic_value,
     quantal_response,
     response_probabilities,
@@ -172,6 +175,88 @@ def test_bisection_refuses_nonunique_responses():
     )
     with pytest.raises(ValueError, match="TabulatedFamily"):
         response_probabilities(flat, np.array([0.2, 0.1]))
+
+
+@st.composite
+def _kkt_cases(draw):
+    """A family of any kind with N in 1..8 and payoffs at scales 1e-3..1e3.
+
+    Wide payoff spreads push components past bounded supports (p_i = 0);
+    zero table steps give atoms, where both solvers must refuse.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["exponential", "uniform", "pareto", "tabulated"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "exponential":
+        fam = ExponentialFamily(0.2 + 6.0 * draw(unit),
+                                eta=[0.2 + 3.0 * draw(unit) for _ in range(n)])
+    elif kind == "uniform":
+        fam = UniformFamily(0.2 + 6.0 * draw(unit), n)
+    elif kind == "pareto":
+        q = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)))
+        fam = ParetoFamily(0.3 + 8.0 * draw(unit), q,
+                           [0.2 + 3.0 * draw(unit) for _ in range(n)])
+    else:
+        atom = draw(st.integers(0, 7)) == 0
+        tables = []
+        for i in range(n):
+            knots = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3))))
+            ts = [0.0, *knots, 1.0]
+            steps = [0.05 + 2.0 * draw(unit) for _ in ts]
+            if atom and i == 0:
+                steps[1] = 0.0  # a flat first segment: an atom at the bottom
+            tables.append(np.column_stack((ts, np.cumsum(steps) - 1.0)))
+        fam = TabulatedFamily(tables)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    u = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return fam, u
+
+
+def _solve_or_raise(solver, fam, u):
+    try:
+        p, kappa = solver(fam, u)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+    return p.tobytes(), np.float64(kappa).tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kkt_cases())
+def test_bisection_replay_is_bitwise_plain_bisection(case):
+    fam, u = case
+    replayed = _solve_or_raise(_bisection_response, fam, u)
+    assert replayed == _solve_or_raise(bisection_response, fam, u)
+
+
+def test_bisection_replay_fails_like_plain_bisection():
+    # a near-vertical CDF at |kappa| ~ 1e3: adjacent floats straddle the root
+    steep = np.array([[0.0, -1.0], [0.2, 0.0], [0.8, 1e-13], [1.0, 1.0]])
+    fam = TabulatedFamily([steep, steep])
+    u = np.array([1000.0, 1000.0])
+    messages = []
+    for solver in (_bisection_response, bisection_response):
+        with pytest.raises(RuntimeError, match="failed to converge") as info:
+            solver(fam, u)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_bisection_evaluates_few_cdfs_on_pareto_games():
+    # the kkt-pareto benchmark's families: plain bisection needs about 41 evaluations
+    rng = np.random.default_rng(101)
+    calls = []
+    for k in range(200):
+        q = rng.uniform(0.5, 0.8) if k % 2 == 0 else rng.uniform(1.5, 2.5)
+        fam = ParetoFamily(6.0, q, rng.uniform(0.5, 2.0, 3))
+        cdf_vector = fam.cdf_vector
+
+        def counted(s, cdf_vector=cdf_vector):
+            calls.append(k)
+            return cdf_vector(s)
+
+        fam.cdf_vector = counted
+        _bisection_response(fam, rng.random(3))
+    assert len(calls) / 200 <= 14
 
 
 def test_payoff_vector_input_validation():
