@@ -259,3 +259,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:  # console-script shim
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -13,7 +13,6 @@ so repeated runs produce byte-identical traces.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -25,6 +24,8 @@ from .response import response_solver
 
 #: default lower clamp applied to probabilities inside the update rule.
 PROBABILITY_CLAMP = 1e-12
+#: recorded rounds per block of ``Trace.to_csv`` text.
+_CSV_BLOCK_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -232,23 +233,26 @@ class Trace:
         }
 
     def to_csv(self, path) -> None:
-        """Long-format CSV: one row per recorded round, player, and action."""
+        """Long-format CSV: one row per recorded round, player, and action.
+
+        Floats are written as their ``repr``, which round-trips exactly.  Rows
+        are formatted and written a block of recorded rounds at a time, which
+        bounds the memory the text takes.
+        """
+        n_players, n_actions = self.probabilities.shape[1:]
+        cells = [(j, i) for j in range(n_players) for i in range(n_actions)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["round", "player", "action", "probability", "estimate", "payoff", "lambda"]
-            )
-            n_players, n_actions = self.probabilities.shape[1:]
-            for row, t in enumerate(self.rounds):
-                for j in range(n_players):
-                    for i in range(n_actions):
-                        writer.writerow([
-                            int(t), j, i,
-                            repr(float(self.probabilities[row, j, i])),
-                            repr(float(self.estimates[row, j, i])),
-                            repr(float(self.payoffs[row, j, i])),
-                            repr(float(self.rates[row])),
-                        ])
+            fh.write("round,player,action,probability,estimate,payoff,lambda\n")
+            for start in range(0, self.rounds.size, _CSV_BLOCK_ROUNDS):
+                block = slice(start, start + _CSV_BLOCK_ROUNDS)
+                columns = [a[block].reshape(-1, len(cells)).tolist()
+                           for a in (self.probabilities, self.estimates, self.payoffs)]
+                fh.write("".join(
+                    f"{t},{j},{i},{p!r},{e!r},{y!r},{lam!r}\n"
+                    for t, lam, ps, es, ys in zip(self.rounds[block].tolist(),
+                                                  self.rates[block].tolist(), *columns)
+                    for (j, i), p, e, y in zip(cells, ps, es, ys)
+                ))
 
     def summary_to_json(self, path, extra: dict | None = None) -> None:
         doc = self.summary()
@@ -259,13 +263,54 @@ class Trace:
             fh.write("\n")
 
 
+def _family_groups(families) -> list[tuple[MarginalFamily, list[int], object]]:
+    """Players with equal families, each group with one index into (M, N) state.
+
+    Equal means the same class and the same ``to_dict()``, compared as JSON
+    text so that 0.0 and -0.0 stay apart; a family without a JSON form equals
+    only itself.  A group of every player indexes with ``slice(None)`` and a
+    group of one with its int, so both give views; other groups take an
+    index array.
+    """
+    groups: dict = {}
+    for j, fam in enumerate(families):
+        try:
+            key = (type(fam), json.dumps(fam.to_dict(), sort_keys=True))
+        except NotImplementedError:
+            key = id(fam)
+        groups.setdefault(key, (fam, []))[1].append(j)
+    out = []
+    for fam, group in groups.values():
+        if len(group) == len(families):
+            index = slice(None)
+        elif len(group) == 1:
+            index = group[0]
+        else:
+            index = np.array(group)
+        out.append((fam, group, index))
+    return out
+
+
+def _raise_for_failing_player(t: int, solve, estimates: np.ndarray, group: list[int]) -> None:
+    """After a group's response failed, solve its rows singly to name the player."""
+    for j in group:
+        try:
+            solve(estimates[j])
+        except (ValueError, RuntimeError) as exc:
+            raise RuntimeError(f"round {t}, player {j}: {exc}") from exc
+
+
 def run_dynamics(game: Game, config: RunConfig) -> Trace:
     """Run the estimate-response loop for ``config.horizon`` rounds.
 
     Deterministic: no randomness enters the loop (responses and payoffs are
-    exact expectations).  The per-round responses land on the simplex by
+    exact expectations).  Each round is one operation on the (M, N) state:
+    players with equal belief families respond through one solver call on
+    their stacked estimate rows, and players with equal risk families take
+    one quantile call.  The per-round responses land on the simplex by
     construction, so validation happens only where profiles are handed back
-    out.  Solver failures are re-raised with the offending round attached.
+    out.  Solver failures are re-raised with the round and the failing
+    player attached.
     """
     m, n = game.num_players, game.num_actions
     if len(config.risk_families) != m:
@@ -288,8 +333,10 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     clamp = config.probability_clamp
 
     rates = config.schedule.rates(horizon)
-    respond = [response_solver(fam) for fam in config.belief_families]
-    tail_quantiles = [fam.tail_quantile_vector for fam in config.risk_families]
+    respond = [(response_solver(fam), group, index)
+               for fam, group, index in _family_groups(config.belief_families)]
+    tail_quantiles = [(fam.tail_quantile_vector, index)
+                      for fam, _, index in _family_groups(config.risk_families)]
     players = range(m)
 
     probs = np.empty((m, n))
@@ -297,17 +344,18 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     pays = np.empty((m, n))
     for t in range(1, horizon + 1):
         rate = rates[t - 1]
-        for j in players:
+        for solve, group, index in respond:
             try:
-                probs[j] = respond[j](estimates[j])
+                probs[index] = solve(estimates[index])
             except (ValueError, RuntimeError) as exc:
-                raise RuntimeError(f"round {t}, player {j}: {exc}") from exc
+                _raise_for_failing_player(t, solve, estimates, group)
+                raise RuntimeError(f"round {t}, players {group}: {exc}") from exc
         for j in players:
             pays[j] = payoff_vector_rows(game, j, probs)
-        clamp_triggers += int((probs < clamp).sum())
-        for j in players:
-            adjustment = tail_quantiles[j](np.maximum(probs[j], clamp))
-            estimates[j] += rate * (pays[j] + adjustment)
+        clamp_triggers += np.count_nonzero(probs < clamp)
+        for tail_quantile, index in tail_quantiles:
+            adjustment = tail_quantile(np.maximum(probs[index], clamp))
+            estimates[index] += rate * (pays[index] + adjustment)
         if t > 1:
             movement[t - 1] = float(np.abs(probs - prev).max())
         if t in record_index:

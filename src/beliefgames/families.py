@@ -16,6 +16,7 @@ with dyadic refinement toward the possibly singular endpoint.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -205,6 +206,19 @@ class MarginalFamily:
         """Essential range of marginal i (upper end may be inf)."""
         lo, hi = self.quantile(i, np.array([0.0, 1.0]))
         return float(lo), float(hi)
+
+    # -- response bracket ----------------------------------------------------
+
+    @functools.cached_property
+    def _response_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quantiles at 0 and at 1 - 1/N, which bracket every response's kappa.
+
+        At kappa = min_i(u_i + lows_i) some component has probability one; at
+        kappa = max_i(u_i + tops_i) every component has at most 1/N.  Both
+        depend only on the family, so they are computed once.
+        """
+        n = self.n_actions
+        return self.quantile_vector(np.zeros(n)), self.tail_quantile_vector(np.full(n, 1.0 / n))
 
     # -- regularizer ---------------------------------------------------------
 

@@ -54,32 +54,34 @@ def _check_payoff_vector(fam: MarginalFamily, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (fam.n_actions,):
         raise ValueError(f"payoff vector must have length {fam.n_actions}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("payoff vector must be finite")
     return u
 
 
 def weighted_softmax(u, eta, gamma: float) -> np.ndarray:
-    """Softmax of u / gamma with positive prior weights eta.
+    """Softmax of u / gamma with positive prior weights eta, along the last axis.
 
     Computed with the max subtracted from the exponent, so any finite inputs
     are safe; components whose exponent underflows come out as exact zeros.
+    Each row of a ``(..., N)`` input gets the bits of its own 1-D call.
     """
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     z = u / gamma
-    w = eta * np.exp(z - z.max())
-    return w / w.sum()
+    w = eta * np.exp(z - z.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def sparsemax(u) -> np.ndarray:
     """Sparse simplex map: p_i = max(u_i - kappa, 0) / (2N).
 
     The threshold kappa is chosen so the output sums to one; the result
-    equals the Euclidean projection of u / (2N) onto the simplex.  Ties are
-    broken stably, so permuting u permutes the output exactly.
+    equals the Euclidean projection of u / (2N) onto the simplex.  kappa
+    depends only on the sorted values, so permuting u permutes the output
+    exactly.
     """
     p, _ = _sparsemax_threshold(u)
     return p
@@ -89,16 +91,29 @@ def _sparsemax_threshold(u) -> tuple[np.ndarray, float]:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("sparsemax needs a 1-D vector")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("sparsemax needs finite inputs")
-    n = u.size
-    sorted_u = u[np.argsort(-u, kind="stable")]
-    cumsum = np.cumsum(sorted_u)
+    p, kappa = _sparsemax_rows(u)
+    return p, float(kappa[0])
+
+
+def _sparsemax_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sparsemax along the last axis of finite ``(..., N)`` rows; kappa is ``(..., 1)``.
+
+    The sort-based simplex projection (Duchi et al., ICML 2008): the support
+    size k is the largest j with 2N + j * z_(j) > z_(1) + ... + z_(j) over the
+    entries sorted in decreasing order.  Equal entries are equal values, so
+    the sort order among ties does not change the sums.
+    """
+    n = u.shape[-1]
+    sorted_u = np.sort(u, axis=-1)[..., ::-1]
+    cumsum = sorted_u.cumsum(axis=-1)
     j = np.arange(1, n + 1)
     in_support = 2.0 * n + j * sorted_u > cumsum
-    k = int(j[in_support].max())  # j = 1 always qualifies
-    kappa = (cumsum[k - 1] - 2.0 * n) / k
-    return np.maximum(u - kappa, 0.0) / (2.0 * n), float(kappa)
+    k = np.maximum.reduce(j * in_support, axis=-1, keepdims=True)  # j = 1 always qualifies
+    top = np.add.reduce(cumsum * (j == k), axis=-1, keepdims=True)  # k-th sum plus exact zeros
+    kappa = (top - 2.0 * n) / k
+    return np.maximum(u - kappa, 0.0) / (2.0 * n), kappa
 
 
 def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray, float]:
@@ -116,7 +131,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
             "the response is not unique"
         )
     n = fam.n_actions
-    lows = fam.quantile_vector(np.zeros(n))
+    lows, tops = fam._response_offsets
     last_kappa, last_p = None, None
 
     def probs(kappa: float) -> np.ndarray:
@@ -128,7 +143,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
     lo = float(np.min(u + lows))  # here some component hits probability 1
     if n == 1:
         return np.array([1.0]), lo
-    hi = float(np.max(u + fam.tail_quantile_vector(np.full(n, 1.0 / n))))
+    hi = float(np.max(u + tops))
     hi = max(hi, lo + 1e-12)
     a_cert, b_cert = _certified_bracket(fam, probs, lo, hi)
     step = max(1.0, hi - lo)
@@ -261,17 +276,26 @@ def response_probabilities(fam: MarginalFamily, u, method: str = "auto") -> np.n
 def response_solver(fam: MarginalFamily):
     """Bind the family's response route once, for per-round hot loops.
 
-    Returns a callable mapping a payoff vector to its response probabilities
-    by the same route :func:`response_probabilities` would pick, minus the
-    per-call input validation and dispatch.
+    Returns a callable mapping payoff rows ``(..., N)`` to their response
+    probabilities.  Each row gets the bits :func:`response_probabilities`
+    gives it, minus the per-call input validation and dispatch: softmax and
+    sparsemax work along the last axis, and the generic route solves the rows
+    one at a time.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam.gamma
         return lambda u: weighted_softmax(u, eta, gamma)
     if isinstance(fam, UniformFamily):
         gamma = fam.gamma
-        return lambda u: sparsemax(u / gamma)
-    return lambda u: _bisection_response(fam, u)[0]
+        return lambda u: _sparsemax_rows(u / gamma)[0]
+
+    def bisection_rows(u):
+        out = np.empty_like(u)
+        for row in np.ndindex(u.shape[:-1]):
+            out[row] = _bisection_response(fam, u[row])[0]
+        return out
+
+    return bisection_rows
 
 
 def quantal_response(fam: MarginalFamily, u, method: str = "auto") -> ResponseResult:

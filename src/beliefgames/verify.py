@@ -242,13 +242,20 @@ CHECKS = {
 
 
 def verification_suite(only: str | None = None) -> dict:
-    """Run the named checks (optionally filtered by substring) and collect results."""
+    """Run the named checks (optionally filtered by substring) and collect results.
+
+    A check that raises fails with ``type: message`` as its detail, and the
+    remaining checks still run.
+    """
     names = [n for n in CHECKS if only is None or only in n]
     if not names:
         raise ValueError(f"no verification checks match {only!r}")
     results = {}
     for name in names:
-        passed, detail = CHECKS[name]()
+        try:
+            passed, detail = CHECKS[name]()
+        except Exception as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         results[name] = {"passed": bool(passed), "detail": detail}
     return {
         "checks": results,

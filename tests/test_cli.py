@@ -186,6 +186,15 @@ def test_module_form_runs_the_cli(tmp_path):
     assert "PASS sparsemax_projection" in done.stdout
 
 
+def test_cli_module_runs_the_cli(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-m", "beliefgames.cli", "verify", "--only", "sparsemax_projection"],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS sparsemax_projection" in done.stdout
+
+
 def test_import_does_not_load_scipy(tmp_path):
     # scipy's import dominates CLI start-up; only quadrature_regularizer needs it
     done = subprocess.run(

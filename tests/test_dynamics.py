@@ -15,7 +15,12 @@ from beliefgames.dynamics import (
     run_dynamics,
     update_estimates,
 )
-from beliefgames.families import ExponentialFamily, TabulatedFamily, UniformFamily
+from beliefgames.families import (
+    ExponentialFamily,
+    ParetoFamily,
+    TabulatedFamily,
+    UniformFamily,
+)
 from beliefgames.games import StrategyProfile, matching_game, payoff_vector, random_game
 from beliefgames.response import response_probabilities
 
@@ -183,28 +188,84 @@ def test_run_dynamics_is_deterministic():
     assert a.final_residual == b.final_residual
 
 
-def test_run_dynamics_replays_the_public_single_step_api():
-    # the fused hot loop must agree bit for bit with the documented update
+def _family(kind: str, n: int, variant: int):
+    """A family of each kind; different ``variant`` values give different parameters."""
+    eta = np.linspace(0.5, 1.5, n) + 0.25 * variant
+    if kind == "exponential":
+        return ExponentialFamily(gamma=2.0 + variant, eta=eta)
+    if kind == "uniform":  # weak enough to produce exact zeros and clamp triggers
+        return UniformFamily(gamma=0.05 + 0.05 * variant, n_actions=n)
+    if kind == "pareto":
+        return ParetoFamily(gamma=3.0 + variant, q=0.7 if variant else 1.5, eta=eta)
+    return TabulatedFamily([
+        [[0.0, -2.0 - 0.1 * i - variant], [0.3, -0.5], [0.7, 0.4 + 0.1 * i], [1.0, 2.0 + variant]]
+        for i in range(n)
+    ])
+
+
+def _player_families(kind: str, m: int, n: int, setup: str) -> tuple:
+    if setup == "shared":  # one object for every player
+        return (_family(kind, n, 0),) * m
+    if setup == "equal":  # equal but distinct objects, as the config loader builds
+        return tuple(_family(kind, n, 0) for _ in range(m))
+    # per player; with three players, players 0 and 2 share parameters
+    return tuple(_family(kind, n, j % 2) for j in range(m))
+
+
+@pytest.mark.parametrize("setup", ["shared", "equal", "per-player"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto", "tabulated"])
+def test_run_dynamics_replays_the_public_single_step_api(kind, m, setup):
+    # the stacked rounds must agree bit for bit with the per-player documented update
+    n = 3
     rng = np.random.default_rng(21)
-    game = random_game(2, 3, rng)
-    cfg = _quick_config(horizon=60, n=3)
+    game = random_game(m, n, rng)
+    fams = _player_families(kind, m, n, setup)
+    cfg = RunConfig(horizon=60, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=fams, belief_families=fams)
     trace = run_dynamics(game, cfg)
 
-    est = np.zeros((2, 3))
+    est = np.zeros((m, n))
     rates = cfg.schedule.rates(cfg.horizon)
+    movement = np.zeros(cfg.horizon)
+    clamp_triggers = 0
+    prev = None
     for t in range(1, cfg.horizon + 1):
         probs = np.stack([
-            response_probabilities(cfg.belief_families[j], est[j]) for j in range(2)
+            response_probabilities(cfg.belief_families[j], est[j]) for j in range(m)
         ])
         prof = StrategyProfile(probs)
-        pays = np.stack([payoff_vector(game, j, prof) for j in range(2)])
-        for j in range(2):
+        pays = np.stack([payoff_vector(game, j, prof) for j in range(m)])
+        clamp_triggers += int((probs < cfg.probability_clamp).sum())
+        for j in range(m):
             est[j] = update_estimates(est[j], pays[j], probs[j], rates[t - 1],
                                       cfg.risk_families[j], cfg.probability_clamp)
+        if prev is not None:
+            movement[t - 1] = np.abs(probs - prev).max()
+        prev = probs
         row = int(np.nonzero(trace.rounds == t)[0][0])
         np.testing.assert_array_equal(trace.probabilities[row], probs)
         np.testing.assert_array_equal(trace.payoffs[row], pays)
         np.testing.assert_array_equal(trace.estimates[row], est)
+    np.testing.assert_array_equal(trace.movement, movement)
+    assert trace.clamp_triggers == clamp_triggers
+    if kind == "uniform":
+        assert clamp_triggers > 0
+
+
+def test_families_without_a_json_form_still_run():
+    # such families group by identity: here one single-player group each
+    class Unserialized(ExponentialFamily):
+        def to_dict(self):
+            raise NotImplementedError
+
+    def run(fams):
+        return run_dynamics(matching_game(3), RunConfig(
+            horizon=30, schedule=StepSchedule.constant(0.2),
+            risk_families=fams, belief_families=fams))
+
+    bare = run(tuple(Unserialized(gamma=2.0, n_actions=3) for _ in range(2)))
+    np.testing.assert_array_equal(bare.estimates, run(_exp_pair(gamma=2.0, n=3)).estimates)
 
 
 def test_run_dynamics_converges_on_coordination():
@@ -255,6 +316,17 @@ def test_run_dynamics_wraps_solver_failures_with_context():
                     risk_families=_exp_pair(), belief_families=fams)
     with pytest.raises(RuntimeError, match="round 1, player 0"):
         run_dynamics(game, cfg)
+
+
+def test_solver_failure_names_the_failing_player_of_a_shared_group():
+    # near-vertical CDF: the response at (0, 0) exists, the one at (1e3, 1e3) fails
+    steep = np.array([[0.0, -1.0], [0.2, 0.0], [0.8, 1e-13], [1.0, 1.0]])
+    fam = TabulatedFamily([steep, steep])
+    cfg = RunConfig(horizon=5, schedule=StepSchedule.constant(0.1),
+                    risk_families=_exp_pair(), belief_families=(fam, fam),
+                    initial_estimates=np.array([[0.0, 0.0], [1000.0, 1000.0]]))
+    with pytest.raises(RuntimeError, match="round 1, player 1: bisection failed to converge"):
+        run_dynamics(matching_game(2), cfg)
 
 
 def test_run_dynamics_rejects_mismatched_game():

@@ -169,6 +169,23 @@ def test_response_solver_closures_match_dispatch():
         )
 
 
+def test_row_wise_responses_equal_the_one_dimensional_calls():
+    rng = np.random.default_rng(31)
+    u = rng.normal(0.0, 3.0, size=(6, 4))
+    u[1] = u[1, 0]  # an all-tied row
+    u[2, :2] = u[2, 2]  # a partial tie
+    eta = rng.uniform(0.5, 2.0, 4)
+    rows = weighted_softmax(u, eta, 0.7)
+    for k in range(u.shape[0]):
+        assert rows[k].tobytes() == weighted_softmax(u[k], eta, 0.7).tobytes()
+    for fam in (ExponentialFamily(0.7, eta=eta), UniformFamily(0.4, 4), UniformFamily(5.0, 4),
+                ParetoFamily(0.5, 1.5, eta)):
+        want = np.stack([response_probabilities(fam, row) for row in u])
+        assert response_solver(fam)(u).tobytes() == want.tobytes()
+        stacked = response_solver(fam)(u.reshape(2, 3, 4))
+        assert stacked.tobytes() == want.tobytes()
+
+
 def test_bisection_refuses_nonunique_responses():
     flat = TabulatedFamily(
         [np.array([[0.0, -1.0], [0.4, 0.0], [0.6, 0.0], [1.0, 1.0]])] * 2

@@ -1,5 +1,6 @@
 import pytest
 
+from beliefgames.cli import main
 from beliefgames.verify import CHECKS, verification_suite
 
 
@@ -21,3 +22,19 @@ def test_filter_selects_matching_checks():
 def test_filter_with_no_match_raises():
     with pytest.raises(ValueError, match="no verification checks match"):
         verification_suite(only="zzz_nothing")
+
+
+def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setitem(CHECKS, "softmax_bisection", broken)
+    manifest = verification_suite(only="softmax")
+    assert manifest["checks"]["softmax_bisection"] == {
+        "passed": False, "detail": "RuntimeError: solver blew up"}
+    assert manifest["checks"]["gumbel_softmax"]["passed"] is True
+    assert manifest["all_passed"] is False
+    assert main(["verify", "--only", "softmax"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL softmax_bisection: RuntimeError: solver blew up" in out
+    assert "PASS gumbel_softmax" in out
