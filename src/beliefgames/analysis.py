@@ -80,10 +80,8 @@ def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-
     iterations = 0
     # each sweep's rows are a convex mix of simplex rows: no profile to validate
     for iterations in range(1, max_iter + 1):
-        targets = np.stack([
-            response_probabilities(fams[j], payoff_vector_rows(game, j, probs))
-            for j in range(m)
-        ])
+        pays = payoff_vector_rows(game, None, probs)
+        targets = np.stack([response_probabilities(fams[j], pays[j]) for j in range(m)])
         new = (1.0 - damping) * probs + damping * targets
         movement = float(np.abs(new - probs).max())
         probs = new

@@ -43,10 +43,10 @@ class StepSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "power"):
             raise ValueError("schedule kind must be 'constant' or 'power'")
-        if not self.c > 0.0:
-            raise ValueError("step scale c must be positive")
-        if self.a < 0.0:
-            raise ValueError("power exponent must be nonnegative")
+        if not (self.c > 0.0 and np.isfinite(self.c)):
+            raise ValueError("step scale c must be positive and finite")
+        if not (self.a >= 0.0 and np.isfinite(self.a)):
+            raise ValueError("power exponent must be nonnegative and finite")
 
     @classmethod
     def constant(cls, c: float) -> "StepSchedule":
@@ -306,11 +306,11 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     Deterministic: no randomness enters the loop (responses and payoffs are
     exact expectations).  Each round is one operation on the (M, N) state:
     players with equal belief families respond through one solver call on
-    their stacked estimate rows, and players with equal risk families take
-    one quantile call.  The per-round responses land on the simplex by
-    construction, so validation happens only where profiles are handed back
-    out.  Solver failures are re-raised with the round and the failing
-    player attached.
+    their stacked estimate rows, one contraction gives every player's payoff
+    vector, and players with equal risk families take one quantile call.  The
+    per-round responses land on the simplex by construction, so validation
+    happens only where profiles are handed back out.  Solver failures are
+    re-raised with the round and the failing player attached.
     """
     m, n = game.num_players, game.num_actions
     if len(config.risk_families) != m:
@@ -337,11 +337,9 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
                for fam, group, index in _family_groups(config.belief_families)]
     tail_quantiles = [(fam.tail_quantile_vector, index)
                       for fam, _, index in _family_groups(config.risk_families)]
-    players = range(m)
 
     probs = np.empty((m, n))
     prev = np.empty((m, n))
-    pays = np.empty((m, n))
     for t in range(1, horizon + 1):
         rate = rates[t - 1]
         for solve, group, index in respond:
@@ -350,8 +348,7 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
             except (ValueError, RuntimeError) as exc:
                 _raise_for_failing_player(t, solve, estimates, group)
                 raise RuntimeError(f"round {t}, players {group}: {exc}") from exc
-        for j in players:
-            pays[j] = payoff_vector_rows(game, j, probs)
+        pays = payoff_vector_rows(game, None, probs)
         clamp_triggers += np.count_nonzero(probs < clamp)
         for tail_quantile, index in tail_quantiles:
             adjustment = tail_quantile(np.maximum(probs[index], clamp))

@@ -4,8 +4,16 @@ A game is one dense payoff tensor per player, each of shape ``(N,) * M``
 (M players, N actions, payoffs in [0, 1]).  Entry ``payoffs[j][a_1, ..., a_M]``
 is player j's payoff at the pure action profile ``(a_1, ..., a_M)``.  Expected
 payoffs under mixed play are multilinear contractions of these tensors;
-everything downstream (responses, dynamics, stability checks) is built on the
-three contraction routines in this module.
+everything downstream (responses, dynamics, stability checks) is built on them.
+
+A game also keeps its tensors in a *player-first layout*: one ``(M, N,
+N^(M-1))`` array whose row j is player j's tensor with their own axis first
+and the opponents' axes flattened in ascending player order.  With it,
+:func:`payoff_vector_rows` computes every player's payoff vector at once: one
+outer product of the opponents' strategies per player, built for all players
+together, then one batched matrix-vector product.  The per-player routines
+(:func:`payoff_vector`, :func:`expected_payoff`) are views of that one
+computation; :func:`pairwise_payoff_matrix` folds the tensor directly.
 """
 
 from __future__ import annotations
@@ -34,9 +42,20 @@ class Game:
     payoffs : sequence of array_like
         One tensor per player, each of shape ``(N,) * M`` with every entry in
         [0, 1].  Player axes are ordered: axis m indexes player m+1's action.
+
+    Attributes
+    ----------
+    payoffs : tuple of ndarray
+        The read-only tensors.
+    player_first : ndarray
+        Read-only ``(M, N, N^(M-1))`` layout: row j is ``payoffs[j]`` with
+        axis j moved to the front and the other axes flattened in order.
+    opponents : ndarray
+        Read-only ``(M, M-1)`` table; row j lists the players other than j
+        in ascending order, matching the flattened axes of ``player_first[j]``.
     """
 
-    __slots__ = ("payoffs",)
+    __slots__ = ("payoffs", "player_first", "opponents")
 
     def __init__(self, payoffs) -> None:
         tensors = tuple(_readonly(t) for t in payoffs)
@@ -56,7 +75,14 @@ class Game:
                 raise ValueError(f"player {j} payoffs must lie in [0, 1]")
         if n < 2:
             raise ValueError("each player needs at least two actions")
+        player_first = np.stack([np.moveaxis(t, j, 0).reshape(n, -1)
+                                 for j, t in enumerate(tensors)])
+        player_first.setflags(write=False)
+        opponents = np.array([[k for k in range(m) if k != j] for j in range(m)])
+        opponents.setflags(write=False)
         object.__setattr__(self, "payoffs", tensors)
+        object.__setattr__(self, "player_first", player_first)
+        object.__setattr__(self, "opponents", opponents)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Game is immutable")
@@ -153,34 +179,43 @@ def _check_pair(game: Game, profile: StrategyProfile) -> None:
 def expected_payoff(game: Game, player: int, profile: StrategyProfile) -> float:
     """Expected payoff of ``player`` when everyone mixes as in ``profile``.
 
-    Computed by successive contraction of the payoff tensor, one player axis
-    at a time (O(M * N^M) work, no N^M-sized intermediates beyond the tensor).
+    The player's own mix contracted with their payoff vector
+    (:func:`payoff_vector_rows`).
     """
     _check_pair(game, profile)
-    out = game.payoffs[player]
-    for axis in range(game.num_players - 1, -1, -1):
-        out = np.tensordot(out, profile.probs[axis], axes=([axis], [0]))
-    return float(out)
+    return float(profile.probs[player] @ payoff_vector_rows(game, player, profile.probs))
 
 
-def payoff_vector_rows(game: Game, player: int, rows: np.ndarray) -> np.ndarray:
+def payoff_vector_rows(game: Game, player: int | None, rows: np.ndarray) -> np.ndarray:
     """:func:`payoff_vector` against a raw (M, N) array of strategy rows.
 
     Skips profile validation, so hot loops can call it every round and
-    validate on their own cadence.  Two-player games take a direct
-    matrix-vector product; larger games fold the payoff tensor one opponent
-    axis at a time.
+    validate on their own cadence.  ``player=None`` returns every player's
+    payoff vector as one (M, N) array; an int ``player`` returns that row of
+    the same computation, so the two calls agree bit for bit.
+
+    Two-player games take direct vector-matrix products, ``T0 @ p1`` and
+    ``p0 @ T1``.  Larger games contract the player-first layout
+    (:class:`Game`): the opponents' strategies of every player are multiplied
+    into one ``(M, N^(M-1))`` array of outer products, M - 2 broadcast
+    multiplies in all, and one batched matrix-vector product against the
+    layout gives all M rows.
     """
-    if game.num_players == 2:
+    m = game.num_players
+    if m == 2:
+        if player is None:
+            out = np.empty((2, game.num_actions))
+            out[0] = game.payoffs[0] @ rows[1]
+            out[1] = rows[0] @ game.payoffs[1]
+            return out
         t = game.payoffs[player]
         return t @ rows[1] if player == 0 else rows[0] @ t
-    out = game.payoffs[player]
-    # fold axes above `player` first (indices unaffected), then those below
-    for axis in range(game.num_players - 1, player, -1):
-        out = np.tensordot(out, rows[axis], axes=([axis], [0]))
-    for axis in range(player - 1, -1, -1):
-        out = np.tensordot(out, rows[axis], axes=([axis], [0]))
-    return out
+    opponent_rows = rows[game.opponents]  # (M, M-1, N)
+    outer = opponent_rows[:, 0]
+    for s in range(1, m - 1):
+        outer = (outer[:, :, None] * opponent_rows[:, s, None, :]).reshape(m, -1)
+    out = np.matmul(game.player_first, outer[:, :, None]).reshape(m, -1)
+    return out if player is None else out[player]
 
 
 def payoff_vector(game: Game, player: int, profile: StrategyProfile) -> np.ndarray:

@@ -9,6 +9,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from beliefgames.analysis import (
     diagonal_dominance_check,
@@ -166,6 +167,7 @@ def test_criterion_06_solver_agrees_with_grid_oracle():
           f"{worst_gap:.2e} <= {grid_tol:g}, {elapsed:.1f}s < {budget:g}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_dynamics_converge_on_random_games():
     budget, res_tol = 300.0, 1e-3
     horizon = 100_000
@@ -222,6 +224,7 @@ def test_criterion_08_curvature_grid_and_coupling_cap():
           f"{cap_ok}")
 
 
+@pytest.mark.slow
 def test_criterion_09_stability_chain_holds_on_passing_instances():
     rng = np.random.default_rng(109)
     instances = []

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beliefgames.cli import main
-from beliefgames.games import matching_game, save_game
+from beliefgames.games import matching_game, random_game, save_game
 
 
 @pytest.fixture()
@@ -57,6 +58,27 @@ def test_simulate_traces_are_byte_identical(workdir):
     assert main(["simulate", "--config", _cfg_path(workdir),
                  "--out", str(out2), "--quiet"]) == 0
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
+def test_three_player_simulate_traces_are_byte_identical(tmp_path):
+    # the M >= 3 payoff contraction must be as deterministic as the two-player one
+    save_game(random_game(3, 3, np.random.default_rng(33)), tmp_path / "game.json")
+    cfg = {
+        "game": "game.json",
+        "risk_families": {"type": "uniform", "gamma": 1.0},
+        "schedule": {"type": "power", "c": 1.0, "a": 0.6},
+        "horizon": 500,
+        "downsample": 1,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    blobs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out), "--quiet"]) == 0
+        blobs.append((out / "trace.csv").read_bytes())
+    assert blobs[0].count(b"\n") == 1 + 500 * 3 * 3
+    assert blobs[0] == blobs[1]
 
 
 def test_simulate_warns_on_summable_schedule(workdir, capsys):

@@ -40,6 +40,21 @@ def test_schedule_validation():
         StepSchedule.constant(1.0).rate(0)
 
 
+@pytest.mark.parametrize("kind,c,a", [
+    ("power", 1.0, np.nan),
+    ("power", 1.0, np.inf),
+    ("power", np.nan, 0.6),
+    ("power", np.inf, 0.6),
+    ("constant", np.nan, 0.0),
+    ("constant", np.inf, 0.0),
+])
+def test_schedule_rejects_nonfinite_parameters(kind, c, a):
+    # a NaN exponent would otherwise surface only as diverged estimates
+    # after the whole horizon
+    with pytest.raises(ValueError, match="finite"):
+        StepSchedule(kind, c, a)
+
+
 def test_schedule_rate_and_rates_agree():
     sched = StepSchedule.power(0.7, 0.6)
     np.testing.assert_allclose(

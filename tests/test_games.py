@@ -142,13 +142,73 @@ def test_payoff_vector_components_are_pure_action_payoffs():
 
 def test_payoff_vector_rows_matches_validated_route():
     rng = np.random.default_rng(6)
-    for players, actions in [(2, 3), (3, 2)]:
+    for players, actions in [(2, 3), (3, 2), (4, 3)]:
         game = random_game(players, actions, rng)
         prof = random_profile(players, actions, rng)
         for j in range(players):
             assert np.array_equal(
                 payoff_vector_rows(game, j, prof.probs), payoff_vector(game, j, prof)
             )
+
+
+CONTRACTION_SHAPES = [(2, 2), (2, 5), (3, 2), (3, 4), (4, 3), (5, 2)]
+
+
+def _exhaustive_payoff_rows(game, prof):
+    """Every player's payoff vector, one pure-action profile at a time."""
+    m, n = game.num_players, game.num_actions
+    rows = np.empty((m, n))
+    for j in range(m):
+        for i in range(n):
+            pure = np.zeros(n)
+            pure[i] = 1.0
+            rows[j, i] = exhaustive_profile_payoff(game, j, prof.replace(j, pure))
+    return rows
+
+
+@pytest.mark.parametrize("players,actions", CONTRACTION_SHAPES)
+def test_all_player_rows_match_exhaustive_enumeration(players, actions):
+    rng = np.random.default_rng(300 + players * 10 + actions)
+    game = random_game(players, actions, rng)
+    prof = random_profile(players, actions, rng)
+    rows = payoff_vector_rows(game, None, prof.probs)
+    assert rows.shape == (players, actions)
+    np.testing.assert_allclose(rows, _exhaustive_payoff_rows(game, prof), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("players,actions", CONTRACTION_SHAPES)
+def test_single_player_rows_are_rows_of_the_all_player_call(players, actions):
+    rng = np.random.default_rng(400 + players * 10 + actions)
+    game = random_game(players, actions, rng)
+    probs = random_profile(players, actions, rng).probs
+    rows = payoff_vector_rows(game, None, probs)
+    for j in range(players):
+        assert payoff_vector_rows(game, j, probs).tobytes() == rows[j].tobytes()
+
+
+@pytest.mark.parametrize("actions", [2, 5])
+def test_two_player_rows_keep_the_matrix_vector_products(actions):
+    # the shipped configs' trace.csv digests pin exactly these expressions
+    rng = np.random.default_rng(500 + actions)
+    game = random_game(2, actions, rng)
+    probs = random_profile(2, actions, rng).probs
+    rows = payoff_vector_rows(game, None, probs)
+    assert rows[0].tobytes() == (game.payoffs[0] @ probs[1]).tobytes()
+    assert rows[1].tobytes() == (probs[0] @ game.payoffs[1]).tobytes()
+
+
+@pytest.mark.parametrize("players,actions", CONTRACTION_SHAPES)
+def test_player_first_layout_is_read_only_and_matches_the_tensors(players, actions):
+    game = random_game(players, actions, np.random.default_rng(600 + players))
+    layout, opponents = game.player_first, game.opponents
+    assert layout.shape == (players, actions, actions ** (players - 1))
+    assert opponents.shape == (players, players - 1)
+    assert not layout.flags.writeable and not opponents.flags.writeable
+    with pytest.raises(ValueError):
+        layout[0, 0, 0] = 0.5
+    for j in range(players):
+        assert list(opponents[j]) == [k for k in range(players) if k != j]
+        assert np.array_equal(layout[j], np.moveaxis(game.payoffs[j], j, 0).reshape(actions, -1))
 
 
 def test_payoff_vector_shape_mismatch():
