@@ -63,6 +63,7 @@ from .response import (
     ResponseResult,
     optimistic_value,
     quantal_response,
+    response_operator,
     response_probabilities,
     response_solver,
     smooth_payoff,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import MarginalFamily
-from .games import (Game, StrategyProfile, _check_pair, pairwise_payoff_matrix, payoff_vector,
-                    payoff_vector_rows, uniform_profile)
-from .response import response_probabilities, smooth_payoff_gradient
+from .games import (Game, StrategyProfile, _check_pair, _check_simplex_rows, payoff_vector_rows,
+                    uniform_profile)
+from .response import response_operator
 
 #: resolution of the probability grid used when no closed-form curvature
 #: bound exists; endpoints stay strictly inside (0, 1).
@@ -35,6 +35,12 @@ def _check_families(game: Game, fams) -> tuple:
     return fams
 
 
+def _residuals(game: Game, probs: np.ndarray, fams) -> np.ndarray:
+    """Residual of every profile of a ``(..., M, N)`` stack: one contraction, one response call."""
+    targets = response_operator(fams)(payoff_vector_rows(game, None, probs))
+    return np.abs(probs - targets).max(axis=(-2, -1))
+
+
 def equilibrium_residual(game: Game, profile: StrategyProfile, fams) -> float:
     """Sup-norm gap between each player's mix and their quantal response.
 
@@ -42,12 +48,8 @@ def equilibrium_residual(game: Game, profile: StrategyProfile, fams) -> float:
     profile, so it doubles as a convergence measure for dynamics and solvers.
     """
     fams = _check_families(game, fams)
-    worst = 0.0
-    for j in range(game.num_players):
-        u = payoff_vector(game, j, profile)
-        target = response_probabilities(fams[j], u)
-        worst = max(worst, float(np.abs(profile.player(j) - target).max()))
-    return worst
+    _check_pair(game, profile)
+    return float(_residuals(game, profile.probs, fams))
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,15 @@ def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-
     fams = _check_families(game, fams)
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    m = game.num_players
-    current = (uniform_profile(m, game.num_actions) if start is None else start)
+    current = (uniform_profile(game.num_players, game.num_actions) if start is None else start)
     _check_pair(game, current)
+    respond = response_operator(fams)
     probs = current.probs.copy()
     movement = np.inf
     iterations = 0
     # each sweep's rows are a convex mix of simplex rows: no profile to validate
     for iterations in range(1, max_iter + 1):
-        pays = payoff_vector_rows(game, None, probs)
-        targets = np.stack([response_probabilities(fams[j], pays[j]) for j in range(m)])
+        targets = respond(payoff_vector_rows(game, None, probs))
         new = (1.0 - damping) * probs + damping * targets
         movement = float(np.abs(new - probs).max())
         probs = new
@@ -98,12 +99,15 @@ def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-
 
 
 def residual_series(game: Game, trace, fams) -> np.ndarray:
-    """Equilibrium residual at every recorded round of a dynamics trace."""
+    """Equilibrium residual at every recorded round of a dynamics trace, in one
+    call on its ``(R, M, N)`` profiles, each with its own residual's bits."""
     fams = _check_families(game, fams)
-    return np.array([
-        equilibrium_residual(game, StrategyProfile(trace.probabilities[k]), fams)
-        for k in range(trace.rounds.size)
-    ])
+    probs = np.asarray(trace.probabilities, dtype=float)
+    want = (game.num_players, game.num_actions)
+    if probs.ndim != 3 or probs.shape[1:] != want:
+        raise ValueError(f"trace records have shape {probs.shape[1:]}, the game needs {want}")
+    _check_simplex_rows(probs)
+    return _residuals(game, probs, fams)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +124,13 @@ def hessian_blocks(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     """
     fams = _check_families(game, fams)
     m, n = game.num_players, game.num_actions
-    blocks = np.zeros((m, m, n, n))
+    # profile (k, i') puts player k at action i': its payoff row j is column i' of A_jk
+    profiles = np.tile(profile.probs, (m, n, 1, 1))
+    profiles[np.arange(m), :, np.arange(m)] = np.eye(n)
+    cross = payoff_vector_rows(game, None, profiles).transpose(2, 0, 3, 1)
+    blocks = 0.5 * (cross + cross.transpose(1, 0, 3, 2))
     for j in range(m):
         blocks[j, j] = np.diag(-1.0 / fams[j].density_vector(profile.player(j)))
-    for j in range(m):
-        for k in range(j + 1, m):
-            rest = [profile.player(r) for r in range(m) if r not in (j, k)]
-            a_jk = pairwise_payoff_matrix(game, j, k, rest)
-            a_kj = pairwise_payoff_matrix(game, k, j, rest)
-            blocks[j, k] = 0.5 * (a_jk + a_kj.T)
-            blocks[k, j] = blocks[j, k].T
     return blocks
 
 
@@ -219,21 +220,16 @@ def coupling_bound(game: Game, player: int) -> float:
     of the remaining players (the entries are multilinear in those mixes, and
     the norm is convex, so pure profiles attain the maximum); the bounds are
     then summed over k.  At payoffs in [0, 1] the result is at most N (M - 1).
+    Those A_jk + A_kj^T are slices of the payoff tensors with axes j and k
+    moved last, so one batched call takes all N^(M-2) spectral norms.
     """
     m, n = game.num_players, game.num_actions
     total = 0.0
     for k in range(m):
         if k == player:
             continue
-        others = [r for r in range(m) if r not in (player, k)]
-        best = 0.0
-        # `others` ascends, so these vertex lists arrive in player order
-        for combo in np.ndindex(*([n] * len(others))):
-            rest = [np.eye(n)[a] for a in combo]
-            a_jk = pairwise_payoff_matrix(game, player, k, rest)
-            a_kj = pairwise_payoff_matrix(game, k, player, rest)
-            best = max(best, operator_norm(a_jk + a_kj.T))
-        total += 0.5 * best
+        cross = sum(np.moveaxis(game.payoffs[r], (player, k), (-2, -1)) for r in (player, k))
+        total += 0.5 * float(np.linalg.norm(cross.reshape(-1, n, n), 2, axis=(-2, -1)).max())
     return total
 
 
@@ -373,28 +369,27 @@ def variational_stability_probe(game: Game, profile: StrategyProfile, fams,
     that gradients stay finite.
     """
     fams = _check_families(game, fams)
+    _check_pair(game, profile)
+    if n_samples < 1:
+        raise ValueError("the probe needs at least one sample")
     m, n = game.num_players, game.num_actions
     rng = np.random.default_rng(seed)
     rows = rng.dirichlet(np.ones(n), size=(n_samples, m))
     rows = rows * (1.0 - n * floor) + floor
-    worst = -np.inf
-    violations = 0
-    star = profile.probs
-    for s in range(n_samples):
-        candidate = StrategyProfile(rows[s])
-        if np.abs(rows[s] - star).max() < 1e-12:
-            continue
-        value = 0.0
-        for j in range(m):
-            grad = smooth_payoff_gradient(game, j, candidate, fams[j])
-            value += float(np.dot(grad, rows[s, j] - star[j]))
-        worst = max(worst, value)
-        if value >= 0.0:
-            violations += 1
+    # the smooth-payoff gradients of every sample (see smooth_payoff_gradient)
+    grads = payoff_vector_rows(game, None, rows)
+    for j, fam in enumerate(fams):
+        grads[:, j] += fam.quantile_vector(1.0 - rows[:, j])
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("gradient is infinite at a sampled profile; raise the floor")
+    step = rows - profile.probs
+    values = np.vecdot(grads, step).sum(axis=-1)
+    values = values[np.abs(step).max(axis=(-2, -1)) >= 1e-12]  # samples at p* carry no test
+    worst = float(values.max()) if values.size else -np.inf
     return VariationalProbe(
-        worst_value=float(worst),
-        min_margin=float(-worst),
-        violations=violations,
+        worst_value=worst,
+        min_margin=-worst,
+        violations=int(np.count_nonzero(values >= 0.0)),
         samples=n_samples,
     )
 
@@ -422,6 +417,8 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
                         + (1 / (2 L)) a (1-a) ||p - q||^2 - 1e-9
     for random u in [0, 1]^N, simplex points p, q, and a in (0, 1).
     """
+    if n_trials < 1:
+        raise ValueError("the concavity check needs at least one trial")
     lipschitz = fam.lipschitz_constant()
     if lipschitz is None:
         lipschitz = float(_density_grid(fam).max())

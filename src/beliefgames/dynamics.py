@@ -20,7 +20,7 @@ import numpy as np
 
 from .families import MarginalFamily
 from .games import Game, StrategyProfile, payoff_vector_rows
-from .response import response_solver
+from .response import _family_groups, response_operator
 
 #: default lower clamp applied to probabilities inside the update rule.
 PROBABILITY_CLAMP = 1e-12
@@ -263,54 +263,17 @@ class Trace:
             fh.write("\n")
 
 
-def _family_groups(families) -> list[tuple[MarginalFamily, list[int], object]]:
-    """Players with equal families, each group with one index into (M, N) state.
-
-    Equal means the same class and the same ``to_dict()``, compared as JSON
-    text so that 0.0 and -0.0 stay apart; a family without a JSON form equals
-    only itself.  A group of every player indexes with ``slice(None)`` and a
-    group of one with its int, so both give views; other groups take an
-    index array.
-    """
-    groups: dict = {}
-    for j, fam in enumerate(families):
-        try:
-            key = (type(fam), json.dumps(fam.to_dict(), sort_keys=True))
-        except NotImplementedError:
-            key = id(fam)
-        groups.setdefault(key, (fam, []))[1].append(j)
-    out = []
-    for fam, group in groups.values():
-        if len(group) == len(families):
-            index = slice(None)
-        elif len(group) == 1:
-            index = group[0]
-        else:
-            index = np.array(group)
-        out.append((fam, group, index))
-    return out
-
-
-def _raise_for_failing_player(t: int, solve, estimates: np.ndarray, group: list[int]) -> None:
-    """After a group's response failed, solve its rows singly to name the player."""
-    for j in group:
-        try:
-            solve(estimates[j])
-        except (ValueError, RuntimeError) as exc:
-            raise RuntimeError(f"round {t}, player {j}: {exc}") from exc
-
-
 def run_dynamics(game: Game, config: RunConfig) -> Trace:
     """Run the estimate-response loop for ``config.horizon`` rounds.
 
     Deterministic: no randomness enters the loop (responses and payoffs are
     exact expectations).  Each round is one operation on the (M, N) state:
-    players with equal belief families respond through one solver call on
-    their stacked estimate rows, one contraction gives every player's payoff
-    vector, and players with equal risk families take one quantile call.  The
-    per-round responses land on the simplex by construction, so validation
-    happens only where profiles are handed back out.  Solver failures are
-    re-raised with the round and the failing player attached.
+    one ``response_operator`` call gives every response, one
+    ``payoff_vector_rows`` call every payoff vector, and players with equal
+    risk families take one quantile call.  The per-round responses land on
+    the simplex by construction, so validation happens only where profiles
+    are handed back out.  Solver failures are re-raised with the round and
+    the failing player attached.
     """
     m, n = game.num_players, game.num_actions
     if len(config.risk_families) != m:
@@ -333,21 +296,17 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     clamp = config.probability_clamp
 
     rates = config.schedule.rates(horizon)
-    respond = [(response_solver(fam), group, index)
-               for fam, group, index in _family_groups(config.belief_families)]
+    respond = response_operator(config.belief_families)
     tail_quantiles = [(fam.tail_quantile_vector, index)
                       for fam, _, index in _family_groups(config.risk_families)]
 
-    probs = np.empty((m, n))
-    prev = np.empty((m, n))
+    prev = None
     for t in range(1, horizon + 1):
         rate = rates[t - 1]
-        for solve, group, index in respond:
-            try:
-                probs[index] = solve(estimates[index])
-            except (ValueError, RuntimeError) as exc:
-                _raise_for_failing_player(t, solve, estimates, group)
-                raise RuntimeError(f"round {t}, players {group}: {exc}") from exc
+        try:
+            probs = respond(estimates)
+        except RuntimeError as exc:
+            raise RuntimeError(f"round {t}, {exc}") from exc
         pays = payoff_vector_rows(game, None, probs)
         clamp_triggers += np.count_nonzero(probs < clamp)
         for tail_quantile, index in tail_quantiles:
@@ -361,7 +320,7 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
             est_hist[idx] = estimates
             pay_hist[idx] = pays
             rate_hist[idx] = rate
-        probs, prev = prev, probs  # reuse the buffers; next round overwrites
+        prev = probs
 
     if not np.all(np.isfinite(estimates)):
         raise RuntimeError("estimates diverged to non-finite values")

@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from .games import SIMPLEX_TOL
+from .games import _check_simplex_rows
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -68,15 +68,6 @@ def integrate_quantile_tail(tail_fn, mass: float, tol: float = 1e-10,
             if head * (1.0 + ratio / (1.0 - ratio)) < 0.5 * tol:
                 break
     return total
-
-
-def _validate_simplex(p, n: int) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"probability vector must have length {n}")
-    if arr.min() < 0.0 or abs(arr.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError("probability vector must be on the simplex (tol 1e-12)")
-    return arr
 
 
 def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
@@ -235,7 +226,7 @@ class MarginalFamily:
 
     def regularizer(self, p) -> float:
         """Concave perturbation value h(p) for a simplex point p."""
-        return self.regularizer_terms(_validate_simplex(p, self.n_actions))
+        return self.regularizer_terms(_check_simplex_rows(p))
 
     # -- analysis hooks ------------------------------------------------------
 

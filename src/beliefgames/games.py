@@ -13,7 +13,8 @@ and the opponents' axes flattened in ascending player order.  With it,
 outer product of the opponents' strategies per player, built for all players
 together, then one batched matrix-vector product.  The per-player routines
 (:func:`payoff_vector`, :func:`expected_payoff`) are views of that one
-computation; :func:`pairwise_payoff_matrix` folds the tensor directly.
+computation, and so is :func:`pairwise_payoff_matrix`.  Leading axes of the
+strategy rows are batch axes: a stack of profiles takes one call.
 """
 
 from __future__ import annotations
@@ -113,15 +114,7 @@ class StrategyProfile:
         arr = np.array(strategies, dtype=float)
         if arr.ndim != 2:
             raise ValueError("a profile is a 2-D array: one row per player")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("strategy entries must be finite")
-        if arr.min() < 0.0:
-            raise ValueError("strategy entries must be nonnegative")
-        gap = np.abs(arr.sum(axis=1) - 1.0).max()
-        if gap > SIMPLEX_TOL:
-            raise ValueError(
-                f"strategy rows must sum to 1 within {SIMPLEX_TOL:g} (off by {gap:.3g})"
-            )
+        _check_simplex_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -147,6 +140,20 @@ class StrategyProfile:
 
     def __repr__(self) -> str:
         return f"StrategyProfile({self.probs.tolist()})"
+
+
+def _check_simplex_rows(rows) -> np.ndarray:
+    """``rows`` as a float array, once every row along its last axis is on the simplex."""
+    arr = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("strategy entries must be finite")
+    if arr.min() < 0.0:
+        raise ValueError("strategy entries must be nonnegative")
+    gap = np.abs(arr.sum(axis=-1) - 1.0).max()
+    if gap > SIMPLEX_TOL:
+        raise ValueError(f"strategy rows must sum to 1 within {SIMPLEX_TOL:g} to lie on "
+                         f"the simplex (off by {gap:.3g})")
+    return arr
 
 
 def uniform_profile(num_players: int, num_actions: int) -> StrategyProfile:
@@ -187,35 +194,34 @@ def expected_payoff(game: Game, player: int, profile: StrategyProfile) -> float:
 
 
 def payoff_vector_rows(game: Game, player: int | None, rows: np.ndarray) -> np.ndarray:
-    """:func:`payoff_vector` against a raw (M, N) array of strategy rows.
+    """:func:`payoff_vector` against a raw ``(..., M, N)`` stack of strategy rows.
 
     Skips profile validation, so hot loops can call it every round and
-    validate on their own cadence.  ``player=None`` returns every player's
-    payoff vector as one (M, N) array; an int ``player`` returns that row of
-    the same computation, so the two calls agree bit for bit.
+    validate on their own cadence.  Each ``(M, N)`` profile of the stack gets
+    the bits of its own call.  ``player=None`` returns every player's payoff
+    vector, ``(..., M, N)``; an int ``player`` returns that row of the same
+    computation, so the two calls agree bit for bit.
 
-    Two-player games take direct vector-matrix products, ``T0 @ p1`` and
-    ``p0 @ T1``.  Larger games contract the player-first layout
-    (:class:`Game`): the opponents' strategies of every player are multiplied
-    into one ``(M, N^(M-1))`` array of outer products, M - 2 broadcast
-    multiplies in all, and one batched matrix-vector product against the
-    layout gives all M rows.
+    Two-player games take ``T0 @ p1`` and ``p0 @ T1``, as ``np.matvec`` and
+    ``np.vecmat``, which keep those bits on stacks.  Larger games contract the
+    player-first layout (:class:`Game`): the opponents' strategies of every
+    player are multiplied into one ``(..., M, N^(M-1))`` array of outer
+    products, M - 2 broadcast multiplies in all, and one batched
+    matrix-vector product against the layout gives all M rows.
     """
     m = game.num_players
     if m == 2:
-        if player is None:
-            out = np.empty((2, game.num_actions))
-            out[0] = game.payoffs[0] @ rows[1]
-            out[1] = rows[0] @ game.payoffs[1]
-            return out
-        t = game.payoffs[player]
-        return t @ rows[1] if player == 0 else rows[0] @ t
-    opponent_rows = rows[game.opponents]  # (M, M-1, N)
-    outer = opponent_rows[:, 0]
-    for s in range(1, m - 1):
-        outer = (outer[:, :, None] * opponent_rows[:, s, None, :]).reshape(m, -1)
-    out = np.matmul(game.player_first, outer[:, :, None]).reshape(m, -1)
-    return out if player is None else out[player]
+        out = np.empty(rows.shape)
+        np.matvec(game.payoffs[0], rows[..., 1, :], out=out[..., 0, :])
+        np.vecmat(rows[..., 0, :], game.payoffs[1], out=out[..., 1, :])
+    else:
+        lead = rows.shape[:-2]
+        opponent_rows = rows[..., game.opponents, :]  # (..., M, M-1, N)
+        outer = opponent_rows[..., 0, :]
+        for s in range(1, m - 1):
+            outer = (outer[..., :, None] * opponent_rows[..., s, None, :]).reshape(*lead, m, -1)
+        out = np.matmul(game.player_first, outer[..., None]).reshape(rows.shape)
+    return out if player is None else out[..., player, :]
 
 
 def payoff_vector(game: Game, player: int, profile: StrategyProfile) -> np.ndarray:
@@ -236,6 +242,7 @@ def pairwise_payoff_matrix(game: Game, player: int, other: int, rest) -> np.ndar
     plays i', and the remaining players mix according to ``rest`` (their
     strategies in ascending player order).  For two-player games ``rest`` is
     empty and this is just the raw tensor (transposed when player > other).
+    Column i' is :func:`payoff_vector_rows` with ``other`` at pure action i'.
     """
     if player == other:
         raise ValueError("pairwise matrix needs two distinct players")
@@ -244,17 +251,13 @@ def pairwise_payoff_matrix(game: Game, player: int, other: int, rest) -> np.ndar
     if len(rest) != m - 2:
         raise ValueError(f"expected {m - 2} remaining strategies, got {len(rest)}")
     others = [k for k in range(m) if k != player and k != other]
-    strategies: dict[int, np.ndarray] = dict(zip(others, rest))
-    for k, s in strategies.items():
+    profiles = np.zeros((n, m, n))
+    for k, s in zip(others, rest):
         if s.shape != (n,):
             raise ValueError(f"strategy for player {k} has wrong length")
-    out = game.payoffs[player]
-    for axis in range(m - 1, -1, -1):
-        if axis in (player, other):
-            continue
-        out = np.tensordot(out, strategies[axis], axes=([axis], [0]))
-    # remaining axes keep their original relative order
-    return out if player < other else out.T
+        profiles[:, k] = s
+    profiles[:, other] = np.eye(n)
+    return payoff_vector_rows(game, player, profiles).T
 
 
 def matching_game(num_actions: int = 2) -> Game:

@@ -12,10 +12,14 @@ safeguarded Newton phase first brackets the root between two points whose
 sums certify the sign of every gap beyond them; the bisection then takes
 each branch decided by that bracket without evaluating the CDFs, so it
 returns the bits plain bisection would, after a fraction of the evaluations.
+
+:func:`response_operator` gives every player's response at once, one
+:func:`response_solver` call per group of players with equal families.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +54,9 @@ class ResponseResult:
     solver_tag: str
 
 
-def _check_payoff_vector(fam: MarginalFamily, u) -> np.ndarray:
+def _check_response_input(fam: MarginalFamily, u, method: str) -> np.ndarray:
+    if method not in ("auto", "bisection"):
+        raise ValueError("method must be 'auto' or 'bisection'")
     u = np.asarray(u, dtype=float)
     if u.shape != (fam.n_actions,):
         raise ValueError(f"payoff vector must have length {fam.n_actions}")
@@ -83,18 +89,12 @@ def sparsemax(u) -> np.ndarray:
     depends only on the sorted values, so permuting u permutes the output
     exactly.
     """
-    p, _ = _sparsemax_threshold(u)
-    return p
-
-
-def _sparsemax_threshold(u) -> tuple[np.ndarray, float]:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("sparsemax needs a 1-D vector")
     if not np.isfinite(u).all():
         raise ValueError("sparsemax needs finite inputs")
-    p, kappa = _sparsemax_rows(u)
-    return p, float(kappa[0])
+    return _sparsemax_rows(u)[0]
 
 
 def _sparsemax_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,29 +258,22 @@ def _certified_bracket(fam: MarginalFamily, probs, lo: float,
 def response_probabilities(fam: MarginalFamily, u, method: str = "auto") -> np.ndarray:
     """Probabilities of the quantal response, skipping value bookkeeping.
 
-    ``method`` is "auto" (closed form when the family has one) or "bisection"
+    ``method`` is "auto" (the :func:`response_solver` route) or "bisection"
     (force the generic solver; useful for agreement checks).
     """
-    u = _check_payoff_vector(fam, u)
-    if method not in ("auto", "bisection"):
-        raise ValueError("method must be 'auto' or 'bisection'")
-    if method == "auto":
-        if isinstance(fam, ExponentialFamily):
-            return weighted_softmax(u, fam.eta, fam.gamma)
-        if isinstance(fam, UniformFamily):
-            return sparsemax(u / fam.gamma)
-    p, _ = _bisection_response(fam, u)
-    return p
+    u = _check_response_input(fam, u, method)
+    if method == "bisection":
+        return _bisection_response(fam, u)[0]
+    return response_solver(fam)(u)
 
 
 def response_solver(fam: MarginalFamily):
     """Bind the family's response route once, for per-round hot loops.
 
     Returns a callable mapping payoff rows ``(..., N)`` to their response
-    probabilities.  Each row gets the bits :func:`response_probabilities`
-    gives it, minus the per-call input validation and dispatch: softmax and
-    sparsemax work along the last axis, and the generic route solves the rows
-    one at a time.
+    probabilities, without input validation: softmax and sparsemax work
+    along the last axis, and the generic route solves the rows one at a
+    time.  Each row gets the bits of its own 1-D call.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam.gamma
@@ -298,11 +291,66 @@ def response_solver(fam: MarginalFamily):
     return bisection_rows
 
 
+def _family_groups(families) -> list[tuple[MarginalFamily, list[int], object]]:
+    """Players with equal families, each group with one index into the player axis.
+
+    Equal means the same class and the same ``to_dict()``, compared as JSON
+    text so that 0.0 and -0.0 stay apart; a family without a JSON form equals
+    only itself.  A group of every player indexes with ``slice(None)`` and a
+    group of one with its int, so both give views; other groups take an
+    index array.
+    """
+    groups: dict = {}
+    for j, fam in enumerate(families):
+        try:
+            key = (type(fam), json.dumps(fam.to_dict(), sort_keys=True))
+        except NotImplementedError:
+            key = id(fam)
+        groups.setdefault(key, (fam, []))[1].append(j)
+    out = []
+    for fam, group in groups.values():
+        if len(group) == len(families):
+            index = slice(None)
+        elif len(group) == 1:
+            index = group[0]
+        else:
+            index = np.array(group)
+        out.append((fam, group, index))
+    return out
+
+
+def response_operator(families):
+    """Bind every player's response once: a callable from ``(..., M, N)`` payoff
+    rows (player j's on row j) to the ``(..., M, N)`` responses of ``families``.
+
+    Each group of equal families makes one :func:`response_solver` call, and
+    each row gets the bits of its own :func:`response_probabilities` call.
+    Rows are not validated; a failing solve raises RuntimeError naming the
+    player.
+    """
+    groups = [(response_solver(fam), group, (..., index, slice(None)))
+              for fam, group, index in _family_groups(families)]
+
+    def respond(u: np.ndarray) -> np.ndarray:
+        out = np.empty(u.shape)
+        for solve, group, rows in groups:
+            try:
+                out[rows] = solve(u[rows])
+            except (ValueError, RuntimeError) as exc:
+                for j in group:  # solve the group's rows singly to name the failing player
+                    try:
+                        solve(u[..., j, :])
+                    except (ValueError, RuntimeError) as single:
+                        raise RuntimeError(f"player {j}: {single}") from single
+                raise RuntimeError(f"players {group}: {exc}") from exc
+        return out
+
+    return respond
+
+
 def quantal_response(fam: MarginalFamily, u, method: str = "auto") -> ResponseResult:
     """Maximize ``p . u + h(p)`` over the simplex for payoff vector u."""
-    u = _check_payoff_vector(fam, u)
-    if method not in ("auto", "bisection"):
-        raise ValueError("method must be 'auto' or 'bisection'")
+    u = _check_response_input(fam, u, method)
     if method == "auto" and isinstance(fam, ExponentialFamily):
         p = weighted_softmax(u, fam.eta, fam.gamma)
         z = u / fam.gamma
@@ -311,8 +359,8 @@ def quantal_response(fam: MarginalFamily, u, method: str = "auto") -> ResponseRe
         kappa = fam.gamma * lse - fam.gamma
         tag = "softmax"
     elif method == "auto" and isinstance(fam, UniformFamily):
-        p, kappa_star = _sparsemax_threshold(u / fam.gamma)
-        kappa = fam.gamma * (1.0 + kappa_star)
+        p, kappa_star = _sparsemax_rows(u / fam.gamma)
+        kappa = fam.gamma * (1.0 + kappa_star[0])
         tag = "sparsemax"
     else:
         p, kappa = _bisection_response(fam, u)

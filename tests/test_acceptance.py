@@ -224,7 +224,6 @@ def test_criterion_08_curvature_grid_and_coupling_cap():
           f"{cap_ok}")
 
 
-@pytest.mark.slow
 def test_criterion_09_stability_chain_holds_on_passing_instances():
     rng = np.random.default_rng(109)
     instances = []

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from beliefgames.families import ExponentialFamily, ParetoFamily, UniformFamily
 from beliefgames.games import (
     StrategyProfile,
     matching_game,
+    pairwise_payoff_matrix,
     random_game,
     uniform_profile,
 )
@@ -95,15 +99,26 @@ def test_fixed_point_accepts_a_start_profile():
 
 
 def test_residual_series_tracks_a_run():
-    game = matching_game(3)
-    fams = _exp(6.0, n=3)
-    cfg = RunConfig(horizon=500, schedule=StepSchedule.power(1.0, 0.6),
-                    risk_families=fams, belief_families=fams, record_every=100)
-    trace = run_dynamics(game, cfg)
-    series = residual_series(game, trace, fams)
-    assert series.shape == (trace.rounds.size,)
-    assert series[-1] == trace.final_residual
-    assert series[-1] <= series[0]
+    for players in (2, 3, 4):
+        game = matching_game(3) if players == 2 else random_game(
+            players, 3, np.random.default_rng(players))
+        fams = _exp(6.0, n=3, players=players)
+        cfg = RunConfig(horizon=500, schedule=StepSchedule.power(1.0, 0.6),
+                        risk_families=fams, belief_families=fams, record_every=100)
+        trace = run_dynamics(game, cfg)
+        series = residual_series(game, trace, fams)
+        assert series.shape == (trace.rounds.size,)
+        assert series[-1] == trace.final_residual
+        assert series[-1] <= series[0]
+        # the stacked call gives every record the bits of its own residual
+        want = [equilibrium_residual(game, StrategyProfile(p), fams) for p in trace.probabilities]
+        assert series.tobytes() == np.array(want).tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            residual_series(game, replace(trace, probabilities=trace.probabilities[..., :2]), fams)
+        off = trace.probabilities.copy()
+        off[2, 0] *= 1.01
+        with pytest.raises(ValueError, match="sum to 1"):
+            residual_series(game, replace(trace, probabilities=off), fams)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +141,16 @@ def test_hessian_is_exactly_symmetric():
     rng = np.random.default_rng(33)
     game = random_game(3, 3, rng)
     prof = StrategyProfile(rng.dirichlet(np.ones(3), size=3) * 0.94 + 0.02)
-    h = game_hessian(game, prof, _exp(1.5, n=3, players=3))
+    fams = _exp(1.5, n=3, players=3)
+    h = game_hessian(game, prof, fams)
     assert np.array_equal(h, h.T)
+    # off-diagonal blocks are the symmetrized pairwise payoff matrices
+    blocks = hessian_blocks(game, prof, fams)
+    for j, k in itertools.permutations(range(3), 2):
+        (r,) = {0, 1, 2} - {j, k}
+        a_jk = pairwise_payoff_matrix(game, j, k, [prof.player(r)])
+        a_kj = pairwise_payoff_matrix(game, k, j, [prof.player(r)])
+        np.testing.assert_allclose(blocks[j, k], 0.5 * (a_jk + a_kj.T), rtol=0, atol=1e-12)
 
 
 def test_hessian_raises_at_exponential_boundary():
@@ -167,14 +190,37 @@ def test_operator_norm_matches_numpy():
 # stability condition
 
 
+def _brute_force_coupling(game, j):
+    """Half the summed max norms of A_jk + A_kj^T, one pure profile of the rest at a time."""
+    m, n = game.num_players, game.num_actions
+    total = 0.0
+    for k in range(m):
+        if k == j:
+            continue
+        rest = [r for r in range(m) if r not in (j, k)]
+        best = 0.0
+        for combo in itertools.product(range(n), repeat=len(rest)):
+            sym = np.empty((n, n))
+            for i, i2 in itertools.product(range(n), repeat=2):
+                a = [0] * m
+                for r, c in zip(rest, combo):
+                    a[r] = c
+                a[j], a[k] = i, i2
+                sym[i, i2] = game.payoffs[j][tuple(a)] + game.payoffs[k][tuple(a)]
+            best = max(best, np.linalg.norm(sym, 2))
+        total += 0.5 * best
+    return total
+
+
 def test_coupling_bound_frozen_and_capped():
     assert coupling_bound(matching_game(2), 0) == pytest.approx(1.0, abs=1e-10)
     rng = np.random.default_rng(35)
-    for players, actions in [(2, 2), (2, 4), (3, 2), (3, 3)]:
+    for players, actions in [(2, 2), (2, 4), (3, 2), (3, 3), (4, 3)]:
         game = random_game(players, actions, rng)
         for j in range(players):
             bound = coupling_bound(game, j)
             assert bound <= actions * (players - 1) + 1e-9
+            assert bound == pytest.approx(_brute_force_coupling(game, j), rel=0, abs=1e-12)
 
 
 def test_stability_check_passes_with_strong_regularization():
@@ -264,6 +310,15 @@ def test_probe_confirms_stable_equilibrium():
     assert probe.violations == 0
     assert probe.min_margin > 0.0
     assert probe.samples == 2000
+
+
+def test_sampled_certificates_need_at_least_one_sample():
+    # zero samples would certify vacuously: no violation, infinite margin
+    fams = _exp(3.0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        variational_stability_probe(matching_game(2), uniform_profile(2, 2), fams, n_samples=0)
+    with pytest.raises(ValueError, match="at least one trial"):
+        strong_concavity_check(fams[0], n_trials=0)
 
 
 def test_probe_catches_unstable_candidate():

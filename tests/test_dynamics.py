@@ -22,7 +22,7 @@ from beliefgames.families import (
     UniformFamily,
 )
 from beliefgames.games import StrategyProfile, matching_game, payoff_vector, random_game
-from beliefgames.response import response_probabilities
+from beliefgames.response import response_operator, response_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +266,21 @@ def test_run_dynamics_replays_the_public_single_step_api(kind, m, setup):
     assert trace.clamp_triggers == clamp_triggers
     if kind == "uniform":
         assert clamp_triggers > 0
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("setup", ["shared", "equal", "per-player"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto", "tabulated"])
+def test_response_operator_equals_the_per_row_calls(kind, m, setup, lead):
+    n = 3
+    fams = _player_families(kind, m, n, setup)
+    u = np.random.default_rng(22).normal(0.0, 2.0, size=(*lead, m, n))
+    got = response_operator(fams)(u)
+    want = np.empty_like(u)
+    for idx in np.ndindex(*lead, m):
+        want[idx] = response_probabilities(fams[idx[-1]], u[idx])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_families_without_a_json_form_still_run():

@@ -304,6 +304,8 @@ def test_regularizer_requires_simplex_but_terms_do_not():
     fam = ExponentialFamily(gamma=1.0, n_actions=3)
     with pytest.raises(ValueError, match="simplex"):
         fam.regularizer([0.9, 0.9, 0.9])
+    with pytest.raises(ValueError, match="finite"):
+        fam.regularizer([np.nan, 0.5, 0.5])
     assert np.isfinite(fam.regularizer_terms(np.array([0.9, 0.9, 0.9])))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         fam.regularizer_terms(np.array([1.2, 0.0, 0.0]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -186,6 +187,19 @@ def test_single_player_rows_are_rows_of_the_all_player_call(players, actions):
         assert payoff_vector_rows(game, j, probs).tobytes() == rows[j].tobytes()
 
 
+@pytest.mark.parametrize("players,actions", CONTRACTION_SHAPES)
+def test_stacked_profiles_get_the_bits_of_their_own_calls(players, actions):
+    rng = np.random.default_rng(450 + players * 10 + actions)
+    game = random_game(players, actions, rng)
+    stack = rng.dirichlet(np.ones(actions), size=(2, 3, players))
+    rows = payoff_vector_rows(game, None, stack)
+    assert rows.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert rows[idx].tobytes() == payoff_vector_rows(game, None, stack[idx]).tobytes()
+    for j in range(players):
+        assert payoff_vector_rows(game, j, stack).tobytes() == rows[..., j, :].tobytes()
+
+
 @pytest.mark.parametrize("actions", [2, 5])
 def test_two_player_rows_keep_the_matrix_vector_products(actions):
     # the shipped configs' trace.csv digests pin exactly these expressions
@@ -195,6 +209,11 @@ def test_two_player_rows_keep_the_matrix_vector_products(actions):
     rows = payoff_vector_rows(game, None, probs)
     assert rows[0].tobytes() == (game.payoffs[0] @ probs[1]).tobytes()
     assert rows[1].tobytes() == (probs[0] @ game.payoffs[1]).tobytes()
+    stack = rng.dirichlet(np.ones(actions), size=(7, 2))
+    rows = payoff_vector_rows(game, None, stack)
+    for s in range(7):
+        assert rows[s, 0].tobytes() == (game.payoffs[0] @ stack[s, 1]).tobytes()
+        assert rows[s, 1].tobytes() == (stack[s, 0] @ game.payoffs[1]).tobytes()
 
 
 @pytest.mark.parametrize("players,actions", CONTRACTION_SHAPES)
@@ -226,12 +245,21 @@ def test_pairwise_matrix_two_player_is_the_raw_tensor():
 
 def test_pairwise_matrix_contracts_the_rest():
     rng = np.random.default_rng(8)
-    game = random_game(3, 2, rng)
-    prof = random_profile(3, 2, rng)
-    # fold player 2's mix out, then check against the payoff vector route
-    mat = pairwise_payoff_matrix(game, 0, 1, [prof.player(2)])
-    vec = payoff_vector(game, 0, prof)
-    np.testing.assert_allclose(mat @ prof.player(1), vec, atol=1e-12)
+    for players, actions in CONTRACTION_SHAPES:
+        game = random_game(players, actions, rng)
+        prof = random_profile(players, actions, rng)
+        for j, k in itertools.permutations(range(players), 2):
+            rest = [r for r in range(players) if r not in (j, k)]
+            mat = pairwise_payoff_matrix(game, j, k, [prof.player(r) for r in rest])
+            # brute force: every pure profile, weighted by the rest's probabilities
+            want = np.zeros((actions, actions))
+            for a in itertools.product(range(actions), repeat=players):
+                weight = np.prod([prof.probs[r, a[r]] for r in rest])
+                want[a[j], a[k]] += weight * game.payoffs[j][a]
+            np.testing.assert_allclose(mat, want, rtol=0, atol=1e-12)
+            # and it agrees with the payoff vector route
+            np.testing.assert_allclose(mat @ prof.player(k), payoff_vector(game, j, prof),
+                                       rtol=0, atol=1e-12)
 
 
 def test_pairwise_matrix_validation():
