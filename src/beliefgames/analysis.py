@@ -19,8 +19,8 @@ from .games import (Game, StrategyProfile, _check_pair, _check_simplex_rows, pay
                     uniform_profile)
 from .response import response_operator
 
-#: resolution of the probability grid used when no closed-form curvature
-#: bound exists; endpoints stay strictly inside (0, 1).
+#: resolution of the probability grid behind the ``curvature_grid`` cross-check;
+#: endpoints stay strictly inside (0, 1).
 CURVATURE_GRID = 10_000
 _GRID_EDGE = 1e-9
 
@@ -30,6 +30,8 @@ def _check_families(game: Game, fams) -> tuple:
     if len(fams) != game.num_players:
         raise ValueError(f"need one family per player ({game.num_players})")
     for fam in fams:
+        if not isinstance(fam, MarginalFamily):
+            raise ValueError("families must be MarginalFamily instances")
         if fam.n_actions != game.num_actions:
             raise ValueError("family action count does not match the game")
     return fams
@@ -161,17 +163,18 @@ class PlayerStability:
     """One player's side of the stability comparison.
 
     ``curvature`` is the regularization strength actually compared against
-    ``coupling`` (closed form when available, else the grid value).  The
-    ``curvature_conservative`` variant uses the worst action instead of the
-    best one; ``readings_differ`` flags families where the two disagree, in
-    which case the conservative value is the safer margin.
+    ``coupling``: the family's closed form, 0.0 when its density is unbounded,
+    which never passes.  ``curvature_grid`` reads the same quantity off a
+    p-grid, as an independent cross-check only.  The ``curvature_conservative``
+    variant, 1 / lipschitz_constant, uses the worst action instead of the best
+    one; ``readings_differ`` flags families where the two disagree, in which
+    case the conservative value is the safer margin.
     """
 
     player: int
     curvature: float
     curvature_grid: float
     curvature_conservative: float
-    grid_fallback: bool
     readings_differ: bool
     coupling: float
     passed: bool
@@ -199,18 +202,11 @@ class StabilityReport:
         }
 
 
-def _density_grid(fam: MarginalFamily) -> np.ndarray:
-    """Densities at the quantiles on the shared p-grid, shape (CURVATURE_GRID, N)."""
+def _curvature_grid(fam: MarginalFamily) -> float:
+    """Grid infimum of 1 / (best-action density at the quantile) over p."""
     p = np.linspace(_GRID_EDGE, 1.0 - _GRID_EDGE, CURVATURE_GRID)
-    return fam.density_vector(np.repeat(p[:, None], fam.n_actions, axis=1))
-
-
-def _curvature_grid_values(fam: MarginalFamily) -> tuple[float, float]:
-    """Grid infimum of 1 / (best-action density) and 1 / (worst-action density)."""
-    dens = _density_grid(fam)
-    best = dens.min(axis=1)   # min over actions at each p
-    worst = dens.max(axis=1)
-    return float(1.0 / best.max()), float(1.0 / worst.max())
+    dens = fam.density_vector(np.repeat(p[:, None], fam.n_actions, axis=1))
+    return float(1.0 / dens.min(axis=1).max())
 
 
 def coupling_bound(game: Game, player: int) -> float:
@@ -245,17 +241,15 @@ def stability_check(game: Game, fams) -> StabilityReport:
     fams = _check_families(game, fams)
     players = []
     for j, fam in enumerate(fams):
-        grid_main, grid_cons = _curvature_grid_values(fam)
-        closed = fam.curvature_scale()
-        curvature = closed if closed is not None else grid_main
+        curvature = float(fam.curvature_scale())
+        conservative = 1.0 / float(fam.lipschitz_constant())
         coupling = coupling_bound(game, j)
         players.append(PlayerStability(
             player=j,
-            curvature=float(curvature),
-            curvature_grid=grid_main,
-            curvature_conservative=grid_cons,
-            grid_fallback=closed is None,
-            readings_differ=abs(grid_main - grid_cons) > 1e-9 * max(1.0, abs(grid_main)),
+            curvature=curvature,
+            curvature_grid=_curvature_grid(fam),
+            curvature_conservative=conservative,
+            readings_differ=abs(curvature - conservative) > 1e-9 * max(1.0, abs(curvature)),
             coupling=coupling,
             passed=bool(curvature > coupling),
         ))
@@ -399,7 +393,9 @@ class ConcavityReport:
     """Lipschitz constant of the CDFs and a sampled strong-concavity check.
 
     ``modulus`` is 1 / lipschitz_constant: the strong-concavity constant of
-    the response objective guaranteed by that CDF slope bound.
+    the response objective guaranteed by that CDF slope bound.  An unbounded
+    slope gives ``modulus`` 0.0, ``verified`` False and no trials, so
+    ``worst_slack`` is NaN.
     """
 
     lipschitz_constant: float
@@ -415,15 +411,17 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
     The objective g(p) = p . u + h(p) must satisfy the interpolation bound
     g(a p + (1-a) q) >= a g(p) + (1-a) g(q)
                         + (1 / (2 L)) a (1-a) ||p - q||^2 - 1e-9
-    for random u in [0, 1]^N, simplex points p, q, and a in (0, 1).
+    for random u in [0, 1]^N, simplex points p, q, and a in (0, 1).  A family
+    whose CDF slope is unbounded is reported as not strongly concave.
     """
     if n_trials < 1:
         raise ValueError("the concavity check needs at least one trial")
-    lipschitz = fam.lipschitz_constant()
-    if lipschitz is None:
-        lipschitz = float(_density_grid(fam).max())
-    if not np.isfinite(lipschitz) or lipschitz <= 0.0:
-        raise ValueError("family has no finite positive CDF slope bound")
+    lipschitz = float(fam.lipschitz_constant())
+    if not lipschitz > 0.0:
+        raise ValueError("family has no positive CDF slope bound")
+    if lipschitz == np.inf:
+        return ConcavityReport(lipschitz_constant=lipschitz, modulus=0.0, verified=False,
+                               worst_slack=np.nan)
     modulus = 1.0 / lipschitz
     rng = np.random.default_rng(seed)
     n = fam.n_actions
@@ -447,7 +445,7 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
         if slack < -1e-9:
             ok = False
     return ConcavityReport(
-        lipschitz_constant=float(lipschitz),
+        lipschitz_constant=lipschitz,
         modulus=float(modulus),
         verified=ok,
         worst_slack=float(worst),

@@ -57,6 +57,8 @@ def _out_dir(args, cfg: ExperimentConfig) -> str:
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """Write strict JSON: a non-finite number (an unbounded bound) becomes null."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -182,6 +184,9 @@ def cmd_check(args) -> int:
     out = _out_dir(args, cfg)
     _write_json(os.path.join(out, "stability.json"), doc)
     for p in report.players:
+        if p.curvature == 0.0:
+            _say(args.quiet, f"player {p.player}: not strongly concave -> FAIL")
+            continue
         _say(args.quiet,
              f"player {p.player}: curvature {p.curvature:.4g} "
              f"{'>' if p.passed else '<='} coupling {p.coupling:.4g} "

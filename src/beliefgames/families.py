@@ -9,9 +9,8 @@ A family bundles one CDF per action.  Three things are derived from it:
   over [1 - p_i, 1]``, whose maximization over the simplex defines the
   quantal response.
 
-Closed forms are used where they exist (exponential, uniform, tabulated);
-otherwise the regularizer falls back to composite Gauss-Legendre quadrature
-with dyadic refinement toward the possibly singular endpoint.
+Every shipped family gives the regularizer, its curvature scale and the CDF
+slope bound in closed form; the base class has no numeric fallback for them.
 """
 
 from __future__ import annotations
@@ -22,53 +21,6 @@ import operator
 import numpy as np
 
 from .games import _check_simplex_rows
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_panel(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-
-def integrate_quantile_tail(tail_fn, mass: float, tol: float = 1e-10,
-                            max_levels: int = 600) -> float:
-    """Integrate ``s -> tail_fn(s)`` over (0, mass].
-
-    ``tail_fn(s)`` is the quantile at probability 1 - s, parameterized by the
-    upper-tail mass so tiny arguments stay exact.  The integrand may blow up
-    (integrably) as s -> 0, so panels are refined dyadically toward that
-    endpoint: [mass/2, mass], [mass/4, mass/2], ...  Refinement stops once
-    the geometric tail estimate drops below ``tol``.  A single panel can be
-    near zero only because the integrand changes sign inside it, so the
-    estimate uses the larger of the last two panels.
-    """
-    if mass < 0.0:
-        raise ValueError("mass must be nonnegative")
-    if mass == 0.0:
-        return 0.0
-    total = 0.0
-    b = float(mass)
-    sizes: list[float] = []
-    for _ in range(max_levels):
-        a = 0.5 * b
-        panel = _gl_panel(tail_fn, a, b)
-        total += panel
-        sizes.append(abs(panel))
-        b = a
-        if len(sizes) < 3:
-            continue
-        head = max(sizes[-1], sizes[-2])
-        prior = max(sizes[-2], sizes[-3])
-        if head == 0.0:
-            break
-        if prior > 0.0 and head < prior:
-            ratio = min(head / prior, 0.95)
-            if head * (1.0 + ratio / (1.0 - ratio)) < 0.5 * tol:
-                break
-    return total
-
 
 def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
     """t as a float array inside ``domain``, the unit interval with or without ends."""
@@ -93,8 +45,9 @@ class MarginalFamily:
 
     Subclasses write each formula once, as a kernel on arrays whose last axis
     is the action axis: ``_cdf``, then ``_tail_quantile`` or ``_quantile``
-    (each defaults to the other), and ``_density`` and ``_regularizer`` where
-    closed forms exist.  A kernel's ``a`` picks the per-action parameters:
+    (each defaults to the other), ``_density`` where a closed form exists, and
+    ``_regularizer``, :meth:`curvature_scale` and :meth:`lipschitz_constant`,
+    which have no default.  A kernel's ``a`` picks the per-action parameters:
     ``_ALL`` lines all N up with the last axis, an index broadcasts one.  The
     public methods validate once and call the kernels; the per-action methods
     are views of one column.
@@ -139,11 +92,8 @@ class MarginalFamily:
         return (self._cdf(s + h, a) - self._cdf(s - h, a)) / (2.0 * h)
 
     def _regularizer(self, p):
-        """Panel quadrature of each action's tail quantile."""
-        return sum(
-            integrate_quantile_tail(lambda s, i=i: self._tail_quantile(s, i), float(p[i]))
-            for i in range(self.n_actions)
-        )
+        """Sum over actions of the quantile integral over [1 - p_i, 1]."""
+        raise NotImplementedError
 
     # -- batched queries: the last axis is the action axis -------------------
 
@@ -230,17 +180,17 @@ class MarginalFamily:
 
     # -- analysis hooks ------------------------------------------------------
 
-    def curvature_scale(self):
-        """Closed form of inf over p of 1 / min_i density_at_quantile(i, p).
+    def curvature_scale(self) -> float:
+        """inf over p of 1 / min_i density_at_quantile(i, p), in closed form.
 
-        This is the regularization-strength side of the stability condition.
-        ``None`` means no closed form; callers fall back to a p-grid.
+        This is the regularization-strength side of the stability condition;
+        0.0 when the densities are unbounded at some p.
         """
-        return None
+        raise NotImplementedError
 
-    def lipschitz_constant(self):
-        """Closed-form common Lipschitz constant of the CDFs, if available."""
-        return None
+    def lipschitz_constant(self) -> float:
+        """Common Lipschitz constant of the CDFs, in closed form; inf if unbounded."""
+        raise NotImplementedError
 
     # -- serialization -------------------------------------------------------
 
@@ -344,9 +294,12 @@ class ParetoFamily(MarginalFamily):
 
     F_i(s) = max(0, 1 - eta_i * w(s)^(1/(q-1))) on its support, where
     w(s) = 1/q - s (q - 1) / (gamma q).  The quantile has the closed form
-    F_i^{-1}(1 - p) = gamma / (q - 1) * (1 - q (p / eta_i)^(q - 1)); the
-    regularizer is integrated numerically.  q -> 1 recovers the exponential
-    family and q = 2 with eta = 1/N recovers the uniform family.
+    F_i^{-1}(1 - p) = gamma / (q - 1) * (1 - q (p / eta_i)^(q - 1)), and so
+    does the regularizer, gamma / (q - 1) * sum_i (p_i - eta_i (p_i / eta_i)^q).
+    q -> 1 recovers the exponential family and q = 2 with eta = 1/N recovers
+    the uniform family.  The density at the quantile, eta_i^(q - 1) p^(2 - q)
+    / (gamma q), peaks at p = 1 for q <= 2; for q > 2 it is unbounded near
+    p = 0, and the regularizer is not strongly concave.
     """
 
     density_domain = "(0, 1]"
@@ -386,6 +339,25 @@ class ParetoFamily(MarginalFamily):
         q, eta = self.q, self.eta[a]
         return eta / (self.gamma * q) * np.power(p / eta, 2.0 - q)
 
+    def _regularizer(self, p):
+        # eta (p/eta)^q - p = p expm1(x), x = (q - 1) log(p/eta), stays accurate as q -> 1;
+        # from x = 1 on the power form has no cancellation, and expm1 could overflow
+        logs = np.log(np.where(p > 0.0, p, 1.0) / self.eta)
+        x = (self.q - 1.0) * logs
+        with np.errstate(over="ignore"):
+            gaps = np.where(x < 1.0, p * np.expm1(x), self.eta * np.exp(self.q * logs) - p)
+        return -self.gamma * np.sum(np.where(p > 0.0, gaps, 0.0)) / (self.q - 1.0)
+
+    def curvature_scale(self) -> float:
+        if self.q > 2.0:
+            return 0.0
+        return self.gamma * self.q / float(np.power(self.eta, self.q - 1.0).min())
+
+    def lipschitz_constant(self) -> float:
+        if self.q > 2.0:
+            return np.inf
+        return float(np.power(self.eta, self.q - 1.0).max()) / (self.gamma * self.q)
+
     def to_dict(self) -> dict:
         return {"type": "pareto", "gamma": self.gamma, "q": self.q, "eta": self.eta.tolist()}
 
@@ -395,7 +367,8 @@ class TabulatedFamily(MarginalFamily):
 
     Each table is a sequence of (t, value) rows with t strictly increasing
     from 0 to 1 and values nondecreasing.  Piecewise-linear quantiles keep the
-    regularizer concave and piecewise quadratic, so it integrates exactly.
+    regularizer concave and piecewise quadratic, so it integrates exactly, and
+    the density is constant on each segment, so both bounds are exact maxima.
     """
 
     density_domain = "[0, 1]"
@@ -416,11 +389,10 @@ class TabulatedFamily(MarginalFamily):
             grids.append((ts.copy(), vs.copy()))
         super().__init__(len(grids))
         self._grids = grids
-
-    @property
-    def strictly_increasing_cdf(self) -> bool:
         # a flat run of quantile values is an atom of the marginal
-        return all(np.all(np.diff(vs) > 0.0) for _, vs in self._grids)
+        self.strictly_increasing_cdf = all(np.all(np.diff(vs) > 0.0) for _, vs in grids)
+        with np.errstate(divide="ignore"):  # CDF slope dt/dv per segment, inf on a flat one
+            self._slopes = [np.diff(ts) / np.diff(vs) for ts, vs in grids]
 
     def _columns(self, fn, x, a):
         """``fn(x, ts, vs)`` on action a's table, or on each column of x."""
@@ -448,6 +420,17 @@ class TabulatedFamily(MarginalFamily):
 
     def _regularizer(self, p):
         return sum(self._exact_tail(i, float(p[i])) for i in range(self.n_actions))
+
+    def curvature_scale(self) -> float:
+        # min over actions is constant between merged breakpoints: take each interval's midpoint
+        knots = np.unique(np.concatenate([ts for ts, _ in self._grids]))
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        least = np.min([slopes[np.searchsorted(ts, mids) - 1]
+                        for (ts, _), slopes in zip(self._grids, self._slopes)], axis=0)
+        return float(1.0 / least.max())
+
+    def lipschitz_constant(self) -> float:
+        return float(max(slopes.max() for slopes in self._slopes))
 
     def _exact_tail(self, i: int, mass: float) -> float:
         """Exact integral of the piecewise-linear quantile over [1 - mass, 1]."""

@@ -109,9 +109,9 @@ def finite_difference_gradient(f, x, h: float = 1e-6) -> np.ndarray:
 def quadrature_regularizer(fam: MarginalFamily, p) -> float:
     """Regularizer via scipy adaptive quadrature of the quantile integrals.
 
-    An independent route around the families' own closed forms and panel
-    integration: h(p) = sum_i integral over (1 - p_i, 1) of the quantile,
-    computed as an integral over the upper-tail mass.  scipy is imported
+    An independent route around the families' own closed forms: h(p) =
+    sum_i integral over (1 - p_i, 1) of the quantile, computed as an integral
+    over the upper-tail mass.  scipy is imported
     here, on first use, so importing the package does not load it.
     """
     from scipy.integrate import IntegrationWarning, quad

@@ -62,6 +62,17 @@ def test_residual_checks_family_count():
         equilibrium_residual(matching_game(2), uniform_profile(2, 2), _exp(1.0, n=3))
 
 
+def test_analysis_rejects_non_families():
+    game, start = matching_game(2), uniform_profile(2, 2)
+    for call in (lambda fams: stability_check(game, fams),
+                 lambda fams: equilibrium_residual(game, start, fams),
+                 lambda fams: fixed_point_iterate(game, fams),
+                 lambda fams: hessian_blocks(game, start, fams)):
+        for fams in ([1, 2], [_exp(1.0)[0], "exponential"]):
+            with pytest.raises(ValueError, match="MarginalFamily"):
+                call(fams)
+
+
 def test_fixed_point_on_random_games():
     rng = np.random.default_rng(31)
     for _ in range(5):
@@ -231,7 +242,7 @@ def test_stability_check_passes_with_strong_regularization():
     p0 = report.players[0]
     assert p0.curvature == pytest.approx(3.0)
     assert p0.coupling == pytest.approx(1.0, abs=1e-10)
-    assert not p0.grid_fallback
+    assert p0.curvature_conservative == pytest.approx(3.0)
     assert not p0.readings_differ
     # identical per-action densities: the grid agrees with the closed form
     assert p0.curvature_grid == pytest.approx(3.0, rel=1e-6)
@@ -256,12 +267,14 @@ def test_stability_check_uniform_curvature_is_exact():
     assert report.all_passed
 
 
-def test_stability_check_grid_fallback_for_pareto():
+def test_stability_check_closed_form_for_pareto():
     fams = tuple(ParetoFamily(gamma=3.0, q=1.5, eta=np.array([0.2, 0.8]))
                  for _ in range(2))
     report = stability_check(matching_game(2), fams)
     p0 = report.players[0]
-    assert p0.grid_fallback
+    # gamma q / min eta^(q - 1) and gamma q / max eta^(q - 1)
+    assert p0.curvature == pytest.approx(4.5 / np.sqrt(0.2))
+    assert p0.curvature_conservative == pytest.approx(4.5 / np.sqrt(0.8))
     assert p0.readings_differ  # per-action densities genuinely differ
     assert p0.curvature_conservative < p0.curvature
     assert p0.passed
@@ -342,6 +355,21 @@ def test_strong_concavity_verified(fam):
     assert report.verified
     assert report.worst_slack >= -1e-9
     assert report.modulus == pytest.approx(1.0 / report.lipschitz_constant)
+
+
+def test_unbounded_pareto_is_never_certified():
+    # q > 2: the density at the quantile grows without bound as p -> 0
+    fam = ParetoFamily(gamma=3.0, q=2.5, eta=np.array([0.5, 0.5]))
+    report = stability_check(matching_game(2), (ExponentialFamily(3.0, n_actions=2), fam))
+    p1 = report.players[1]
+    assert p1.curvature == 0.0 and p1.curvature_conservative == 0.0
+    assert not p1.passed and not report.all_passed
+    assert 0.0 < p1.curvature_grid < 1e-3  # the grid reading is only a cross-check
+    concavity = strong_concavity_check(fam, n_trials=200)
+    assert concavity.lipschitz_constant == np.inf
+    assert concavity.modulus == 0.0
+    assert not concavity.verified
+    assert np.isnan(concavity.worst_slack)
 
 
 def test_strong_concavity_modulus_closed_forms():

@@ -174,6 +174,27 @@ def test_check_flags_weak_regularization(workdir, capsys):
     assert "NOT certified" in capsys.readouterr().out
 
 
+def test_check_reports_an_unbounded_family_as_not_strongly_concave(tmp_path, capsys):
+    # the shipped config's player 1 has a Pareto family with q = 2.5 > 2
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("mixed_families.json", "matching2.json"):
+        (tmp_path / name).write_text((configs / name).read_text())
+    out = tmp_path / "chk"
+    code = main(["check", "--config", str(tmp_path / "mixed_families.json"), "--out", str(out)])
+    assert code == 3
+    assert "player 1: not strongly concave -> FAIL" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"stability.json is not strict JSON: {name}")
+
+    doc = json.loads((out / "stability.json").read_text(), parse_constant=reject)
+    assert doc["players"][1]["curvature"] == 0.0
+    assert doc["players"][1]["passed"] is False
+    assert doc["concavity"][1]["verified"] is False
+    assert doc["concavity"][1]["lipschitz_constant"] is None
+    assert doc["concavity"][0]["verified"] is True
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beliefgames.analysis import stability_check, strong_concavity_check
 from beliefgames.families import (
     ExponentialFamily,
     MarginalFamily,
@@ -8,28 +11,9 @@ from beliefgames.families import (
     TabulatedFamily,
     UniformFamily,
     family_from_dict,
-    integrate_quantile_tail,
 )
+from beliefgames.games import matching_game
 from beliefgames.oracles import quadrature_regularizer
-
-
-# ---------------------------------------------------------------------------
-# quadrature helper
-
-
-def test_integrate_quantile_tail_against_closed_form():
-    # integral of log(1/s) - 1 over (0, m] is -m log(m); note the integrand
-    # changes sign at 1/e, which the refinement must step over unharmed
-    for m in (1.0, 0.5, 0.01, 1e-6):
-        got = integrate_quantile_tail(lambda s: np.log(1.0 / s) - 1.0, m, tol=1e-12)
-        assert got == pytest.approx(-m * np.log(m), abs=1e-12)
-    assert integrate_quantile_tail(lambda s: 1.0 / np.sqrt(s), 1.0) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_integrate_quantile_tail_edge_cases():
-    assert integrate_quantile_tail(lambda s: s, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        integrate_quantile_tail(lambda s: s, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +53,8 @@ def test_exponential_regularizer_is_weighted_entropy():
     fam = ExponentialFamily(gamma=1.0, n_actions=2)
     assert fam.regularizer([0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-14)
     assert fam.regularizer([1.0, 0.0]) == 0.0  # 0 log 0 = 0 and log(1/1) = 0
-    # generic quadrature route lands on the same number (within its 1e-10 tol)
-    generic = MarginalFamily._regularizer(fam, np.array([0.5, 0.5]))
+    # scipy's adaptive quadrature of the quantile lands on the same number
+    generic = quadrature_regularizer(fam, np.array([0.5, 0.5]))
     assert generic == pytest.approx(np.log(2.0), abs=1e-9)
 
 
@@ -114,7 +98,7 @@ def test_uniform_regularizer_closed_form():
     fam = UniformFamily(gamma=2.0, n_actions=3)
     assert fam.regularizer([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(0.0, abs=1e-15)
     assert fam.regularizer([1.0, 0.0, 0.0]) == pytest.approx(2.0 * (1.0 - 3.0))
-    generic = MarginalFamily._regularizer(fam, np.array([0.2, 0.5, 0.3]))
+    generic = quadrature_regularizer(fam, np.array([0.2, 0.5, 0.3]))
     assert generic == pytest.approx(fam.regularizer([0.2, 0.5, 0.3]), abs=1e-10)
 
 
@@ -171,6 +155,26 @@ def test_pareto_regularizer_agrees_with_adaptive_quadrature(q):
     assert fam.regularizer(p) == pytest.approx(quadrature_regularizer(fam, p), abs=1e-8)
 
 
+def test_pareto_regularizer_survives_subnormal_and_zero_masses():
+    # q near 0 and p_0 = 1e-320: (p/eta)^(q - 1) overflows, (p/eta)^q does not;
+    # a zero mass adds nothing, whatever its eta
+    fam = ParetoFamily(gamma=1.0, q=0.01, eta=np.array([1.0, 1.0, 5.0]))
+    p = np.array([1e-320, 0.5, 0.0])
+    expected = sum(x - x ** 0.01 for x in p[:2]) / (0.01 - 1.0)
+    assert fam.regularizer_terms(p) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_pareto_regularizer_stays_accurate_as_q_nears_one(q):
+    # the q -> 1 limit is the weighted entropy; the gap is O(q - 1) plus rounding,
+    # where the plain power form would lose about eps / |q - 1| ~ 1e-7 to cancellation
+    eta = np.array([0.3, 0.7])
+    p = np.array([0.35, 0.65])
+    par = ParetoFamily(gamma=0.9, q=q, eta=eta)
+    exp = ExponentialFamily(gamma=0.9, eta=eta)
+    assert par.regularizer(p) == pytest.approx(exp.regularizer(p), abs=1e-8)
+
+
 def test_pareto_density_matches_finite_difference():
     fam = ParetoFamily(gamma=1.1, q=1.6, eta=np.array([0.5, 0.5]))
     for p in (0.1, 0.5, 0.9):
@@ -220,7 +224,7 @@ def test_tabulated_regularizer_is_exact_for_piecewise_linear():
     fam = TabulatedFamily([table, table])
     p = np.array([0.45, 0.55])
     exact = fam.regularizer(p)
-    generic = MarginalFamily._regularizer(fam, p)
+    generic = quadrature_regularizer(fam, p)
     assert exact == pytest.approx(generic, abs=1e-10)
 
 
@@ -323,8 +327,9 @@ def test_curvature_and_lipschitz_hooks():
     assert exp.lipschitz_constant() == pytest.approx(1.0 / 0.6)
     assert uni.curvature_scale() == pytest.approx(3.6)
     assert uni.lipschitz_constant() == pytest.approx(1.0 / 3.6)
-    assert par.curvature_scale() is None
-    assert par.lipschitz_constant() is None
+    # eta^(q - 1) = 1/sqrt(3) for every action: gamma q sqrt(3) both ways
+    assert par.curvature_scale() == pytest.approx(0.9 * np.sqrt(3.0))
+    assert par.lipschitz_constant() == pytest.approx(1.0 / (0.9 * np.sqrt(3.0)))
 
 
 @pytest.mark.parametrize("fam", [
@@ -353,3 +358,60 @@ def test_family_from_dict_validation():
     np.testing.assert_array_equal(fam.eta, [0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="action"):
         family_from_dict({"type": "uniform", "gamma": 1.0, "actions": 3}, n_actions=2)
+
+
+# ---------------------------------------------------------------------------
+# closed forms against independent readings
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """A Pareto or strictly increasing tabulated family and a simplex point.
+
+    Pareto shapes stay 0.05 away from q = 1, where the oracle's quantile
+    1 - q (s / eta)^(q - 1) cancels; table knots lie on a 1/100 lattice so
+    that the density grid samples the inside of every merged segment.
+    """
+    n = draw(st.integers(2, 5))
+    unit = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        q = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)))
+        fam = ParetoFamily(0.3 + 8.0 * draw(unit), q,
+                           [0.2 + 3.0 * draw(unit) for _ in range(n)])
+    else:
+        tables = []
+        for _ in range(n):
+            knots = sorted(set(draw(st.lists(st.integers(1, 99), max_size=3))))
+            ts = [0.0, *(k / 100.0 for k in knots), 1.0]
+            steps = [0.05 + 2.0 * draw(unit) for _ in ts]
+            tables.append(np.column_stack((ts, np.cumsum(steps) - 1.0)))
+        fam = TabulatedFamily(tables)
+    # about 30% of the actions get no mass; the rest at least 1% of the largest weight
+    weights = np.array([draw(st.floats(0.01, 1.0)) if draw(st.integers(0, 9)) >= 3 else 0.0
+                        for _ in range(n)])
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    return fam, weights / weights.sum()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_closed_form_cases())
+def test_closed_forms_match_independent_readings(case):
+    fam, p = case
+    assert fam.regularizer(p) == pytest.approx(quadrature_regularizer(fam, p), abs=1e-8)
+
+    lipschitz = fam.lipschitz_constant()
+    grid = np.linspace(1e-6, 1.0 - 1e-6, 2001)
+    dens = fam.density_vector(np.repeat(grid[:, None], fam.n_actions, axis=1))
+    assert np.all(dens <= lipschitz * (1.0 + 1e-6))
+
+    report = stability_check(matching_game(fam.n_actions), (fam, fam))
+    curvature = fam.curvature_scale()
+    for player in report.players:
+        assert player.curvature == curvature
+        if curvature > 0.0:
+            assert player.curvature_grid == pytest.approx(curvature, rel=1e-6)
+        else:
+            assert not player.passed
+    if lipschitz == np.inf:
+        assert not strong_concavity_check(fam, n_trials=3).verified
