@@ -264,30 +264,24 @@ def stability_check(game: Game, fams) -> StabilityReport:
     )
 
 
-def diagonal_dominance_check(blocks: np.ndarray, verbose: bool = False) -> bool:
+def diagonal_dominance_check(blocks: np.ndarray) -> bool:
     """Block diagonal dominance of an (M, M, N, N) block matrix.
 
     True iff for every player the smallest diagonal magnitude of their own
     block strictly exceeds the summed operator norms of their off-diagonal
-    row.  Non-diagonal or singular own-blocks fail (with a note if verbose).
+    row.  Non-diagonal or singular own-blocks fail.
     """
     blocks = np.asarray(blocks, dtype=float)
     m = blocks.shape[0]
     for j in range(m):
         own = blocks[j, j]
         if not np.allclose(own, np.diag(np.diagonal(own)), atol=1e-12):
-            if verbose:
-                print(f"player {j}: own block is not diagonal")
             return False
         floor = float(np.abs(np.diagonal(own)).min())
         if floor == 0.0 or not np.isfinite(floor):
-            if verbose:
-                print(f"player {j}: own block is singular or unbounded")
             return False
         off = sum(operator_norm(blocks[j, k]) for k in range(m) if k != j)
         if not floor > off:
-            if verbose:
-                print(f"player {j}: diagonal floor {floor:.6g} <= coupling {off:.6g}")
             return False
     return True
 
@@ -310,25 +304,17 @@ def _tangent_basis(n_players: int, n_actions: int) -> np.ndarray:
     return basis
 
 
-def negdef_on_tangent_check(hessian: np.ndarray, tol: float = 1e-9,
-                            n_players: int | None = None) -> bool:
+def negdef_on_tangent_check(hessian: np.ndarray, n_players: int, tol: float = 1e-9) -> bool:
     """Negative definiteness of a full Hessian on the tangent space.
 
-    Projects onto the per-player zero-sum subspace and checks that the
-    largest eigenvalue is below ``-tol``.  Pass ``n_players`` whenever the
-    (players, actions) split of the dimension is ambiguous; by default the
-    smallest viable player count is used.
+    Splits the dimension into ``n_players`` equal action blocks, projects onto
+    the per-player zero-sum subspace and checks that the largest eigenvalue is
+    below ``-tol``.
     """
     h = np.asarray(hessian, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("hessian must be square")
     dim = h.shape[0]
-    if n_players is None:
-        n_players = next(
-            (m for m in range(2, dim + 1) if dim % m == 0 and dim // m >= 2), 0
-        )
-        if not n_players:
-            raise ValueError(f"cannot infer a (players, actions) split from dimension {dim}")
     if dim % n_players != 0 or dim // n_players < 2:
         raise ValueError(f"dimension {dim} does not split into {n_players} players")
     basis = _tangent_basis(n_players, dim // n_players)

@@ -1,6 +1,8 @@
 """Per-action marginal distributions of payoff perturbations.
 
-A family bundles one CDF per action.  Three things are derived from it:
+A family bundles one CDF per action, and every query asks for all N at once:
+arrays broadcast, and their last axis is the action axis.  Three things are
+derived from the CDFs:
 
 * quantiles, used by the learning dynamics and by sampling oracles;
 * densities evaluated at quantiles, which set the curvature of the induced
@@ -9,8 +11,9 @@ A family bundles one CDF per action.  Three things are derived from it:
   over [1 - p_i, 1]``, whose maximization over the simplex defines the
   quantal response.
 
-Every shipped family gives the regularizer, its curvature scale and the CDF
-slope bound in closed form; the base class has no numeric fallback for them.
+Every shipped family gives the density, the regularizer, its curvature scale
+and the CDF slope bound in closed form; the base class has no numeric
+fallback for them.
 """
 
 from __future__ import annotations
@@ -37,20 +40,14 @@ def _scalar(out):
     return out if np.ndim(out) else float(out)
 
 
-_ALL = slice(None)  # kernel action selector: all N, along the last axis
-
-
 class MarginalFamily:
     """Base class: N per-action marginals plus the induced regularizer.
 
     Subclasses write each formula once, as a kernel on arrays whose last axis
     is the action axis: ``_cdf``, then ``_tail_quantile`` or ``_quantile``
-    (each defaults to the other), ``_density`` where a closed form exists, and
-    ``_regularizer``, :meth:`curvature_scale` and :meth:`lipschitz_constant`,
-    which have no default.  A kernel's ``a`` picks the per-action parameters:
-    ``_ALL`` lines all N up with the last axis, an index broadcasts one.  The
-    public methods validate once and call the kernels; the per-action methods
-    are views of one column.
+    (each defaults to the other), and ``_density``, ``_regularizer``,
+    :meth:`curvature_scale` and :meth:`lipschitz_constant`, which have no
+    default.  The ``*_vector`` methods validate once and call the kernels.
     """
 
     #: The p-interval on which the density at the quantile is defined.
@@ -79,17 +76,15 @@ class MarginalFamily:
             raise ValueError(f"last axis must hold the {self.n_actions} actions")
         return x
 
-    def _quantile(self, t, a):
-        return self._tail_quantile(1.0 - t, a)
+    def _quantile(self, t):
+        return self._tail_quantile(1.0 - t)
 
-    def _tail_quantile(self, mass, a):
-        return self._quantile(1.0 - mass, a)
+    def _tail_quantile(self, mass):
+        return self._quantile(1.0 - mass)
 
-    def _density(self, p, a):
-        """Central difference of the CDF at the quantile, step scaled per entry."""
-        s = self._tail_quantile(p, a)
-        h = 1e-7 * np.maximum(1.0, np.abs(s))
-        return (self._cdf(s + h, a) - self._cdf(s - h, a)) / (2.0 * h)
+    def _density(self, p):
+        """CDF slope at the quantile at 1 - p_i, per action."""
+        raise NotImplementedError
 
     def _regularizer(self, p):
         """Sum over actions of the quantile integral over [1 - p_i, 1]."""
@@ -99,54 +94,39 @@ class MarginalFamily:
 
     def cdf_vector(self, s) -> np.ndarray:
         """Per-action CDF values: component i is F_i(s_i)."""
-        return self._cdf(self._actions_last(s), _ALL)
+        return self._cdf(self._actions_last(s))
 
     def quantile_vector(self, t) -> np.ndarray:
-        """Per-action left quantiles: component i is F_i^{-1}(t_i)."""
-        return self._quantile(_check_unit(self._actions_last(t)), _ALL)
-
-    def tail_quantile_vector(self, mass) -> np.ndarray:
-        """Per-action quantiles at 1 - mass_i (see :meth:`tail_quantile`)."""
-        return self._tail_quantile(_check_unit(self._actions_last(mass)), _ALL)
-
-    def density_vector(self, p) -> np.ndarray:
-        """Per-action densities at the quantiles: F_i' at F_i^{-1}(1 - p_i)."""
-        return self._density(_check_unit(self._actions_last(p), self.density_domain), _ALL)
-
-    # -- per-marginal queries: one column of the kernels ---------------------
-
-    def cdf(self, i: int, s):
-        """F_i evaluated at s (scalar or array)."""
-        return _scalar(self._cdf(np.asarray(s, dtype=float), self._action(i)))
-
-    def quantile(self, i: int, t):
-        """Left quantile F_i^{-1}(t) for t in [0, 1].
+        """Per-action left quantiles: component i is F_i^{-1}(t_i).
 
         t = 0 gives the lower end of the support; t = 1 gives the upper end,
         which is +inf for unbounded marginals.
         """
-        return _scalar(self._quantile(_check_unit(t), self._action(i)))
+        return self._quantile(_check_unit(self._actions_last(t)))
 
-    def tail_quantile(self, i: int, mass):
-        """Quantile at probability 1 - mass, stable for tiny tail masses.
+    def tail_quantile_vector(self, mass) -> np.ndarray:
+        """Per-action quantiles at 1 - mass_i, stable for tiny tail masses.
 
-        Closed-form subclasses evaluate directly in the mass variable, so
+        Closed-form families evaluate directly in the mass variable, so
         masses far below float epsilon do not collapse onto t = 1.
         """
-        return _scalar(self._tail_quantile(_check_unit(mass), self._action(i)))
+        return self._tail_quantile(_check_unit(self._actions_last(mass)))
 
-    def density_at_quantile(self, i: int, p):
-        """F_i' evaluated at F_i^{-1}(1 - p).
+    def density_vector(self, p) -> np.ndarray:
+        """Per-action densities at the quantiles: F_i' at F_i^{-1}(1 - p_i)."""
+        return self._density(_check_unit(self._actions_last(p), self.density_domain))
 
-        The central-difference default needs p in (0, 1); closed forms also
-        accept the ends included in :attr:`density_domain`.
+    def cdf(self, i: int, s):
+        """F_i evaluated at s (scalar or array): column i of the CDF kernel on s.
+
+        The only per-action query.  It stays for callers that read one
+        marginal at points of their own, such as a KKT condition check;
+        everything else asks for all N actions through the vector methods.
         """
-        return _scalar(self._density(_check_unit(p, self.density_domain), self._action(i)))
-
-    def support(self, i: int) -> tuple[float, float]:
-        """Essential range of marginal i (upper end may be inf)."""
-        lo, hi = self.quantile(i, np.array([0.0, 1.0]))
-        return float(lo), float(hi)
+        i = self._action(i)
+        s = np.asarray(s, dtype=float)
+        every = np.broadcast_to(s[..., None], s.shape + (self.n_actions,))
+        return _scalar(self._cdf(every)[..., i])
 
     # -- response bracket ----------------------------------------------------
 
@@ -181,7 +161,7 @@ class MarginalFamily:
     # -- analysis hooks ------------------------------------------------------
 
     def curvature_scale(self) -> float:
-        """inf over p of 1 / min_i density_at_quantile(i, p), in closed form.
+        """inf over p of 1 / min(density_vector(p, ..., p)), in closed form.
 
         This is the regularization-strength side of the stability condition;
         0.0 when the densities are unbounded at some p.
@@ -223,22 +203,24 @@ class ExponentialFamily(MarginalFamily):
         self.eta = eta.copy()
         self.eta.setflags(write=False)
 
-    def _cdf(self, s, a):
+    def _cdf(self, s):
         with np.errstate(over="ignore"):
-            return np.maximum(0.0, 1.0 - self.eta[a] * np.exp(-s / self.gamma - 1.0))
+            return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
 
-    def _tail_quantile(self, mass, a):
+    def _tail_quantile(self, mass):
         with np.errstate(divide="ignore"):
-            return self.gamma * (np.log(self.eta[a] / mass) - 1.0)
+            return self.gamma * (np.log(self.eta / mass) - 1.0)
 
-    def _density(self, p, a):
+    def _density(self, p):
         return p / self.gamma
 
     def _regularizer(self, p):
-        # p log(eta/p) with the 0 log 0 = 0 convention
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * np.log(self.eta / np.where(p > 0.0, p, 1.0)), 0.0)
-        return self.gamma * terms.sum()
+        # p log(eta/p) with the 0 log 0 = 0 convention; log eta - log p where eta/p overflows
+        safe = np.where(p > 0.0, p, 1.0)
+        with np.errstate(over="ignore"):
+            ratio = self.eta / safe
+        logs = np.where(np.isfinite(ratio), np.log(ratio), np.log(self.eta) - np.log(safe))
+        return self.gamma * np.where(p > 0.0, p * logs, 0.0).sum()
 
     def curvature_scale(self) -> float:
         return self.gamma
@@ -266,14 +248,14 @@ class UniformFamily(MarginalFamily):
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
 
-    def _cdf(self, s, a):
+    def _cdf(self, s):
         raw = 1.0 - (0.5 - s / (2.0 * self.gamma)) / self.n_actions
         return np.clip(raw, 0.0, 1.0)
 
-    def _tail_quantile(self, mass, a):
+    def _tail_quantile(self, mass):
         return self.gamma * (1.0 - 2.0 * self.n_actions * mass)
 
-    def _density(self, p, a):
+    def _density(self, p):
         return np.full_like(p, 1.0 / (2.0 * self.gamma * self.n_actions))
 
     def _regularizer(self, p):
@@ -320,23 +302,23 @@ class ParetoFamily(MarginalFamily):
         self.eta = eta.copy()
         self.eta.setflags(write=False)
 
-    def _cdf(self, s, a):
+    def _cdf(self, s):
         q, g = self.q, self.gamma
         w = 1.0 / q - s * (q - 1.0) / (g * q)
         with np.errstate(invalid="ignore", divide="ignore"):
-            body = 1.0 - self.eta[a] * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
+            body = 1.0 - self.eta * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
         # beyond the zero of w: above the support when q > 1, below it when q < 1
         edge = 1.0 if q > 1.0 else 0.0
         return np.where(w > 0.0, np.clip(body, 0.0, 1.0), edge)
 
-    def _tail_quantile(self, mass, a):
+    def _tail_quantile(self, mass):
         q = self.q
         with np.errstate(divide="ignore"):  # q < 1 at mass 0: the unbounded top
-            ratio = np.power(mass / self.eta[a], q - 1.0)
+            ratio = np.power(mass / self.eta, q - 1.0)
         return self.gamma / (q - 1.0) * (1.0 - q * ratio)
 
-    def _density(self, p, a):
-        q, eta = self.q, self.eta[a]
+    def _density(self, p):
+        q, eta = self.q, self.eta
         return eta / (self.gamma * q) * np.power(p / eta, 2.0 - q)
 
     def _regularizer(self, p):
@@ -394,29 +376,24 @@ class TabulatedFamily(MarginalFamily):
         with np.errstate(divide="ignore"):  # CDF slope dt/dv per segment, inf on a flat one
             self._slopes = [np.diff(ts) / np.diff(vs) for ts, vs in grids]
 
-    def _columns(self, fn, x, a):
-        """``fn(x, ts, vs)`` on action a's table, or on each column of x."""
-        if a is not _ALL:
-            return fn(x, *self._grids[a])
-        return np.stack([fn(x[..., i], ts, vs) for i, (ts, vs) in enumerate(self._grids)],
+    def _columns(self, fn, x):
+        """``fn(column, ts, vs, slopes)`` on each column of x with its action's table."""
+        return np.stack([fn(x[..., i], ts, vs, slopes)
+                         for i, ((ts, vs), slopes) in enumerate(zip(self._grids, self._slopes))],
                         axis=-1)
 
-    def _cdf(self, s, a):
-        return self._columns(lambda x, ts, vs: np.interp(x, vs, ts), s, a)
+    def _cdf(self, s):
+        return self._columns(lambda x, ts, vs, _: np.interp(x, vs, ts), s)
 
-    def _quantile(self, t, a):
-        return self._columns(lambda x, ts, vs: np.interp(x, ts, vs), t, a)
+    def _quantile(self, t):
+        return self._columns(lambda x, ts, vs, _: np.interp(x, ts, vs), t)
 
-    def _density(self, p, a):
-        # quantile slope, one-sided at the ends of [0, 1]; flat runs are atoms
-        def slope(x, ts, vs):
-            h = min(1e-7, 0.49 * float(np.min(np.diff(ts))))
-            lo, hi = np.maximum(1.0 - x - h, 0.0), np.minimum(1.0 - x + h, 1.0)
-            dq = np.interp(hi, ts, vs) - np.interp(lo, ts, vs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(dq > 0.0, (hi - lo) / dq, np.inf)
-
-        return self._columns(slope, p, a)
+    def _density(self, p):
+        # the stored slope of the segment holding t = 1 - p; at a knot, the segment
+        # starting there (the last one at t = 1); a flat run is an atom, inf
+        return self._columns(
+            lambda x, ts, _, slopes: slopes[np.clip(
+                np.searchsorted(ts, 1.0 - x, side="right") - 1, 0, slopes.size - 1)], p)
 
     def _regularizer(self, p):
         return sum(self._exact_tail(i, float(p[i])) for i in range(self.n_actions))

@@ -129,7 +129,7 @@ def quadrature_regularizer(fam: MarginalFamily, p) -> float:
             # long after the needed accuracy is reached
             warnings.simplefilter("ignore", IntegrationWarning)
             val, _ = quad(
-                lambda s, i=i: float(fam.tail_quantile(i, s)),
+                lambda s, i=i: float(fam._tail_quantile(np.full(p.shape, s))[i]),
                 0.0, mass, epsabs=1e-11, epsrel=1e-11, limit=200,
             )
         total += val

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import _ALL, ExponentialFamily, MarginalFamily, UniformFamily
+from .families import ExponentialFamily, MarginalFamily, UniformFamily
 from .games import Game, StrategyProfile, payoff_vector
 
 #: |sum p - 1| target for the kappa bisection.
@@ -214,7 +214,7 @@ def _certified_bracket(fam: MarginalFamily, probs, lo: float,
         """-dg/dkappa: sum_i f_i(kappa - u_i) over the components inside their support."""
         p = probs(kappa)
         with np.errstate(all="ignore"):  # p = 0 may meet an unbounded density
-            f = fam._density(p, _ALL)
+            f = fam._density(p)
         return float(f[(p > 0.0) & (p < 1.0)].sum())
 
     # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it

@@ -288,7 +288,7 @@ def test_diagonal_dominance_rejects_degenerate_blocks():
     assert not diagonal_dominance_check(bad)
     sing = good.copy()
     sing[1, 1] = np.zeros((2, 2))
-    assert not diagonal_dominance_check(sing, verbose=True)
+    assert not diagonal_dominance_check(sing)
 
 
 def test_negdef_on_tangent_frozen_examples():
@@ -303,12 +303,25 @@ def test_negdef_on_tangent_frozen_examples():
 
 def test_negdef_dimension_handling():
     h = -np.eye(6)
-    assert negdef_on_tangent_check(h)                # infers 2 players x 3 actions
-    assert negdef_on_tangent_check(h, n_players=3)   # explicit 3 x 2 also fine
+    assert negdef_on_tangent_check(h, n_players=2)
+    assert negdef_on_tangent_check(h, n_players=3)
     with pytest.raises(ValueError, match="split"):
         negdef_on_tangent_check(-np.eye(6), n_players=4)
     with pytest.raises(ValueError, match="square"):
-        negdef_on_tangent_check(np.zeros((2, 3)))
+        negdef_on_tangent_check(np.zeros((2, 3)), n_players=2)
+
+
+def test_negdef_answer_depends_on_the_player_split():
+    # v is constant on each of 3 players' 2 actions, so h = -I + 2 v v^T is -I on the
+    # 3 x 2 tangent space; read as 2 players x 3 actions, v's blocks (-1, -1, 2) and
+    # (2, -1, -1) are zero-sum, and the eigenvalue 1 along v shows up.  No split is
+    # guessed: a smallest-viable-split guess would read 2 x 3 here.
+    v = np.array([-1.0, -1.0, 2.0, 2.0, -1.0, -1.0]) / np.sqrt(12.0)
+    h = -np.eye(6) + 2.0 * np.outer(v, v)
+    assert negdef_on_tangent_check(h, n_players=3)
+    assert not negdef_on_tangent_check(h, n_players=2)
+    with pytest.raises(TypeError):
+        negdef_on_tangent_check(h)
 
 
 # ---------------------------------------------------------------------------

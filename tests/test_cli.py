@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,22 @@ def test_three_player_simulate_traces_are_byte_identical(tmp_path):
         blobs.append((out / "trace.csv").read_bytes())
     assert blobs[0].count(b"\n") == 1 + 500 * 3 * 3
     assert blobs[0] == blobs[1]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("stem", ["coordination", "mixed_families", "skewed_sparse",
+                                  "unstable_demo"])
+def test_shipped_config_traces_match_the_reference_digests(stem, tmp_path):
+    # the reference digests are the ones the benchmark gates on
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    out = tmp_path / stem
+    code = main(["simulate", "--config", str(REPO / "configs" / f"{stem}.json"),
+                 "--out", str(out), "--quiet"])
+    assert code in (0, 2, 3)
+    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+    assert digest == reference["trace_sha256"][stem]
 
 
 def test_simulate_warns_on_summable_schedule(workdir, capsys):
@@ -216,7 +233,7 @@ def test_verify_rejects_unknown_filter(capsys):
 
 
 def _src_env():
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 

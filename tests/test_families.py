@@ -6,14 +6,25 @@ from hypothesis import strategies as st
 from beliefgames.analysis import stability_check, strong_concavity_check
 from beliefgames.families import (
     ExponentialFamily,
-    MarginalFamily,
     ParetoFamily,
     TabulatedFamily,
     UniformFamily,
     family_from_dict,
 )
 from beliefgames.games import matching_game
-from beliefgames.oracles import quadrature_regularizer
+from beliefgames.oracles import finite_difference_gradient, quadrature_regularizer
+from beliefgames.response import quantal_response
+
+
+def _every_action(t, n):
+    """The 1-D grid t repeated for each of n actions: shape (t.size, n)."""
+    return np.repeat(np.asarray(t, dtype=float)[:, None], n, axis=1)
+
+
+def _density_finite_difference(fam, p):
+    """Per-action CDF slopes at the quantiles at 1 - p, by central differences."""
+    return finite_difference_gradient(lambda s: fam.cdf_vector(s).sum(),
+                                      fam.tail_quantile_vector(p))
 
 
 # ---------------------------------------------------------------------------
@@ -28,25 +39,23 @@ def test_exponential_cdf_frozen_value():
 
 def test_exponential_quantile_inverts_cdf():
     fam = ExponentialFamily(gamma=0.7, eta=np.array([0.5, 1.5, 1.0]))
-    for i in range(3):
-        for t in (0.01, 0.3, 0.5, 0.9, 0.999):
-            s = fam.quantile(i, t)
-            assert float(fam.cdf(i, s)) == pytest.approx(t, abs=1e-12)
+    t = _every_action([0.01, 0.3, 0.5, 0.9, 0.999], 3)
+    np.testing.assert_allclose(fam.cdf_vector(fam.quantile_vector(t)), t, rtol=0.0, atol=1e-12)
 
 
 def test_exponential_support_and_unbounded_top():
     fam = ExponentialFamily(gamma=2.0, n_actions=2)
-    lo, hi = fam.support(0)
-    assert lo == pytest.approx(-2.0)  # quantile at 0 is gamma (log eta - 1)
-    assert hi == np.inf
+    lo, hi = fam.quantile_vector(_every_action([0.0, 1.0], 2))
+    np.testing.assert_allclose(lo, -2.0)  # quantile at 0 is gamma (log eta - 1)
+    assert np.all(hi == np.inf)
 
 
 def test_exponential_density_is_mass_over_gamma():
     fam = ExponentialFamily(gamma=0.5, n_actions=2)
-    assert fam.density_at_quantile(0, 0.3) == pytest.approx(0.6)
-    # agrees with the generic finite-difference kernel
-    fd = float(MarginalFamily._density(fam, np.asarray(0.3), 0))
-    assert fd == pytest.approx(0.6, abs=1e-6)
+    p = np.full(2, 0.3)
+    np.testing.assert_allclose(fam.density_vector(p), 0.6)
+    # agrees with a finite difference of the CDFs at the quantiles
+    np.testing.assert_allclose(_density_finite_difference(fam, p), 0.6, rtol=0.0, atol=1e-6)
 
 
 def test_exponential_regularizer_is_weighted_entropy():
@@ -58,12 +67,26 @@ def test_exponential_regularizer_is_weighted_entropy():
     assert generic == pytest.approx(np.log(2.0), abs=1e-9)
 
 
+def test_exponential_regularizer_survives_subnormal_masses():
+    # eta / p overflows at p = 5e-324; p (log eta - log p) is about 3.7e-321
+    fam = ExponentialFamily(gamma=1.0, n_actions=2)
+    term = fam.regularizer_terms(np.array([1.0, 5e-324]))
+    assert np.isfinite(term)
+    assert term == pytest.approx(5e-324 * -np.log(5e-324), rel=0.1)
+    # the softmax gives the losing action a subnormal mass; the value is
+    # gamma * logaddexp(0, -740), about 4e-322
+    res = quantal_response(fam, np.array([0.0, -740.0]))
+    assert 0.0 < res.probabilities[1] < 1e-300
+    assert res.optimistic_value == pytest.approx(np.logaddexp(0.0, -740.0), abs=1e-300)
+
+
 def test_exponential_tail_quantile_survives_tiny_masses():
     fam = ExponentialFamily(gamma=1.0, n_actions=2)
     # 1 - (1 - mass) rounds to 0 below float eps; the tail form must not
     mass = 1e-20
-    assert fam.tail_quantile(0, mass) == pytest.approx(np.log(1.0 / mass) - 1.0)
-    assert np.isinf(fam.quantile(0, 1.0))
+    np.testing.assert_allclose(fam.tail_quantile_vector(np.full(2, mass)),
+                               np.log(1.0 / mass) - 1.0)
+    assert np.all(np.isinf(fam.quantile_vector(np.ones(2))))
 
 
 def test_exponential_validation():
@@ -74,7 +97,7 @@ def test_exponential_validation():
     with pytest.raises(ValueError, match="eta or n_actions"):
         ExponentialFamily(gamma=1.0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ExponentialFamily(gamma=1.0, n_actions=2).quantile(0, 1.5)
+        ExponentialFamily(gamma=1.0, n_actions=2).quantile_vector([1.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +111,12 @@ def test_uniform_cdf_frozen_value():
 
 def test_uniform_support_and_density():
     fam = UniformFamily(gamma=1.5, n_actions=2)
-    assert fam.support(0) == (pytest.approx(-4.5), pytest.approx(1.5))
-    assert fam.density_at_quantile(0, 0.4) == pytest.approx(1.0 / 6.0)
+    lo, hi = fam.quantile_vector(_every_action([0.0, 1.0], 2))
+    np.testing.assert_allclose(lo, -4.5)
+    np.testing.assert_allclose(hi, 1.5)
+    np.testing.assert_allclose(fam.density_vector([0.4, 0.4]), 1.0 / 6.0)
     fam2 = UniformFamily(gamma=1.0, n_actions=2)
-    assert fam2.density_at_quantile(1, 0.9) == pytest.approx(0.25)
+    np.testing.assert_allclose(fam2.density_vector([0.9, 0.9]), 0.25)
 
 
 def test_uniform_regularizer_closed_form():
@@ -104,8 +129,8 @@ def test_uniform_regularizer_closed_form():
 
 def test_uniform_quantile_roundtrip_inside_support():
     fam = UniformFamily(gamma=0.8, n_actions=4)
-    for t in (0.05, 0.4, 0.75, 1.0):
-        assert float(fam.cdf(0, fam.quantile(0, t))) == pytest.approx(t, abs=1e-12)
+    t = _every_action([0.05, 0.4, 0.75, 1.0], 4)
+    np.testing.assert_allclose(fam.cdf_vector(fam.quantile_vector(t)), t, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +141,11 @@ def test_pareto_with_q_two_matches_uniform():
     n = 3
     uni = UniformFamily(gamma=1.2, n_actions=n)
     par = ParetoFamily(gamma=1.2, q=2.0, eta=np.full(n, 1.0 / n))
-    ts = np.linspace(0.01, 0.99, 23)
-    for i in range(n):
-        np.testing.assert_allclose(par.quantile(i, ts), uni.quantile(i, ts), atol=1e-12)
-        np.testing.assert_allclose(
-            par.density_at_quantile(i, ts), uni.density_at_quantile(i, ts), atol=1e-12
-        )
-    ss = np.linspace(-6.0, 1.5, 31)
-    np.testing.assert_allclose(
-        [par.cdf(0, s) for s in ss], [uni.cdf(0, s) for s in ss], atol=1e-12
-    )
+    ts = _every_action(np.linspace(0.01, 0.99, 23), n)
+    np.testing.assert_allclose(par.quantile_vector(ts), uni.quantile_vector(ts), atol=1e-12)
+    np.testing.assert_allclose(par.density_vector(ts), uni.density_vector(ts), atol=1e-12)
+    ss = _every_action(np.linspace(-6.0, 1.5, 31), n)
+    np.testing.assert_allclose(par.cdf_vector(ss), uni.cdf_vector(ss), atol=1e-12)
     p = np.array([0.2, 0.5, 0.3])
     assert par.regularizer(p) == pytest.approx(uni.regularizer(p), abs=1e-9)
 
@@ -134,8 +154,8 @@ def test_pareto_near_one_approaches_exponential():
     n = 2
     par = ParetoFamily(gamma=0.9, q=1.0001, eta=np.ones(n))
     exp = ExponentialFamily(gamma=0.9, n_actions=n)
-    for t in (0.1, 0.5, 0.9):
-        assert par.quantile(0, t) == pytest.approx(exp.quantile(0, t), abs=2e-4)
+    t = _every_action([0.1, 0.5, 0.9], n)
+    np.testing.assert_allclose(par.quantile_vector(t), exp.quantile_vector(t), rtol=0.0, atol=2e-4)
     p = np.array([0.4, 0.6])
     assert par.regularizer(p) == pytest.approx(exp.regularizer(p), abs=2e-4)
 
@@ -144,8 +164,7 @@ def test_pareto_tail_quantile_at_eta_is_minus_gamma():
     # the quantile at tail mass eta_i equals -gamma for every shape q
     for q in (0.3, 0.5, 1.7, 2.5):
         fam = ParetoFamily(gamma=0.9, q=q, eta=np.array([0.2, 0.7]))
-        assert fam.tail_quantile(0, 0.2) == pytest.approx(-0.9, abs=1e-12)
-        assert fam.tail_quantile(1, 0.7) == pytest.approx(-0.9, abs=1e-12)
+        np.testing.assert_allclose(fam.tail_quantile_vector(fam.eta), -0.9, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 1.5, 2.5])
@@ -178,8 +197,9 @@ def test_pareto_regularizer_stays_accurate_as_q_nears_one(q):
 def test_pareto_density_matches_finite_difference():
     fam = ParetoFamily(gamma=1.1, q=1.6, eta=np.array([0.5, 0.5]))
     for p in (0.1, 0.5, 0.9):
-        fd = float(MarginalFamily._density(fam, np.asarray(p), 0))
-        assert fam.density_at_quantile(0, p) == pytest.approx(fd, rel=1e-5)
+        mass = np.full(2, p)
+        np.testing.assert_allclose(fam.density_vector(mass),
+                                   _density_finite_difference(fam, mass), rtol=1e-5)
 
 
 def test_pareto_validation():
@@ -200,7 +220,7 @@ def _exp_table(gamma: float, points: int = 2001):
     fam = ExponentialFamily(gamma=gamma, n_actions=1)
     ts = np.linspace(0.0, 1.0, points)
     ts[-1] = 1.0
-    vs = [fam.quantile(0, min(t, 0.9995)) for t in ts]
+    vs = fam.quantile_vector(np.minimum(ts, 0.9995)[:, None])[:, 0]
     return np.column_stack((ts, vs))
 
 
@@ -209,14 +229,12 @@ def test_tabulated_tracks_its_source_family():
     table = _exp_table(gamma)
     fam = TabulatedFamily([table, table])
     src = ExponentialFamily(gamma=gamma, n_actions=2)
-    for t in (0.1, 0.37, 0.62, 0.9):
-        assert fam.quantile(0, t) == pytest.approx(src.quantile(0, t), abs=1e-5)
-    for s in (-0.5, 0.0, 1.0):
-        assert float(fam.cdf(0, s)) == pytest.approx(float(src.cdf(0, s)), abs=1e-5)
-    for p in (0.2, 0.5, 0.8):
-        assert fam.density_at_quantile(0, p) == pytest.approx(
-            src.density_at_quantile(0, p), rel=1e-2
-        )
+    t = _every_action([0.1, 0.37, 0.62, 0.9], 2)
+    np.testing.assert_allclose(fam.quantile_vector(t), src.quantile_vector(t), rtol=0.0, atol=1e-5)
+    s = _every_action([-0.5, 0.0, 1.0], 2)
+    np.testing.assert_allclose(fam.cdf_vector(s), src.cdf_vector(s), rtol=0.0, atol=1e-5)
+    p = _every_action([0.2, 0.5, 0.8], 2)
+    np.testing.assert_allclose(fam.density_vector(p), src.density_vector(p), rtol=1e-2)
 
 
 def test_tabulated_regularizer_is_exact_for_piecewise_linear():
@@ -226,6 +244,20 @@ def test_tabulated_regularizer_is_exact_for_piecewise_linear():
     exact = fam.regularizer(p)
     generic = quadrature_regularizer(fam, p)
     assert exact == pytest.approx(generic, abs=1e-10)
+
+
+def test_tabulated_density_is_the_exact_segment_slope():
+    # both tables have a knot at t = 0.5, i.e. at p = 0.5; there the density is
+    # the slope of the segment starting at the knot, at t = 1 that of the last one
+    tables = [np.array([[0.0, -1.0], [0.5, 0.3], [1.0, 1.0]]),
+              np.array([[0.0, -2.0], [0.25, -1.1], [0.5, 0.0], [1.0, 0.7]])]
+    fam = TabulatedFamily(tables)
+    slopes = [np.diff(table[:, 0]) / np.diff(table[:, 1]) for table in tables]
+    p = np.array([0.0, 0.2, 0.5, 0.6, 0.75, 1.0])  # t = 1 - p is exact
+    expected = np.column_stack((slopes[0][[1, 1, 1, 0, 0, 0]], slopes[1][[2, 2, 2, 1, 1, 0]]))
+    np.testing.assert_array_equal(fam.density_vector(_every_action(p, 2)), expected)
+    grid = np.linspace(0.0, 1.0, 1001)
+    assert fam.density_vector(_every_action(grid, 2)).max() == fam.lipschitz_constant()
 
 
 def test_tabulated_flat_segment_marks_cdf_not_strictly_increasing():
@@ -266,42 +298,27 @@ def test_vectorized_methods_match_scalar_loops(any_family):
     fam = any_family
     rng = np.random.default_rng(17)
     n = fam.n_actions
-    s = rng.normal(0.0, 2.0, size=n)
-    mass = rng.uniform(0.01, 0.99, size=n)
-    t = rng.uniform(0.01, 0.99, size=n)
-    np.testing.assert_array_equal(
-        fam.cdf_vector(s), [float(fam.cdf(i, s[i])) for i in range(n)]
-    )
-    np.testing.assert_array_equal(
-        fam.tail_quantile_vector(mass), [float(fam.tail_quantile(i, mass[i])) for i in range(n)]
-    )
-    np.testing.assert_array_equal(
-        fam.quantile_vector(t), [float(fam.quantile(i, t[i])) for i in range(n)]
-    )
-    np.testing.assert_array_equal(
-        fam.density_vector(t), [float(fam.density_at_quantile(i, t[i])) for i in range(n)]
-    )
-    # a leading batch axis broadcasts; each column is the per-action method
+    # a leading batch axis broadcasts: each row has the bits of its own 1-D call
     batch = rng.uniform(0.01, 0.99, size=(5, n))
-    for vector, single in ((fam.cdf_vector, fam.cdf), (fam.quantile_vector, fam.quantile),
-                           (fam.tail_quantile_vector, fam.tail_quantile),
-                           (fam.density_vector, fam.density_at_quantile)):
+    for vector in (fam.cdf_vector, fam.quantile_vector, fam.tail_quantile_vector,
+                   fam.density_vector):
         got = vector(batch)
         assert got.shape == (5, n)
-        for i in range(n):
-            np.testing.assert_array_equal(got[:, i], single(i, batch[:, i]))
+        for row, values in zip(batch, got):
+            np.testing.assert_array_equal(values, vector(row))
+    # cdf(i, s) is column i of the CDF kernel on s broadcast to every action
+    s = rng.normal(0.0, 2.0, size=7)
+    columns = fam.cdf_vector(_every_action(s, n))
+    for i in range(n):
+        np.testing.assert_array_equal(fam.cdf(i, s), columns[:, i])
+        assert fam.cdf(i, float(s[0])) == columns[0, i]
 
 
 def test_action_index_checked(any_family):
     fam = any_family
-    n = fam.n_actions
-    for i in (n, -1):
-        for method, arg in ((fam.cdf, 0.0), (fam.quantile, 0.5), (fam.tail_quantile, 0.5),
-                            (fam.density_at_quantile, 0.5)):
-            with pytest.raises(ValueError, match="out of range"):
-                method(i, arg)
+    for i in (fam.n_actions, -1):
         with pytest.raises(ValueError, match="out of range"):
-            fam.support(i)
+            fam.cdf(i, 0.0)
 
 
 def test_regularizer_requires_simplex_but_terms_do_not():
@@ -342,9 +359,8 @@ def test_family_dict_roundtrip(fam):
     back = family_from_dict(fam.to_dict())
     assert type(back) is type(fam)
     assert back.n_actions == fam.n_actions
-    ts = np.linspace(0.05, 0.95, 7)
-    for i in range(fam.n_actions):
-        np.testing.assert_allclose(back.quantile(i, ts), fam.quantile(i, ts), atol=1e-14)
+    ts = _every_action(np.linspace(0.05, 0.95, 7), fam.n_actions)
+    np.testing.assert_allclose(back.quantile_vector(ts), fam.quantile_vector(ts), atol=1e-14)
 
 
 def test_family_from_dict_validation():
