@@ -19,10 +19,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import fixed_point_iterate, stability_check, strong_concavity_check
 from .config import ExperimentConfig, load_experiment_config
-from .dynamics import RunConfig, classify_schedule, run_dynamics
+from .dynamics import classify_schedule, run_dynamics
 from .verify import verification_suite
 
 EXIT_OK = 0
@@ -39,12 +40,6 @@ def _say(quiet: bool, *parts) -> None:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
-
-
-def _load(path: str | None):
-    if not path:
-        raise ValueError("--config is required for this command")
-    return load_experiment_config(path)
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> str:
@@ -64,24 +59,21 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _apply_overrides(args, cfg: ExperimentConfig) -> None:
+def _config(args) -> ExperimentConfig:
+    """Load the config file and apply the command-line overrides."""
+    cfg = load_experiment_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "downsample", None) is not None:
         if args.downsample < 1:
             raise ValueError("--downsample must be at least 1")
-        cfg.downsample = args.downsample
+        cfg.run = replace(cfg.run, record_every=args.downsample)
+    return cfg
 
 
-def cmd_simulate(args) -> int:
-    try:
-        cfg = _load(args.config)
-        _apply_overrides(args, cfg)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-
+def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     warnings = []
-    report = classify_schedule(cfg.schedule)
+    report = classify_schedule(cfg.run.schedule)
     if not report.sum_diverges:
         warnings.append("step sizes are summable; the dynamics can stall short of equilibrium")
     if not report.ratio_vanishes:
@@ -93,53 +85,36 @@ def cmd_simulate(args) -> int:
         _say(args.quiet, json.dumps(cfg.describe(), indent=2, sort_keys=True))
         return EXIT_OK
 
-    run = RunConfig(
-        horizon=cfg.horizon,
-        schedule=cfg.schedule,
-        risk_families=cfg.risk_families,
-        belief_families=cfg.belief_families,
-        initial_estimates=cfg.initial_estimates,
-        probability_clamp=cfg.clamp,
-        record_every=cfg.downsample,
-    )
     try:
-        trace = run_dynamics(cfg.game, run)
+        trace = run_dynamics(cfg.game, cfg.run)
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
 
     out = _out_dir(args, cfg)
     trace.to_csv(os.path.join(out, "trace.csv"))
     converged = trace.final_residual <= cfg.tolerances.residual
-    trace.summary_to_json(
-        os.path.join(out, "summary.json"),
-        extra={
-            "config": cfg.describe(),
-            "converged": bool(converged),
-            "residual_tolerance": cfg.tolerances.residual,
-            "schedule_sum_diverges": report.sum_diverges,
-            "schedule_ratio_vanishes": report.ratio_vanishes,
-        },
-    )
+    _write_json(os.path.join(out, "summary.json"), trace.summary() | {
+        "config": cfg.describe(),
+        "converged": bool(converged),
+        "residual_tolerance": cfg.tolerances.residual,
+        "schedule_sum_diverges": report.sum_diverges,
+        "schedule_ratio_vanishes": report.ratio_vanishes,
+    })
     _say(args.quiet,
-         f"simulate: {cfg.horizon} rounds, final residual {trace.final_residual:.3e} "
+         f"simulate: {cfg.run.horizon} rounds, final residual {trace.final_residual:.3e} "
          f"(tolerance {cfg.tolerances.residual:g}), outputs in {out}")
     if not converged:
         _say(args.quiet, "warning: final residual above tolerance")
     return EXIT_WARN if warnings or not converged else EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    try:
-        cfg = _load(args.config)
-        _apply_overrides(args, cfg)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_solve(args, cfg: ExperimentConfig) -> int:
     if args.dry_run:
         _say(args.quiet, json.dumps(cfg.describe(), indent=2, sort_keys=True))
         return EXIT_OK
     try:
         result = fixed_point_iterate(
-            cfg.game, cfg.risk_families,
+            cfg.game, cfg.run.risk_families,
             damping=cfg.tolerances.damping,
             tol=cfg.tolerances.fixed_point,
             max_iter=cfg.tolerances.max_iterations,
@@ -163,19 +138,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    try:
-        cfg = _load(args.config)
-        _apply_overrides(args, cfg)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_check(args, cfg: ExperimentConfig) -> int:
     if args.dry_run:
         _say(args.quiet, json.dumps(cfg.describe(), indent=2, sort_keys=True))
         return EXIT_OK
     try:
-        report = stability_check(cfg.game, cfg.risk_families)
+        report = stability_check(cfg.game, cfg.run.risk_families)
         concavity = [strong_concavity_check(fam, n_trials=200, seed=cfg.seed)
-                     for fam in cfg.risk_families]
+                     for fam in cfg.run.risk_families]
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
     doc = report.to_dict()
@@ -227,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_config=True, downsample=False):
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config (JSON)")
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override the config seed")
         if downsample:
             p.add_argument("--downsample", type=int,
                            help="record every k-th round of the trace")
@@ -249,7 +219,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "solve": cmd_solve,
     "check": cmd_check,
-    "verify": cmd_verify,
 }
 
 
@@ -259,7 +228,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    return _COMMANDS[args.command](args)
+    if args.command == "verify":
+        return cmd_verify(args)
+    try:
+        cfg = _config(args)
+    except (ValueError, OSError) as exc:
+        return _fail(str(exc))
+    return _COMMANDS[args.command](args, cfg)
 
 
 def entrypoint() -> None:  # console-script shim

@@ -3,7 +3,8 @@
 A config is a single JSON object naming a game file (resolved relative to the
 config's own directory), the per-player families, a step schedule, and run
 and solver settings.  Families may be given once (applied to every player) or
-as a per-player list.
+as a per-player list.  Loading builds the :class:`RunConfig`, so every setting
+of the run is validated once, when the file is read.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .dynamics import PROBABILITY_CLAMP, StepSchedule
-from .families import MarginalFamily, family_from_dict
+from .dynamics import PROBABILITY_CLAMP, RunConfig, StepSchedule
+from .families import family_from_dict
 from .games import Game, load_game
 
 
@@ -33,30 +32,27 @@ class Tolerances:
 class ExperimentConfig:
     game: Game
     game_path: str
-    risk_families: tuple
-    belief_families: tuple
-    schedule: StepSchedule
-    horizon: int
+    run: RunConfig
     seed: int = 0
-    downsample: int = 1
-    clamp: float = PROBABILITY_CLAMP
-    initial_estimates: np.ndarray | None = None
     out_dir: str | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def describe(self) -> dict:
         """JSON-friendly summary used by dry runs and written next to outputs."""
+        run = self.run
         return {
             "game": self.game_path,
             "players": self.game.num_players,
             "actions": self.game.num_actions,
-            "risk_families": [f.to_dict() for f in self.risk_families],
-            "belief_families": [f.to_dict() for f in self.belief_families],
-            "schedule": self.schedule.to_dict(),
-            "horizon": self.horizon,
+            "risk_families": [f.to_dict() for f in run.risk_families],
+            "belief_families": [f.to_dict() for f in run.belief_families],
+            "schedule": run.schedule.to_dict(),
+            "horizon": run.horizon,
             "seed": self.seed,
-            "downsample": self.downsample,
-            "clamp": self.clamp,
+            "downsample": run.record_every,
+            "clamp": run.probability_clamp,
+            "initial_estimates": (None if run.initial_estimates is None
+                                  else run.initial_estimates.tolist()),
             "out_dir": self.out_dir,
             "tolerances": vars(self.tolerances) | {},
         }
@@ -83,63 +79,62 @@ def _families_from_spec(spec, game: Game, label: str) -> tuple:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; raises ValueError on any problem."""
+    """Parse and validate a config file.
+
+    Raises ValueError, prefixed with ``path``, on any problem with its content.
+    """
+    try:
+        return _parse(path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing required field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+            raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise ValueError("config must be a JSON object")
+
+    game_rel = doc["game"]
     base = os.path.dirname(os.path.abspath(path))
-
-    try:
-        game_rel = doc["game"]
-        risk_spec = doc["risk_families"]
-        schedule = StepSchedule.from_dict(doc["schedule"])
-        horizon = int(doc["horizon"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing required field {exc}") from exc
-
     game_path = game_rel if os.path.isabs(game_rel) else os.path.join(base, game_rel)
     try:
         game = load_game(game_path)
     except OSError as exc:
-        raise ValueError(f"{path}: cannot read game file {game_path!r} ({exc})") from exc
+        raise ValueError(f"cannot read game file {game_path!r} ({exc})") from exc
 
-    risk = _families_from_spec(risk_spec, game, "risk_families")
+    risk = _families_from_spec(doc["risk_families"], game, "risk_families")
     belief = (_families_from_spec(doc["belief_families"], game, "belief_families")
               if "belief_families" in doc else risk)
-
-    if horizon < 1:
-        raise ValueError(f"{path}: horizon must be positive")
-    downsample = int(doc.get("downsample", 1))
-    if downsample < 1:
-        raise ValueError(f"{path}: downsample must be at least 1")
-
-    initial = None
-    if "initial_estimates" in doc and doc["initial_estimates"] is not None:
-        initial = np.asarray(doc["initial_estimates"], dtype=float)
-        if initial.shape != (game.num_players, game.num_actions):
-            raise ValueError(f"{path}: initial_estimates must be (players, actions)")
+    run = RunConfig(
+        horizon=int(doc["horizon"]),
+        schedule=StepSchedule.from_dict(doc["schedule"]),
+        risk_families=risk,
+        belief_families=belief,
+        initial_estimates=doc.get("initial_estimates"),
+        probability_clamp=float(doc.get("clamp", PROBABILITY_CLAMP)),
+        record_every=int(doc.get("downsample", 1)),
+    )
 
     tols = Tolerances()
-    for key, value in (doc.get("tolerances") or {}).items():
-        if not hasattr(tols, key):
-            raise ValueError(f"{path}: unknown tolerance {key!r}")
-        setattr(tols, key, type(getattr(tols, key))(value))
+    for key, value in dict(doc.get("tolerances") or {}).items():
+        if key not in vars(tols):
+            raise ValueError(f"unknown tolerance {key!r}")
+        try:
+            setattr(tols, key, type(getattr(tols, key))(value))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"tolerance {key!r}: {exc}") from exc
 
     return ExperimentConfig(
         game=game,
         game_path=game_path,
-        risk_families=risk,
-        belief_families=belief,
-        schedule=schedule,
-        horizon=horizon,
+        run=run,
         seed=int(doc.get("seed", 0)),
-        downsample=downsample,
-        clamp=float(doc.get("clamp", PROBABILITY_CLAMP)),
-        initial_estimates=initial,
         out_dir=doc.get("out_dir"),
         tolerances=tols,
     )

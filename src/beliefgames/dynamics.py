@@ -13,7 +13,6 @@ so repeated runs produce byte-identical traces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +54,6 @@ class StepSchedule:
     @classmethod
     def power(cls, c: float, a: float) -> "StepSchedule":
         return cls("power", float(c), float(a))
-
-    def rate(self, t: int) -> float:
-        """Step size at round t (rounds count from 1)."""
-        if t < 1:
-            raise ValueError("rounds count from 1")
-        if self.kind == "constant":
-            return self.c
-        return self.c * float(t) ** (-self.a)
 
     def rates(self, upto: int) -> np.ndarray:
         """Vector of step sizes for rounds 1..upto."""
@@ -139,7 +130,7 @@ class RunConfig:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+            raise ValueError("record_every (downsample) must be at least 1")
         if len(self.risk_families) != len(self.belief_families):
             raise ValueError("need matching numbers of risk and belief families")
         if not self.risk_families:
@@ -213,9 +204,6 @@ class Trace:
     def profile_at(self, t: int) -> StrategyProfile:
         return StrategyProfile(self.probabilities[self._row(t)])
 
-    def estimates_at(self, t: int) -> np.ndarray:
-        return self.estimates[self._row(t)]
-
     @property
     def final_profile(self) -> StrategyProfile:
         return StrategyProfile(self.probabilities[-1])
@@ -253,14 +241,6 @@ class Trace:
                                                   self.rates[block].tolist(), *columns)
                     for (j, i), p, e, y in zip(cells, ps, es, ys)
                 ))
-
-    def summary_to_json(self, path, extra: dict | None = None) -> None:
-        doc = self.summary()
-        if extra:
-            doc.update(extra)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def run_dynamics(game: Game, config: RunConfig) -> Trace:

@@ -1,0 +1,118 @@
+import json
+import subprocess
+import sys
+
+import pytest
+
+from beliefgames.cli import main
+from beliefgames.config import load_experiment_config
+from beliefgames.dynamics import RunConfig
+from beliefgames.games import matching_game, save_game
+from test_cli import REPO, _src_env
+
+GOOD = {
+    "game": "game.json",
+    "risk_families": {"type": "exponential", "gamma": 3.0},
+    "schedule": {"type": "power", "c": 1.0, "a": 0.6},
+    "horizon": 50,
+    "downsample": 10,
+}
+
+
+def _write(tmp_path, doc) -> str:
+    save_game(matching_game(2), tmp_path / "game.json")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# (config document, a phrase the error must contain)
+MALFORMED = {
+    "clamp_above_one_over_n": (GOOD | {"clamp": 0.6}, "probability clamp"),
+    "nan_initial_estimates": (GOOD | {"initial_estimates": [[float("nan"), 0], [0, 0]]},
+                              "finite"),
+    "misshaped_initial_estimates": (GOOD | {"initial_estimates": [[0, 0, 0], [0, 0, 0]]},
+                                    "(players, actions)"),
+    "null_horizon": (GOOD | {"horizon": None}, "NoneType"),
+    "zero_horizon": (GOOD | {"horizon": 0}, "horizon must be at least 1"),
+    "zero_downsample": (GOOD | {"downsample": 0}, "downsample"),
+    "non_numeric_step_scale": (GOOD | {"schedule": {"type": "constant", "c": "x"}},
+                               "'x'"),
+    "missing_schedule": ({k: v for k, v in GOOD.items() if k != "schedule"},
+                         "missing required field 'schedule'"),
+    "unknown_tolerance": (GOOD | {"tolerances": {"speed": 1.0}},
+                          "unknown tolerance 'speed'"),
+    "non_numeric_tolerance": (GOOD | {"tolerances": {"damping": "x"}},
+                              "tolerance 'damping'"),
+    "family_list_wrong_length": (GOOD | {"risk_families": [GOOD["risk_families"]] * 3},
+                                 "lists 3 families, game has 2 players"),
+    "missing_game_file": (GOOD | {"game": "absent.json"}, "cannot read game file"),
+}
+
+INVOCATIONS = {
+    "simulate": ["simulate"],
+    "solve": ["solve"],
+    "check": ["check"],
+    "dry_run": ["simulate", "--dry-run"],
+}
+
+
+@pytest.mark.parametrize("invocation", INVOCATIONS)
+@pytest.mark.parametrize("case", MALFORMED)
+def test_every_command_rejects_a_malformed_config(case, invocation, tmp_path, capsys):
+    doc, phrase = MALFORMED[case]
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    code = main([*INVOCATIONS[invocation], "--config", path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
+    assert phrase in err
+    assert not out.exists()
+
+
+def test_malformed_config_exits_without_a_traceback(tmp_path):
+    path = _write(tmp_path, GOOD | {"horizon": None})
+    done = subprocess.run(
+        [sys.executable, "-m", "beliefgames", "simulate", "--config", path],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {path}: ")
+
+
+def test_loading_builds_the_run_config(tmp_path):
+    cfg = load_experiment_config(_write(tmp_path, GOOD | {"clamp": 1e-9}))
+    assert isinstance(cfg.run, RunConfig)
+    assert (cfg.run.horizon, cfg.run.record_every) == (50, 10)
+    assert cfg.run.probability_clamp == 1e-9
+    assert cfg.run.belief_families == cfg.run.risk_families
+    plan = cfg.describe()
+    assert (plan["horizon"], plan["downsample"], plan["clamp"]) == (50, 10, 1e-9)
+
+
+def test_summary_records_the_initial_estimates(tmp_path, capsys):
+    start = [[1.0, 0.0], [0.0, 0.5]]
+    path = _write(tmp_path, GOOD | {"initial_estimates": start})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["config"]["initial_estimates"] == start
+    path = _write(tmp_path, GOOD)
+    assert main(["simulate", "--config", path, "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["initial_estimates"] is None
+
+
+@pytest.mark.parametrize("stem", ["coordination", "mixed_families", "skewed_sparse",
+                                  "unstable_demo"])
+def test_dry_run_plan_is_the_recorded_config(stem, tmp_path, capsys):
+    config = str(REPO / "configs" / f"{stem}.json")
+    written = {"simulate": "summary.json", "solve": "equilibrium.json",
+               "check": "stability.json"}
+    for command, name in written.items():
+        assert main([command, "--config", config, "--dry-run"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out), "--quiet"]) in (0, 2, 3)
+        assert json.loads((out / name).read_text())["config"] == plan

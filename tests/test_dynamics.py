@@ -36,8 +36,6 @@ def test_schedule_validation():
         StepSchedule.constant(0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         StepSchedule.power(1.0, -0.5)
-    with pytest.raises(ValueError, match="count from 1"):
-        StepSchedule.constant(1.0).rate(0)
 
 
 @pytest.mark.parametrize("kind,c,a", [
@@ -57,9 +55,8 @@ def test_schedule_rejects_nonfinite_parameters(kind, c, a):
 
 def test_schedule_rate_and_rates_agree():
     sched = StepSchedule.power(0.7, 0.6)
-    np.testing.assert_allclose(
-        sched.rates(50), [sched.rate(t) for t in range(1, 51)], rtol=1e-15
-    )
+    t = np.arange(1, 51, dtype=float)
+    np.testing.assert_allclose(sched.rates(50), 0.7 * t ** -0.6, rtol=1e-15)
     const = StepSchedule.constant(0.3)
     assert np.all(const.rates(10) == 0.3)
 
@@ -405,13 +402,10 @@ def test_trace_csv_roundtrips_exact_floats(tmp_path):
         assert float(row["lambda"]) == trace.rates[r]
 
 
-def test_trace_summary_json(tmp_path):
+def test_trace_summary_json():
     game = matching_game(2)
     trace = run_dynamics(game, _quick_config(horizon=40, every=10))
-    path = tmp_path / "summary.json"
-    trace.summary_to_json(path, extra={"label": "smoke"})
-    doc = json.loads(path.read_text())
-    assert doc["label"] == "smoke"
+    doc = json.loads(json.dumps(trace.summary()))
     assert doc["horizon"] == 40
     assert doc["final_residual"] == trace.final_residual
     assert set(doc) >= {"recorded_rounds", "clamp_triggers", "last_movement"}
