@@ -37,9 +37,10 @@ def _check_families(game: Game, fams) -> tuple:
     return fams
 
 
-def _residuals(game: Game, probs: np.ndarray, fams) -> np.ndarray:
-    """Residual of every profile of a ``(..., M, N)`` stack: one contraction, one response call."""
-    targets = response_operator(fams)(payoff_vector_rows(game, None, probs))
+def _residuals(game: Game, probs: np.ndarray, respond) -> np.ndarray:
+    """Residual of every profile of a ``(..., M, N)`` stack: one contraction, one
+    call of the bound ``respond`` operator."""
+    targets = respond(payoff_vector_rows(game, None, probs))
     return np.abs(probs - targets).max(axis=(-2, -1))
 
 
@@ -51,7 +52,7 @@ def equilibrium_residual(game: Game, profile: StrategyProfile, fams) -> float:
     """
     fams = _check_families(game, fams)
     _check_pair(game, profile)
-    return float(_residuals(game, profile.probs, fams))
+    return float(_residuals(game, profile.probs, response_operator(fams)))
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,12 @@ def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-
         probs = new
         if movement <= tol:
             break
-    final = StrategyProfile(probs)
     return FixedPointResult(
-        profile=final,
+        profile=StrategyProfile(probs),
         converged=movement <= tol,
         iterations=iterations,
         movement=movement,
-        residual=equilibrium_residual(game, final, fams),
+        residual=float(_residuals(game, probs, respond)),
     )
 
 
@@ -109,7 +109,7 @@ def residual_series(game: Game, trace, fams) -> np.ndarray:
     if probs.ndim != 3 or probs.shape[1:] != want:
         raise ValueError(f"trace records have shape {probs.shape[1:]}, the game needs {want}")
     _check_simplex_rows(probs)
-    return _residuals(game, probs, fams)
+    return _residuals(game, probs, response_operator(fams))
 
 
 # ---------------------------------------------------------------------------

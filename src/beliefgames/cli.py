@@ -51,12 +51,15 @@ def _out_dir(args, cfg: ExperimentConfig) -> str:
     return out
 
 
-def _write_json(path: str, doc: dict) -> None:
-    """Write strict JSON: a non-finite number (an unbounded bound) becomes null."""
+def _strict_json(doc: dict) -> str:
+    """Strict JSON text: a non-finite number (an unbounded bound) becomes null."""
     doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_strict_json(doc) + "\n")
 
 
 def _config(args) -> ExperimentConfig:
@@ -82,7 +85,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
         _say(args.quiet, f"warning: {w}")
 
     if args.dry_run:
-        _say(args.quiet, json.dumps(cfg.describe(), indent=2, sort_keys=True))
+        _say(args.quiet, _strict_json(cfg.describe()))
         return EXIT_OK
 
     try:
@@ -110,7 +113,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 def cmd_solve(args, cfg: ExperimentConfig) -> int:
     if args.dry_run:
-        _say(args.quiet, json.dumps(cfg.describe(), indent=2, sort_keys=True))
+        _say(args.quiet, _strict_json(cfg.describe()))
         return EXIT_OK
     try:
         result = fixed_point_iterate(
@@ -140,7 +143,7 @@ def cmd_solve(args, cfg: ExperimentConfig) -> int:
 
 def cmd_check(args, cfg: ExperimentConfig) -> int:
     if args.dry_run:
-        _say(args.quiet, json.dumps(cfg.describe(), indent=2, sort_keys=True))
+        _say(args.quiet, _strict_json(cfg.describe()))
         return EXIT_OK
     try:
         report = stability_check(cfg.game, cfg.run.risk_families)

@@ -10,6 +10,7 @@ of the run is validated once, when the file is read.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -18,14 +19,24 @@ from .families import family_from_dict
 from .games import Game, load_game
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
-    """Thresholds shared by the simulate/solve/check commands."""
+    """Thresholds shared by the simulate/solve/check commands, checked when built."""
 
     residual: float = 1e-3
     fixed_point: float = 1e-10
     max_iterations: int = 10_000
     damping: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name in ("residual", "fixed_point"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"tolerance {name!r} must be positive and finite")
+        if self.max_iterations < 1:
+            raise ValueError("tolerance 'max_iterations' must be at least 1")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("tolerance 'damping' must lie in (0, 1]")
 
 
 @dataclass
@@ -78,6 +89,22 @@ def _families_from_spec(spec, game: Game, label: str) -> tuple:
     return tuple(fams)
 
 
+def _field(doc: dict, key: str, kind, default=None, label: str | None = None):
+    """``kind(doc[key])``, or of ``default`` when the key is absent and a default
+    is given; a value ``kind`` rejects is an error naming the field."""
+    value = doc[key] if default is None else doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{label or key}: {exc}") from exc
+
+
+def _path(value, key: str):
+    if not isinstance(value, str):
+        raise ValueError(f"{key}: expected a path string, got {value!r}")
+    return value
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse and validate a config file.
 
@@ -100,7 +127,7 @@ def _parse(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
 
-    game_rel = doc["game"]
+    game_rel = _path(doc["game"], "game")
     base = os.path.dirname(os.path.abspath(path))
     game_path = game_rel if os.path.isabs(game_rel) else os.path.join(base, game_rel)
     try:
@@ -112,29 +139,29 @@ def _parse(path) -> ExperimentConfig:
     belief = (_families_from_spec(doc["belief_families"], game, "belief_families")
               if "belief_families" in doc else risk)
     run = RunConfig(
-        horizon=int(doc["horizon"]),
+        horizon=_field(doc, "horizon", int),
         schedule=StepSchedule.from_dict(doc["schedule"]),
         risk_families=risk,
         belief_families=belief,
         initial_estimates=doc.get("initial_estimates"),
-        probability_clamp=float(doc.get("clamp", PROBABILITY_CLAMP)),
-        record_every=int(doc.get("downsample", 1)),
+        probability_clamp=_field(doc, "clamp", float, PROBABILITY_CLAMP),
+        record_every=_field(doc, "downsample", int, 1),
     )
 
-    tols = Tolerances()
-    for key, value in dict(doc.get("tolerances") or {}).items():
-        if key not in vars(tols):
+    given = dict(doc.get("tolerances") or {})
+    defaults = vars(Tolerances())
+    for key in given:
+        if key not in defaults:
             raise ValueError(f"unknown tolerance {key!r}")
-        try:
-            setattr(tols, key, type(getattr(tols, key))(value))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"tolerance {key!r}: {exc}") from exc
+    tols = Tolerances(**{key: _field(given, key, type(value), value, f"tolerance {key!r}")
+                         for key, value in defaults.items()})
 
+    out_dir = doc.get("out_dir")
     return ExperimentConfig(
         game=game,
         game_path=game_path,
         run=run,
-        seed=int(doc.get("seed", 0)),
-        out_dir=doc.get("out_dir"),
+        seed=_field(doc, "seed", int, 0),
+        out_dir=None if out_dir is None else _path(out_dir, "out_dir"),
         tolerances=tols,
     )

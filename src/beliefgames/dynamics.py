@@ -72,10 +72,17 @@ class StepSchedule:
     def from_dict(cls, doc: dict) -> "StepSchedule":
         if not isinstance(doc, dict) or "type" not in doc:
             raise ValueError("schedule spec must be an object with a 'type' field")
+
+        def param(key: str) -> float:
+            try:
+                return float(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"schedule.{key}: {exc}") from exc
+
         if doc["type"] == "constant":
-            return cls.constant(float(doc["c"]))
+            return cls.constant(param("c"))
         if doc["type"] == "power":
-            return cls.power(float(doc["c"]), float(doc["a"]))
+            return cls.power(param("c"), param("a"))
         raise ValueError(f"unknown schedule type {doc['type']!r}")
 
 

@@ -309,7 +309,8 @@ class ParetoFamily(MarginalFamily):
             body = 1.0 - self.eta * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
         # beyond the zero of w: above the support when q > 1, below it when q < 1
         edge = 1.0 if q > 1.0 else 0.0
-        return np.where(w > 0.0, np.clip(body, 0.0, 1.0), edge)
+        # np.clip's bits (body is never -0.0) without its wrapper overhead
+        return np.where(w > 0.0, np.minimum(np.maximum(body, 0.0), 1.0), edge)
 
     def _tail_quantile(self, mass):
         q = self.q

@@ -12,6 +12,10 @@ safeguarded Newton phase first brackets the root between two points whose
 sums certify the sign of every gap beyond them; the bisection then takes
 each branch decided by that bracket without evaluating the CDFs, so it
 returns the bits plain bisection would, after a fraction of the evaluations.
+Where Newton starts changes only which CDFs are evaluated: the solver that
+:func:`response_solver` binds starts each row from the kappa of that row's
+previous call, which in a fixed-point sweep or a learning run is close to
+the new root.
 
 :func:`response_operator` gives every player's response at once, one
 :func:`response_solver` call per group of players with equal families.
@@ -37,6 +41,9 @@ _BISECT_MAX_ITER = 200
 _NEWTON_GAP = 1e-6
 _NEWTON_MAX_ITER = 30
 _CERT_MAX_TRIES = 6
+#: Newton stops at a near-pure iterate: its largest probability and its sum
+#: both this close to 1 (see :func:`_certified_bracket`).
+_KINK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,14 +123,19 @@ def _sparsemax_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(u - kappa, 0.0) / (2.0 * n), kappa
 
 
-def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray, float]:
+def _bisection_response(fam: MarginalFamily, u: np.ndarray,
+                        start: float | None = None) -> tuple[np.ndarray, float]:
     """Solve sum_i (1 - F_i(kappa - u_i)) = 1 for kappa by bisection.
 
     Components with kappa - u_i at or above the support's upper end come out
     exactly zero (their CDF saturates at one).  The midpoints are those of
     plain bisection, but a midpoint outside the bracket certified by
     :func:`_certified_bracket` takes its branch without evaluating the CDFs:
-    the result is the plain bisection's, bit for bit.
+    the result is the plain bisection's, bit for bit.  ``start`` is where
+    the Newton phase begins when it lies strictly inside the initial
+    bracket (a warm start, such as the kappa of a nearby payoff vector);
+    otherwise it begins at the bracket's upper end.  It changes only which
+    CDFs are evaluated, never the result.
     """
     if not fam.strictly_increasing_cdf:
         raise ValueError(
@@ -132,20 +144,23 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
         )
     n = fam.n_actions
     lows, tops = fam._response_offsets
-    last_kappa, last_p = None, None
+    evaluated: dict = {}
 
     def probs(kappa: float) -> np.ndarray:
-        nonlocal last_kappa, last_p
-        if kappa != last_kappa:
-            last_kappa, last_p = kappa, 1.0 - fam.cdf_vector(kappa - u)
-        return last_p
+        p = evaluated.get(kappa)
+        if p is None:
+            p = evaluated[kappa] = 1.0 - fam.cdf_vector(kappa - u)
+        return p
 
-    lo = float(np.min(u + lows))  # here some component hits probability 1
+    kinks = u + lows  # where each component's probability reaches 1
+    lo = float(kinks.min())
     if n == 1:
         return np.array([1.0]), lo
     hi = float(np.max(u + tops))
     hi = max(hi, lo + 1e-12)
-    a_cert, b_cert = _certified_bracket(fam, probs, lo, hi)
+    if start is None or not lo < start < hi:
+        start = hi
+    a_cert, b_cert = _certified_bracket(fam, probs, kinks, lo, hi, float(start))
     step = max(1.0, hi - lo)
     for _ in range(200):
         if hi >= b_cert or (hi > a_cert and probs(hi).sum() <= 1.0):
@@ -183,8 +198,8 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray) -> tuple[np.ndarray,
     return p / total, float(kappa)
 
 
-def _certified_bracket(fam: MarginalFamily, probs, lo: float,
-                       start: float) -> tuple[float, float]:
+def _certified_bracket(fam: MarginalFamily, probs, kinks: np.ndarray, lo: float,
+                       hi: float, start: float) -> tuple[float, float]:
     """Bracket (a, b) outside which every bisection branch is already decided.
 
     The computed gap g = sum p - 1 is at least ``need`` at a and at most
@@ -193,10 +208,20 @@ def _certified_bracket(fam: MarginalFamily, probs, lo: float,
     so the gap computed at any kappa <= a is still above BISECT_TOL (and at
     any kappa >= b below -BISECT_TOL).
 
-    A safeguarded Newton phase from ``start`` locates the root; then points
-    a small step to each side of it are evaluated, the step growing fourfold
-    until that side certifies.  Every evaluated point certifies wherever its
-    gap allows.  Failure only widens the bracket, up to (-inf, inf).
+    A safeguarded Newton phase from ``start`` locates the root inside the
+    sign bracket [lo, hi]; then points a small step to each side of it are
+    evaluated, the step growing fourfold until that side certifies.  Every
+    evaluated point certifies wherever its gap allows.  Failure only widens
+    the bracket, up to (-inf, inf).
+
+    On pure and near-pure responses the root sits at or just below a kink:
+    the ``kinks`` entry where the top component's probability reaches one.
+    There Newton zigzags across the kink or crawls towards it, while plain
+    bisection lands on the flat stretch below it in a few steps.  So Newton
+    hands over to the bisection at an iterate whose top probability and sum
+    are both within ``_KINK`` of one (a step that overshoots past a kink,
+    far from the root, goes on), and at an iterate with a single positive
+    component whose kink sums to no more than one.
     """
     need = BISECT_TOL + max(1e-13, 64.0 * fam.n_actions * np.finfo(float).eps)
     a_cert, b_cert = -np.inf, np.inf
@@ -217,15 +242,27 @@ def _certified_bracket(fam: MarginalFamily, probs, lo: float,
             f = fam._density(p)
         return float(f[(p > 0.0) & (p < 1.0)].sum())
 
-    # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it
-    a, b = lo, np.inf
+    # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
+    # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
+    a, b = lo, hi
     kappa, root = start, None
     for _ in range(_NEWTON_MAX_ITER):
         g = gap(kappa)
         if g > 0.0:
             a = max(a, kappa)
+            if a >= b:
+                b = np.inf
         elif g < 0.0:
             b = min(b, kappa)
+        p = probs(kappa)
+        if abs(g) <= _KINK and p.max() >= 1.0 - _KINK:
+            break
+        if np.count_nonzero(p) == 1:
+            # the sum is this component's alone, so the root is at or below its kink;
+            # a sum of one there means a flat stretch that the bisection hits at once
+            top = kinks[np.argmax(p)]
+            if a < top < b and gap(top) <= 0.0:
+                break
         d = slope(kappa)
         if 0.0 < d < np.inf:
             nxt = kappa + g / d
@@ -273,7 +310,8 @@ def response_solver(fam: MarginalFamily):
     Returns a callable mapping payoff rows ``(..., N)`` to their response
     probabilities, without input validation: softmax and sparsemax work
     along the last axis, and the generic route solves the rows one at a
-    time.  Each row gets the bits of its own 1-D call.
+    time, each warm-started from the kappa of the same row in the previous
+    call of the same shape.  Each row gets the bits of its own 1-D call.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam.gamma
@@ -282,10 +320,15 @@ def response_solver(fam: MarginalFamily):
         gamma = fam.gamma
         return lambda u: _sparsemax_rows(u / gamma)[0]
 
+    kappas = np.empty(0)
+
     def bisection_rows(u):
+        nonlocal kappas
+        if kappas.shape != u.shape[:-1]:
+            kappas = np.full(u.shape[:-1], np.nan)
         out = np.empty_like(u)
         for row in np.ndindex(u.shape[:-1]):
-            out[row] = _bisection_response(fam, u[row])[0]
+            out[row], kappas[row] = _bisection_response(fam, u[row], float(kappas[row]))
         return out
 
     return bisection_rows
@@ -296,16 +339,20 @@ def _family_groups(families) -> list[tuple[MarginalFamily, list[int], object]]:
 
     Equal means the same class and the same ``to_dict()``, compared as JSON
     text so that 0.0 and -0.0 stay apart; a family without a JSON form equals
-    only itself.  A group of every player indexes with ``slice(None)`` and a
-    group of one with its int, so both give views; other groups take an
-    index array.
+    only itself.  Each distinct object is serialized once.  A group of every
+    player indexes with ``slice(None)`` and a group of one with its int, so
+    both give views; other groups take an index array.
     """
+    keys: dict = {}
     groups: dict = {}
     for j, fam in enumerate(families):
-        try:
-            key = (type(fam), json.dumps(fam.to_dict(), sort_keys=True))
-        except NotImplementedError:
-            key = id(fam)
+        key = keys.get(id(fam))
+        if key is None:
+            try:
+                key = (type(fam), json.dumps(fam.to_dict(), sort_keys=True))
+            except NotImplementedError:
+                key = id(fam)
+            keys[id(fam)] = key
         groups.setdefault(key, (fam, []))[1].append(j)
     out = []
     for fam, group in groups.values():

@@ -68,7 +68,9 @@ def _check_sparsemax_bisection() -> tuple[bool, str]:
 
 
 def _check_kkt_bisection_replay() -> tuple[bool, str]:
+    """Each case solved cold and warm-started from the kappa of a nearby payoff vector."""
     rng = np.random.default_rng(22)
+    nudge = np.random.default_rng(23)
     mismatches = 0
     for trial in range(40):
         n = int(rng.integers(2, 6))
@@ -82,10 +84,12 @@ def _check_kkt_bisection_replay() -> tuple[bool, str]:
             q = float(rng.uniform(0.3, 0.9) if trial % 2 == 0 else rng.uniform(1.2, 3.0))
             fam = ParetoFamily(float(rng.uniform(0.5, 6.0)), q, rng.uniform(0.5, 2.0, n))
         u = rng.uniform(-1.0, 1.0, n) * float(rng.uniform(0.1, 10.0))
-        p, kappa = _bisection_response(fam, u)
         p_ref, kappa_ref = bisection_response(fam, u)
-        mismatches += not (np.array_equal(p, p_ref) and kappa == kappa_ref)
-    return mismatches == 0, f"{mismatches} of 40 responses differ in some bit"
+        nearby = _bisection_response(fam, u + nudge.normal(0.0, 0.01, n))[1]
+        for start in (None, nearby):
+            p, kappa = _bisection_response(fam, u, start)
+            mismatches += not (p.tobytes() == p_ref.tobytes() and kappa == kappa_ref)
+    return mismatches == 0, f"{mismatches} of 80 solves (40 cold, 40 warm) differ in some bit"
 
 
 def _check_regularizer_quadrature() -> tuple[bool, str]:

@@ -55,6 +55,39 @@ def test_residual_zero_exactly_at_the_response_fixed_point():
     assert equilibrium_residual(game, result.profile, fams) == result.residual
 
 
+def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch):
+    # kkt-pareto-shaped games: each bound solver restarts Newton from its row's
+    # last kappa; a cold solver per call must reach the same bits
+    import beliefgames.response as response
+
+    def solve(game, fams):
+        calls = []
+        for fam in fams:
+            cdf_vector = fam.cdf_vector
+            fam.cdf_vector = lambda s, f=cdf_vector: (calls.append(1), f(s))[1]
+        result = fixed_point_iterate(game, fams)
+        for fam in fams:
+            del fam.cdf_vector
+        return len(calls), result
+
+    rng = np.random.default_rng(71)
+    cases = []
+    for k in range(8):
+        q = rng.uniform(0.5, 0.8) if k % 2 == 0 else rng.uniform(1.5, 2.5)
+        fams = tuple(ParetoFamily(6.0, q, rng.uniform(0.5, 2.0, 3)) for _ in range(2))
+        cases.append((random_game(2, 3, rng), fams))
+    warm = [solve(game, fams) for game, fams in cases]
+    monkeypatch.setattr(response, "response_solver", lambda fam: lambda u: np.apply_along_axis(
+        lambda row: response._bisection_response(fam, row)[0], -1, u))
+    cold = [solve(game, fams) for game, fams in cases]
+    for (_, a), (_, b) in zip(warm, cold):
+        assert a.profile.probs.tobytes() == b.profile.probs.tobytes()
+        assert (a.iterations, a.residual) == (b.iterations, b.residual)
+        assert a.converged and a.residual <= 1e-10
+    warm_evals, cold_evals = (sum(n for n, _ in runs) for runs in (warm, cold))
+    assert warm_evals <= 0.75 * cold_evals
+
+
 def test_residual_checks_family_count():
     with pytest.raises(ValueError, match="one family per player"):
         equilibrium_residual(matching_game(2), uniform_profile(2, 2), _exp(1.0, players=3))

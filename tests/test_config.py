@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from beliefgames.cli import main
-from beliefgames.config import load_experiment_config
+from beliefgames.cli import _write_json, main
+from beliefgames.config import ExperimentConfig, load_experiment_config
 from beliefgames.dynamics import RunConfig
 from beliefgames.games import matching_game, save_game
 from test_cli import REPO, _src_env
@@ -44,6 +44,18 @@ MALFORMED = {
                           "unknown tolerance 'speed'"),
     "non_numeric_tolerance": (GOOD | {"tolerances": {"damping": "x"}},
                               "tolerance 'damping'"),
+    "zero_damping": (GOOD | {"tolerances": {"damping": 0}},
+                     "tolerance 'damping' must lie in (0, 1]"),
+    "damping_above_one": (GOOD | {"tolerances": {"damping": 1.5}},
+                          "tolerance 'damping' must lie in (0, 1]"),
+    "nan_residual_tolerance": (GOOD | {"tolerances": {"residual": float("nan")}},
+                               "tolerance 'residual' must be positive and finite"),
+    "infinite_fixed_point_tolerance": (GOOD | {"tolerances": {"fixed_point": float("inf")}},
+                                       "tolerance 'fixed_point' must be positive and finite"),
+    "negative_fixed_point_tolerance": (GOOD | {"tolerances": {"fixed_point": -1e-9}},
+                                       "tolerance 'fixed_point' must be positive and finite"),
+    "zero_max_iterations": (GOOD | {"tolerances": {"max_iterations": 0}},
+                            "tolerance 'max_iterations' must be at least 1"),
     "family_list_wrong_length": (GOOD | {"risk_families": [GOOD["risk_families"]] * 3},
                                  "lists 3 families, game has 2 players"),
     "missing_game_file": (GOOD | {"game": "absent.json"}, "cannot read game file"),
@@ -116,3 +128,40 @@ def test_dry_run_plan_is_the_recorded_config(stem, tmp_path, capsys):
         out = tmp_path / command
         assert main([command, "--config", config, "--out", str(out), "--quiet"]) in (0, 2, 3)
         assert json.loads((out / name).read_text())["config"] == plan
+
+
+# (config document, the field a type error must name)
+MISTYPED = {
+    "horizon": (GOOD | {"horizon": None}, "horizon"),
+    "clamp": (GOOD | {"clamp": "tiny"}, "clamp"),
+    "downsample": (GOOD | {"downsample": [10]}, "downsample"),
+    "seed": (GOOD | {"seed": "x"}, "seed"),
+    "schedule_c": (GOOD | {"schedule": {"type": "constant", "c": "x"}}, "schedule.c"),
+    "schedule_a": (GOOD | {"schedule": {"type": "power", "c": 1.0, "a": None}}, "schedule.a"),
+    "game": (GOOD | {"game": 5}, "game"),
+    "out_dir": (GOOD | {"out_dir": 5}, "out_dir"),
+    "tolerance": (GOOD | {"tolerances": {"max_iterations": "many"}},
+                  "tolerance 'max_iterations'"),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED)
+def test_a_mistyped_scalar_field_is_named(case, tmp_path, capsys):
+    doc, name = MISTYPED[case]
+    path = _write(tmp_path, doc)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {name}: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve", "check"])
+def test_dry_run_prints_the_strict_json_the_outputs_record(command, tmp_path, capsys,
+                                                           monkeypatch):
+    # an unbounded number prints as null, as in the written outputs' "config"
+    path = _write(tmp_path, GOOD)
+    plan = load_experiment_config(path).describe() | {"bound": float("inf")}
+    monkeypatch.setattr(ExperimentConfig, "describe", lambda self: plan)
+    assert main([command, "--config", path, "--dry-run"]) == 0
+    printed = capsys.readouterr().out
+    _write_json(str(tmp_path / "plan.json"), plan)
+    assert printed == (tmp_path / "plan.json").read_text()
+    assert json.loads(printed)["bound"] is None

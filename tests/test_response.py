@@ -13,8 +13,10 @@ from beliefgames.games import matching_game, uniform_profile
 from beliefgames.oracles import bisection_response, finite_difference_gradient, project_simplex
 from beliefgames.response import (
     _bisection_response,
+    _family_groups,
     optimistic_value,
     quantal_response,
+    response_operator,
     response_probabilities,
     response_solver,
     smooth_payoff,
@@ -243,6 +245,115 @@ def test_bisection_replay_is_bitwise_plain_bisection(case):
     fam, u = case
     replayed = _solve_or_raise(_bisection_response, fam, u)
     assert replayed == _solve_or_raise(bisection_response, fam, u)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kkt_cases(), st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e4]))
+def test_bisection_replay_from_any_start_is_bitwise_plain_bisection(case, shift, reach):
+    # starts near the root (warm), far below lo and far above hi (ignored)
+    fam, u = case
+    want = _solve_or_raise(bisection_response, fam, u)
+    root = float(np.frombuffer(want[1])[0]) if isinstance(want, tuple) else 0.0
+    start = root + reach * shift * (1.0 + float(np.abs(u).max()))
+    assert _solve_or_raise(lambda f, v: _bisection_response(f, v, start), fam, u) == want
+
+
+def _counted(fam, solve, *args):
+    """(CDF evaluations, result) of ``solve(fam, *args)``."""
+    calls = []
+    cdf_vector = fam.cdf_vector
+
+    def counted(s):
+        calls.append(s)
+        return cdf_vector(s)
+
+    fam.cdf_vector = counted
+    try:
+        out = solve(fam, *args)
+    finally:
+        del fam.cdf_vector
+    return len(calls), out
+
+
+def _random_family(kind: str, n: int, rng):
+    if kind == "exponential":
+        return ExponentialFamily(0.2 + 6.0 * rng.random(), eta=0.2 + 3.0 * rng.random(n))
+    if kind == "uniform":
+        return UniformFamily(0.2 + 6.0 * rng.random(), n)
+    if kind == "pareto":
+        q = rng.uniform(0.2, 0.95) if rng.random() < 0.5 else rng.uniform(1.05, 4.0)
+        return ParetoFamily(0.3 + 8.0 * rng.random(), q, 0.2 + 3.0 * rng.random(n))
+    tables = []
+    for _ in range(n):
+        knots = np.sort(rng.uniform(0.01, 0.99, int(rng.integers(0, 4))))
+        ts = np.concatenate(([0.0], knots, [1.0]))
+        tables.append(np.column_stack((ts, np.cumsum(0.05 + 2.0 * rng.random(ts.size)) - 1.0)))
+    return TabulatedFamily(tables)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto", "tabulated"])
+def test_kkt_evaluation_counts_across_families(kind):
+    # On a pure or near-pure row the root sits at a kink that Newton crawls to,
+    # and a warm start from that row's own kappa begins exactly there: such a
+    # row may cost only a few evaluations more than plain bisection.  Over all
+    # rows, Newton overshooting past a kink must not hand over to the bisection.
+    rng = np.random.default_rng(["exponential", "uniform", "pareto", "tabulated"].index(kind))
+    pure = plain_total = cold_total = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 9))
+        fam = _random_family(kind, n, rng)
+        u = 10.0 ** rng.uniform(-3.0, 3.0) * rng.uniform(-1.0, 1.0, n)
+        plain, (p, kappa) = _counted(fam, bisection_response, u)
+        cold, _ = _counted(fam, _bisection_response, u)
+        plain_total += plain
+        cold_total += cold
+        if p.max() < 1.0 - 1e-6:
+            continue
+        pure += 1
+        warm, _ = _counted(fam, _bisection_response, u, kappa)
+        assert max(cold, warm) <= plain + 4, (fam.to_dict(), u.tolist(), cold, warm, plain)
+    assert pure >= 100
+    assert cold_total <= plain_total / 3
+
+
+def test_bound_solver_gives_shuffled_rows_their_cold_bits():
+    # rows of three drifting payoff paths, fed in shuffled order and in stacks:
+    # every warm start is some other row's kappa
+    rng = np.random.default_rng(41)
+    eta = rng.uniform(0.5, 2.0, 4)
+    tables = [[[0.0, -2.0 - 0.1 * i], [0.3, -0.5], [0.7, 0.4 + 0.1 * i], [1.0, 2.0]]
+              for i in range(4)]
+    for fam in (ParetoFamily(2.0, 0.6, eta), ParetoFamily(2.0, 2.5, eta), TabulatedFamily(tables)):
+        paths = np.cumsum(rng.normal(0.0, 0.3, size=(3, 20, 4)), axis=1)
+        rows = paths.reshape(-1, 4)[rng.permutation(60)]
+        want = np.stack([response_probabilities(fam, row) for row in rows])
+        solve = response_solver(fam)
+        got = np.stack([solve(row) for row in rows])
+        assert got.tobytes() == want.tobytes()
+        for shape in ((60, 4), (6, 10, 4), (60, 4)):
+            assert solve(rows.reshape(shape)).tobytes() == want.reshape(shape).tobytes()
+        respond = response_operator((fam, fam))
+        pairs = rows.reshape(30, 2, 4)
+        for k in rng.permutation(30):
+            assert respond(pairs[k]).tobytes() == want.reshape(30, 2, 4)[k].tobytes()
+
+
+def test_family_groups_serialize_each_object_once():
+    calls = []
+
+    class Counted(ExponentialFamily):
+        def to_dict(self):
+            calls.append(self)
+            return super().to_dict()
+
+    fam = Counted(1.0, n_actions=2)
+    assert [g for _, g, _ in _family_groups((fam, fam, fam))] == [[0, 1, 2]]
+    assert calls == [fam]
+    # equal but distinct objects still share a group; 0.0 and -0.0 stay apart
+    twins = (Counted(1.0, eta=[0.5, 1.0]), Counted(1.0, eta=[0.5, 1.0]))
+    assert [g for _, g, _ in _family_groups(twins)] == [[0, 1]]
+    tabs = [TabulatedFamily([[[0.0, z], [1.0, 1.0]]] * 2) for z in (0.0, -0.0, 0.0)]
+    assert [g for _, g, _ in _family_groups(tabs)] == [[0, 2], [1]]
 
 
 def test_bisection_replay_fails_like_plain_bisection():
