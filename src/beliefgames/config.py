@@ -99,6 +99,13 @@ def _field(doc: dict, key: str, kind, default=None, label: str | None = None):
         raise ValueError(f"{label or key}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """``int(value)`` for an integral number; a bool or a fractional float is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _path(value, key: str):
     if not isinstance(value, str):
         raise ValueError(f"{key}: expected a path string, got {value!r}")
@@ -139,13 +146,13 @@ def _parse(path) -> ExperimentConfig:
     belief = (_families_from_spec(doc["belief_families"], game, "belief_families")
               if "belief_families" in doc else risk)
     run = RunConfig(
-        horizon=_field(doc, "horizon", int),
+        horizon=_field(doc, "horizon", _integer),
         schedule=StepSchedule.from_dict(doc["schedule"]),
         risk_families=risk,
         belief_families=belief,
         initial_estimates=doc.get("initial_estimates"),
         probability_clamp=_field(doc, "clamp", float, PROBABILITY_CLAMP),
-        record_every=_field(doc, "downsample", int, 1),
+        record_every=_field(doc, "downsample", _integer, 1),
     )
 
     given = dict(doc.get("tolerances") or {})
@@ -153,15 +160,17 @@ def _parse(path) -> ExperimentConfig:
     for key in given:
         if key not in defaults:
             raise ValueError(f"unknown tolerance {key!r}")
-    tols = Tolerances(**{key: _field(given, key, type(value), value, f"tolerance {key!r}")
-                         for key, value in defaults.items()})
+    tols = Tolerances(**{
+        key: _field(given, key, _integer if type(value) is int else type(value), value,
+                    f"tolerance {key!r}")
+        for key, value in defaults.items()})
 
     out_dir = doc.get("out_dir")
     return ExperimentConfig(
         game=game,
         game_path=game_path,
         run=run,
-        seed=_field(doc, "seed", int, 0),
+        seed=_field(doc, "seed", _integer, 0),
         out_dir=None if out_dir is None else _path(out_dir, "out_dir"),
         tolerances=tols,
     )

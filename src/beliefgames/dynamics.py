@@ -25,6 +25,9 @@ from .response import _family_groups, response_operator
 PROBABILITY_CLAMP = 1e-12
 #: recorded rounds per block of ``Trace.to_csv`` text.
 _CSV_BLOCK_ROUNDS = 16
+#: rounds per block of :func:`run_dynamics` bookkeeping (movement, clamp
+#: count, probability range check), done as one vectorized pass per block.
+_BLOCK_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -257,10 +260,13 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     exact expectations).  Each round is one operation on the (M, N) state:
     one ``response_operator`` call gives every response, one
     ``payoff_vector_rows`` call every payoff vector, and players with equal
-    risk families take one quantile call.  The per-round responses land on
-    the simplex by construction, so validation happens only where profiles
-    are handed back out.  Solver failures are re-raised with the round and
-    the failing player attached.
+    risk families take one call of the family's quantile kernel.  Inputs are
+    validated once, here and in :class:`RunConfig`, not every round.  The
+    rounds' profiles are kept in blocks of ``_BLOCK_ROUNDS``; at each block
+    end one vectorized pass takes the movement, the clamp count and the
+    range check of the clamped probabilities, whose error names the round.
+    Solver failures are re-raised with the round and the failing player
+    attached.
     """
     m, n = game.num_players, game.num_actions
     if len(config.risk_families) != m:
@@ -281,33 +287,48 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     movement = np.zeros(horizon)
     clamp_triggers = 0
     clamp = config.probability_clamp
+    # row 0: the last profile before the block; rows 1..: the block's rounds
+    block = np.empty((_BLOCK_ROUNDS + 1, m, n))
 
-    rates = config.schedule.rates(horizon)
+    def close_block(last: int, size: int) -> None:
+        """Bookkeeping of the ``size`` rounds ending at round ``last``."""
+        nonlocal clamp_triggers
+        first = last - size + 1
+        _check_clamped(block[1:size + 1], clamp, first)
+        if first == 1:
+            block[0] = block[1]  # round 1 has no move
+        clamp_triggers += int(np.count_nonzero(block[1:size + 1] < clamp))
+        movement[first - 1:last] = np.abs(np.diff(block[:size + 1], axis=0)).max(axis=(1, 2))
+        block[0] = block[size]
+
     respond = response_operator(config.belief_families)
-    tail_quantiles = [(fam.tail_quantile_vector, index)
+    tail_quantiles = [(fam._tail_quantile, index)
                       for fam, _, index in _family_groups(config.risk_families)]
 
-    prev = None
-    for t in range(1, horizon + 1):
-        rate = rates[t - 1]
+    row = 0
+    for t, rate in enumerate(config.schedule.rates(horizon).tolist(), start=1):
         try:
             probs = respond(estimates)
         except RuntimeError as exc:
+            _check_clamped(block[1:row + 1], clamp, t - row)  # an earlier bad round goes first
             raise RuntimeError(f"round {t}, {exc}") from exc
+        row += 1
+        block[row] = probs
         pays = payoff_vector_rows(game, None, probs)
-        clamp_triggers += np.count_nonzero(probs < clamp)
         for tail_quantile, index in tail_quantiles:
             adjustment = tail_quantile(np.maximum(probs[index], clamp))
             estimates[index] += rate * (pays[index] + adjustment)
-        if t > 1:
-            movement[t - 1] = float(np.abs(probs - prev).max())
         if t in record_index:
             idx = record_index[t]
             probs_hist[idx] = probs
             est_hist[idx] = estimates
             pay_hist[idx] = pays
             rate_hist[idx] = rate
-        prev = probs
+        if row == _BLOCK_ROUNDS:
+            close_block(t, row)
+            row = 0
+    if row:
+        close_block(horizon, row)
 
     if not np.all(np.isfinite(estimates)):
         raise RuntimeError("estimates diverged to non-finite values")
@@ -329,3 +350,16 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         clamp_triggers=clamp_triggers,
         final_residual=final_residual,
     )
+
+
+def _check_clamped(profiles: np.ndarray, clamp: float, first: int) -> None:
+    """The range check of the public quantile methods on ``max(p, clamp)``.
+
+    ``profiles`` holds the ``(M, N)`` profiles of consecutive rounds from
+    round ``first`` on; the error names the first round and player at fault.
+    """
+    masses = np.maximum(profiles, clamp)
+    bad = (masses < 0.0) | (masses > 1.0)
+    if bad.any():
+        k, j, _ = np.argwhere(bad)[0]
+        raise ValueError(f"round {first + k}, player {j}: argument must lie in [0, 1]")

@@ -35,6 +35,13 @@ def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
     return arr
 
 
+def _positive_finite(value, name: str) -> float:
+    value = float(value)
+    if not (value > 0.0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 def _scalar(out):
     """0-d results come back as plain floats; arrays pass through."""
     return out if np.ndim(out) else float(out)
@@ -47,7 +54,9 @@ class MarginalFamily:
     is the action axis: ``_cdf``, then ``_tail_quantile`` or ``_quantile``
     (each defaults to the other), and ``_density``, ``_regularizer``,
     :meth:`curvature_scale` and :meth:`lipschitz_constant`, which have no
-    default.  The ``*_vector`` methods validate once and call the kernels.
+    default.  The ``*_vector`` methods validate once and call the kernels;
+    the kernels take valid arrays only, and the quantile methods, the only
+    paths that pass an unbounded end, silence its divide-by-zero.
     """
 
     #: The p-interval on which the density at the quantile is defined.
@@ -102,7 +111,9 @@ class MarginalFamily:
         t = 0 gives the lower end of the support; t = 1 gives the upper end,
         which is +inf for unbounded marginals.
         """
-        return self._quantile(_check_unit(self._actions_last(t)))
+        t = _check_unit(self._actions_last(t))
+        with np.errstate(divide="ignore"):  # t = 1: the unbounded top
+            return self._quantile(t)
 
     def tail_quantile_vector(self, mass) -> np.ndarray:
         """Per-action quantiles at 1 - mass_i, stable for tiny tail masses.
@@ -110,7 +121,9 @@ class MarginalFamily:
         Closed-form families evaluate directly in the mass variable, so
         masses far below float epsilon do not collapse onto t = 1.
         """
-        return self._tail_quantile(_check_unit(self._actions_last(mass)))
+        mass = _check_unit(self._actions_last(mass))
+        with np.errstate(divide="ignore"):  # mass 0: the unbounded top
+            return self._tail_quantile(mass)
 
     def density_vector(self, p) -> np.ndarray:
         """Per-action densities at the quantiles: F_i' at F_i^{-1}(1 - p_i)."""
@@ -195,11 +208,9 @@ class ExponentialFamily(MarginalFamily):
                 raise ValueError("give a per-action eta or n_actions")
             eta = np.full(n_actions, float(eta))
         super().__init__(eta.size)
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        self.gamma = _positive_finite(gamma, "gamma")
         if np.any(eta <= 0.0) or not np.all(np.isfinite(eta)):
             raise ValueError("eta must be positive and finite")
-        self.gamma = float(gamma)
         self.eta = eta.copy()
         self.eta.setflags(write=False)
 
@@ -208,8 +219,7 @@ class ExponentialFamily(MarginalFamily):
             return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
 
     def _tail_quantile(self, mass):
-        with np.errstate(divide="ignore"):
-            return self.gamma * (np.log(self.eta / mass) - 1.0)
+        return self.gamma * (np.log(self.eta / mass) - 1.0)
 
     def _density(self, p):
         return p / self.gamma
@@ -244,9 +254,7 @@ class UniformFamily(MarginalFamily):
 
     def __init__(self, gamma: float, n_actions: int) -> None:
         super().__init__(n_actions)
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        self.gamma = float(gamma)
+        self.gamma = _positive_finite(gamma, "gamma")
 
     def _cdf(self, s):
         raw = 1.0 - (0.5 - s / (2.0 * self.gamma)) / self.n_actions
@@ -291,14 +299,12 @@ class ParetoFamily(MarginalFamily):
         if eta.ndim == 0:
             raise ValueError("eta must be a per-action vector")
         super().__init__(eta.size)
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if q <= 0.0 or q == 1.0:
-            raise ValueError("q must be positive and different from 1")
+        self.gamma = _positive_finite(gamma, "gamma")
+        self.q = _positive_finite(q, "q")
+        if self.q == 1.0:
+            raise ValueError("q must be different from 1")
         if np.any(eta <= 0.0) or not np.all(np.isfinite(eta)):
             raise ValueError("eta must be positive and finite")
-        self.gamma = float(gamma)
-        self.q = float(q)
         self.eta = eta.copy()
         self.eta.setflags(write=False)
 
@@ -314,9 +320,7 @@ class ParetoFamily(MarginalFamily):
 
     def _tail_quantile(self, mass):
         q = self.q
-        with np.errstate(divide="ignore"):  # q < 1 at mass 0: the unbounded top
-            ratio = np.power(mass / self.eta, q - 1.0)
-        return self.gamma / (q - 1.0) * (1.0 - q * ratio)
+        return self.gamma / (q - 1.0) * (1.0 - q * np.power(mass / self.eta, q - 1.0))
 
     def _density(self, p):
         q, eta = self.q, self.eta

@@ -83,9 +83,18 @@ def weighted_softmax(u, eta, gamma: float) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
+    return _softmax_rows(u, eta, gamma)
+
+
+def _softmax_rows(u: np.ndarray, eta: np.ndarray, gamma: float) -> np.ndarray:
+    """:func:`weighted_softmax` of already-valid float arrays.
+
+    ``np.maximum.reduce`` and ``np.add.reduce`` are the ufuncs that ``.max``
+    and ``.sum`` call, so skipping the method wrappers keeps every bit.
+    """
     z = u / gamma
-    w = eta * np.exp(z - z.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    w = eta * np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return w / np.add.reduce(w, axis=-1, keepdims=True)
 
 
 def sparsemax(u) -> np.ndarray:
@@ -110,7 +119,9 @@ def _sparsemax_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The sort-based simplex projection (Duchi et al., ICML 2008): the support
     size k is the largest j with 2N + j * z_(j) > z_(1) + ... + z_(j) over the
     entries sorted in decreasing order.  Equal entries are equal values, so
-    the sort order among ties does not change the sums.
+    the sort order among ties does not change the sums.  A pure row can
+    round a hair above one, so the map is capped at one; that leaves every
+    value at or below one unchanged.
     """
     n = u.shape[-1]
     sorted_u = np.sort(u, axis=-1)[..., ::-1]
@@ -120,7 +131,7 @@ def _sparsemax_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.maximum.reduce(j * in_support, axis=-1, keepdims=True)  # j = 1 always qualifies
     top = np.add.reduce(cumsum * (j == k), axis=-1, keepdims=True)  # k-th sum plus exact zeros
     kappa = (top - 2.0 * n) / k
-    return np.maximum(u - kappa, 0.0) / (2.0 * n), kappa
+    return np.minimum(np.maximum(u - kappa, 0.0) / (2.0 * n), 1.0), kappa
 
 
 def _bisection_response(fam: MarginalFamily, u: np.ndarray,
@@ -315,7 +326,7 @@ def response_solver(fam: MarginalFamily):
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam.gamma
-        return lambda u: weighted_softmax(u, eta, gamma)
+        return lambda u: _softmax_rows(u, eta, gamma)
     if isinstance(fam, UniformFamily):
         gamma = fam.gamma
         return lambda u: _sparsemax_rows(u / gamma)[0]
@@ -372,11 +383,23 @@ def response_operator(families):
 
     Each group of equal families makes one :func:`response_solver` call, and
     each row gets the bits of its own :func:`response_probabilities` call.
+    When all players form one group, that group's solver answers directly.
     Rows are not validated; a failing solve raises RuntimeError naming the
     player.
     """
     groups = [(response_solver(fam), group, (..., index, slice(None)))
               for fam, group, index in _family_groups(families)]
+
+    if len(groups) == 1:
+        solve, group, _ = groups[0]
+
+        def respond_all(u: np.ndarray) -> np.ndarray:
+            try:
+                return solve(u)
+            except (ValueError, RuntimeError) as exc:
+                _name_failing_player(solve, group, u, exc)
+
+        return respond_all
 
     def respond(u: np.ndarray) -> np.ndarray:
         out = np.empty(u.shape)
@@ -384,15 +407,24 @@ def response_operator(families):
             try:
                 out[rows] = solve(u[rows])
             except (ValueError, RuntimeError) as exc:
-                for j in group:  # solve the group's rows singly to name the failing player
-                    try:
-                        solve(u[..., j, :])
-                    except (ValueError, RuntimeError) as single:
-                        raise RuntimeError(f"player {j}: {single}") from single
-                raise RuntimeError(f"players {group}: {exc}") from exc
+                _name_failing_player(solve, group, u, exc)
         return out
 
     return respond
+
+
+def _name_failing_player(solve, group: list[int], u: np.ndarray, exc: Exception):
+    """Re-raise a group's failed solve as a RuntimeError naming the player.
+
+    The group's rows are solved singly, and the first that fails names its
+    player; if none fails alone, the error names the whole group.
+    """
+    for j in group:
+        try:
+            solve(u[..., j, :])
+        except (ValueError, RuntimeError) as single:
+            raise RuntimeError(f"player {j}: {single}") from single
+    raise RuntimeError(f"players {group}: {exc}") from exc
 
 
 def quantal_response(fam: MarginalFamily, u, method: str = "auto") -> ResponseResult:

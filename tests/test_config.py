@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -59,6 +60,10 @@ MALFORMED = {
     "family_list_wrong_length": (GOOD | {"risk_families": [GOOD["risk_families"]] * 3},
                                  "lists 3 families, game has 2 players"),
     "missing_game_file": (GOOD | {"game": "absent.json"}, "cannot read game file"),
+    "infinite_gamma": (GOOD | {"risk_families": {"type": "exponential", "gamma": float("inf")}},
+                       "risk_families[0]: gamma must be positive and finite"),
+    "infinite_pareto_q": (GOOD | {"belief_families": {"type": "pareto", "q": float("inf")}},
+                          "belief_families[0]: q must be positive and finite"),
 }
 
 INVOCATIONS = {
@@ -151,6 +156,30 @@ def test_a_mistyped_scalar_field_is_named(case, tmp_path, capsys):
     path = _write(tmp_path, doc)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {name}: ")
+
+
+# integer fields: (where the field sits, its label in the error)
+INTEGER_FIELDS = {
+    "horizon": (lambda v: {"horizon": v}, "horizon"),
+    "downsample": (lambda v: {"downsample": v}, "downsample"),
+    "seed": (lambda v: {"seed": v}, "seed"),
+    "max_iterations": (lambda v: {"tolerances": {"max_iterations": v}},
+                       "tolerance 'max_iterations'"),
+}
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_an_integer_field_rejects_bools_and_fractions(field, tmp_path):
+    place, label = INTEGER_FIELDS[field]
+    for bad in (2.7, True, 1.9, float("inf")):
+        path = _write(tmp_path, GOOD | place(bad))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {label}: expected an integer, got {bad!r}")):
+            load_experiment_config(path)
+    cfg = load_experiment_config(_write(tmp_path, GOOD | place(100.0)))
+    value = {"horizon": cfg.run.horizon, "downsample": cfg.run.record_every,
+             "seed": cfg.seed, "max_iterations": cfg.tolerances.max_iterations}[field]
+    assert value == 100 and type(value) is int
 
 
 @pytest.mark.parametrize("command", ["simulate", "solve", "check"])

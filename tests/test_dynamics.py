@@ -6,7 +6,9 @@ import pytest
 from scipy.special import zeta
 
 from beliefgames.analysis import equilibrium_residual
+from beliefgames import response
 from beliefgames.dynamics import (
+    _BLOCK_ROUNDS,
     PROBABILITY_CLAMP,
     RunConfig,
     StepSchedule,
@@ -354,6 +356,123 @@ def test_solver_failure_names_the_failing_player_of_a_shared_group():
                     initial_estimates=np.array([[0.0, 0.0], [1000.0, 1000.0]]))
     with pytest.raises(RuntimeError, match="round 1, player 1: bisection failed to converge"):
         run_dynamics(matching_game(2), cfg)
+
+
+def _replay(game, cfg) -> dict:
+    """The run of ``cfg`` one round at a time, through the public single-step API."""
+    m = game.num_players
+    est = (np.zeros((m, game.num_actions)) if cfg.initial_estimates is None
+           else cfg.initial_estimates.copy())
+    rates = cfg.schedule.rates(cfg.horizon)
+    probs_hist, est_hist, pay_hist = [], [], []
+    movement = np.zeros(cfg.horizon)
+    clamp_triggers = 0
+    prev = None
+    for t in range(1, cfg.horizon + 1):
+        probs = np.stack([response_probabilities(cfg.belief_families[j], est[j])
+                          for j in range(m)])
+        prof = StrategyProfile(probs)
+        pays = np.stack([payoff_vector(game, j, prof) for j in range(m)])
+        clamp_triggers += int((probs < cfg.probability_clamp).sum())
+        est = np.stack([update_estimates(est[j], pays[j], probs[j], rates[t - 1],
+                                         cfg.risk_families[j], cfg.probability_clamp)
+                        for j in range(m)])
+        if prev is not None:
+            movement[t - 1] = np.abs(probs - prev).max()
+        prev = probs
+        if t % cfg.record_every == 0 or t == cfg.horizon:
+            probs_hist.append(probs)
+            est_hist.append(est)
+            pay_hist.append(pays)
+    return {
+        "probabilities": np.array(probs_hist),
+        "estimates": np.array(est_hist),
+        "payoffs": np.array(pay_hist),
+        "movement": movement,
+        "clamp_triggers": clamp_triggers,
+        "final_residual": equilibrium_residual(game, StrategyProfile(probs),
+                                               cfg.risk_families),
+    }
+
+
+@pytest.mark.parametrize("every", ["1", "3", "horizon"])
+@pytest.mark.parametrize("horizon", [1, _BLOCK_ROUNDS - 1, _BLOCK_ROUNDS, _BLOCK_ROUNDS + 1,
+                                     2 * _BLOCK_ROUNDS + 1])
+@pytest.mark.parametrize("kind,m", [("exponential", 2), ("uniform", 3), ("pareto", 2)])
+def test_block_bookkeeping_equals_a_per_round_replay(kind, m, horizon, every):
+    # movement, clamp count and range check run once per block of rounds; the
+    # block edges must not show in any field
+    game = random_game(m, 3, np.random.default_rng(23))
+    fams = _player_families(kind, m, 3, "per-player")
+    cfg = RunConfig(horizon=horizon, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=fams, belief_families=fams,
+                    record_every=horizon if every == "horizon" else int(every))
+    trace = run_dynamics(game, cfg)
+    want = _replay(game, cfg)
+    for name in ("probabilities", "estimates", "payoffs", "movement"):
+        got = getattr(trace, name)
+        assert got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
+    assert trace.clamp_triggers == want["clamp_triggers"]
+    assert trace.final_residual == want["final_residual"]
+    if kind == "uniform" and horizon > 1:
+        assert trace.clamp_triggers > 0
+
+
+def _solver_with_bad_round(monkeypatch, bad_round: int, fail_round: int | None = None):
+    """Patch the response solvers: player 1's response at ``bad_round`` gets a
+    probability above one, and the solve of ``fail_round`` raises."""
+    solver = response.response_solver
+    calls = {"n": 0}
+
+    def patched(fam):
+        solve = solver(fam)
+
+        def tampered(u):
+            p = solve(u)
+            if u.ndim == 2:  # one call per round; an error replay's single rows are 1-D
+                calls["n"] += 1
+                if calls["n"] == bad_round:
+                    p[1, 0] = 1.5
+                if calls["n"] == fail_round:
+                    raise RuntimeError("solver failed")
+            return p
+
+        return tampered
+
+    monkeypatch.setattr(response, "response_solver", patched)
+
+
+def test_out_of_range_probability_names_its_round(monkeypatch):
+    _solver_with_bad_round(monkeypatch, bad_round=_BLOCK_ROUNDS + 5)
+    cfg = _quick_config(horizon=3 * _BLOCK_ROUNDS, n=3)
+    with pytest.raises(ValueError, match=rf"round {_BLOCK_ROUNDS + 5}, player 1: "
+                                         r"argument must lie in \[0, 1\]"):
+        run_dynamics(matching_game(3), cfg)
+
+
+def test_out_of_range_probability_is_reported_before_a_later_solver_failure(monkeypatch):
+    # the range check of a block runs at its end, but an error within the block
+    # still comes after the earlier round's bad probability
+    _solver_with_bad_round(monkeypatch, bad_round=3, fail_round=7)
+    with pytest.raises(ValueError, match="round 3, player 1"):
+        run_dynamics(matching_game(3), _quick_config(horizon=20, n=3))
+
+
+def test_sparsemax_response_is_capped_at_one():
+    # this pure response rounded to 1.0000000000000142, which made the loop's
+    # range check fail on round 1
+    u = np.array([-1056.96946453229, -1021.383518530686, -1335.950176070203,
+                  -2008.8137361421898])
+    fam = UniformFamily(1.0, 4)
+    p = response_probabilities(fam, u)
+    assert p.tolist() == [0.0, 1.0, 0.0, 0.0]
+    cfg = RunConfig(horizon=5, schedule=StepSchedule.constant(0.1),
+                    risk_families=(fam, fam), belief_families=(fam, fam),
+                    initial_estimates=np.stack([u, u]))
+    trace = run_dynamics(matching_game(4), cfg)
+    assert trace.probabilities[0].tolist() == [p.tolist()] * 2
+    assert trace.probabilities.max() <= 1.0
 
 
 def test_run_dynamics_rejects_mismatched_game():

@@ -89,6 +89,30 @@ def test_exponential_tail_quantile_survives_tiny_masses():
     assert np.all(np.isinf(fam.quantile_vector(np.ones(2))))
 
 
+@pytest.mark.parametrize("fam", [
+    ExponentialFamily(gamma=1.5, eta=np.array([0.5, 2.0])),
+    ParetoFamily(gamma=1.5, q=0.6, eta=np.array([0.5, 2.0])),
+], ids=["exponential", "pareto-q0.6"])
+def test_unbounded_top_quantile_is_inf_without_a_warning(fam):
+    # the public methods are the paths that pass mass 0 to the kernels; a
+    # RuntimeWarning here fails the suite
+    assert np.all(np.isposinf(fam.quantile_vector(np.ones(2))))
+    assert np.all(np.isposinf(fam.tail_quantile_vector(np.zeros(2))))
+    assert np.all(np.isposinf(fam.tail_quantile_vector(np.zeros((3, 2)))))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("make,field", [
+    (lambda g: ExponentialFamily(gamma=g, n_actions=2), "gamma"),
+    (lambda g: UniformFamily(gamma=g, n_actions=2), "gamma"),
+    (lambda g: ParetoFamily(gamma=g, q=1.5, eta=np.ones(2)), "gamma"),
+    (lambda q: ParetoFamily(gamma=1.0, q=q, eta=np.ones(2)), "q"),
+], ids=["exponential-gamma", "uniform-gamma", "pareto-gamma", "pareto-q"])
+def test_nonfinite_scale_and_shape_are_rejected(make, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        make(bad)
+
+
 def test_exponential_validation():
     with pytest.raises(ValueError, match="gamma"):
         ExponentialFamily(gamma=0.0, n_actions=2)
