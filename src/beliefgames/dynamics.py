@@ -302,7 +302,7 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         block[0] = block[size]
 
     respond = response_operator(config.belief_families)
-    tail_quantiles = [(fam._tail_quantile, index)
+    tail_quantiles = [(fam._tail_quantile_above(clamp), index)
                       for fam, _, index in _family_groups(config.risk_families)]
 
     row = 0

@@ -91,6 +91,15 @@ class MarginalFamily:
     def _tail_quantile(self, mass):
         return self._quantile(1.0 - mass)
 
+    def _tail_quantile_above(self, floor: float):
+        """A kernel equal to ``_tail_quantile`` on masses of at least ``floor`` > 0.
+
+        A loop that clamps its masses binds it once; a family whose kernel
+        pays for a guard at tiny masses returns a leaner one when ``floor``
+        is above them.
+        """
+        return self._tail_quantile
+
     def _density(self, p):
         """CDF slope at the quantile at 1 - p_i, per action."""
         raise NotImplementedError
@@ -219,7 +228,20 @@ class ExponentialFamily(MarginalFamily):
             return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
 
     def _tail_quantile(self, mass):
+        # log eta - log mass where eta / mass overflows (a subnormal mass)
+        with np.errstate(over="ignore"):
+            ratio = self.eta / mass
+        logs = np.where(ratio < np.inf, np.log(ratio), np.log(self.eta) - np.log(mass))
+        return self.gamma * (logs - 1.0)
+
+    def _ratio_tail_quantile(self, mass):
+        """``_tail_quantile`` for masses at which every eta / mass is finite."""
         return self.gamma * (np.log(self.eta / mass) - 1.0)
+
+    def _tail_quantile_above(self, floor: float):
+        with np.errstate(over="ignore"):
+            finite = bool(np.all(self.eta / floor < np.inf))
+        return self._ratio_tail_quantile if finite else self._tail_quantile
 
     def _density(self, p):
         return p / self.gamma

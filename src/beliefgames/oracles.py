@@ -2,7 +2,7 @@
 
 Nothing here reuses the closed forms it is meant to confirm.  Expectations of
 maxima are estimated by Monte Carlo under explicit couplings of the marginals;
-regularizers are integrated with scipy's adaptive quadrature; the sparse
+regularizers are integrated by adaptive Gauss-Kronrod quadrature; the sparse
 response is rebuilt from a sort-based simplex projection; the generic response
 is re-solved by plain bisection, evaluating every midpoint; small fixed points
 are located by exhaustive grid search.  All sampling goes through NumPy's
@@ -11,7 +11,6 @@ seeded PCG64 generator, so every estimate is reproducible from its seed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,34 +105,111 @@ def finite_difference_gradient(f, x, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
+# QUADPACK's Gauss-Kronrod (7, 15) rule: the positive Kronrod nodes on [-1, 1]
+# (every other one, from the second, is a Gauss node), then the Kronrod and the
+# Gauss weights of the nodes from -1 up to the middle one.
+_GK_X = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                  0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                  0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                  0.207784955007898467600689403773245])
+_GK_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                   0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                   0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                   0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GK_WG = np.array([0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                   0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+_KRONROD = np.concatenate((_GK_WK, _GK_WK[-2::-1]))
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate((_GK_WG, _GK_WG[-2::-1]))
+#: the 15 nodes on [0, 1], and the Kronrod weights and the Kronrod minus the
+#: Gauss weights, both scaled to [0, 1]
+_GK_NODES = 0.5 * (1.0 + np.concatenate((-_GK_X, [0.0], _GK_X[::-1])))
+_GK_WEIGHTS = 0.5 * np.stack((_KRONROD, _KRONROD - _GAUSS))
+#: Lagrange weights of the nodes at the left end, 0, and at the right end, 1:
+#: the degree-14 interpolant's values there
+_GK_ENDS = (np.prod(np.array([[0.0], [1.0]]) - _GK_NODES, axis=1, keepdims=True)
+            / (np.array([[0.0], [1.0]]) - _GK_NODES)
+            / np.prod(_GK_NODES[:, None] - _GK_NODES + np.eye(15), axis=1))
+
+#: nodes that underflow to 0 (at a subnormal mass) move up to this
+_TINY = np.finfo(float).smallest_subnormal
+#: which ends of the two halves of a bisected panel are its midpoint
+_FRESH_MIDPOINT = np.array([[[False], [True]], [[True], [False]]])
+
+#: the quadrature stops once each action's error estimates sum to at most this
+_QUAD_TOL = 1e-12
+#: and gives up on an action that would need more panels than this
+_QUAD_LIMIT = 1000
+
+
 def quadrature_regularizer(fam: MarginalFamily, p) -> float:
-    """Regularizer via scipy adaptive quadrature of the quantile integrals.
+    """Regularizer by adaptive Gauss-Kronrod quadrature of the quantile integrals.
 
-    An independent route around the families' own closed forms: h(p) =
-    sum_i integral over (1 - p_i, 1) of the quantile, computed as an integral
-    over the upper-tail mass.  scipy is imported
-    here, on first use, so importing the package does not load it.
+    An independent route around the families' own closed forms: h(p) = sum_i
+    integral over (0, p_i) of the quantile at upper-tail mass s.  Each action
+    starts from one G7-K15 panel and bisects its panel of largest error
+    estimate until the estimates sum to at most ``_QUAD_TOL``.  A panel's
+    estimate is its width times |K15 - G7| plus the gaps between the quantile
+    and the 15-node interpolant at the panel's ends.  Every step evaluates
+    the new points of all actions in one call of the family's tail-quantile
+    kernel on a ``(K, N)`` stack.  The integrable singularities at s = 0 are
+    never evaluated; a node that underflows to 0 (a subnormal mass) moves to
+    the smallest positive float.  Raises RuntimeError, naming the action, on
+    a non-finite quantile or when ``_QUAD_LIMIT`` panels do not suffice.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     p = np.asarray(p, dtype=float)
-    if p.shape != (fam.n_actions,):
-        raise ValueError(f"need a length-{fam.n_actions} vector")
-    total = 0.0
-    for i in range(fam.n_actions):
-        mass = float(p[i])
-        if mass == 0.0:
-            continue
-        with warnings.catch_warnings():
-            # integrable endpoint singularities trip quad's roundoff heuristic
-            # long after the needed accuracy is reached
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(
-                lambda s, i=i: float(fam._tail_quantile(np.full(p.shape, s))[i]),
-                0.0, mass, epsabs=1e-11, epsrel=1e-11, limit=200,
-            )
-        total += val
-    return total
+    n = fam.n_actions
+    if p.shape != (n,):
+        raise ValueError(f"need a length-{n} vector")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("masses must lie in [0, 1]")
+    # per panel slot and action: ends, quantiles at the ends, value, error estimate
+    lo, hi, at_lo, at_hi, val, err = np.zeros((6, _QUAD_LIMIT, n))
+    cols = np.arange(n)
+    used = np.ones(n, dtype=int)
+    active = p > 0.0
+    # The first step takes each interval as one panel; every later step bisects
+    # each active action's worst panel, whose left half keeps its slot.  Each
+    # step also evaluates the one new panel end: p, then the midpoint.
+    slots, starts, ends, new_end = np.zeros((1, n), dtype=int), np.zeros((1, n)), p[None], p
+    known, fresh_at = np.zeros((1, 2, n)), np.array([[[False], [True]]])
+    while active.any():
+        widths = ends - starts
+        nodes = (starts[:, None] + widths[:, None] * _GK_NODES[:, None]).reshape(-1, n)
+        nodes = np.where(active, np.maximum(np.vstack((nodes, new_end)), _TINY), 1.0)
+        values = fam._tail_quantile(nodes)
+        bad = active & ~np.isfinite(values).all(axis=0)
+        if bad.any():
+            raise RuntimeError(
+                f"quadrature of action {int(np.argmax(bad))} met a non-finite quantile")
+        inner = values[:-1].reshape(-1, 15, n)
+        sums = np.einsum("wk,hkn->hwn", _GK_WEIGHTS, inner)
+        # a kink between a panel end and its outermost node hides from both rules
+        # but not from the interpolant's value at that end
+        end_values = np.where(fresh_at, values[-1], known)
+        misfit = np.abs(end_values - np.einsum("ek,hkn->hen", _GK_ENDS, inner))
+        misfit[:, 0][starts == 0.0] = 0.0
+        rows, acts = slots[:, active], cols[active]
+        lo[rows, acts], hi[rows, acts] = starts[:, active], ends[:, active]
+        at_lo[rows, acts], at_hi[rows, acts] = end_values[:, 0, active], end_values[:, 1, active]
+        val[rows, acts] = (widths * sums[:, 0])[:, active]
+        err[rows, acts] = (widths * (np.abs(sums[:, 1]) + misfit.sum(axis=1)))[:, active]
+        top = used.max()
+        active = err[:top].sum(axis=0) > _QUAD_TOL
+        full = active & (used == _QUAD_LIMIT)
+        if full.any():
+            raise RuntimeError(
+                f"quadrature of action {int(np.argmax(full))} did not reach an error "
+                f"estimate of {_QUAD_TOL:g} within {_QUAD_LIMIT} panels")
+        worst = err[:top].argmax(axis=0)
+        a, b = lo[worst, cols], hi[worst, cols]
+        new_end = a + 0.5 * (b - a)
+        slots, starts, ends = np.array((worst, used)), np.array((a, new_end)), np.array((new_end, b))
+        known = np.zeros((2, 2, n))
+        known[0, 0], known[1, 1] = at_lo[worst, cols], at_hi[worst, cols]
+        fresh_at = _FRESH_MIDPOINT
+        used = used + active
+    return float(val[:used.max()].sum())
 
 
 def bisection_response(fam: MarginalFamily, u) -> tuple[np.ndarray, float]:

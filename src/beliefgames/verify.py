@@ -7,6 +7,8 @@ from the command line (``beliefgames verify --only sparsemax``).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .analysis import equilibrium_residual, fixed_point_iterate
@@ -248,19 +250,23 @@ def verification_suite(only: str | None = None) -> dict:
     """Run the named checks (optionally filtered by substring) and collect results.
 
     A check that raises fails with ``type: message`` as its detail, and the
-    remaining checks still run.
+    remaining checks still run.  ``timing`` holds each check's wall seconds
+    and their total.
     """
     names = [n for n in CHECKS if only is None or only in n]
     if not names:
         raise ValueError(f"no verification checks match {only!r}")
-    results = {}
+    results, wall_s = {}, {}
     for name in names:
+        start = time.perf_counter()
         try:
             passed, detail = CHECKS[name]()
         except Exception as exc:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
+        wall_s[name] = time.perf_counter() - start
         results[name] = {"passed": bool(passed), "detail": detail}
     return {
         "checks": results,
         "all_passed": all(r["passed"] for r in results.values()),
+        "timing": {"checks_s": wall_s, "total_s": sum(wall_s.values())},
     }

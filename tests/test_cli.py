@@ -10,6 +10,7 @@ import pytest
 
 from beliefgames.cli import main
 from beliefgames.games import matching_game, random_game, save_game
+from beliefgames.verify import CHECKS
 
 
 @pytest.fixture()
@@ -227,6 +228,15 @@ def test_verify_filtered_run(tmp_path, capsys):
     assert set(manifest["checks"]) == {"sparsemax_projection", "sparsemax_bisection"}
 
 
+def test_verify_records_each_checks_wall_time(tmp_path, capsys):
+    assert main(["verify", "--only", "sparsemax", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    timing = json.loads((tmp_path / "verify.json").read_text())["timing"]
+    assert set(timing["checks_s"]) == {"sparsemax_projection", "sparsemax_bisection"}
+    assert all(s > 0.0 for s in timing["checks_s"].values())
+    assert timing["total_s"] == pytest.approx(sum(timing["checks_s"].values()))
+
+
 def test_verify_rejects_unknown_filter(capsys):
     assert main(["verify", "--only", "zzz_nothing"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -256,7 +266,7 @@ def test_cli_module_runs_the_cli(tmp_path):
 
 
 def test_import_does_not_load_scipy(tmp_path):
-    # scipy's import dominates CLI start-up; only quadrature_regularizer needs it
+    # scipy's import would dominate CLI start-up; the package never needs it
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, beliefgames, beliefgames.cli; print('scipy' in sys.modules)"],
@@ -264,6 +274,28 @@ def test_import_does_not_load_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test-only dependency; None in sys.modules makes its import fail
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from beliefgames.cli import main\n"
+        "codes = [main(['verify'])]\n"
+        "for command in ('simulate', 'solve', 'check'):\n"
+        "    codes.append(main([command, '--config', sys.argv[1], '--out', command, '--quiet']))\n"
+        "print(codes)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(REPO / "configs" / "coordination.json")],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "[0, 0, 0, 0]"
+    assert sum(line.startswith("PASS ") for line in lines) == len(CHECKS) == 13
+    assert not any(line.startswith("FAIL ") for line in lines)
 
 
 # ---------------------------------------------------------------------------

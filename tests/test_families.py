@@ -62,7 +62,7 @@ def test_exponential_regularizer_is_weighted_entropy():
     fam = ExponentialFamily(gamma=1.0, n_actions=2)
     assert fam.regularizer([0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-14)
     assert fam.regularizer([1.0, 0.0]) == 0.0  # 0 log 0 = 0 and log(1/1) = 0
-    # scipy's adaptive quadrature of the quantile lands on the same number
+    # adaptive quadrature of the quantile lands on the same number
     generic = quadrature_regularizer(fam, np.array([0.5, 0.5]))
     assert generic == pytest.approx(np.log(2.0), abs=1e-9)
 
@@ -87,6 +87,30 @@ def test_exponential_tail_quantile_survives_tiny_masses():
     np.testing.assert_allclose(fam.tail_quantile_vector(np.full(2, mass)),
                                np.log(1.0 / mass) - 1.0)
     assert np.all(np.isinf(fam.quantile_vector(np.ones(2))))
+
+
+def test_exponential_tail_quantile_survives_subnormal_masses():
+    # eta / mass overflows at mass 5e-324; gamma (log eta - log mass - 1) is about 743 gamma
+    fam = ExponentialFamily(gamma=1.5, eta=np.array([0.7, 2.0]))
+    out = fam.tail_quantile_vector([5e-324, 0.5])
+    np.testing.assert_allclose(
+        out, 1.5 * (np.log(fam.eta) - np.log([5e-324, 0.5]) - 1.0), rtol=1e-15)
+    assert np.all(np.isposinf(fam.tail_quantile_vector(np.zeros(2))))
+
+
+def test_exponential_tail_quantile_keeps_its_bits_where_eta_over_mass_is_finite():
+    rng = np.random.default_rng(8)
+    fam = ExponentialFamily(gamma=2.3, eta=rng.uniform(0.2, 3.0, 4))
+    mass = np.concatenate((10.0 ** rng.uniform(-300.0, 0.0, (50_000, 4)),
+                           rng.uniform(0.0, 1.0, (50_000, 4))))
+    mass[mass == 0.0] = 0.5
+    before = fam.gamma * (np.log(fam.eta / mass) - 1.0)
+    assert fam.tail_quantile_vector(mass).tobytes() == before.tobytes()
+    # the round loop binds the unguarded kernel while its clamp keeps eta / mass finite
+    assert fam._tail_quantile_above(1e-6)(mass).tobytes() == before.tobytes()
+    kernel = fam._tail_quantile_above(5e-324)
+    assert kernel(mass).tobytes() == before.tobytes()
+    assert np.isfinite(kernel(np.full(4, 5e-324))).all()
 
 
 @pytest.mark.parametrize("fam", [

@@ -1,10 +1,17 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from beliefgames.analysis import fixed_point_iterate
-from beliefgames.families import ExponentialFamily, ParetoFamily, UniformFamily
+from beliefgames.families import (
+    ExponentialFamily,
+    ParetoFamily,
+    TabulatedFamily,
+    UniformFamily,
+)
 from beliefgames.games import matching_game
 from beliefgames.oracles import (
     COPULAS,
@@ -155,6 +162,98 @@ def test_quadrature_skips_zero_mass_components():
 def test_quadrature_validates_length():
     with pytest.raises(ValueError, match="length-2"):
         quadrature_regularizer(_fam(), np.array([0.5, 0.3, 0.2]))
+
+
+_MASSES = np.array([1e-6, 1e-3, 0.37, 1.0])
+
+
+def _mpmath_regularizer(quantile, eta, p, power=1.0):
+    """sum_i of the integral of quantile(s, eta_i) over (0, p_i), by mpmath at 30 digits.
+
+    Each integral is taken over v in (0, 1) with s = p_i v^power, which turns
+    a quantile that grows like s^(q - 1) near 0 into a bounded integrand when
+    power = 1 / q.
+    """
+    total = 0.0
+    with mpmath.workdps(30):
+        for e, m in zip(eta.tolist(), p.tolist()):
+            e, m = mpmath.mpf(e), mpmath.mpf(m)
+            total += float(mpmath.quad(
+                lambda v: quantile(m * v ** power, e) * m * power * v ** (power - 1), [0, 1]))
+    return total
+
+
+@pytest.mark.parametrize("q", [None, 0.2, 0.5, 0.95, 1.05, 2.5, 4.0],
+                         ids=["exponential", *(f"pareto-q{q}" for q in (0.2, 0.5, 0.95, 1.05, 2.5, 4.0))])
+def test_quadrature_matches_a_30_digit_reference(q):
+    eta = np.random.default_rng(31).uniform(0.3, 2.5, _MASSES.size)
+    gamma = 1.7
+    if q is None:
+        fam = ExponentialFamily(gamma, eta=eta)
+        reference = _mpmath_regularizer(lambda s, e: gamma * (mpmath.log(e / s) - 1), eta, _MASSES)
+    else:
+        fam = ParetoFamily(gamma, q, eta)
+        reference = _mpmath_regularizer(
+            lambda s, e: gamma / (q - 1) * (1 - q * (s / e) ** (q - 1)), eta, _MASSES,
+            power=1.0 / min(q, 1.0))
+    assert quadrature_regularizer(fam, _MASSES) == pytest.approx(reference, rel=0.0, abs=1e-10)
+
+
+def test_quadrature_matches_exact_tabulated_integrals_across_interior_knots():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        tables = []
+        for _ in range(_MASSES.size):
+            ts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 3)), [1.0]))
+            tables.append(np.column_stack((ts, np.cumsum(rng.uniform(0.05, 2.0, 5)) - 2.0)))
+        fam = TabulatedFamily(tables)
+        p = rng.permutation(_MASSES)
+        exact = sum(fam._exact_tail(i, m) for i, m in enumerate(p.tolist()))
+        assert quadrature_regularizer(fam, p) == pytest.approx(exact, rel=0.0, abs=1e-10)
+
+
+def test_quadrature_finds_a_kink_outside_the_outermost_nodes():
+    # at mass 1 the kink at t = 0.002 lies beyond the first panel's outermost
+    # node, 0.0043 from its end: all 15 nodes see one straight line
+    fam = TabulatedFamily([[[0.0, -5.0], [0.002, 0.0], [1.0, 1.0]]])
+    assert quadrature_regularizer(fam, np.array([1.0])) == pytest.approx(
+        fam._exact_tail(0, 1.0), rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("fam", [
+    ExponentialFamily(gamma=1.0, eta=np.array([1.0, 0.6])),
+    ParetoFamily(gamma=2.0, q=0.5, eta=np.array([1.0, 0.6])),
+    ParetoFamily(gamma=2.0, q=2.5, eta=np.array([1.0, 0.6])),
+], ids=["exponential", "pareto-q0.5", "pareto-q2.5"])
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+def test_quadrature_is_finite_at_subnormal_masses(fam, tiny):
+    p = np.array([1.0, tiny])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = quadrature_regularizer(fam, p)
+    assert val == pytest.approx(fam.regularizer_terms(p), rel=0.0, abs=1e-12)
+
+
+def test_quadrature_names_the_action_with_a_non_finite_quantile(monkeypatch):
+    fam = _fam(3)
+    kernel = fam._tail_quantile
+
+    def broken(mass):
+        out = kernel(mass)
+        out[..., 1] = np.nan
+        return out
+
+    monkeypatch.setattr(fam, "_tail_quantile", broken)
+    with pytest.raises(RuntimeError, match="action 1 met a non-finite quantile"):
+        quadrature_regularizer(fam, np.array([0.2, 0.5, 0.3]))
+    # an action without mass is never integrated
+    assert quadrature_regularizer(fam, np.array([0.4, 0.0, 0.6])) == pytest.approx(
+        fam.regularizer_terms(np.array([0.4, 0.0, 0.6])), abs=1e-12)
+
+
+def test_quadrature_rejects_masses_outside_the_unit_interval():
+    with pytest.raises(ValueError, match="masses"):
+        quadrature_regularizer(_fam(), np.array([1.2, -0.2]))
 
 
 # ---------------------------------------------------------------------------
