@@ -329,16 +329,19 @@ class ParetoFamily(MarginalFamily):
             raise ValueError("eta must be positive and finite")
         self.eta = eta.copy()
         self.eta.setflags(write=False)
+        q, g = self.q, self.gamma
+        # the CDF's scalars, each rounded as the formula rounds it; beyond the
+        # zero of w the CDF is 1 when q > 1 (above the support) and 0 when q < 1
+        self._cdf_constants = (1.0 / q, q - 1.0, g * q, 1.0 / (q - 1.0), 1.0 if q > 1.0 else 0.0)
 
     def _cdf(self, s):
-        q, g = self.q, self.gamma
-        w = 1.0 / q - s * (q - 1.0) / (g * q)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            body = 1.0 - self.eta * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
-        # beyond the zero of w: above the support when q > 1, below it when q < 1
-        edge = 1.0 if q > 1.0 else 0.0
+        inv_q, q_less_1, gq, power, edge = self._cdf_constants
+        w = inv_q - s * q_less_1 / gq
+        inside = w > 0.0
+        # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative)
+        body = 1.0 - self.eta * np.power(np.where(inside, w, 1.0), power)
         # np.clip's bits (body is never -0.0) without its wrapper overhead
-        return np.where(w > 0.0, np.minimum(np.maximum(body, 0.0), 1.0), edge)
+        return np.where(inside, np.minimum(np.maximum(body, 0.0), 1.0), edge)
 
     def _tail_quantile(self, mass):
         q = self.q

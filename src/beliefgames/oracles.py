@@ -136,8 +136,10 @@ _TINY = np.finfo(float).smallest_subnormal
 #: which ends of the two halves of a bisected panel are its midpoint
 _FRESH_MIDPOINT = np.array([[[False], [True]], [[True], [False]]])
 
-#: the quadrature stops once each action's error estimates sum to at most this
+#: the quadrature stops once each action's error estimates sum to at most
+#: the larger of this and ``_QUAD_RTOL`` times the magnitude of its value
 _QUAD_TOL = 1e-12
+_QUAD_RTOL = 1e-11
 #: and gives up on an action that would need more panels than this
 _QUAD_LIMIT = 1000
 
@@ -148,7 +150,9 @@ def quadrature_regularizer(fam: MarginalFamily, p) -> float:
     An independent route around the families' own closed forms: h(p) = sum_i
     integral over (0, p_i) of the quantile at upper-tail mass s.  Each action
     starts from one G7-K15 panel and bisects its panel of largest error
-    estimate until the estimates sum to at most ``_QUAD_TOL``.  A panel's
+    estimate until the estimates sum to at most ``_QUAD_TOL``, or to
+    ``_QUAD_RTOL`` times the magnitude of its value if that is larger: at
+    large scales roundoff alone exceeds an absolute bound.  A panel's
     estimate is its width times |K15 - G7| plus the gaps between the quantile
     and the 15-node interpolant at the panel's ends.  Every step evaluates
     the new points of all actions in one call of the family's tail-quantile
@@ -195,12 +199,14 @@ def quadrature_regularizer(fam: MarginalFamily, p) -> float:
         val[rows, acts] = (widths * sums[:, 0])[:, active]
         err[rows, acts] = (widths * (np.abs(sums[:, 1]) + misfit.sum(axis=1)))[:, active]
         top = used.max()
-        active = err[:top].sum(axis=0) > _QUAD_TOL
+        bound = np.maximum(_QUAD_TOL, _QUAD_RTOL * np.abs(val[:top].sum(axis=0)))
+        active = err[:top].sum(axis=0) > bound
         full = active & (used == _QUAD_LIMIT)
         if full.any():
+            i = int(np.argmax(full))
             raise RuntimeError(
-                f"quadrature of action {int(np.argmax(full))} did not reach an error "
-                f"estimate of {_QUAD_TOL:g} within {_QUAD_LIMIT} panels")
+                f"quadrature of action {i} did not reach an error estimate of "
+                f"{bound[i]:g} within {_QUAD_LIMIT} panels")
         worst = err[:top].argmax(axis=0)
         a, b = lo[worst, cols], hi[worst, cols]
         new_end = a + 0.5 * (b - a)

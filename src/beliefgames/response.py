@@ -15,7 +15,11 @@ returns the bits plain bisection would, after a fraction of the evaluations.
 Where Newton starts changes only which CDFs are evaluated: the solver that
 :func:`response_solver` binds starts each row from the kappa of that row's
 previous call, which in a fixed-point sweep or a learning run is close to
-the new root.
+the new root.  The solver calls the family's CDF kernel directly, and the
+first certification points on both sides of Newton's root share one call
+on a ``(2, N)`` stack.  On 2x3 Pareto games a cold solve evaluates about
+7.4 rows in 6.4 kernel calls (plain bisection: about 41), and a warm one in
+a fixed-point sweep about 4.7 rows in 3.8 calls.
 
 :func:`response_operator` gives every player's response at once, one
 :func:`response_solver` call per group of players with equal families.
@@ -44,6 +48,7 @@ _CERT_MAX_TRIES = 6
 #: Newton stops at a near-pure iterate: its largest probability and its sum
 #: both this close to 1 (see :func:`_certified_bracket`).
 _KINK = 1e-6
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,11 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     bracket (a warm start, such as the kappa of a nearby payoff vector);
     otherwise it begins at the bracket's upper end.  It changes only which
     CDFs are evaluated, never the result.
+
+    ``u`` must be a finite float vector of the family's length, since the
+    family's CDF kernel is called on it without validation.  The ufunc
+    reductions are what the ``.sum``, ``.min`` and ``.max`` methods call,
+    minus their wrappers.
     """
     if not fam.strictly_increasing_cdf:
         raise ValueError(
@@ -155,26 +165,36 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
         )
     n = fam.n_actions
     lows, tops = fam._response_offsets
+    cdf = fam._cdf
     evaluated: dict = {}
 
     def probs(kappa: float) -> np.ndarray:
         p = evaluated.get(kappa)
         if p is None:
-            p = evaluated[kappa] = 1.0 - fam.cdf_vector(kappa - u)
+            p = evaluated[kappa] = 1.0 - cdf(kappa - u)
         return p
 
+    def prefetch(kappas: tuple[float, ...]) -> None:
+        """Evaluate several kappas in one kernel call on a ``(K, N)`` stack.
+
+        Each row has the bits of its own 1-D call, so the cache cannot tell
+        the two apart.
+        """
+        for kappa, p in zip(kappas, 1.0 - cdf(np.array(kappas)[:, None] - u)):
+            evaluated[kappa] = p
+
     kinks = u + lows  # where each component's probability reaches 1
-    lo = float(kinks.min())
+    lo = float(np.minimum.reduce(kinks))
     if n == 1:
         return np.array([1.0]), lo
-    hi = float(np.max(u + tops))
+    hi = float(np.maximum.reduce(u + tops))
     hi = max(hi, lo + 1e-12)
     if start is None or not lo < start < hi:
         start = hi
-    a_cert, b_cert = _certified_bracket(fam, probs, kinks, lo, hi, float(start))
+    a_cert, b_cert = _certified_bracket(fam, probs, prefetch, kinks, lo, hi, float(start))
     step = max(1.0, hi - lo)
     for _ in range(200):
-        if hi >= b_cert or (hi > a_cert and probs(hi).sum() <= 1.0):
+        if hi >= b_cert or (hi > a_cert and np.add.reduce(probs(hi)) <= 1.0):
             break
         hi += step
         step *= 2.0
@@ -192,7 +212,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
         if kappa >= b_cert:
             hi = kappa
             continue
-        gap = probs(kappa).sum() - 1.0
+        gap = np.add.reduce(probs(kappa)) - 1.0
         if abs(gap) <= BISECT_TOL:
             break
         if gap > 0.0:
@@ -200,7 +220,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
         else:
             hi = kappa
     p = probs(kappa)
-    total = p.sum()
+    total = np.add.reduce(p)
     if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
         raise RuntimeError(
             f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
@@ -209,7 +229,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     return p / total, float(kappa)
 
 
-def _certified_bracket(fam: MarginalFamily, probs, kinks: np.ndarray, lo: float,
+def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, lo: float,
                        hi: float, start: float) -> tuple[float, float]:
     """Bracket (a, b) outside which every bisection branch is already decided.
 
@@ -221,9 +241,12 @@ def _certified_bracket(fam: MarginalFamily, probs, kinks: np.ndarray, lo: float,
 
     A safeguarded Newton phase from ``start`` locates the root inside the
     sign bracket [lo, hi]; then points a small step to each side of it are
-    evaluated, the step growing fourfold until that side certifies.  Every
-    evaluated point certifies wherever its gap allows.  Failure only widens
-    the bracket, up to (-inf, inf).
+    evaluated, the step growing fourfold until that side certifies; the
+    first point of each side is evaluated in one ``prefetch`` call.  Every
+    evaluated point certifies wherever its gap allows, and the certified
+    ends combine by max and min, so an extra point changes only which
+    midpoints are skipped.  Failure only widens the bracket, up to
+    (-inf, inf).
 
     On pure and near-pure responses the root sits at or just below a kink:
     the ``kinks`` entry where the top component's probability reaches one.
@@ -234,12 +257,12 @@ def _certified_bracket(fam: MarginalFamily, probs, kinks: np.ndarray, lo: float,
     far from the root, goes on), and at an iterate with a single positive
     component whose kink sums to no more than one.
     """
-    need = BISECT_TOL + max(1e-13, 64.0 * fam.n_actions * np.finfo(float).eps)
+    need = BISECT_TOL + max(1e-13, 64.0 * fam.n_actions * _EPS)
     a_cert, b_cert = -np.inf, np.inf
 
     def gap(kappa: float) -> float:
         nonlocal a_cert, b_cert
-        g = float(probs(kappa).sum() - 1.0)
+        g = float(np.add.reduce(probs(kappa)) - 1.0)
         if g >= need:
             a_cert = max(a_cert, kappa)
         elif g <= -need:
@@ -251,7 +274,7 @@ def _certified_bracket(fam: MarginalFamily, probs, kinks: np.ndarray, lo: float,
         p = probs(kappa)
         with np.errstate(all="ignore"):  # p = 0 may meet an unbounded density
             f = fam._density(p)
-        return float(f[(p > 0.0) & (p < 1.0)].sum())
+        return float(np.add.reduce(f[(p > 0.0) & (p < 1.0)]))
 
     # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
     # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
@@ -266,7 +289,7 @@ def _certified_bracket(fam: MarginalFamily, probs, kinks: np.ndarray, lo: float,
         elif g < 0.0:
             b = min(b, kappa)
         p = probs(kappa)
-        if abs(g) <= _KINK and p.max() >= 1.0 - _KINK:
+        if abs(g) <= _KINK and np.maximum.reduce(p) >= 1.0 - _KINK:
             break
         if np.count_nonzero(p) == 1:
             # the sum is this component's alone, so the root is at or below its kink;
@@ -291,8 +314,11 @@ def _certified_bracket(fam: MarginalFamily, probs, kinks: np.ndarray, lo: float,
         kappa = nxt
     if root is None:
         return a_cert, b_cert
+    first = 1.25 * need / d
+    if a_cert < root - first and root + first < b_cert:
+        prefetch((root - first, root + first))
     for side in (-1.0, 1.0):
-        h = 1.25 * need / d
+        h = first
         for _ in range(_CERT_MAX_TRIES):
             x = root + side * h
             if (x <= a_cert) if side < 0.0 else (x >= b_cert):
@@ -320,9 +346,10 @@ def response_solver(fam: MarginalFamily):
 
     Returns a callable mapping payoff rows ``(..., N)`` to their response
     probabilities, without input validation: softmax and sparsemax work
-    along the last axis, and the generic route solves the rows one at a
-    time, each warm-started from the kappa of the same row in the previous
-    call of the same shape.  Each row gets the bits of its own 1-D call.
+    along the last axis, and the generic route solves the rows of a
+    ``(-1, N)`` view one at a time, each warm-started from the kappa of the
+    same row in the previous call of the same shape.  Each row gets the bits
+    of its own 1-D call.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam.gamma
@@ -331,16 +358,17 @@ def response_solver(fam: MarginalFamily):
         gamma = fam.gamma
         return lambda u: _sparsemax_rows(u / gamma)[0]
 
-    kappas = np.empty(0)
+    shape, kappas = None, []
 
     def bisection_rows(u):
-        nonlocal kappas
-        if kappas.shape != u.shape[:-1]:
-            kappas = np.full(u.shape[:-1], np.nan)
-        out = np.empty_like(u)
-        for row in np.ndindex(u.shape[:-1]):
-            out[row], kappas[row] = _bisection_response(fam, u[row], float(kappas[row]))
-        return out
+        nonlocal shape, kappas
+        rows = u.reshape(-1, u.shape[-1])
+        if u.shape != shape:
+            shape, kappas = u.shape, [np.nan] * len(rows)
+        out = np.empty_like(rows)
+        for k, row in enumerate(rows):
+            out[k], kappas[k] = _bisection_response(fam, row, kappas[k])
+        return out.reshape(u.shape)
 
     return bisection_rows
 

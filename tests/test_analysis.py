@@ -55,37 +55,67 @@ def test_residual_zero_exactly_at_the_response_fixed_point():
     assert equilibrium_residual(game, result.profile, fams) == result.residual
 
 
-def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch):
-    # kkt-pareto-shaped games: each bound solver restarts Newton from its row's
-    # last kappa; a cold solver per call must reach the same bits
-    import beliefgames.response as response
-
-    def solve(game, fams):
-        calls = []
-        for fam in fams:
-            cdf_vector = fam.cdf_vector
-            fam.cdf_vector = lambda s, f=cdf_vector: (calls.append(1), f(s))[1]
-        result = fixed_point_iterate(game, fams)
-        for fam in fams:
-            del fam.cdf_vector
-        return len(calls), result
-
+def _pareto_fixed_point_cases():
+    """The kkt-pareto benchmark's shape: 2x3 games, Pareto q in [0.5, 0.8] or [1.5, 2.5]."""
     rng = np.random.default_rng(71)
     cases = []
     for k in range(8):
         q = rng.uniform(0.5, 0.8) if k % 2 == 0 else rng.uniform(1.5, 2.5)
         fams = tuple(ParetoFamily(6.0, q, rng.uniform(0.5, 2.0, 3)) for _ in range(2))
         cases.append((random_game(2, 3, rng), fams))
-    warm = [solve(game, fams) for game, fams in cases]
+    return cases
+
+
+def _counted_fixed_point(game, fams):
+    """(rows per CDF kernel call, result) of ``fixed_point_iterate``.
+
+    The families' ``_cdf`` kernel is counted, which ``cdf_vector`` and the
+    generic solver both reach; a ``(K, N)`` stack is one call of K rows.
+    """
+    calls = []
+    for fam in fams:
+        fam._cdf = lambda s, f=fam._cdf, n=fam.n_actions: (calls.append(s.size // n), f(s))[1]
+    try:
+        result = fixed_point_iterate(game, fams)
+    finally:
+        for fam in fams:
+            del fam._cdf
+    return calls, result
+
+
+def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch):
+    # each bound solver restarts Newton from its row's last kappa; a cold
+    # solver per call must reach the same bits
+    import beliefgames.response as response
+
+    cases = _pareto_fixed_point_cases()
+    warm = [_counted_fixed_point(game, fams) for game, fams in cases]
     monkeypatch.setattr(response, "response_solver", lambda fam: lambda u: np.apply_along_axis(
         lambda row: response._bisection_response(fam, row)[0], -1, u))
-    cold = [solve(game, fams) for game, fams in cases]
+    cold = [_counted_fixed_point(game, fams) for game, fams in cases]
     for (_, a), (_, b) in zip(warm, cold):
         assert a.profile.probs.tobytes() == b.profile.probs.tobytes()
         assert (a.iterations, a.residual) == (b.iterations, b.residual)
         assert a.converged and a.residual <= 1e-10
-    warm_evals, cold_evals = (sum(n for n, _ in runs) for runs in (warm, cold))
-    assert warm_evals <= 0.75 * cold_evals
+    warm_rows, cold_rows = (sum(sum(calls) for calls, _ in runs) for runs in (warm, cold))
+    assert warm_rows <= 0.75 * cold_rows
+
+
+def test_warm_fixed_point_makes_few_kernel_calls_per_solve(monkeypatch):
+    # The first certification points on both sides of Newton's root share one
+    # (2, N) kernel call.  On these 522 warm solves the solver evaluates 4.75
+    # rows per solve: 4.75 kernel calls when each row has its own, 3.76 with
+    # the pair.
+    import beliefgames.response as response
+
+    solves = []
+    bisect = response._bisection_response
+    monkeypatch.setattr(response, "_bisection_response",
+                        lambda *args: (solves.append(1), bisect(*args))[1])
+    calls = [n for game, fams in _pareto_fixed_point_cases()
+             for n in _counted_fixed_point(game, fams)[0]]
+    assert len(calls) <= 4.2 * len(solves)
+    assert max(calls) == 2
 
 
 def test_residual_checks_family_count():

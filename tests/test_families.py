@@ -263,6 +263,30 @@ def test_pareto_validation():
 # tabulated marginals
 
 
+def _pareto_cdf_with_errstate(fam, s):
+    """The Pareto CDF kernel as it was written with an errstate block, and its w."""
+    q, g = fam.q, fam.gamma
+    w = 1.0 / q - s * (q - 1.0) / (g * q)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        body = 1.0 - fam.eta * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
+    edge = 1.0 if q > 1.0 else 0.0
+    return np.where(w > 0.0, np.minimum(np.maximum(body, 0.0), 1.0), edge), w
+
+
+@pytest.mark.parametrize("q, zero", [(0.5, -2.0), (3.0, 0.5)])
+def test_pareto_cdf_is_silent_and_unchanged_beyond_the_support(q, zero):
+    # w(s) = 1/q - s (q - 1) / (gamma q) is exactly 0 at s = zero; w <= 0 takes
+    # the edge value without raising 0 ** negative
+    fam = ParetoFamily(1.0, q, np.array([0.5, 1.0, 2.0]))
+    s = _every_action(np.array([-1e300, zero - 3.0, zero - 1e-9, zero, zero + 1e-9,
+                                zero + 3.0, 1e300]), 3)
+    with np.errstate(divide="raise", invalid="raise"):
+        got = fam.cdf_vector(s)
+    want, w = _pareto_cdf_with_errstate(fam, s)
+    assert (w < 0.0).any() and (w == 0.0).any() and (w > 0.0).any()
+    assert got.tobytes() == want.tobytes()
+
+
 def _exp_table(gamma: float, points: int = 2001):
     """Tabulate an exponential quantile on a dense grid (top end capped)."""
     fam = ExponentialFamily(gamma=gamma, n_actions=1)
@@ -362,6 +386,47 @@ def test_vectorized_methods_match_scalar_loops(any_family):
         assert fam.cdf(i, float(s[0])) == columns[0, i]
 
 
+@st.composite
+def _kernel_stacks(draw):
+    """A family of any kind, Pareto with q below and above 1, and a ``(K, N)`` stack
+    of CDF arguments and one of densities' masses, with K and N around SIMD widths."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["exponential", "uniform", "pareto_light", "pareto_heavy",
+                                 "tabulated"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "exponential":
+        fam = ExponentialFamily(0.2 + 6.0 * draw(unit), eta=[0.2 + 3.0 * draw(unit) for _ in range(n)])
+    elif kind == "uniform":
+        fam = UniformFamily(0.2 + 6.0 * draw(unit), n)
+    elif kind == "tabulated":
+        tables = []
+        for _ in range(n):
+            ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))), 1.0]
+            tables.append(np.column_stack((ts, np.cumsum([0.05 + 2.0 * draw(unit) for _ in ts]))))
+        fam = TabulatedFamily(tables)
+    else:
+        q = draw(st.floats(0.2, 0.95) if kind == "pareto_light" else st.floats(1.05, 4.0))
+        fam = ParetoFamily(0.3 + 8.0 * draw(unit), q, [0.2 + 3.0 * draw(unit) for _ in range(n)])
+    k = draw(st.integers(1, 9))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    s = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * n, max_size=k * n)))
+    p = np.array(draw(st.lists(st.floats(1e-300, 1.0), min_size=k * n, max_size=k * n)))
+    return fam, s.reshape(k, n), p.reshape(k, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_stacks())
+def test_stacked_kernel_rows_have_the_bits_of_their_own_calls(case):
+    # the generic solver evaluates two CDF points in one (2, N) call and caches
+    # each row as if it were its own 1-D call
+    fam, s, p = case
+    with np.errstate(all="ignore"):  # huge densities at tiny masses for q > 2
+        for kernel, x in ((fam._cdf, s), (fam._density, p)):
+            stacked = kernel(x)
+            for row, values in zip(x, stacked):
+                assert values.tobytes() == kernel(row).tobytes()
+
+
 def test_action_index_checked(any_family):
     fam = any_family
     for i in (fam.n_actions, -1):
@@ -450,8 +515,11 @@ def _closed_form_cases(draw):
             steps = [0.05 + 2.0 * draw(unit) for _ in ts]
             tables.append(np.column_stack((ts, np.cumsum(steps) - 1.0)))
         fam = TabulatedFamily(tables)
-    # about 30% of the actions get no mass; the rest at least 1% of the largest weight
-    weights = np.array([draw(st.floats(0.01, 1.0)) if draw(st.integers(0, 9)) >= 3 else 0.0
+    # about 30% of the actions get no mass, and a nonzero weight is tiny or
+    # subnormal about as often as it is ordinary
+    weight = st.one_of(st.floats(0.01, 1.0), st.floats(1e-300, 1e-2),
+                       st.floats(5e-324, 1e-300, allow_subnormal=True))
+    weights = np.array([draw(weight) if draw(st.integers(0, 9)) >= 3 else 0.0
                         for _ in range(n)])
     if weights.sum() == 0.0:
         weights[0] = 1.0

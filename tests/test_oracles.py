@@ -234,6 +234,20 @@ def test_quadrature_is_finite_at_subnormal_masses(fam, tiny):
     assert val == pytest.approx(fam.regularizer_terms(p), rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("fam", [
+    ExponentialFamily(gamma=1e4, n_actions=3),
+    ParetoFamily(gamma=1e4, q=0.5, eta=np.ones(3)),
+    ParetoFamily(gamma=1e4, q=2.5, eta=np.array([0.5, 1.0, 2.0])),
+    UniformFamily(gamma=1e4, n_actions=3),
+    TabulatedFamily([[[0.0, -3e4], [0.4, -1e4 * (i + 1)], [1.0, 2e4]] for i in range(3)]),
+], ids=["exponential", "pareto-q0.5", "pareto-q2.5", "uniform", "tabulated"])
+def test_quadrature_reaches_large_scales(fam):
+    # integrals of order 1e4: roundoff alone exceeds an absolute 1e-12, so
+    # each action stops at a bound relative to its value
+    p = np.array([0.2, 0.3, 0.5])
+    assert quadrature_regularizer(fam, p) == pytest.approx(fam.regularizer(p), rel=1e-10, abs=0.0)
+
+
 def test_quadrature_names_the_action_with_a_non_finite_quantile(monkeypatch):
     fam = _fam(3)
     kernel = fam._tail_quantile

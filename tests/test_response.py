@@ -258,21 +258,30 @@ def test_bisection_replay_from_any_start_is_bitwise_plain_bisection(case, shift,
     assert _solve_or_raise(lambda f, v: _bisection_response(f, v, start), fam, u) == want
 
 
-def _counted(fam, solve, *args):
-    """(CDF evaluations, result) of ``solve(fam, *args)``."""
-    calls = []
-    cdf_vector = fam.cdf_vector
+def _count_kernel(fam, calls: list) -> None:
+    """Append the row count of each call of ``fam``'s CDF kernel to ``calls``.
+
+    The kernel is what ``cdf_vector`` and the generic solver both evaluate;
+    a ``(K, N)`` stack is one call of K rows.  ``del fam._cdf`` undoes it.
+    """
+    cdf = fam._cdf
 
     def counted(s):
-        calls.append(s)
-        return cdf_vector(s)
+        calls.append(s.size // fam.n_actions)
+        return cdf(s)
 
-    fam.cdf_vector = counted
+    fam._cdf = counted
+
+
+def _counted(fam, solve, *args):
+    """(CDF rows evaluated, result) of ``solve(fam, *args)``."""
+    calls: list = []
+    _count_kernel(fam, calls)
     try:
         out = solve(fam, *args)
     finally:
-        del fam.cdf_vector
-    return len(calls), out
+        del fam._cdf
+    return sum(calls), out
 
 
 def _random_family(kind: str, n: int, rng):
@@ -372,19 +381,13 @@ def test_bisection_replay_fails_like_plain_bisection():
 def test_bisection_evaluates_few_cdfs_on_pareto_games():
     # the kkt-pareto benchmark's families: plain bisection needs about 41 evaluations
     rng = np.random.default_rng(101)
-    calls = []
+    calls: list = []
     for k in range(200):
         q = rng.uniform(0.5, 0.8) if k % 2 == 0 else rng.uniform(1.5, 2.5)
         fam = ParetoFamily(6.0, q, rng.uniform(0.5, 2.0, 3))
-        cdf_vector = fam.cdf_vector
-
-        def counted(s, cdf_vector=cdf_vector):
-            calls.append(k)
-            return cdf_vector(s)
-
-        fam.cdf_vector = counted
+        _count_kernel(fam, calls)
         _bisection_response(fam, rng.random(3))
-    assert len(calls) / 200 <= 14
+    assert sum(calls) / 200 <= 14
 
 
 def test_payoff_vector_input_validation():
