@@ -330,18 +330,29 @@ class ParetoFamily(MarginalFamily):
         self.eta = eta.copy()
         self.eta.setflags(write=False)
         q, g = self.q, self.gamma
+        power = 1.0 / (q - 1.0)
+        # Far below the support w ** power overflows (w large for q > 1, w near 0
+        # for q < 1).  Beyond w = (2 / eta_i)^(q - 1) the CDF is 0 already, as
+        # eta_i w ** power >= 1.5 there, so the kernel clamps w at that bound.
+        # An action whose bound does not verify (eta_i near the subnormals, or q
+        # within a few ulps of 1) is left unclamped.
+        with np.errstate(over="ignore", divide="ignore"):
+            bound = np.power(2.0 / self.eta, q - 1.0)
+            check = self.eta * np.power(bound, power)
+        bound = np.where((check >= 1.5) & (check < np.inf), bound, np.inf if q > 1.0 else 0.0)
         # the CDF's scalars, each rounded as the formula rounds it; beyond the
         # zero of w the CDF is 1 when q > 1 (above the support) and 0 when q < 1
-        self._cdf_constants = (1.0 / q, q - 1.0, g * q, 1.0 / (q - 1.0), 1.0 if q > 1.0 else 0.0)
+        self._cdf_constants = (1.0 / q, q - 1.0, g * q, power, 1.0 if q > 1.0 else 0.0,
+                               np.minimum if q > 1.0 else np.maximum, bound)
 
     def _cdf(self, s):
-        inv_q, q_less_1, gq, power, edge = self._cdf_constants
+        inv_q, q_less_1, gq, power, edge, clamp, bound = self._cdf_constants
         w = inv_q - s * q_less_1 / gq
         inside = w > 0.0
         # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative)
-        body = 1.0 - self.eta * np.power(np.where(inside, w, 1.0), power)
-        # np.clip's bits (body is never -0.0) without its wrapper overhead
-        return np.where(inside, np.minimum(np.maximum(body, 0.0), 1.0), edge)
+        body = 1.0 - self.eta * np.power(clamp(np.where(inside, w, 1.0), bound), power)
+        # body is never above 1 nor -0.0, so np.maximum alone gives np.clip's bits
+        return np.where(inside, np.maximum(body, 0.0), edge)
 
     def _tail_quantile(self, mass):
         q = self.q

@@ -13,13 +13,17 @@ sums certify the sign of every gap beyond them; the bisection then takes
 each branch decided by that bracket without evaluating the CDFs, so it
 returns the bits plain bisection would, after a fraction of the evaluations.
 Where Newton starts changes only which CDFs are evaluated: the solver that
-:func:`response_solver` binds starts each row from the kappa of that row's
-previous call, which in a fixed-point sweep or a learning run is close to
-the new root.  The solver calls the family's CDF kernel directly, and the
-first certification points on both sides of Newton's root share one call
-on a ``(2, N)`` stack.  On 2x3 Pareto games a cold solve evaluates about
-7.4 rows in 6.4 kernel calls (plain bisection: about 41), and a warm one in
-a fixed-point sweep about 4.7 rows in 3.8 calls.
+:func:`response_solver` binds starts each row at a predicted kappa, that
+row's last kappa plus p . (u_new - u_old) with p its last response.  This
+is the first-order step of a predictor-corrector continuation, since
+dkappa/du_i = f_i / sum_k f_k over the density terms f, which is p_i for an
+exponential family.  The solver calls the family's CDF kernel directly, and
+the first certification points on both sides of Newton's root share one
+call on a ``(2, N)`` stack.  On 2x3 Pareto games a cold solve evaluates
+about 7.4 rows in 6.4 kernel calls (plain bisection: about 41).  A warm one
+evaluates about 4.5 rows in 3.5 calls in a fixed-point sweep, and about 4.2
+rows in 3.2 calls in a learning round (6.3 rows in 5.3 calls when started
+from the last kappa alone).
 
 :func:`response_operator` gives every player's response at once, one
 :func:`response_solver` call per group of players with equal families.
@@ -28,6 +32,7 @@ a fixed-point sweep about 4.7 rows in 3.8 calls.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +196,10 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     hi = max(hi, lo + 1e-12)
     if start is None or not lo < start < hi:
         start = hi
-    a_cert, b_cert = _certified_bracket(fam, probs, prefetch, kinks, lo, hi, float(start))
+    # the solve's one floating-point guard: Newton's slope evaluates every
+    # component's density, unbounded at p = 0 for Pareto q > 2
+    with np.errstate(divide="ignore", over="ignore"):
+        a_cert, b_cert = _certified_bracket(fam, probs, prefetch, kinks, lo, hi, float(start))
     step = max(1.0, hi - lo)
     for _ in range(200):
         if hi >= b_cert or (hi > a_cert and np.add.reduce(probs(hi)) <= 1.0):
@@ -272,8 +280,7 @@ def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, 
     def slope(kappa: float) -> float:
         """-dg/dkappa: sum_i f_i(kappa - u_i) over the components inside their support."""
         p = probs(kappa)
-        with np.errstate(all="ignore"):  # p = 0 may meet an unbounded density
-            f = fam._density(p)
+        f = fam._density(p)  # inside the caller's errstate block
         return float(np.add.reduce(f[(p > 0.0) & (p < 1.0)]))
 
     # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
@@ -347,9 +354,13 @@ def response_solver(fam: MarginalFamily):
     Returns a callable mapping payoff rows ``(..., N)`` to their response
     probabilities, without input validation: softmax and sparsemax work
     along the last axis, and the generic route solves the rows of a
-    ``(-1, N)`` view one at a time, each warm-started from the kappa of the
-    same row in the previous call of the same shape.  Each row gets the bits
-    of its own 1-D call.
+    ``(-1, N)`` view one at a time.  Each row starts Newton at the kappa of
+    the same row in the previous call of the same shape plus p . (u - u_old),
+    the change in its payoffs weighted by its last response (the first call,
+    and the first after a shape change, start cold).  The prediction is
+    computed in Python floats, so one that overflows comes out inf or nan
+    without a warning, and the solver ignores it like any start outside the
+    bracket.  Each row gets the bits of its own 1-D call.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam.gamma
@@ -358,16 +369,20 @@ def response_solver(fam: MarginalFamily):
         gamma = fam.gamma
         return lambda u: _sparsemax_rows(u / gamma)[0]
 
-    shape, kappas = None, []
+    shape, last = None, []
 
     def bisection_rows(u):
-        nonlocal shape, kappas
+        nonlocal shape, last
         rows = u.reshape(-1, u.shape[-1])
         if u.shape != shape:
-            shape, kappas = u.shape, [np.nan] * len(rows)
+            shape, last = u.shape, [(np.nan, (), ())] * len(rows)
         out = np.empty_like(rows)
         for k, row in enumerate(rows):
-            out[k], kappas[k] = _bisection_response(fam, row, kappas[k])
+            kappa, p, before = last[k]
+            now = row.tolist()
+            start = kappa + sum(map(operator.mul, p, map(operator.sub, now, before)))
+            p, kappa = _bisection_response(fam, row, start)
+            out[k], last[k] = p, (kappa, p.tolist(), now)
         return out.reshape(u.shape)
 
     return bisection_rows

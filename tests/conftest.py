@@ -1,0 +1,29 @@
+from contextlib import contextmanager
+
+import pytest
+
+
+@contextmanager
+def _counting_cdf_kernel(*fams):
+    """Count the CDF kernel calls of ``fams`` while the block runs.
+
+    Yields a list that gets the row count of each call of a family's
+    ``_cdf`` kernel, which ``cdf_vector`` and the generic solver both
+    evaluate: a ``(K, N)`` stack is one call of K rows.  The kernels are
+    restored on exit.
+    """
+    calls: list = []
+    fams = list({id(fam): fam for fam in fams}.values())  # a shared family once
+    for fam in fams:
+        fam._cdf = lambda s, cdf=fam._cdf, n=fam.n_actions: (calls.append(s.size // n), cdf(s))[1]
+    try:
+        yield calls
+    finally:
+        for fam in fams:
+            del fam._cdf
+
+
+@pytest.fixture
+def count_cdf_kernel():
+    """``with count_cdf_kernel(*fams) as calls``: the rows of each CDF kernel call."""
+    return _counting_cdf_kernel

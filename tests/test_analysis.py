@@ -66,33 +66,33 @@ def _pareto_fixed_point_cases():
     return cases
 
 
-def _counted_fixed_point(game, fams):
-    """(rows per CDF kernel call, result) of ``fixed_point_iterate``.
-
-    The families' ``_cdf`` kernel is counted, which ``cdf_vector`` and the
-    generic solver both reach; a ``(K, N)`` stack is one call of K rows.
-    """
-    calls = []
-    for fam in fams:
-        fam._cdf = lambda s, f=fam._cdf, n=fam.n_actions: (calls.append(s.size // n), f(s))[1]
-    try:
-        result = fixed_point_iterate(game, fams)
-    finally:
-        for fam in fams:
-            del fam._cdf
-    return calls, result
+def _counted_fixed_point(count_cdf_kernel, game, fams):
+    """(rows per CDF kernel call, result) of ``fixed_point_iterate``."""
+    with count_cdf_kernel(*fams) as calls:
+        return calls, fixed_point_iterate(game, fams)
 
 
-def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch):
-    # each bound solver restarts Newton from its row's last kappa; a cold
+def _solves_counted(monkeypatch) -> list:
+    """A list that gets one entry per generic-route solve from now on."""
+    import beliefgames.response as response
+
+    solves: list = []
+    bisect = response._bisection_response
+    monkeypatch.setattr(response, "_bisection_response",
+                        lambda *args: (solves.append(1), bisect(*args))[1])
+    return solves
+
+
+def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch, count_cdf_kernel):
+    # each bound solver restarts Newton from its row's predicted kappa; a cold
     # solver per call must reach the same bits
     import beliefgames.response as response
 
     cases = _pareto_fixed_point_cases()
-    warm = [_counted_fixed_point(game, fams) for game, fams in cases]
+    warm = [_counted_fixed_point(count_cdf_kernel, game, fams) for game, fams in cases]
     monkeypatch.setattr(response, "response_solver", lambda fam: lambda u: np.apply_along_axis(
         lambda row: response._bisection_response(fam, row)[0], -1, u))
-    cold = [_counted_fixed_point(game, fams) for game, fams in cases]
+    cold = [_counted_fixed_point(count_cdf_kernel, game, fams) for game, fams in cases]
     for (_, a), (_, b) in zip(warm, cold):
         assert a.profile.probs.tobytes() == b.profile.probs.tobytes()
         assert (a.iterations, a.residual) == (b.iterations, b.residual)
@@ -101,21 +101,35 @@ def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch):
     assert warm_rows <= 0.75 * cold_rows
 
 
-def test_warm_fixed_point_makes_few_kernel_calls_per_solve(monkeypatch):
+def test_warm_fixed_point_makes_few_kernel_calls_per_solve(monkeypatch, count_cdf_kernel):
     # The first certification points on both sides of Newton's root share one
     # (2, N) kernel call.  On these 522 warm solves the solver evaluates 4.75
     # rows per solve: 4.75 kernel calls when each row has its own, 3.76 with
     # the pair.
-    import beliefgames.response as response
-
-    solves = []
-    bisect = response._bisection_response
-    monkeypatch.setattr(response, "_bisection_response",
-                        lambda *args: (solves.append(1), bisect(*args))[1])
+    solves = _solves_counted(monkeypatch)
     calls = [n for game, fams in _pareto_fixed_point_cases()
-             for n in _counted_fixed_point(game, fams)[0]]
+             for n in _counted_fixed_point(count_cdf_kernel, game, fams)[0]]
     assert len(calls) <= 4.2 * len(solves)
     assert max(calls) == 2
+
+
+@pytest.mark.parametrize("horizon", [40, 400])
+def test_warm_dynamics_makes_few_kernel_calls_per_solve(monkeypatch, count_cdf_kernel, horizon):
+    # A learning round moves every payoff estimate, so the row's last kappa
+    # alone is a poor start: 5.71 kernel calls per solve at horizon 40 and
+    # 5.31 at 400 (a cold solve makes about 6.4).  The predicted start
+    # kappa + p . (u_new - u_old) makes 3.47 and 3.15, the final residual's
+    # cold solves included.
+    solves = _solves_counted(monkeypatch)
+    calls = []
+    for game, fams in _pareto_fixed_point_cases():
+        cfg = RunConfig(horizon=horizon, schedule=StepSchedule.power(1.0, 0.6),
+                        risk_families=fams, belief_families=fams, record_every=1)
+        with count_cdf_kernel(*fams) as run_calls:
+            run_dynamics(game, cfg)
+        calls += run_calls
+    assert len(solves) >= 16 * horizon
+    assert len(calls) <= 4.0 * len(solves)
 
 
 def test_residual_checks_family_count():

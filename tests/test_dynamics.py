@@ -419,6 +419,45 @@ def test_block_bookkeeping_equals_a_per_round_replay(kind, m, horizon, every):
         assert trace.clamp_triggers > 0
 
 
+def _predicted_start_cases():
+    """(game, families) with Pareto q < 1, in (1, 2) and > 2, a tabulated family,
+    and a 3-player game of three groups (Pareto q = 2.5, tabulated, exponential)."""
+    rng = np.random.default_rng(57)
+    eta = np.array([0.6, 1.0, 1.7])
+    cases = [(random_game(2, 3, rng), (ParetoFamily(3.0, q, eta), ParetoFamily(4.0, q, eta[::-1])))
+             for q in (0.6, 1.5, 2.5)]
+    cases.append((random_game(2, 3, rng), (_family("tabulated", 3, 0), _family("tabulated", 3, 1))))
+    mixed = (ParetoFamily(3.0, 2.5, eta), _family("tabulated", 3, 0), ExponentialFamily(2.0, eta))
+    cases.append((random_game(3, 3, rng), mixed))
+    return cases
+
+
+@pytest.mark.parametrize("horizon", [40, 400])
+def test_predicted_starts_give_a_cold_solver_s_bits(monkeypatch, horizon):
+    # each bound generic-route solver starts a row's Newton phase at
+    # kappa + p . (u_new - u_old) from that row's last call; a solver that
+    # starts every row cold must give every Trace field the same bytes
+    runs = []
+    for game, fams in _predicted_start_cases():
+        cfg = RunConfig(horizon=horizon, schedule=StepSchedule.power(1.0, 0.6),
+                        risk_families=fams, belief_families=fams, record_every=1)
+        runs.append((game, cfg, run_dynamics(game, cfg)))
+    bound = response.response_solver
+
+    def cold_solver(fam):
+        if isinstance(fam, ExponentialFamily):  # softmax: no start to predict
+            return bound(fam)
+        return lambda u: np.apply_along_axis(
+            lambda row: response._bisection_response(fam, row)[0], -1, u)
+
+    monkeypatch.setattr(response, "response_solver", cold_solver)
+    for game, cfg, warm in runs:
+        cold = run_dynamics(game, cfg)
+        for name in Trace.__dataclass_fields__:
+            a, b = getattr(warm, name), getattr(cold, name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
 def _solver_with_bad_round(monkeypatch, bad_round: int, fail_round: int | None = None):
     """Patch the response solvers: player 1's response at ``bad_round`` gets a
     probability above one, and the solve of ``fail_round`` raises."""

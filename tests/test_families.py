@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from beliefgames.families import (
 )
 from beliefgames.games import matching_game
 from beliefgames.oracles import finite_difference_gradient, quadrature_regularizer
-from beliefgames.response import quantal_response
+from beliefgames.response import quantal_response, response_probabilities
 
 
 def _every_action(t, n):
@@ -264,27 +266,44 @@ def test_pareto_validation():
 
 
 def _pareto_cdf_with_errstate(fam, s):
-    """The Pareto CDF kernel as it was written with an errstate block, and its w."""
+    """The Pareto CDF kernel as it was written with an errstate block, and its w.
+
+    Where w ** (1 / (q - 1)) overflows, the body is -inf and the CDF 0.
+    """
     q, g = fam.q, fam.gamma
     w = 1.0 / q - s * (q - 1.0) / (g * q)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         body = 1.0 - fam.eta * np.power(np.maximum(w, 0.0), 1.0 / (q - 1.0))
     edge = 1.0 if q > 1.0 else 0.0
     return np.where(w > 0.0, np.minimum(np.maximum(body, 0.0), 1.0), edge), w
 
 
-@pytest.mark.parametrize("q, zero", [(0.5, -2.0), (3.0, 0.5)])
+@pytest.mark.parametrize("q, zero", [(0.5, -2.0), (1.0 - 2.0 ** -7, -128.0),
+                                     (1.0 + 2.0 ** -10, 1024.0), (1.5, 2.0), (3.0, 0.5)])
 def test_pareto_cdf_is_silent_and_unchanged_beyond_the_support(q, zero):
-    # w(s) = 1/q - s (q - 1) / (gamma q) is exactly 0 at s = zero; w <= 0 takes
-    # the edge value without raising 0 ** negative
+    # w(s) = 1/q - s (q - 1) / (gamma q) is 0 at s = zero; w <= 0 takes the
+    # edge value without raising 0 ** negative.  Far below the support, at
+    # w large for q in (1, 2) and at w near 0 for q near 1 from below,
+    # w ** (1 / (q - 1)) overflows; the CDF there is 0, without a warning.
     fam = ParetoFamily(1.0, q, np.array([0.5, 1.0, 2.0]))
-    s = _every_action(np.array([-1e300, zero - 3.0, zero - 1e-9, zero, zero + 1e-9,
-                                zero + 3.0, 1e300]), 3)
-    with np.errstate(divide="raise", invalid="raise"):
-        got = fam.cdf_vector(s)
+    s = _every_action(np.array([-1e300, -1e100, zero - 3.0, zero - 1e-6, zero - 1e-9, zero,
+                                zero + 1e-9, zero + 1e-6, zero + 3.0, 1e100, 1e300]), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            got = fam.cdf_vector(s)
     want, w = _pareto_cdf_with_errstate(fam, s)
     assert (w < 0.0).any() and (w == 0.0).any() and (w > 0.0).any()
     assert got.tobytes() == want.tobytes()
+
+
+def test_pareto_response_far_below_the_support_is_silent():
+    # the solver evaluates the dominated actions 3000 below the dominant one,
+    # where w ** 1000 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = response_probabilities(ParetoFamily(1.0, 1.001, [1.0, 1.0, 1.0]), [0.0, 0.0, 3000.0])
+    assert p.tolist() == [0.0, 0.0, 1.0]
 
 
 def _exp_table(gamma: float, points: int = 2001):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,29 +260,10 @@ def test_bisection_replay_from_any_start_is_bitwise_plain_bisection(case, shift,
     assert _solve_or_raise(lambda f, v: _bisection_response(f, v, start), fam, u) == want
 
 
-def _count_kernel(fam, calls: list) -> None:
-    """Append the row count of each call of ``fam``'s CDF kernel to ``calls``.
-
-    The kernel is what ``cdf_vector`` and the generic solver both evaluate;
-    a ``(K, N)`` stack is one call of K rows.  ``del fam._cdf`` undoes it.
-    """
-    cdf = fam._cdf
-
-    def counted(s):
-        calls.append(s.size // fam.n_actions)
-        return cdf(s)
-
-    fam._cdf = counted
-
-
-def _counted(fam, solve, *args):
+def _counted(count_cdf_kernel, fam, solve, *args):
     """(CDF rows evaluated, result) of ``solve(fam, *args)``."""
-    calls: list = []
-    _count_kernel(fam, calls)
-    try:
+    with count_cdf_kernel(fam) as calls:
         out = solve(fam, *args)
-    finally:
-        del fam._cdf
     return sum(calls), out
 
 
@@ -301,7 +284,7 @@ def _random_family(kind: str, n: int, rng):
 
 
 @pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto", "tabulated"])
-def test_kkt_evaluation_counts_across_families(kind):
+def test_kkt_evaluation_counts_across_families(kind, count_cdf_kernel):
     # On a pure or near-pure row the root sits at a kink that Newton crawls to,
     # and a warm start from that row's own kappa begins exactly there: such a
     # row may cost only a few evaluations more than plain bisection.  Over all
@@ -312,14 +295,14 @@ def test_kkt_evaluation_counts_across_families(kind):
         n = int(rng.integers(2, 9))
         fam = _random_family(kind, n, rng)
         u = 10.0 ** rng.uniform(-3.0, 3.0) * rng.uniform(-1.0, 1.0, n)
-        plain, (p, kappa) = _counted(fam, bisection_response, u)
-        cold, _ = _counted(fam, _bisection_response, u)
+        plain, (p, kappa) = _counted(count_cdf_kernel, fam, bisection_response, u)
+        cold, _ = _counted(count_cdf_kernel, fam, _bisection_response, u)
         plain_total += plain
         cold_total += cold
         if p.max() < 1.0 - 1e-6:
             continue
         pure += 1
-        warm, _ = _counted(fam, _bisection_response, u, kappa)
+        warm, _ = _counted(count_cdf_kernel, fam, _bisection_response, u, kappa)
         assert max(cold, warm) <= plain + 4, (fam.to_dict(), u.tolist(), cold, warm, plain)
     assert pure >= 100
     assert cold_total <= plain_total / 3
@@ -345,6 +328,55 @@ def test_bound_solver_gives_shuffled_rows_their_cold_bits():
         pairs = rows.reshape(30, 2, 4)
         for k in rng.permutation(30):
             assert respond(pairs[k]).tobytes() == want.reshape(30, 2, 4)[k].tobytes()
+
+
+def test_bound_solver_ignores_a_non_finite_predicted_start():
+    # The bound solver starts Newton at kappa + p . (u_new - u_old).  A jump of
+    # 1.8e308 overflows that prediction to -inf or nan, which the solver takes
+    # as no start at all; the row still gets its cold bits.
+    tables = [[[0.0, -2e307], [0.5, 1e306 * i], [1.0, 3e307]] for i in range(3)]
+    for fam in (ParetoFamily(1e307, 0.6, [0.5, 1.0, 2.0]), ParetoFamily(1e307, 1.5, [0.5, 1.0, 2.0]),
+                ParetoFamily(1e307, 2.5, [0.5, 1.0, 2.0]), TabulatedFamily(tables)):
+        for before, after in (([0.9e308, 0.0, 0.0], [-0.9e308, 0.0, 0.0]),
+                              ([0.0, 0.9e308, 1e307], [0.0, -0.9e308, 1e307])):
+            before, after = np.array(before), np.array(after)
+            p, kappa = _bisection_response(fam, before)
+            start = kappa + sum(w * (b - a) for w, a, b in zip(p.tolist(), before.tolist(),
+                                                                  after.tolist()))
+            assert not np.isfinite(start)
+            solve = response_solver(fam)
+            assert solve(before).tobytes() == p.tobytes()
+            want = _solve_or_raise(bisection_response, fam, after)
+            assert solve(after).tobytes() == want[0]
+            assert solve(before).tobytes() == p.tobytes()  # and back
+
+
+def test_unbounded_densities_in_a_solve_stay_silent():
+    # Newton's slope evaluates the density at every component, and for q > 2 a
+    # zero probability meets 0 ** (2 - q).  One errstate block per solve keeps
+    # that silent.  (The solver's probabilities are 1 - F, so 0 or at least
+    # 2^-53: a subnormal one never reaches the density.)
+    fam = ParetoFamily(1.0, 3.0, np.array([0.5, 1.0, 2.0]))
+    density, unguarded = fam._density, []
+
+    def checked(p):
+        with np.errstate(all="raise"):
+            try:
+                density(p)
+            except FloatingPointError:
+                unguarded.append(p)
+        return density(p)
+
+    fam._density = checked
+    rows = np.array([[0.0, -5.0, -40.0], [0.0, 0.0, -1.0], [3.0, 0.0, 0.0], [0.0, -1e-3, -2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in rows:
+            assert (_solve_or_raise(_bisection_response, fam, u)
+                    == _solve_or_raise(bisection_response, fam, u))
+        got = response_solver(fam)(rows)
+    assert got.tobytes() == np.stack([bisection_response(fam, u)[0] for u in rows]).tobytes()
+    assert len(unguarded) >= 10 and all((p == 0.0).any() for p in unguarded)
 
 
 def test_family_groups_serialize_each_object_once():
@@ -378,16 +410,15 @@ def test_bisection_replay_fails_like_plain_bisection():
     assert messages[0] == messages[1]
 
 
-def test_bisection_evaluates_few_cdfs_on_pareto_games():
+def test_bisection_evaluates_few_cdfs_on_pareto_games(count_cdf_kernel):
     # the kkt-pareto benchmark's families: plain bisection needs about 41 evaluations
     rng = np.random.default_rng(101)
-    calls: list = []
+    rows = 0
     for k in range(200):
         q = rng.uniform(0.5, 0.8) if k % 2 == 0 else rng.uniform(1.5, 2.5)
         fam = ParetoFamily(6.0, q, rng.uniform(0.5, 2.0, 3))
-        _count_kernel(fam, calls)
-        _bisection_response(fam, rng.random(3))
-    assert sum(calls) / 200 <= 14
+        rows += _counted(count_cdf_kernel, fam, _bisection_response, rng.random(3))[0]
+    assert rows / 200 <= 14
 
 
 def test_payoff_vector_input_validation():
