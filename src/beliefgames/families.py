@@ -301,6 +301,30 @@ class UniformFamily(MarginalFamily):
         return {"type": "uniform", "gamma": self.gamma, "actions": self.n_actions}
 
 
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _overflow_edge(eta: np.ndarray, power: float) -> np.ndarray:
+    """Per action, where ``eta * w ** power`` starts to overflow: the smallest
+    such w for a power above 1, the largest for a negative one.
+
+    A bisection on the bits of positive floats, which order as their values.
+    """
+    finite = np.ones_like(eta).view(np.int64)
+    over = np.full_like(eta, np.finfo(float).max if power > 0.0 else _TINY).view(np.int64)
+    with np.errstate(over="ignore"):
+        while (abs(over - finite) > 1).any():
+            mid = finite + (over - finite) // 2
+            hit = eta * np.power(mid.view(float), power) == np.inf
+            over, finite = np.where(hit, mid, over), np.where(hit, finite, mid)
+    return over.view(float)
+
+
+def _inf_from(w, bound):
+    """w below ``bound``, inf from there on: a clamp for a bound whose power overflows."""
+    return np.where(w < bound, w, np.inf)
+
+
 class ParetoFamily(MarginalFamily):
     """Generalized Pareto marginals with shape q > 0 (q != 1) and weights eta.
 
@@ -331,24 +355,44 @@ class ParetoFamily(MarginalFamily):
         self.eta.setflags(write=False)
         q, g = self.q, self.gamma
         power = 1.0 / (q - 1.0)
-        # Far below the support w ** power overflows (w large for q > 1, w near 0
-        # for q < 1).  Beyond w = (2 / eta_i)^(q - 1) the CDF is 0 already, as
-        # eta_i w ** power >= 1.5 there, so the kernel clamps w at that bound.
-        # An action whose bound does not verify (eta_i near the subnormals, or q
-        # within a few ulps of 1) is left unclamped.
-        with np.errstate(over="ignore", divide="ignore"):
+        # Far below the support eta_i * w ** power overflows (w large for q > 1,
+        # w near 0 for q < 1).  Beyond w = (2 / eta_i)^(q - 1) the CDF is 0
+        # already, as eta_i w ** power >= 1.5 there, so the kernel clamps w at
+        # that bound.  For q > 1 a bound that does not verify (it underflows
+        # when eta_i is huge) falls back to the smallest positive float, beyond
+        # which every w lies.
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            def verified(bound):
+                check = self.eta * np.power(bound, power)
+                return (check >= 1.5) & (check < np.inf)
+
             bound = np.power(2.0 / self.eta, q - 1.0)
-            check = self.eta * np.power(bound, power)
-        bound = np.where((check >= 1.5) & (check < np.inf), bound, np.inf if q > 1.0 else 0.0)
+            if q > 1.0:
+                bound = np.where(verified(bound), bound, _TINY)
+            ok = verified(bound)
+        clamp, floor = np.minimum if q > 1.0 else np.maximum, 0.0
+        bound = np.where(ok, bound, np.inf if q > 1.0 else 0.0)
+        if q < 2.0 and not ok.all():
+            # No bound verifies for eta_i below about 1e-308 (its w ** power
+            # would have to exceed the largest float) or for q within a few ulps
+            # of 1.  There eta_i * w ** power overflows, and the CDF is 0, from
+            # some w on (q > 1) or up to some w (q < 1).  For q > 1 the kernel
+            # sends those w to inf, whose power is inf; for q < 1 it takes them
+            # as outside the support, where the CDF is 0 too.
+            edge = _overflow_edge(self.eta, power)
+            if q > 1.0:
+                bound, clamp = np.where(ok, bound, edge), _inf_from
+            else:
+                floor = np.where(ok, 0.0, edge)
         # the CDF's scalars, each rounded as the formula rounds it; beyond the
         # zero of w the CDF is 1 when q > 1 (above the support) and 0 when q < 1
         self._cdf_constants = (1.0 / q, q - 1.0, g * q, power, 1.0 if q > 1.0 else 0.0,
-                               np.minimum if q > 1.0 else np.maximum, bound)
+                               clamp, bound, floor)
 
     def _cdf(self, s):
-        inv_q, q_less_1, gq, power, edge, clamp, bound = self._cdf_constants
+        inv_q, q_less_1, gq, power, edge, clamp, bound, floor = self._cdf_constants
         w = inv_q - s * q_less_1 / gq
-        inside = w > 0.0
+        inside = w > floor
         # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative)
         body = 1.0 - self.eta * np.power(clamp(np.where(inside, w, 1.0), bound), power)
         # body is never above 1 nor -0.0, so np.maximum alone gives np.clip's bits

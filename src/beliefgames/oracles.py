@@ -17,13 +17,18 @@ import numpy as np
 
 from .families import ExponentialFamily, MarginalFamily, UniformFamily
 from .games import Game, StrategyProfile
-from .response import BISECT_TOL, response_probabilities
+from .response import _BISECT_MAX_ITER, BISECT_TOL, response_probabilities
 
 #: quantile arguments are capped at this level so draws stay finite even for
 #: unbounded marginals.
 _T_CAP = 1.0 - 1e-15
 
 COPULAS = ("independence", "comonotone", "permutation")
+
+#: Monte Carlo draws are made and reduced this many rows at a time.  PCG64
+#: fills the blocks in the order of one draw of all n rows, so the estimates
+#: keep the one-shot bits in bounded memory.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ def coupling_expected_max(fam: MarginalFamily, u, copula: str, n: int,
     independently; ``comonotone`` feeds one shared uniform through every
     quantile; ``permutation`` applies a uniformly random coordinate
     permutation to each comonotone draw (a marginal-preserving mixture when
-    the marginals are exchangeable).
+    the marginals are exchangeable), drawn after all n uniforms.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (fam.n_actions,):
@@ -55,15 +60,19 @@ def coupling_expected_max(fam: MarginalFamily, u, copula: str, n: int,
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     k = fam.n_actions
-    if copula == "independence":
-        t = np.minimum(rng.random((n, k)), _T_CAP)
-    else:
-        t = np.minimum(rng.random(n), _T_CAP)[:, None] * np.ones((1, k))
-    draws = fam.quantile_vector(t)
-    if copula == "permutation":
-        perms = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-        draws = np.take_along_axis(draws, perms, axis=1)
-    vals = (u[None, :] + draws).max(axis=1)
+    shared = None if copula == "independence" else np.minimum(rng.random(n), _T_CAP)
+    vals = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        rows = min(_BLOCK, n - lo)
+        if shared is None:
+            t = np.minimum(rng.random((rows, k)), _T_CAP)
+        else:
+            t = shared[lo:lo + rows, None] * np.ones((1, k))
+        draws = fam.quantile_vector(t)
+        if copula == "permutation":
+            perms = rng.permuted(np.tile(np.arange(k), (rows, 1)), axis=1)
+            draws = np.take_along_axis(draws, perms, axis=1)
+        vals[lo:lo + rows] = (u + draws).max(axis=1)
     return SampleEstimate(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / np.sqrt(n)),
@@ -78,9 +87,11 @@ def gumbel_choice_frequencies(u, scale: float, n: int, seed: int = 0) -> np.ndar
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     rng = np.random.default_rng(seed)
-    noisy = u[None, :] + rng.gumbel(0.0, scale, size=(n, u.size))
-    winners = np.argmax(noisy, axis=1)
-    return np.bincount(winners, minlength=u.size) / float(n)
+    counts = np.zeros(u.size, dtype=np.int64)
+    for lo in range(0, n, _BLOCK):
+        noisy = u + rng.gumbel(0.0, scale, size=(min(_BLOCK, n - lo), u.size))
+        counts += np.bincount(np.argmax(noisy, axis=1), minlength=u.size)
+    return counts / float(n)
 
 
 def project_simplex(v) -> np.ndarray:
@@ -222,7 +233,11 @@ def bisection_response(fam: MarginalFamily, u) -> tuple[np.ndarray, float]:
     """Plain bisection for sum_i (1 - F_i(kappa - u_i)) = 1: (p, kappa).
 
     Evaluates the CDFs at every midpoint.  The package's solver must return
-    exactly these bits while skipping the midpoints it has certified.
+    exactly these bits while skipping the midpoints it has certified.  The
+    bracket doubles its step until the sum at its upper end is at most one,
+    and fails once that end would overflow.  The bisection stops at the
+    first midpoint within BISECT_TOL, or at one that equals an end of the
+    bracket (from there every step would repeat it).
     """
     u = np.asarray(u, dtype=float)
     if not fam.strictly_increasing_cdf:
@@ -242,19 +257,17 @@ def bisection_response(fam: MarginalFamily, u) -> tuple[np.ndarray, float]:
     hi = float(np.max(u + fam.tail_quantile_vector(np.full(n, 1.0 / n))))
     hi = max(hi, lo + 1e-12)
     step = max(1.0, hi - lo)
-    for _ in range(200):
-        if probs(hi).sum() <= 1.0:
-            break
+    while not probs(hi).sum() <= 1.0:
+        if hi + step == np.inf:
+            raise RuntimeError(
+                f"bisection bracket failure: sum of probabilities still above 1 at "
+                f"kappa = {hi!r} (lo = {lo!r})"
+            )
         hi += step
         step *= 2.0
-    else:
-        raise RuntimeError(
-            f"bisection bracket failure: sum of probabilities still above 1 at "
-            f"kappa = {hi!r} (lo = {lo!r})"
-        )
-    kappa = 0.5 * (lo + hi)
-    for _ in range(200):
+    for _ in range(_BISECT_MAX_ITER):
         kappa = 0.5 * (lo + hi)
+        last = not lo < kappa < hi  # adjacent ends: the next steps would repeat this one
         gap = probs(kappa).sum() - 1.0
         if abs(gap) <= BISECT_TOL:
             break
@@ -262,6 +275,8 @@ def bisection_response(fam: MarginalFamily, u) -> tuple[np.ndarray, float]:
             lo = kappa
         else:
             hi = kappa
+        if last:
+            break
     p = probs(kappa)
     total = p.sum()
     if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:

@@ -17,13 +17,14 @@ Where Newton starts changes only which CDFs are evaluated: the solver that
 row's last kappa plus p . (u_new - u_old) with p its last response.  This
 is the first-order step of a predictor-corrector continuation, since
 dkappa/du_i = f_i / sum_k f_k over the density terms f, which is p_i for an
-exponential family.  The solver calls the family's CDF kernel directly, and
-the first certification points on both sides of Newton's root share one
-call on a ``(2, N)`` stack.  On 2x3 Pareto games a cold solve evaluates
-about 7.4 rows in 6.4 kernel calls (plain bisection: about 41).  A warm one
-evaluates about 4.5 rows in 3.5 calls in a fixed-point sweep, and about 4.2
-rows in 3.2 calls in a learning round (6.3 rows in 5.3 calls when started
-from the last kappa alone).
+exponential family.  The solver calls the family's CDF kernel directly.  The
+first certification points on both sides of Newton's root share one call on
+a ``(K, N)`` stack with the bisection midpoints they would leave to evaluate
+(K <= 5), and the bisection resumes past the midpoints it would skip.  On
+2x3 Pareto games a cold solve evaluates about 9.2 rows in 5.2 kernel calls
+(plain bisection: about 41).  A warm one evaluates about 6.2 rows in 2.3
+calls in a fixed-point sweep or in 40 learning rounds, and 6.0 rows in 2.1
+calls over 400 rounds.
 
 :func:`response_operator` gives every player's response at once, one
 :func:`response_solver` call per group of players with equal families.
@@ -42,7 +43,10 @@ from .games import Game, StrategyProfile, payoff_vector
 
 #: |sum p - 1| target for the kappa bisection.
 BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
+#: Enough halvings to take any finite bracket down to adjacent floats (about
+#: 2100 from the widest); the bisection stops sooner at a midpoint that equals
+#: an end, where plain bisection would repeat that step for ever.
+_BISECT_MAX_ITER = 2200
 #: Newton stops once |sum p - 1| and its step are both this small (the step
 #: relative to |kappa|); the next step then lands within the certification
 #: step of the root.  Its iterations and the certification tries are capped,
@@ -156,7 +160,9 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     the Newton phase begins when it lies strictly inside the initial
     bracket (a warm start, such as the kappa of a nearby payoff vector);
     otherwise it begins at the bracket's upper end.  It changes only which
-    CDFs are evaluated, never the result.
+    CDFs are evaluated, never the result.  When the certified ends are the
+    ones :func:`_certified_bracket` predicted, the bisection resumes where
+    its walk over those ends stopped, with the walk's steps counted.
 
     ``u`` must be a finite float vector of the family's length, since the
     family's CDF kernel is called on it without validation.  The ufunc
@@ -171,22 +177,23 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     n = fam.n_actions
     lows, tops = fam._response_offsets
     cdf = fam._cdf
-    evaluated: dict = {}
+    evaluated: dict = {}  # kappa -> (p, sum p)
 
-    def probs(kappa: float) -> np.ndarray:
-        p = evaluated.get(kappa)
-        if p is None:
-            p = evaluated[kappa] = 1.0 - cdf(kappa - u)
-        return p
+    def at(kappa: float) -> tuple[np.ndarray, np.float64]:
+        hit = evaluated.get(kappa)
+        if hit is None:
+            p = 1.0 - cdf(kappa - u)
+            hit = evaluated[kappa] = p, np.add.reduce(p)
+        return hit
 
-    def prefetch(kappas: tuple[float, ...]) -> None:
+    def prefetch(kappas: list[float]) -> None:
         """Evaluate several kappas in one kernel call on a ``(K, N)`` stack.
 
-        Each row has the bits of its own 1-D call, so the cache cannot tell
-        the two apart.
+        Each row and each row sum has the bits of its own 1-D call, so the
+        cache cannot tell the two apart.
         """
-        for kappa, p in zip(kappas, 1.0 - cdf(np.array(kappas)[:, None] - u)):
-            evaluated[kappa] = p
+        ps = 1.0 - cdf(np.array(kappas)[:, None] - u)
+        evaluated.update(zip(kappas, zip(ps, np.add.reduce(ps, axis=-1))))
 
     kinks = u + lows  # where each component's probability reaches 1
     lo = float(np.minimum.reduce(kinks))
@@ -199,36 +206,39 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     # the solve's one floating-point guard: Newton's slope evaluates every
     # component's density, unbounded at p = 0 for Pareto q > 2
     with np.errstate(divide="ignore", over="ignore"):
-        a_cert, b_cert = _certified_bracket(fam, probs, prefetch, kinks, lo, hi, float(start))
-    step = max(1.0, hi - lo)
-    for _ in range(200):
-        if hi >= b_cert or (hi > a_cert and np.add.reduce(probs(hi)) <= 1.0):
-            break
+        a_cert, b_cert, walked = _certified_bracket(fam, at, prefetch, kinks, lo, hi,
+                                                    float(start))
+    top, step = hi, max(1.0, hi - lo)
+    while not (hi >= b_cert or (hi > a_cert and at(hi)[1] <= 1.0)):
+        if hi + step == np.inf:
+            raise RuntimeError(
+                f"bisection bracket failure: sum of probabilities still above 1 at "
+                f"kappa = {hi!r} (lo = {lo!r})"
+            )
         hi += step
         step *= 2.0
-    else:
-        raise RuntimeError(
-            f"bisection bracket failure: sum of probabilities still above 1 at "
-            f"kappa = {hi!r} (lo = {lo!r})"
-        )
-    kappa = 0.5 * (lo + hi)
-    for _ in range(_BISECT_MAX_ITER):
+    iters = _BISECT_MAX_ITER
+    if walked is not None and hi == top:
+        lo, hi, steps = walked
+        iters -= steps
+    for _ in range(iters):
         kappa = 0.5 * (lo + hi)
+        last = not lo < kappa < hi  # adjacent ends: plain bisection repeats this step
         if kappa <= a_cert:
             lo = kappa
-            continue
-        if kappa >= b_cert:
+        elif kappa >= b_cert:
             hi = kappa
-            continue
-        gap = np.add.reduce(probs(kappa)) - 1.0
-        if abs(gap) <= BISECT_TOL:
-            break
-        if gap > 0.0:
-            lo = kappa
         else:
-            hi = kappa
-    p = probs(kappa)
-    total = np.add.reduce(p)
+            gap = at(kappa)[1] - 1.0
+            if abs(gap) <= BISECT_TOL:
+                break
+            if gap > 0.0:
+                lo = kappa
+            else:
+                hi = kappa
+        if last:
+            break
+    p, total = at(kappa)
     if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
         raise RuntimeError(
             f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
@@ -237,8 +247,30 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     return p / total, float(kappa)
 
 
-def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, lo: float,
-                       hi: float, start: float) -> tuple[float, float]:
+def _walk(lo: float, hi: float, a: float, b: float) -> tuple[float, float, float | None, int]:
+    """Plain bisection's steps from [lo, hi] while its midpoints lie outside (a, b).
+
+    Returns the bracket at the first midpoint strictly inside (a, b), that
+    midpoint and the number of steps before it.  The midpoint is None when
+    the iteration cap, or a bracket of adjacent floats, comes first.  A
+    midpoint at or below a moves lo and one at or above b moves hi, as the
+    bisection does beyond its certified ends.
+    """
+    for steps in range(_BISECT_MAX_ITER):
+        kappa = 0.5 * (lo + hi)
+        if a < kappa < b:
+            return lo, hi, kappa, steps
+        if not lo < kappa < hi:
+            break
+        if kappa <= a:
+            lo = kappa
+        else:
+            hi = kappa
+    return lo, hi, None, _BISECT_MAX_ITER
+
+
+def _certified_bracket(fam: MarginalFamily, at, prefetch, kinks: np.ndarray, lo: float,
+                       hi: float, start: float) -> tuple[float, float, tuple | None]:
     """Bracket (a, b) outside which every bisection branch is already decided.
 
     The computed gap g = sum p - 1 is at least ``need`` at a and at most
@@ -249,12 +281,20 @@ def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, 
 
     A safeguarded Newton phase from ``start`` locates the root inside the
     sign bracket [lo, hi]; then points a small step to each side of it are
-    evaluated, the step growing fourfold until that side certifies; the
-    first point of each side is evaluated in one ``prefetch`` call.  Every
+    evaluated, the step growing fourfold until that side certifies.  Every
     evaluated point certifies wherever its gap allows, and the certified
     ends combine by max and min, so an extra point changes only which
     midpoints are skipped.  Failure only widens the bracket, up to
     (-inf, inf).
+
+    The first point of each side usually certifies both ends.  So one
+    ``prefetch`` call evaluates that pair together with the midpoints plain
+    bisection from [lo, hi] would evaluate inside it: the first midpoint
+    strictly inside, and the first inside midpoint of each half the
+    bisection could take next (at most five rows).  The third value
+    returned is the bracket and step count at that first inside midpoint
+    (see :func:`_walk`), when the certified ends are the pair; otherwise
+    None.
 
     On pure and near-pure responses the root sits at or just below a kink:
     the ``kinks`` entry where the top component's probability reaches one.
@@ -270,7 +310,7 @@ def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, 
 
     def gap(kappa: float) -> float:
         nonlocal a_cert, b_cert
-        g = float(np.add.reduce(probs(kappa)) - 1.0)
+        g = float(at(kappa)[1] - 1.0)
         if g >= need:
             a_cert = max(a_cert, kappa)
         elif g <= -need:
@@ -279,7 +319,7 @@ def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, 
 
     def slope(kappa: float) -> float:
         """-dg/dkappa: sum_i f_i(kappa - u_i) over the components inside their support."""
-        p = probs(kappa)
+        p = at(kappa)[0]
         f = fam._density(p)  # inside the caller's errstate block
         return float(np.add.reduce(f[(p > 0.0) & (p < 1.0)]))
 
@@ -295,7 +335,7 @@ def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, 
                 b = np.inf
         elif g < 0.0:
             b = min(b, kappa)
-        p = probs(kappa)
+        p = at(kappa)[0]
         if abs(g) <= _KINK and np.maximum.reduce(p) >= 1.0 - _KINK:
             break
         if np.count_nonzero(p) == 1:
@@ -320,10 +360,21 @@ def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, 
             nxt = 0.5 * (a + b)
         kappa = nxt
     if root is None:
-        return a_cert, b_cert
+        return a_cert, b_cert, None
     first = 1.25 * need / d
-    if a_cert < root - first and root + first < b_cert:
-        prefetch((root - first, root + first))
+    a, b = root - first, root + first
+    walked = None
+    if a_cert < a and b < b_cert:
+        lo, hi, mid, steps = _walk(lo, hi, a, b)
+        points = [a, b]
+        if mid is not None:
+            walked = lo, hi, steps
+            points.append(mid)
+            for half in ((mid, hi), (lo, mid)):
+                nxt = _walk(*half, a, b)[2]
+                if nxt is not None:
+                    points.append(nxt)
+        prefetch(points)
     for side in (-1.0, 1.0):
         h = first
         for _ in range(_CERT_MAX_TRIES):
@@ -333,7 +384,9 @@ def _certified_bracket(fam: MarginalFamily, probs, prefetch, kinks: np.ndarray, 
             if gap(x) == 0.0:  # a flat stretch of saturated components
                 break
             h *= 4.0
-    return a_cert, b_cert
+    if a_cert != a or b_cert != b:
+        walked = None
+    return a_cert, b_cert, walked
 
 
 def response_probabilities(fam: MarginalFamily, u, method: str = "auto") -> np.ndarray:

@@ -27,3 +27,15 @@ def _counting_cdf_kernel(*fams):
 def count_cdf_kernel():
     """``with count_cdf_kernel(*fams) as calls``: the rows of each CDF kernel call."""
     return _counting_cdf_kernel
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """A list that gets one entry per generic-route solve while the test runs."""
+    import beliefgames.response as response
+
+    solves: list = []
+    bisect = response._bisection_response
+    monkeypatch.setattr(response, "_bisection_response",
+                        lambda *args: (solves.append(1), bisect(*args))[1])
+    return solves

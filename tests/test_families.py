@@ -297,6 +297,28 @@ def test_pareto_cdf_is_silent_and_unchanged_beyond_the_support(q, zero):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("eta, q", [
+    (5e-324, 1.2), (1e-320, 1.001), (1e-310, 1.5), (9e-309, 1.9),  # no bound verifies
+    (1e200, 3.0), (1e300, 3.0), (1.7e308, 2.5), (1e300, 8.0),  # the bound underflows
+    (1e-320, 0.99), (1e305, 1.0 - 2.0 ** -52),  # q < 1: w near 0 overflows
+])
+def test_pareto_cdf_is_silent_and_unchanged_at_extreme_weights(eta, q):
+    # Far below the support eta * w ** (1 / (q - 1)) overflows where no clamp
+    # bound can verify (eta near the subnormals, q within an ulp of 1) and
+    # where the bound underflows (eta huge, q > 2); the CDF there is 0.
+    fam = ParetoFamily(1.0, q, np.array([eta, 1.0]))
+    zero = 1.0 / (q - 1.0)  # w = 0 here
+    near = np.logspace(-300, 3, 60)
+    s = _every_action(np.concatenate((-np.logspace(-3, 300, 80), np.logspace(-3, 300, 20),
+                                      zero - near, zero + near, [0.0, zero])), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            got = fam.cdf_vector(s)
+    want, _ = _pareto_cdf_with_errstate(fam, s)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_pareto_response_far_below_the_support_is_silent():
     # the solver evaluates the dominated actions 3000 below the dominant one,
     # where w ** 1000 overflows

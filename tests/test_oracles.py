@@ -14,6 +14,8 @@ from beliefgames.families import (
 )
 from beliefgames.games import matching_game
 from beliefgames.oracles import (
+    _BLOCK,
+    _T_CAP,
     COPULAS,
     coupling_expected_max,
     finite_difference_gradient,
@@ -112,6 +114,40 @@ def test_optimistic_value_dominates_every_coupling(copula):
         value = optimistic_value(fam, u)
         est = coupling_expected_max(fam, u, copula, 20_000, seed=1)
         assert est.mean <= value + 3.0 * est.stderr
+
+
+def _one_shot_expected_max(fam, u, copula, n, seed):
+    """(mean, stderr) of ``coupling_expected_max`` with all n rows drawn at once."""
+    rng = np.random.default_rng(seed)
+    k = fam.n_actions
+    if copula == "independence":
+        t = np.minimum(rng.random((n, k)), _T_CAP)
+    else:
+        t = np.minimum(rng.random(n), _T_CAP)[:, None] * np.ones((1, k))
+    draws = fam.quantile_vector(t)
+    if copula == "permutation":
+        perms = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+        draws = np.take_along_axis(draws, perms, axis=1)
+    vals = (u[None, :] + draws).max(axis=1)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("copula", COPULAS)
+def test_blocked_coupling_draws_equal_one_shot_draws(copula):
+    fam = ParetoFamily(1.5, 0.6, [0.7, 1.0, 1.6])
+    u = np.array([0.4, -0.2, 0.1])
+    n = 2 * _BLOCK + 37
+    est = coupling_expected_max(fam, u, copula, n, seed=5)
+    assert (est.mean, est.stderr) == _one_shot_expected_max(fam, u, copula, n, 5)
+
+
+def test_blocked_gumbel_draws_equal_one_shot_draws():
+    u = np.array([0.5, 0.1, 0.2])
+    n = 2 * _BLOCK + 37
+    rng = np.random.default_rng(9)
+    noisy = u[None, :] + rng.gumbel(0.0, 0.7, size=(n, u.size))
+    want = np.bincount(np.argmax(noisy, axis=1), minlength=u.size) / float(n)
+    assert gumbel_choice_frequencies(u, 0.7, n, seed=9).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

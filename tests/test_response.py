@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beliefgames.families import (
     ExponentialFamily,
@@ -397,17 +398,52 @@ def test_family_groups_serialize_each_object_once():
     assert [g for _, g, _ in _family_groups(tabs)] == [[0, 2], [1]]
 
 
-def test_bisection_replay_fails_like_plain_bisection():
-    # a near-vertical CDF at |kappa| ~ 1e3: adjacent floats straddle the root
+def test_bisection_replay_fails_like_plain_bisection(count_cdf_kernel):
+    # a near-vertical CDF at |kappa| ~ 1e3: adjacent floats straddle the root,
+    # and the bisection stops at the midpoint that equals an end, in the state
+    # where repeating that step would leave it
     steep = np.array([[0.0, -1.0], [0.2, 0.0], [0.8, 1e-13], [1.0, 1.0]])
     fam = TabulatedFamily([steep, steep])
     u = np.array([1000.0, 1000.0])
     messages = []
     for solver in (_bisection_response, bisection_response):
-        with pytest.raises(RuntimeError, match="failed to converge") as info:
+        with count_cdf_kernel(fam) as calls, \
+                pytest.raises(RuntimeError, match="failed to converge") as info:
             solver(fam, u)
         messages.append(str(info.value))
+        assert len(calls) < 100
     assert messages[0] == messages[1]
+    assert "at kappa = 1000.0 (bracket [1000.0, 1000.0000000000001])" in messages[0]
+
+
+@pytest.mark.parametrize("fam", [
+    ParetoFamily(6.0, 0.6, [0.5, 1.0, 2.0]),
+    ParetoFamily(6.0, 1.5, [0.5, 1.0, 2.0]),
+    ParetoFamily(6.0, 2.5, [0.5, 1.0, 2.0]),
+    TabulatedFamily([[[0.0, -2.0], [0.5, 0.0], [1.0, 1.0 + i]] for i in range(3)]),
+], ids=["pareto-q0.6", "pareto-q1.5", "pareto-q2.5", "tabulated"])
+def test_rows_spanning_the_float_range_solve_like_plain_bisection(fam):
+    # a bracket about 1e308 wide takes about 1070 halvings to reach the root
+    u = np.array([-1e308, 0.3, 0.0])
+    p, kappa = _bisection_response(fam, u)
+    want = bisection_response(fam, u)
+    assert (p.tobytes(), kappa) == (want[0].tobytes(), want[1])
+    assert p[0] == 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_the_widest_row_solves_to_its_response():
+    p = response_probabilities(ParetoFamily(6.0, 0.6, [0.5, 1.0, 2.0]), [-1e308, 0.3, 0.0])
+    np.testing.assert_allclose(p, [0.0, 0.3454, 0.6546], atol=1e-4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda k: st.integers(1, 32).flatmap(
+    lambda n: arrays(float, (k, n), elements=st.floats(-1e3, 1e3)))))
+def test_batched_row_sums_have_the_bits_of_1d_sums(rows):
+    # the generic solver caches each row sum of one (K, N) reduce
+    sums = np.add.reduce(rows, axis=-1)
+    for row, total in zip(rows, sums):
+        assert np.float64(total).tobytes() == np.add.reduce(row).tobytes()
 
 
 def test_bisection_evaluates_few_cdfs_on_pareto_games(count_cdf_kernel):
