@@ -13,7 +13,6 @@ from .analysis import (
     game_hessian,
     hessian_blocks,
     negdef_on_tangent_check,
-    operator_norm,
     residual_series,
     stability_check,
     strong_concavity_check,

@@ -148,12 +148,6 @@ def game_hessian(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     return assemble_hessian(hessian_blocks(game, profile, fams))
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value (spectral norm); 0 for an empty matrix."""
-    a = np.asarray(a, dtype=float)
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Stability condition: regularizer curvature vs. payoff coupling
 # ---------------------------------------------------------------------------
@@ -280,7 +274,7 @@ def diagonal_dominance_check(blocks: np.ndarray) -> bool:
         floor = float(np.abs(np.diagonal(own)).min())
         if floor == 0.0 or not np.isfinite(floor):
             return False
-        off = sum(operator_norm(blocks[j, k]) for k in range(m) if k != j)
+        off = sum(float(np.linalg.norm(blocks[j, k], 2)) for k in range(m) if k != j)
         if not floor > off:
             return False
     return True

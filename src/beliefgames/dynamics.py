@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import equilibrium_residual
 from .families import MarginalFamily
 from .games import Game, StrategyProfile, payoff_vector_rows
 from .response import _family_groups, response_operator
@@ -332,8 +333,6 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
 
     if not np.all(np.isfinite(estimates)):
         raise RuntimeError("estimates diverged to non-finite values")
-
-    from .analysis import equilibrium_residual  # deferred: analysis is a heavier module
 
     final_residual = equilibrium_residual(
         game, StrategyProfile(probs_hist[-1]), config.risk_families

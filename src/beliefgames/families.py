@@ -14,6 +14,11 @@ derived from the CDFs:
 Every shipped family gives the density, the regularizer, its curvature scale
 and the CDF slope bound in closed form; the base class has no numeric
 fallback for them.
+
+The CDF kernels run bare: far from the support an intermediate overflows to
+inf, which IEEE arithmetic carries to the exact limit, a CDF of 0 or 1.  The
+guard that silences that overflow belongs to their callers: the public CDF
+methods, the generic KKT solve and the plain-bisection oracle.
 """
 
 from __future__ import annotations
@@ -28,11 +33,17 @@ from .games import _check_simplex_rows
 def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
     """t as a float array inside ``domain``, the unit interval with or without ends."""
     arr = np.asarray(t, dtype=float)
-    below = arr <= 0.0 if domain[0] == "(" else arr < 0.0
-    above = arr >= 1.0 if domain[-1] == ")" else arr > 1.0
-    if (below | above).any():
+    above_bottom = arr > 0.0 if domain[0] == "(" else arr >= 0.0
+    below_top = arr < 1.0 if domain[-1] == ")" else arr <= 1.0
+    if not (above_bottom & below_top).all():  # NaN fails both
         raise ValueError(f"argument must lie in {domain}")
     return arr
+
+
+def _check_not_nan(s: np.ndarray) -> np.ndarray:
+    if np.isnan(s).any():
+        raise ValueError("CDF argument must not be NaN")
+    return s
 
 
 def _positive_finite(value, name: str) -> float:
@@ -55,8 +66,10 @@ class MarginalFamily:
     (each defaults to the other), and ``_density``, ``_regularizer``,
     :meth:`curvature_scale` and :meth:`lipschitz_constant`, which have no
     default.  The ``*_vector`` methods validate once and call the kernels;
-    the kernels take valid arrays only, and the quantile methods, the only
-    paths that pass an unbounded end, silence its divide-by-zero.
+    the kernels take valid arrays only, and ``_cdf`` runs bare.  The quantile
+    methods, the only paths that pass an unbounded end, silence its
+    divide-by-zero; the CDF methods silence the kernel's overflow far from
+    the support, as the generic solve, which calls ``_cdf`` directly, does.
     """
 
     #: The p-interval on which the density at the quantile is defined.
@@ -111,8 +124,10 @@ class MarginalFamily:
     # -- batched queries: the last axis is the action axis -------------------
 
     def cdf_vector(self, s) -> np.ndarray:
-        """Per-action CDF values: component i is F_i(s_i)."""
-        return self._cdf(self._actions_last(s))
+        """Per-action CDF values: component i is F_i(s_i); s may be +-inf, not NaN."""
+        s = _check_not_nan(self._actions_last(s))
+        with np.errstate(over="ignore"):  # far from the support: the exact limit
+            return self._cdf(s)
 
     def quantile_vector(self, t) -> np.ndarray:
         """Per-action left quantiles: component i is F_i^{-1}(t_i).
@@ -146,9 +161,10 @@ class MarginalFamily:
         everything else asks for all N actions through the vector methods.
         """
         i = self._action(i)
-        s = np.asarray(s, dtype=float)
+        s = _check_not_nan(np.asarray(s, dtype=float))
         every = np.broadcast_to(s[..., None], s.shape + (self.n_actions,))
-        return _scalar(self._cdf(every)[..., i])
+        with np.errstate(over="ignore"):  # far from the support: the exact limit
+            return _scalar(self._cdf(every)[..., i])
 
     # -- response bracket ----------------------------------------------------
 
@@ -224,8 +240,7 @@ class ExponentialFamily(MarginalFamily):
         self.eta.setflags(write=False)
 
     def _cdf(self, s):
-        with np.errstate(over="ignore"):
-            return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
+        return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
 
     def _tail_quantile(self, mass):
         # log eta - log mass where eta / mass overflows (a subnormal mass)
@@ -301,30 +316,6 @@ class UniformFamily(MarginalFamily):
         return {"type": "uniform", "gamma": self.gamma, "actions": self.n_actions}
 
 
-_TINY = np.finfo(float).smallest_subnormal
-
-
-def _overflow_edge(eta: np.ndarray, power: float) -> np.ndarray:
-    """Per action, where ``eta * w ** power`` starts to overflow: the smallest
-    such w for a power above 1, the largest for a negative one.
-
-    A bisection on the bits of positive floats, which order as their values.
-    """
-    finite = np.ones_like(eta).view(np.int64)
-    over = np.full_like(eta, np.finfo(float).max if power > 0.0 else _TINY).view(np.int64)
-    with np.errstate(over="ignore"):
-        while (abs(over - finite) > 1).any():
-            mid = finite + (over - finite) // 2
-            hit = eta * np.power(mid.view(float), power) == np.inf
-            over, finite = np.where(hit, mid, over), np.where(hit, finite, mid)
-    return over.view(float)
-
-
-def _inf_from(w, bound):
-    """w below ``bound``, inf from there on: a clamp for a bound whose power overflows."""
-    return np.where(w < bound, w, np.inf)
-
-
 class ParetoFamily(MarginalFamily):
     """Generalized Pareto marginals with shape q > 0 (q != 1) and weights eta.
 
@@ -353,48 +344,19 @@ class ParetoFamily(MarginalFamily):
             raise ValueError("eta must be positive and finite")
         self.eta = eta.copy()
         self.eta.setflags(write=False)
-        q, g = self.q, self.gamma
-        power = 1.0 / (q - 1.0)
-        # Far below the support eta_i * w ** power overflows (w large for q > 1,
-        # w near 0 for q < 1).  Beyond w = (2 / eta_i)^(q - 1) the CDF is 0
-        # already, as eta_i w ** power >= 1.5 there, so the kernel clamps w at
-        # that bound.  For q > 1 a bound that does not verify (it underflows
-        # when eta_i is huge) falls back to the smallest positive float, beyond
-        # which every w lies.
-        with np.errstate(over="ignore", divide="ignore", under="ignore"):
-            def verified(bound):
-                check = self.eta * np.power(bound, power)
-                return (check >= 1.5) & (check < np.inf)
-
-            bound = np.power(2.0 / self.eta, q - 1.0)
-            if q > 1.0:
-                bound = np.where(verified(bound), bound, _TINY)
-            ok = verified(bound)
-        clamp, floor = np.minimum if q > 1.0 else np.maximum, 0.0
-        bound = np.where(ok, bound, np.inf if q > 1.0 else 0.0)
-        if q < 2.0 and not ok.all():
-            # No bound verifies for eta_i below about 1e-308 (its w ** power
-            # would have to exceed the largest float) or for q within a few ulps
-            # of 1.  There eta_i * w ** power overflows, and the CDF is 0, from
-            # some w on (q > 1) or up to some w (q < 1).  For q > 1 the kernel
-            # sends those w to inf, whose power is inf; for q < 1 it takes them
-            # as outside the support, where the CDF is 0 too.
-            edge = _overflow_edge(self.eta, power)
-            if q > 1.0:
-                bound, clamp = np.where(ok, bound, edge), _inf_from
-            else:
-                floor = np.where(ok, 0.0, edge)
+        q = self.q
         # the CDF's scalars, each rounded as the formula rounds it; beyond the
         # zero of w the CDF is 1 when q > 1 (above the support) and 0 when q < 1
-        self._cdf_constants = (1.0 / q, q - 1.0, g * q, power, 1.0 if q > 1.0 else 0.0,
-                               clamp, bound, floor)
+        self._cdf_constants = (1.0 / q, q - 1.0, self.gamma * q, 1.0 / (q - 1.0),
+                               1.0 if q > 1.0 else 0.0)
 
     def _cdf(self, s):
-        inv_q, q_less_1, gq, power, edge, clamp, bound, floor = self._cdf_constants
+        inv_q, q_less_1, gq, power, edge = self._cdf_constants
         w = inv_q - s * q_less_1 / gq
-        inside = w > floor
-        # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative)
-        body = 1.0 - self.eta * np.power(clamp(np.where(inside, w, 1.0), bound), power)
+        inside = w > 0.0
+        # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative);
+        # far below the support the power overflows, and the body is -inf
+        body = 1.0 - self.eta * np.power(np.where(inside, w, 1.0), power)
         # body is never above 1 nor -0.0, so np.maximum alone gives np.clip's bits
         return np.where(inside, np.maximum(body, 0.0), edge)
 

@@ -251,39 +251,41 @@ def bisection_response(fam: MarginalFamily, u) -> tuple[np.ndarray, float]:
     def probs(kappa: float) -> np.ndarray:
         return 1.0 - fam.cdf_vector(kappa - u)
 
-    lo = float(np.min(u + lows))  # here some component hits probability 1
-    if n == 1:
-        return np.array([1.0]), lo
-    hi = float(np.max(u + fam.tail_quantile_vector(np.full(n, 1.0 / n))))
-    hi = max(hi, lo + 1e-12)
-    step = max(1.0, hi - lo)
-    while not probs(hi).sum() <= 1.0:
-        if hi + step == np.inf:
+    # kappa - u overflows to its exact limit on rows spanning the float range
+    with np.errstate(over="ignore"):
+        lo = float(np.min(u + lows))  # here some component hits probability 1
+        if n == 1:
+            return np.array([1.0]), lo
+        hi = float(np.max(u + fam.tail_quantile_vector(np.full(n, 1.0 / n))))
+        hi = max(hi, lo + 1e-12)
+        step = max(1.0, hi - lo)
+        while not probs(hi).sum() <= 1.0:
+            if hi + step == np.inf:
+                raise RuntimeError(
+                    f"bisection bracket failure: sum of probabilities still above 1 at "
+                    f"kappa = {hi!r} (lo = {lo!r})"
+                )
+            hi += step
+            step *= 2.0
+        for _ in range(_BISECT_MAX_ITER):
+            kappa = 0.5 * (lo + hi)
+            last = not lo < kappa < hi  # adjacent ends: the next steps would repeat this one
+            gap = probs(kappa).sum() - 1.0
+            if abs(gap) <= BISECT_TOL:
+                break
+            if gap > 0.0:
+                lo = kappa
+            else:
+                hi = kappa
+            if last:
+                break
+        p = probs(kappa)
+        total = p.sum()
+        if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
             raise RuntimeError(
-                f"bisection bracket failure: sum of probabilities still above 1 at "
-                f"kappa = {hi!r} (lo = {lo!r})"
+                f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
+                f"(bracket [{lo!r}, {hi!r}])"
             )
-        hi += step
-        step *= 2.0
-    for _ in range(_BISECT_MAX_ITER):
-        kappa = 0.5 * (lo + hi)
-        last = not lo < kappa < hi  # adjacent ends: the next steps would repeat this one
-        gap = probs(kappa).sum() - 1.0
-        if abs(gap) <= BISECT_TOL:
-            break
-        if gap > 0.0:
-            lo = kappa
-        else:
-            hi = kappa
-        if last:
-            break
-    p = probs(kappa)
-    total = p.sum()
-    if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
-        raise RuntimeError(
-            f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
-            f"(bracket [{lo!r}, {hi!r}])"
-        )
     return p / total, float(kappa)
 
 

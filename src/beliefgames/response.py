@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ExponentialFamily, MarginalFamily, UniformFamily
+from .families import ExponentialFamily, MarginalFamily, UniformFamily, _positive_finite
 from .games import Game, StrategyProfile, payoff_vector
 
 #: |sum p - 1| target for the kappa bisection.
@@ -95,9 +95,13 @@ def weighted_softmax(u, eta, gamma: float) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    return _softmax_rows(u, eta, gamma)
+    if u.ndim < 1 or u.shape[-1] < 1:
+        raise ValueError("weighted_softmax needs payoff rows along the last axis")
+    if not np.isfinite(u).all():
+        raise ValueError("weighted_softmax needs finite payoffs")
+    if eta.shape != u.shape[-1:] or not (np.all(eta > 0.0) and np.isfinite(eta).all()):
+        raise ValueError(f"eta must hold {u.shape[-1]} positive finite weights")
+    return _softmax_rows(u, eta, _positive_finite(gamma, "gamma"))
 
 
 def _softmax_rows(u: np.ndarray, eta: np.ndarray, gamma: float) -> np.ndarray:
@@ -195,56 +199,57 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
         ps = 1.0 - cdf(np.array(kappas)[:, None] - u)
         evaluated.update(zip(kappas, zip(ps, np.add.reduce(ps, axis=-1))))
 
-    kinks = u + lows  # where each component's probability reaches 1
-    lo = float(np.minimum.reduce(kinks))
-    if n == 1:
-        return np.array([1.0]), lo
-    hi = float(np.maximum.reduce(u + tops))
-    hi = max(hi, lo + 1e-12)
-    if start is None or not lo < start < hi:
-        start = hi
-    # the solve's one floating-point guard: Newton's slope evaluates every
-    # component's density, unbounded at p = 0 for Pareto q > 2
+    # the solve's one floating-point guard: kappa - u and the CDF kernels
+    # overflow to their exact limits on rows far from the support, and Newton's
+    # slope evaluates every component's density, unbounded at p = 0 for Pareto q > 2
     with np.errstate(divide="ignore", over="ignore"):
+        kinks = u + lows  # where each component's probability reaches 1
+        lo = float(np.minimum.reduce(kinks))
+        if n == 1:
+            return np.array([1.0]), lo
+        hi = float(np.maximum.reduce(u + tops))
+        hi = max(hi, lo + 1e-12)
+        if start is None or not lo < start < hi:
+            start = hi
         a_cert, b_cert, walked = _certified_bracket(fam, at, prefetch, kinks, lo, hi,
                                                     float(start))
-    top, step = hi, max(1.0, hi - lo)
-    while not (hi >= b_cert or (hi > a_cert and at(hi)[1] <= 1.0)):
-        if hi + step == np.inf:
-            raise RuntimeError(
-                f"bisection bracket failure: sum of probabilities still above 1 at "
-                f"kappa = {hi!r} (lo = {lo!r})"
-            )
-        hi += step
-        step *= 2.0
-    iters = _BISECT_MAX_ITER
-    if walked is not None and hi == top:
-        lo, hi, steps = walked
-        iters -= steps
-    for _ in range(iters):
-        kappa = 0.5 * (lo + hi)
-        last = not lo < kappa < hi  # adjacent ends: plain bisection repeats this step
-        if kappa <= a_cert:
-            lo = kappa
-        elif kappa >= b_cert:
-            hi = kappa
-        else:
-            gap = at(kappa)[1] - 1.0
-            if abs(gap) <= BISECT_TOL:
-                break
-            if gap > 0.0:
+        top, step = hi, max(1.0, hi - lo)
+        while not (hi >= b_cert or (hi > a_cert and at(hi)[1] <= 1.0)):
+            if hi + step == np.inf:
+                raise RuntimeError(
+                    f"bisection bracket failure: sum of probabilities still above 1 at "
+                    f"kappa = {hi!r} (lo = {lo!r})"
+                )
+            hi += step
+            step *= 2.0
+        iters = _BISECT_MAX_ITER
+        if walked is not None and hi == top:
+            lo, hi, steps = walked
+            iters -= steps
+        for _ in range(iters):
+            kappa = 0.5 * (lo + hi)
+            last = not lo < kappa < hi  # adjacent ends: plain bisection repeats this step
+            if kappa <= a_cert:
                 lo = kappa
-            else:
+            elif kappa >= b_cert:
                 hi = kappa
-        if last:
-            break
-    p, total = at(kappa)
-    if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
-        raise RuntimeError(
-            f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
-            f"(bracket [{lo!r}, {hi!r}])"
-        )
-    return p / total, float(kappa)
+            else:
+                gap = at(kappa)[1] - 1.0
+                if abs(gap) <= BISECT_TOL:
+                    break
+                if gap > 0.0:
+                    lo = kappa
+                else:
+                    hi = kappa
+            if last:
+                break
+        p, total = at(kappa)
+        if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
+            raise RuntimeError(
+                f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
+                f"(bracket [{lo!r}, {hi!r}])"
+            )
+        return p / total, float(kappa)
 
 
 def _walk(lo: float, hi: float, a: float, b: float) -> tuple[float, float, float | None, int]:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from .analysis import equilibrium_residual, fixed_point_iterate
+from .dynamics import RunConfig, StepSchedule, run_dynamics
 from .families import ExponentialFamily, ParetoFamily, TabulatedFamily, UniformFamily
 from .games import matching_game, random_game
 from .oracles import (
@@ -202,8 +203,6 @@ def _check_grid_fixed_point() -> tuple[bool, str]:
 
 
 def _check_dynamics_residual() -> tuple[bool, str]:
-    from .dynamics import RunConfig, StepSchedule, run_dynamics
-
     rng = np.random.default_rng(20)
     game = random_game(2, 2, rng)
     fams = tuple(ExponentialFamily(3.0, n_actions=2) for _ in range(2))

@@ -13,7 +13,6 @@ from beliefgames.analysis import (
     game_hessian,
     hessian_blocks,
     negdef_on_tangent_check,
-    operator_norm,
     residual_series,
     stability_check,
     strong_concavity_check,
@@ -248,19 +247,6 @@ def test_assemble_hessian_layout():
     np.testing.assert_array_equal(full[:2, :2], blocks[0, 0])
     np.testing.assert_array_equal(full[:2, 2:], blocks[0, 1])
     np.testing.assert_array_equal(full[2:, :2], blocks[1, 0])
-
-
-def test_operator_norm_matches_numpy():
-    rng = np.random.default_rng(34)
-    for _ in range(50):
-        a = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), abs=1e-8)
-    assert operator_norm(np.zeros((3, 3))) == 0.0
-    # top singular vector orthogonal to a power-iteration start of ones + 1e-3 k
-    v = np.ones(3) + 1e-3 * np.arange(3)
-    v /= np.linalg.norm(v)
-    u = np.array([v[1], -v[0], 0.0]) / np.hypot(v[0], v[1])
-    assert operator_norm(2.0 * np.outer(u, u) + np.outer(v, v)) == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,21 @@ def test_pareto_response_far_below_the_support_is_silent():
     assert p.tolist() == [0.0, 0.0, 1.0]
 
 
+def test_pareto_cdf_where_w_itself_overflows_is_silent():
+    # s (q - 1) overflows at s = -1e308 with q = 3, and its quotient by
+    # gamma q overflows at |s| = 1e306 with gamma = 1e-3; w = +-inf is the
+    # exact limit, far below (CDF 0) or above (CDF 1) the support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        below = ParetoFamily(1.0, 3.0, np.array([0.5, 1.0, 2.0])).cdf_vector(np.full(3, -1e308))
+        narrow = ParetoFamily(1e-3, 1.5, np.array([0.5, 1.0, 2.0]))
+        both = narrow.cdf_vector(_every_action([1e306, -1e306], 3))
+        one = narrow.cdf(0, [1e306, -1e306])
+    assert below.tolist() == [0.0, 0.0, 0.0]
+    assert both.tolist() == [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+    assert one.tolist() == [1.0, 0.0]
+
+
 def _exp_table(gamma: float, points: int = 2001):
     """Tabulate an exponential quantile on a dense grid (top end capped)."""
     fam = ExponentialFamily(gamma=gamma, n_actions=1)
@@ -473,6 +488,25 @@ def test_action_index_checked(any_family):
     for i in (fam.n_actions, -1):
         with pytest.raises(ValueError, match="out of range"):
             fam.cdf(i, 0.0)
+
+
+def test_nan_arguments_are_rejected(any_family):
+    # NaN fails every range test; the CDF takes +-inf (its limits) but not NaN
+    fam = any_family
+    n = fam.n_actions
+    bad = np.full(n, 0.5)
+    bad[1] = np.nan
+    for method in (fam.quantile_vector, fam.tail_quantile_vector, fam.density_vector,
+                   fam.regularizer_terms):
+        with pytest.raises(ValueError, match="must lie in"):
+            method(bad)
+    with pytest.raises(ValueError, match="NaN"):
+        fam.cdf_vector(bad)
+    with pytest.raises(ValueError, match="NaN"):
+        fam.cdf(0, [0.0, np.nan])
+    ends = fam.cdf_vector(_every_action([-np.inf, np.inf], n))
+    assert ends.tolist() == [[0.0] * n, [1.0] * n]
+    assert fam.cdf(1, [-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
 
 def test_regularizer_requires_simplex_but_terms_do_not():

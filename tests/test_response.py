@@ -42,6 +42,26 @@ def test_weighted_softmax_handles_extreme_inputs():
         weighted_softmax(np.ones(2), np.ones(2), gamma=0.0)
 
 
+@pytest.mark.parametrize("u, eta, gamma, match", [
+    ([0.0, np.nan], [1.0, 1.0], 1.0, "finite payoffs"),
+    ([0.0, np.inf], [1.0, 1.0], 1.0, "finite payoffs"),
+    ([0.0, 1.0], [1.0, 1.0], np.nan, "gamma"),
+    ([0.0, 1.0], [1.0, 1.0], np.inf, "gamma"),
+    ([0.0, 1.0], [1.0, 1.0], -1.0, "gamma"),
+    ([0.0, 1.0], [1.0, 0.0], 1.0, "eta"),
+    ([0.0, 1.0], [1.0, np.inf], 1.0, "eta"),
+    ([0.0, 1.0], [1.0, np.nan], 1.0, "eta"),
+    ([0.0, 1.0], [1.0, 1.0, 1.0], 1.0, "eta"),
+    ([0.0, 1.0], 1.0, 1.0, "eta"),
+    (0.0, [1.0], 1.0, "last axis"),
+], ids=["nan-u", "inf-u", "nan-gamma", "inf-gamma", "negative-gamma", "zero-eta",
+        "inf-eta", "nan-eta", "eta-length", "scalar-eta", "scalar-u"])
+def test_weighted_softmax_rejects_bad_input(u, eta, gamma, match):
+    # a NaN used to come out as NaN probabilities, and gamma = inf as the uniform vector
+    with pytest.raises(ValueError, match=match):
+        weighted_softmax(np.asarray(u), np.asarray(eta), gamma)
+
+
 def test_weighted_softmax_prior_weights_tilt_the_outcome():
     p = weighted_softmax(np.zeros(2), np.array([3.0, 1.0]), gamma=1.0)
     np.testing.assert_allclose(p, [0.75, 0.25], atol=1e-15)
@@ -69,6 +89,50 @@ def test_sparsemax_permutation_equivariance():
     u = rng.normal(0.0, 2.0, size=6)
     perm = rng.permutation(6)
     np.testing.assert_array_equal(sparsemax(u)[perm], sparsemax(u[perm]))
+
+
+def _family_of(kind, gamma, q, per_action):
+    """A family of ``kind`` with one parameter (eta or a table) per action."""
+    if kind == "exponential":
+        return ExponentialFamily(gamma, eta=per_action)
+    if kind == "uniform":
+        return UniformFamily(gamma, len(per_action))
+    if kind == "pareto":
+        return ParetoFamily(gamma, q, per_action)
+    return TabulatedFamily(per_action)
+
+
+@st.composite
+def _permuted_families(draw):
+    """(family, the family with its per-action parameters permuted, u, permutation)."""
+    n = draw(st.integers(2, 6))
+    perm = list(draw(st.permutations(range(n))))
+    kind = draw(st.sampled_from(["exponential", "uniform", "pareto", "tabulated"]))
+    unit = st.floats(0.0, 1.0)
+    gamma = 0.2 + 6.0 * draw(unit)
+    q = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)))
+    if kind == "tabulated":
+        per_action = []
+        for _ in range(n):
+            ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))), 1.0]
+            steps = [0.05 + 2.0 * draw(unit) for _ in ts]
+            per_action.append(np.column_stack((ts, np.cumsum(steps) - 1.0)))
+    else:
+        per_action = [0.2 + 3.0 * draw(unit) for _ in range(n)]
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    u = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return (_family_of(kind, gamma, q, per_action),
+            _family_of(kind, gamma, q, [per_action[k] for k in perm]), u, perm)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_permuted_families())
+def test_response_is_permutation_equivariant_for_every_family(case):
+    # relabelling the actions, payoffs and per-action parameters together,
+    # relabels the response; only the order of the solver's sums changes
+    fam, relabelled, u, perm = case
+    np.testing.assert_allclose(response_probabilities(relabelled, u[perm]),
+                               response_probabilities(fam, u)[perm], rtol=0.0, atol=1e-12)
 
 
 def test_sparsemax_validation():
@@ -429,6 +493,19 @@ def test_rows_spanning_the_float_range_solve_like_plain_bisection(fam):
     want = bisection_response(fam, u)
     assert (p.tobytes(), kappa) == (want[0].tobytes(), want[1])
     assert p[0] == 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rows_wider_than_the_float_range_solve_silently():
+    # kappa - u overflows to +-inf, whose CDF is the exact limit (0 or 1)
+    fam = ParetoFamily(6.0, 0.6, [0.5, 1.0, 2.0])
+    u = np.array([1.7e308, -1.7e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = response_probabilities(fam, u)
+        cold = _bisection_response(fam, u)
+        want = bisection_response(fam, u)
+    assert got.tolist() == [1.0, 0.0, 0.0]
+    assert (got.tobytes(), cold[0].tobytes(), cold[1]) == (want[0].tobytes(),) * 2 + (want[1],)
 
 
 def test_the_widest_row_solves_to_its_response():
