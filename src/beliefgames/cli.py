@@ -9,6 +9,10 @@ Subcommands:
 * ``check``: stability and concavity diagnostics, write ``stability.json``.
 * ``verify``: run the built-in oracle cross-checks.
 
+``summary.json`` and ``equilibrium.json`` carry a ``"timing"`` object of wall
+seconds (``perf_counter``), as ``verify.json`` does: the dynamics, the CSV
+writing and rounds per second for ``simulate``, the iteration for ``solve``.
+
 Exit codes: 0 success, 1 usage or input error, 2 completed with warnings
 (e.g. residual above tolerance), 3 a requested check failed.
 """
@@ -19,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 from .analysis import fixed_point_iterate, stability_check, strong_concavity_check
@@ -88,13 +93,17 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
         _say(args.quiet, _strict_json(cfg.describe()))
         return EXIT_OK
 
+    start = time.perf_counter()
     try:
         trace = run_dynamics(cfg.game, cfg.run)
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
+    dynamics_s = time.perf_counter() - start
 
     out = _out_dir(args, cfg)
+    start = time.perf_counter()
     trace.to_csv(os.path.join(out, "trace.csv"))
+    csv_s = time.perf_counter() - start
     converged = trace.final_residual <= cfg.tolerances.residual
     _write_json(os.path.join(out, "summary.json"), trace.summary() | {
         "config": cfg.describe(),
@@ -102,6 +111,8 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
         "residual_tolerance": cfg.tolerances.residual,
         "schedule_sum_diverges": report.sum_diverges,
         "schedule_ratio_vanishes": report.ratio_vanishes,
+        "timing": {"dynamics_s": dynamics_s, "csv_s": csv_s,
+                   "rounds_per_s": cfg.run.horizon / dynamics_s},
     })
     _say(args.quiet,
          f"simulate: {cfg.run.horizon} rounds, final residual {trace.final_residual:.3e} "
@@ -115,6 +126,7 @@ def cmd_solve(args, cfg: ExperimentConfig) -> int:
     if args.dry_run:
         _say(args.quiet, _strict_json(cfg.describe()))
         return EXIT_OK
+    start = time.perf_counter()
     try:
         result = fixed_point_iterate(
             cfg.game, cfg.run.risk_families,
@@ -124,6 +136,7 @@ def cmd_solve(args, cfg: ExperimentConfig) -> int:
         )
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
+    solve_s = time.perf_counter() - start
     out = _out_dir(args, cfg)
     _write_json(os.path.join(out, "equilibrium.json"), {
         "profile": result.profile.probs.tolist(),
@@ -131,6 +144,7 @@ def cmd_solve(args, cfg: ExperimentConfig) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "config": cfg.describe(),
+        "timing": {"solve_s": solve_s},
     })
     _say(args.quiet,
          f"solve: residual {result.residual:.3e} after {result.iterations} iterations, "

@@ -236,10 +236,12 @@ class Trace:
 
         Floats are written as their ``repr``, which round-trips exactly.  Rows
         are formatted and written a block of recorded rounds at a time, which
-        bounds the memory the text takes.
+        bounds the memory the text takes.  Each cell's ``player,action,`` text
+        is formatted once per file, and each round's ``round,`` head and
+        ``,lambda`` tail once per round.
         """
         n_players, n_actions = self.probabilities.shape[1:]
-        cells = [(j, i) for j in range(n_players) for i in range(n_actions)]
+        cells = [f"{j},{i}," for j in range(n_players) for i in range(n_actions)]
         with open(path, "w", newline="") as fh:
             fh.write("round,player,action,probability,estimate,payoff,lambda\n")
             for start in range(0, self.rounds.size, _CSV_BLOCK_ROUNDS):
@@ -247,10 +249,11 @@ class Trace:
                 columns = [a[block].reshape(-1, len(cells)).tolist()
                            for a in (self.probabilities, self.estimates, self.payoffs)]
                 fh.write("".join(
-                    f"{t},{j},{i},{p!r},{e!r},{y!r},{lam!r}\n"
-                    for t, lam, ps, es, ys in zip(self.rounds[block].tolist(),
-                                                  self.rates[block].tolist(), *columns)
-                    for (j, i), p, e, y in zip(cells, ps, es, ys)
+                    f"{head}{cell}{p!r},{e!r},{y!r}{tail}"
+                    for head, tail, ps, es, ys in zip(
+                        [f"{t}," for t in self.rounds[block].tolist()],
+                        [f",{lam!r}\n" for lam in self.rates[block].tolist()], *columns)
+                    for cell, p, e, y in zip(cells, ps, es, ys)
                 ))
 
 

@@ -169,15 +169,16 @@ class MarginalFamily:
     # -- response bracket ----------------------------------------------------
 
     @functools.cached_property
-    def _response_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+    def _response_offsets(self) -> tuple[list[float], list[float]]:
         """Quantiles at 0 and at 1 - 1/N, which bracket every response's kappa.
 
         At kappa = min_i(u_i + lows_i) some component has probability one; at
         kappa = max_i(u_i + tops_i) every component has at most 1/N.  Both
-        depend only on the family, so they are computed once.
+        depend only on the family, so they are computed once, as float lists.
         """
         n = self.n_actions
-        return self.quantile_vector(np.zeros(n)), self.tail_quantile_vector(np.full(n, 1.0 / n))
+        return (self.quantile_vector(np.zeros(n)).tolist(),
+                self.tail_quantile_vector(np.full(n, 1.0 / n)).tolist())
 
     # -- regularizer ---------------------------------------------------------
 
@@ -349,6 +350,7 @@ class ParetoFamily(MarginalFamily):
         # zero of w the CDF is 1 when q > 1 (above the support) and 0 when q < 1
         self._cdf_constants = (1.0 / q, q - 1.0, self.gamma * q, 1.0 / (q - 1.0),
                                1.0 if q > 1.0 else 0.0)
+        self._density_scale = self.eta / (self.gamma * q)  # as the density formula rounds it
 
     def _cdf(self, s):
         inv_q, q_less_1, gq, power, edge = self._cdf_constants
@@ -365,8 +367,7 @@ class ParetoFamily(MarginalFamily):
         return self.gamma / (q - 1.0) * (1.0 - q * np.power(mass / self.eta, q - 1.0))
 
     def _density(self, p):
-        q, eta = self.q, self.eta
-        return eta / (self.gamma * q) * np.power(p / eta, 2.0 - q)
+        return self._density_scale * np.power(p / self.eta, 2.0 - self.q)
 
     def _regularizer(self, p):
         # eta (p/eta)^q - p = p expm1(x), x = (q - 1) log(p/eta), stays accurate as q -> 1;

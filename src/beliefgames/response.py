@@ -20,11 +20,15 @@ dkappa/du_i = f_i / sum_k f_k over the density terms f, which is p_i for an
 exponential family.  The solver calls the family's CDF kernel directly.  The
 first certification points on both sides of Newton's root share one call on
 a ``(K, N)`` stack with the bisection midpoints they would leave to evaluate
-(K <= 5), and the bisection resumes past the midpoints it would skip.  On
-2x3 Pareto games a cold solve evaluates about 9.2 rows in 5.2 kernel calls
-(plain bisection: about 41).  A warm one evaluates about 6.2 rows in 2.3
-calls in a fixed-point sweep or in 40 learning rounds, and 6.0 rows in 2.1
-calls over 400 rounds.
+(K <= 5), and the bisection resumes past the midpoints it would skip.  One
+function body runs Newton, the certification and the bisection over one
+cache of evaluated rows, each with its sum as a Python float.  On 2x3
+Pareto games a cold solve evaluates about 9.3 rows in 5.3 kernel calls
+(plain bisection: about 41) and takes about 85 us, half of it in the
+kernel.  A warm one evaluates about 6.2 rows in 2.3 calls in a fixed-point
+sweep or in 40 learning rounds, and 6.0 rows in 2.1 calls over 400 rounds,
+and takes about 45 us, 20 of them in the kernel (2-core Intel Xeon VM,
+Python 3.11, numpy 2.4).
 
 :func:`response_operator` gives every player's response at once, one
 :func:`response_solver` call per group of players with equal families.
@@ -55,7 +59,7 @@ _NEWTON_GAP = 1e-6
 _NEWTON_MAX_ITER = 30
 _CERT_MAX_TRIES = 6
 #: Newton stops at a near-pure iterate: its largest probability and its sum
-#: both this close to 1 (see :func:`_certified_bracket`).
+#: both this close to 1 (see :func:`_bisection_response`).
 _KINK = 1e-6
 _EPS = np.finfo(float).eps
 
@@ -158,20 +162,46 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
 
     Components with kappa - u_i at or above the support's upper end come out
     exactly zero (their CDF saturates at one).  The midpoints are those of
-    plain bisection, but a midpoint outside the bracket certified by
-    :func:`_certified_bracket` takes its branch without evaluating the CDFs:
-    the result is the plain bisection's, bit for bit.  ``start`` is where
-    the Newton phase begins when it lies strictly inside the initial
-    bracket (a warm start, such as the kappa of a nearby payoff vector);
-    otherwise it begins at the bracket's upper end.  It changes only which
-    CDFs are evaluated, never the result.  When the certified ends are the
-    ones :func:`_certified_bracket` predicted, the bisection resumes where
-    its walk over those ends stopped, with the walk's steps counted.
+    plain bisection, but a midpoint outside the certified bracket (a, b)
+    takes its branch without evaluating the CDFs: the result is the plain
+    bisection's, bit for bit.  The computed gap g = sum p - 1 is at least
+    ``need`` at a and at most ``-need`` at b.  The computed sum is monotone in
+    kappa up to a few ulps per term, and ``need`` exceeds BISECT_TOL by a
+    margin above that noise, so the gap computed at any kappa <= a is still
+    above BISECT_TOL (and at any kappa >= b below -BISECT_TOL).
 
+    A safeguarded Newton phase from ``start`` locates the root inside the
+    sign bracket [lo, hi]: ``start`` is used when it lies strictly inside
+    (a warm start, such as the kappa of a nearby payoff vector), otherwise
+    Newton begins at hi.  Points a small step to each side of Newton's root
+    are then evaluated, the step growing fourfold until that side
+    certifies.  Every point Newton or that search evaluates certifies
+    wherever its gap allows, and the certified ends combine by max and
+    min, so where Newton starts changes only which midpoints are skipped,
+    never the result.  Failure only widens the bracket, up to (-inf, inf).
+
+    The first point of each side usually certifies both ends.  So one CDF
+    kernel call on a ``(K, N)`` stack evaluates that pair together with the
+    midpoints plain bisection from [lo, hi] would evaluate inside it: the
+    first midpoint strictly inside, and the first inside midpoint of each
+    half the bisection could take next (K <= 5).  Each row and each row sum
+    has the bits of its own 1-D call.  When the certified ends are that
+    pair, the bisection resumes at the first inside midpoint, with the
+    steps of :func:`_walk` before it counted.
+
+    On pure and near-pure responses the root sits at or just below a kink:
+    the ``kinks`` entry where the top component's probability reaches one.
+    There Newton zigzags across the kink or crawls towards it, while plain
+    bisection lands on the flat stretch below it in a few steps.  So Newton
+    hands over to the bisection at an iterate whose top probability and sum
+    are both within ``_KINK`` of one (a step that overshoots past a kink,
+    far from the root, goes on), and at an iterate with a single positive
+    component whose kink sums to no more than one.
+
+    Every evaluated row and its sum, as a float, live in one cache keyed by
+    kappa, and the per-step tests read Python floats, not numpy reductions.
     ``u`` must be a finite float vector of the family's length, since the
-    family's CDF kernel is called on it without validation.  The ufunc
-    reductions are what the ``.sum``, ``.min`` and ``.max`` methods call,
-    minus their wrappers.
+    family's CDF kernel is called on it without validation.
     """
     if not fam.strictly_increasing_cdf:
         raise ValueError(
@@ -180,41 +210,102 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
         )
     n = fam.n_actions
     lows, tops = fam._response_offsets
+    us = u.tolist()
+    kinks = list(map(operator.add, us, lows))  # where each component's probability reaches 1
+    lo = min(kinks)
+    if n == 1:
+        return np.array([1.0]), lo
+    hi = max(max(map(operator.add, us, tops)), lo + 1e-12)
+    if start is None or not lo < start < hi:
+        start = hi
     cdf = fam._cdf
-    evaluated: dict = {}  # kappa -> (p, sum p)
-
-    def at(kappa: float) -> tuple[np.ndarray, np.float64]:
-        hit = evaluated.get(kappa)
-        if hit is None:
-            p = 1.0 - cdf(kappa - u)
-            hit = evaluated[kappa] = p, np.add.reduce(p)
-        return hit
-
-    def prefetch(kappas: list[float]) -> None:
-        """Evaluate several kappas in one kernel call on a ``(K, N)`` stack.
-
-        Each row and each row sum has the bits of its own 1-D call, so the
-        cache cannot tell the two apart.
-        """
-        ps = 1.0 - cdf(np.array(kappas)[:, None] - u)
-        evaluated.update(zip(kappas, zip(ps, np.add.reduce(ps, axis=-1))))
-
+    cache: dict = {}  # kappa -> (p, sum p)
+    need = BISECT_TOL + max(1e-13, 64.0 * n * _EPS)
+    a_cert, b_cert, walked = -np.inf, np.inf, None
     # the solve's one floating-point guard: kappa - u and the CDF kernels
     # overflow to their exact limits on rows far from the support, and Newton's
     # slope evaluates every component's density, unbounded at p = 0 for Pareto q > 2
     with np.errstate(divide="ignore", over="ignore"):
-        kinks = u + lows  # where each component's probability reaches 1
-        lo = float(np.minimum.reduce(kinks))
-        if n == 1:
-            return np.array([1.0]), lo
-        hi = float(np.maximum.reduce(u + tops))
-        hi = max(hi, lo + 1e-12)
-        if start is None or not lo < start < hi:
-            start = hi
-        a_cert, b_cert, walked = _certified_bracket(fam, at, prefetch, kinks, lo, hi,
-                                                    float(start))
+        # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
+        # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
+        a, b = lo, hi
+        kappa, root = float(start), None
+        for _ in range(_NEWTON_MAX_ITER):
+            p, total = _row(cache, cdf, u, kappa)
+            g = total - 1.0
+            if g > 0.0:
+                a = max(a, kappa)
+                if a >= b:
+                    b = np.inf
+            elif g < 0.0:
+                b = min(b, kappa)
+            ps = p.tolist()
+            big = max(ps)
+            if abs(g) <= _KINK and big >= 1.0 - _KINK:
+                break
+            if ps.count(0.0) == n - 1:
+                # the sum is this component's alone, so the root is at or below its kink;
+                # a sum of one there means a flat stretch that the bisection hits at once
+                kink = kinks[ps.index(big)]
+                if a < kink < b and _row(cache, cdf, u, kink)[1] <= 1.0:
+                    break
+            # -dg/dkappa: the densities of the components inside their support
+            f = fam._density(p)
+            if not (min(ps) > 0.0 and big < 1.0):
+                f = f[(p > 0.0) & (p < 1.0)]
+            d = float(np.add.reduce(f))
+            if 0.0 < d < np.inf:
+                nxt = kappa + g / d
+                if abs(g) <= _NEWTON_GAP and abs(nxt - kappa) <= _NEWTON_GAP * max(1.0, abs(kappa)):
+                    root = nxt
+                    break
+            elif g == 0.0:  # every component saturated, and the sum is exactly one
+                break
+            else:
+                nxt = np.nan
+            if not a < nxt < b:
+                if b == np.inf:
+                    break
+                nxt = 0.5 * (a + b)
+            kappa = nxt
+        for x, (_, total) in cache.items():  # so far, the points Newton evaluated
+            if total - 1.0 >= need:
+                a_cert = max(a_cert, x)
+            elif total - 1.0 <= -need:
+                b_cert = min(b_cert, x)
+        if root is not None:
+            first = 1.25 * need / d
+            a, b = root - first, root + first
+            if a_cert < a and b < b_cert:
+                lo_mid, hi_mid, mid, steps = _walk(lo, hi, a, b)
+                points = [a, b]
+                if mid is not None:
+                    walked = lo_mid, hi_mid, steps
+                    points.append(mid)
+                    for half in ((mid, hi_mid), (lo_mid, mid)):
+                        nxt = _walk(*half, a, b)[2]
+                        if nxt is not None:
+                            points.append(nxt)
+                rows = 1.0 - cdf(np.array(points)[:, None] - u)
+                cache.update(zip(points, zip(rows, np.add.reduce(rows, axis=-1).tolist())))
+            for side in (-1.0, 1.0):
+                h = first
+                for _ in range(_CERT_MAX_TRIES):
+                    x = root + side * h
+                    if (x <= a_cert) if side < 0.0 else (x >= b_cert):
+                        break
+                    g = _row(cache, cdf, u, x)[1] - 1.0
+                    if g >= need:
+                        a_cert = max(a_cert, x)
+                    elif g <= -need:
+                        b_cert = min(b_cert, x)
+                    elif g == 0.0:  # a flat stretch of saturated components
+                        break
+                    h *= 4.0
+            if a_cert != a or b_cert != b:
+                walked = None
         top, step = hi, max(1.0, hi - lo)
-        while not (hi >= b_cert or (hi > a_cert and at(hi)[1] <= 1.0)):
+        while not (hi >= b_cert or (hi > a_cert and _row(cache, cdf, u, hi)[1] <= 1.0)):
             if hi + step == np.inf:
                 raise RuntimeError(
                     f"bisection bracket failure: sum of probabilities still above 1 at "
@@ -234,7 +325,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
             elif kappa >= b_cert:
                 hi = kappa
             else:
-                gap = at(kappa)[1] - 1.0
+                gap = _row(cache, cdf, u, kappa)[1] - 1.0
                 if abs(gap) <= BISECT_TOL:
                     break
                 if gap > 0.0:
@@ -243,13 +334,22 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
                     hi = kappa
             if last:
                 break
-        p, total = at(kappa)
+        p, total = _row(cache, cdf, u, kappa)
         if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
             raise RuntimeError(
-                f"bisection failed to converge: sum p = {total!r} at kappa = {kappa!r} "
-                f"(bracket [{lo!r}, {hi!r}])"
+                f"bisection failed to converge: sum p = {np.float64(total)!r} at "
+                f"kappa = {kappa!r} (bracket [{lo!r}, {hi!r}])"
             )
         return p / total, float(kappa)
+
+
+def _row(cache: dict, cdf, u: np.ndarray, kappa: float) -> tuple[np.ndarray, float]:
+    """(p, sum p) at kappa: the cached row, else one CDF kernel call stored in the cache."""
+    hit = cache.get(kappa)
+    if hit is None:
+        p = 1.0 - cdf(kappa - u)
+        hit = cache[kappa] = p, float(np.add.reduce(p))
+    return hit
 
 
 def _walk(lo: float, hi: float, a: float, b: float) -> tuple[float, float, float | None, int]:
@@ -272,126 +372,6 @@ def _walk(lo: float, hi: float, a: float, b: float) -> tuple[float, float, float
         else:
             hi = kappa
     return lo, hi, None, _BISECT_MAX_ITER
-
-
-def _certified_bracket(fam: MarginalFamily, at, prefetch, kinks: np.ndarray, lo: float,
-                       hi: float, start: float) -> tuple[float, float, tuple | None]:
-    """Bracket (a, b) outside which every bisection branch is already decided.
-
-    The computed gap g = sum p - 1 is at least ``need`` at a and at most
-    ``-need`` at b.  The computed sum is monotone in kappa up to a few ulps
-    per term, and ``need`` exceeds BISECT_TOL by a margin above that noise,
-    so the gap computed at any kappa <= a is still above BISECT_TOL (and at
-    any kappa >= b below -BISECT_TOL).
-
-    A safeguarded Newton phase from ``start`` locates the root inside the
-    sign bracket [lo, hi]; then points a small step to each side of it are
-    evaluated, the step growing fourfold until that side certifies.  Every
-    evaluated point certifies wherever its gap allows, and the certified
-    ends combine by max and min, so an extra point changes only which
-    midpoints are skipped.  Failure only widens the bracket, up to
-    (-inf, inf).
-
-    The first point of each side usually certifies both ends.  So one
-    ``prefetch`` call evaluates that pair together with the midpoints plain
-    bisection from [lo, hi] would evaluate inside it: the first midpoint
-    strictly inside, and the first inside midpoint of each half the
-    bisection could take next (at most five rows).  The third value
-    returned is the bracket and step count at that first inside midpoint
-    (see :func:`_walk`), when the certified ends are the pair; otherwise
-    None.
-
-    On pure and near-pure responses the root sits at or just below a kink:
-    the ``kinks`` entry where the top component's probability reaches one.
-    There Newton zigzags across the kink or crawls towards it, while plain
-    bisection lands on the flat stretch below it in a few steps.  So Newton
-    hands over to the bisection at an iterate whose top probability and sum
-    are both within ``_KINK`` of one (a step that overshoots past a kink,
-    far from the root, goes on), and at an iterate with a single positive
-    component whose kink sums to no more than one.
-    """
-    need = BISECT_TOL + max(1e-13, 64.0 * fam.n_actions * _EPS)
-    a_cert, b_cert = -np.inf, np.inf
-
-    def gap(kappa: float) -> float:
-        nonlocal a_cert, b_cert
-        g = float(at(kappa)[1] - 1.0)
-        if g >= need:
-            a_cert = max(a_cert, kappa)
-        elif g <= -need:
-            b_cert = min(b_cert, kappa)
-        return g
-
-    def slope(kappa: float) -> float:
-        """-dg/dkappa: sum_i f_i(kappa - u_i) over the components inside their support."""
-        p = at(kappa)[0]
-        f = fam._density(p)  # inside the caller's errstate block
-        return float(np.add.reduce(f[(p > 0.0) & (p < 1.0)]))
-
-    # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
-    # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
-    a, b = lo, hi
-    kappa, root = start, None
-    for _ in range(_NEWTON_MAX_ITER):
-        g = gap(kappa)
-        if g > 0.0:
-            a = max(a, kappa)
-            if a >= b:
-                b = np.inf
-        elif g < 0.0:
-            b = min(b, kappa)
-        p = at(kappa)[0]
-        if abs(g) <= _KINK and np.maximum.reduce(p) >= 1.0 - _KINK:
-            break
-        if np.count_nonzero(p) == 1:
-            # the sum is this component's alone, so the root is at or below its kink;
-            # a sum of one there means a flat stretch that the bisection hits at once
-            top = kinks[np.argmax(p)]
-            if a < top < b and gap(top) <= 0.0:
-                break
-        d = slope(kappa)
-        if 0.0 < d < np.inf:
-            nxt = kappa + g / d
-            if abs(g) <= _NEWTON_GAP and abs(nxt - kappa) <= _NEWTON_GAP * max(1.0, abs(kappa)):
-                root = nxt
-                break
-        elif g == 0.0:  # every component saturated, and the sum is exactly one
-            break
-        else:
-            nxt = np.nan
-        if not a < nxt < b:
-            if b == np.inf:
-                break
-            nxt = 0.5 * (a + b)
-        kappa = nxt
-    if root is None:
-        return a_cert, b_cert, None
-    first = 1.25 * need / d
-    a, b = root - first, root + first
-    walked = None
-    if a_cert < a and b < b_cert:
-        lo, hi, mid, steps = _walk(lo, hi, a, b)
-        points = [a, b]
-        if mid is not None:
-            walked = lo, hi, steps
-            points.append(mid)
-            for half in ((mid, hi), (lo, mid)):
-                nxt = _walk(*half, a, b)[2]
-                if nxt is not None:
-                    points.append(nxt)
-        prefetch(points)
-    for side in (-1.0, 1.0):
-        h = first
-        for _ in range(_CERT_MAX_TRIES):
-            x = root + side * h
-            if (x <= a_cert) if side < 0.0 else (x >= b_cert):
-                break
-            if gap(x) == 0.0:  # a flat stretch of saturated components
-                break
-            h *= 4.0
-    if a_cert != a or b_cert != b:
-        walked = None
-    return a_cert, b_cert, walked
 
 
 def response_probabilities(fam: MarginalFamily, u, method: str = "auto") -> np.ndarray:

@@ -53,6 +53,19 @@ def test_simulate_writes_trace_and_summary(workdir, capsys):
     assert "final residual" in capsys.readouterr().out
 
 
+def test_simulate_and_solve_record_their_timing(workdir):
+    out = workdir / "timed"
+    assert main(["simulate", "--config", _cfg_path(workdir), "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    timing = summary["timing"]
+    assert set(timing) == {"dynamics_s", "csv_s", "rounds_per_s"}
+    assert all(s > 0.0 for s in timing.values())
+    assert timing["rounds_per_s"] == summary["horizon"] / timing["dynamics_s"]
+    assert main(["solve", "--config", _cfg_path(workdir), "--out", str(out), "--quiet"]) == 0
+    timing = json.loads((out / "equilibrium.json").read_text())["timing"]
+    assert set(timing) == {"solve_s"} and timing["solve_s"] > 0.0
+
+
 def test_simulate_traces_are_byte_identical(workdir):
     out1, out2 = workdir / "a", workdir / "b"
     assert main(["simulate", "--config", _cfg_path(workdir),

@@ -560,6 +560,45 @@ def test_trace_csv_roundtrips_exact_floats(tmp_path):
         assert float(row["lambda"]) == trace.rates[r]
 
 
+def _reference_csv(trace) -> str:
+    """The long-format CSV text, one plain f-string per line."""
+    lines = ["round,player,action,probability,estimate,payoff,lambda\n"]
+    for r, t in enumerate(trace.rounds.tolist()):
+        lam = float(trace.rates[r])
+        for j in range(trace.probabilities.shape[1]):
+            for i in range(trace.probabilities.shape[2]):
+                p, e, y = (float(a[r, j, i]) for a in
+                           (trace.probabilities, trace.estimates, trace.payoffs))
+                lines.append(f"{t},{j},{i},{p!r},{e!r},{y!r},{lam!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("players, actions, records, every", [
+    (2, 3, 37, 5),   # two full 16-round blocks and a short one
+    (3, 4, 16, 1),   # one full block
+    (3, 2, 5, 3),    # one short block
+])
+def test_trace_csv_equals_a_plain_line_writer(tmp_path, players, actions, records, every):
+    rng = np.random.default_rng(players * 100 + records)
+    special = [-0.0, 5e-324, 2.2e-308, 1e16, 1e-5, 0.1, -1e16, 123456789.0]
+    shape = (records, players, actions)
+
+    def column():
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        values.flat[:len(special)] = rng.permutation(special)
+        return values
+
+    rates = rng.random(records)
+    rates[:3] = [1e-5, 5e-324, 1e16]
+    trace = Trace(horizon=records * every, record_every=every,
+                  rounds=np.arange(1, records + 1) * every, rates=rates,
+                  probabilities=column(), estimates=column(), payoffs=column(),
+                  movement=np.zeros(records * every), clamp_triggers=0, final_residual=0.0)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == _reference_csv(trace).encode()
+
+
 def test_trace_summary_json():
     game = matching_game(2)
     trace = run_dynamics(game, _quick_config(horizon=40, every=10))

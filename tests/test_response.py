@@ -13,7 +13,12 @@ from beliefgames.families import (
     UniformFamily,
 )
 from beliefgames.games import matching_game, uniform_profile
-from beliefgames.oracles import bisection_response, finite_difference_gradient, project_simplex
+from beliefgames.oracles import (
+    bisection_response,
+    finite_difference_gradient,
+    project_simplex,
+    quadrature_regularizer,
+)
 from beliefgames.response import (
     _bisection_response,
     _family_groups,
@@ -414,6 +419,89 @@ def test_bound_solver_ignores_a_non_finite_predicted_start():
             want = _solve_or_raise(bisection_response, fam, after)
             assert solve(after).tobytes() == want[0]
             assert solve(before).tobytes() == p.tobytes()  # and back
+
+
+@st.composite
+def _drifting_paths(draw):
+    """(family, (K, T, N) payoff paths): K random walks of T rows each.
+
+    Like the payoff estimates of learning rounds, each row moves from the
+    last by a step of its own size.  Pareto q comes from below 1, between 1
+    and 2 and above 2 (unbounded densities); tables have no atoms.
+    """
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["low", "mid", "high", "tabulated"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "tabulated":
+        tables = []
+        for _ in range(n):
+            ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))), 1.0]
+            steps = [0.05 + 2.0 * draw(unit) for _ in ts]
+            tables.append(np.column_stack((ts, np.cumsum(steps) - 1.0)))
+        fam = TabulatedFamily(tables)
+    else:
+        q = draw({"low": st.floats(0.2, 0.95), "mid": st.floats(1.05, 2.0),
+                  "high": st.floats(2.0, 4.0, exclude_min=True)}[kind])
+        fam = ParetoFamily(0.3 + 8.0 * draw(unit), q, [0.2 + 3.0 * draw(unit) for _ in range(n)])
+    k, t = draw(st.integers(1, 3)), draw(st.integers(2, 10))
+    scale, step = 10.0 ** draw(st.floats(-2.0, 2.0)), 10.0 ** draw(st.floats(-4.0, 0.0))
+    moves = draw(arrays(float, (k, t, n), elements=st.floats(-1.0, 1.0)))
+    moves[:, 1:] *= step
+    return fam, scale * np.cumsum(moves, axis=1)
+
+
+def _plain_or_message(fam, u):
+    """Plain bisection's probabilities as bytes, or its error message."""
+    try:
+        return bisection_response(fam, u)[0].tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_drifting_paths())
+def test_predicted_starts_on_drifting_paths_give_plain_bisection_bits(case):
+    # each bound solver starts a row at its last kappa plus p . (u - u_old):
+    # rows fed one path at a time, then each round's rows of all paths as a stack
+    fam, paths = case
+    want = [[_plain_or_message(fam, row) for row in path] for path in paths]
+    for path, wanted in zip(paths, want):
+        solve = response_solver(fam)
+        for row, w in zip(path, wanted):
+            try:
+                got = solve(row).tobytes()
+            except RuntimeError as exc:
+                got = str(exc)
+            assert got == w
+    solve = response_solver(fam)
+    for t in range(paths.shape[1]):
+        wanted = [w[t] for w in want]
+        failed = [w for w in wanted if isinstance(w, str)]
+        if failed:
+            with pytest.raises(RuntimeError) as info:
+                solve(paths[:, t])
+            assert str(info.value) == failed[0]
+        else:
+            assert solve(paths[:, t]).tobytes() == b"".join(wanted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_permuted_families(), st.lists(st.floats(1e-4, 0.5), min_size=4, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_response_maximizes_the_regularized_payoff_for_every_family(case, weights, seed):
+    # on the simplex, and no mix (1 - w) p + w r with a simplex point r does better;
+    # h at the response agrees with an independent quadrature of the quantiles
+    fam, _, u, _ = case
+    p = response_probabilities(fam, u)
+    assert np.all(p >= 0.0) and p.sum() == pytest.approx(1.0, abs=1e-12)
+    h = fam.regularizer(p)
+    assert quadrature_regularizer(fam, p) == pytest.approx(h, rel=1e-9, abs=1e-10)
+    best = float(np.dot(p, u)) + h
+    others = np.random.default_rng(seed).dirichlet(np.full(fam.n_actions, 0.5), len(weights))
+    others[0] = np.eye(fam.n_actions)[0]  # a vertex
+    for w, r in zip(weights, others):
+        near = project_simplex((1.0 - w) * p + w * r)
+        assert float(np.dot(near, u)) + fam.regularizer(near) <= best + 1e-9 * (1.0 + np.abs(u).max())
 
 
 def test_unbounded_densities_in_a_solve_stay_silent():
