@@ -211,14 +211,18 @@ def coupling_bound(game: Game, player: int) -> float:
     the norm is convex, so pure profiles attain the maximum); the bounds are
     then summed over k.  At payoffs in [0, 1] the result is at most N (M - 1).
     Those A_jk + A_kj^T are slices of the payoff tensors with axes j and k
-    moved last, so one batched call takes all N^(M-2) spectral norms.
+    moved last, so one batched call takes all N^(M-2) spectral norms.  Each
+    pair is taken in its lower-numbered player's orientation, so both players
+    of a pair read the same bits (a transpose's norm can differ in the last
+    place).
     """
     m, n = game.num_players, game.num_actions
     total = 0.0
     for k in range(m):
         if k == player:
             continue
-        cross = sum(np.moveaxis(game.payoffs[r], (player, k), (-2, -1)) for r in (player, k))
+        pair = (min(player, k), max(player, k))
+        cross = sum(np.moveaxis(game.payoffs[r], pair, (-2, -1)) for r in pair)
         total += 0.5 * float(np.linalg.norm(cross.reshape(-1, n, n), 2, axis=(-2, -1)).max())
     return total
 

@@ -13,8 +13,16 @@ Subcommands:
 seconds (``perf_counter``), as ``verify.json`` does: the dynamics, the CSV
 writing and rounds per second for ``simulate``, the iteration for ``solve``.
 
-Exit codes: 0 success, 1 usage or input error, 2 completed with warnings
-(e.g. residual above tolerance), 3 a requested check failed.
+Every command runs through :func:`main` in the same steps: parse the
+arguments, load the config (every scalar field read by one number rule, under
+which a bool is not a number and an integer field takes no fraction), print
+``simulate``'s schedule warnings, print the ``--dry-run`` plan and stop, create
+the output directory, run.  A bad input, an output that cannot be written or a
+solver that fails ends the command with one ``error:`` line; an unwritable
+output is found before any work is done.
+
+Exit codes: 0 success, 1 usage, input or output error, 2 completed with
+warnings (e.g. residual above tolerance), 3 a requested check failed.
 """
 
 from __future__ import annotations
@@ -42,17 +50,11 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_ERROR
-
-
 def _out_dir(args, cfg: ExperimentConfig) -> str:
     out = args.out or cfg.out_dir
     if not out:
         stem = os.path.splitext(os.path.basename(args.config))[0]
         out = os.path.join(os.path.dirname(os.path.abspath(args.config)), stem + "_out")
-    os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -73,34 +75,15 @@ def _config(args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "downsample", None) is not None:
-        if args.downsample < 1:
-            raise ValueError("--downsample must be at least 1")
         cfg.run = replace(cfg.run, record_every=args.downsample)
     return cfg
 
 
-def cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    warnings = []
+def cmd_simulate(args, cfg: ExperimentConfig, out: str) -> int:
     report = classify_schedule(cfg.run.schedule)
-    if not report.sum_diverges:
-        warnings.append("step sizes are summable; the dynamics can stall short of equilibrium")
-    if not report.ratio_vanishes:
-        warnings.append("squared-to-plain step ratio does not vanish; convergence is not guaranteed")
-    for w in warnings:
-        _say(args.quiet, f"warning: {w}")
-
-    if args.dry_run:
-        _say(args.quiet, _strict_json(cfg.describe()))
-        return EXIT_OK
-
     start = time.perf_counter()
-    try:
-        trace = run_dynamics(cfg.game, cfg.run)
-    except (ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+    trace = run_dynamics(cfg.game, cfg.run)
     dynamics_s = time.perf_counter() - start
-
-    out = _out_dir(args, cfg)
     start = time.perf_counter()
     trace.to_csv(os.path.join(out, "trace.csv"))
     csv_s = time.perf_counter() - start
@@ -119,25 +102,19 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
          f"(tolerance {cfg.tolerances.residual:g}), outputs in {out}")
     if not converged:
         _say(args.quiet, "warning: final residual above tolerance")
-    return EXIT_WARN if warnings or not converged else EXIT_OK
+    warned = not (report.sum_diverges and report.ratio_vanishes)
+    return EXIT_WARN if warned or not converged else EXIT_OK
 
 
-def cmd_solve(args, cfg: ExperimentConfig) -> int:
-    if args.dry_run:
-        _say(args.quiet, _strict_json(cfg.describe()))
-        return EXIT_OK
+def cmd_solve(args, cfg: ExperimentConfig, out: str) -> int:
     start = time.perf_counter()
-    try:
-        result = fixed_point_iterate(
-            cfg.game, cfg.run.risk_families,
-            damping=cfg.tolerances.damping,
-            tol=cfg.tolerances.fixed_point,
-            max_iter=cfg.tolerances.max_iterations,
-        )
-    except (ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+    result = fixed_point_iterate(
+        cfg.game, cfg.run.risk_families,
+        damping=cfg.tolerances.damping,
+        tol=cfg.tolerances.fixed_point,
+        max_iter=cfg.tolerances.max_iterations,
+    )
     solve_s = time.perf_counter() - start
-    out = _out_dir(args, cfg)
     _write_json(os.path.join(out, "equilibrium.json"), {
         "profile": result.profile.probs.tolist(),
         "residual": result.residual,
@@ -155,20 +132,13 @@ def cmd_solve(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(args, cfg: ExperimentConfig) -> int:
-    if args.dry_run:
-        _say(args.quiet, _strict_json(cfg.describe()))
-        return EXIT_OK
-    try:
-        report = stability_check(cfg.game, cfg.run.risk_families)
-        concavity = [strong_concavity_check(fam, n_trials=200, seed=cfg.seed)
-                     for fam in cfg.run.risk_families]
-    except (ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+def cmd_check(args, cfg: ExperimentConfig, out: str) -> int:
+    report = stability_check(cfg.game, cfg.run.risk_families)
+    concavity = [strong_concavity_check(fam, n_trials=200, seed=cfg.seed)
+                 for fam in cfg.run.risk_families]
     doc = report.to_dict()
     doc["concavity"] = [vars(c) | {} for c in concavity]
     doc["config"] = cfg.describe()
-    out = _out_dir(args, cfg)
     _write_json(os.path.join(out, "stability.json"), doc)
     for p in report.players:
         if p.curvature == 0.0:
@@ -186,20 +156,13 @@ def cmd_check(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def cmd_verify(args) -> int:
-    if args.dry_run:
-        _say(args.quiet, json.dumps({"only": args.only, "checks": "oracle suite"}, indent=2))
-        return EXIT_OK
-    try:
-        manifest = verification_suite(only=args.only)
-    except ValueError as exc:
-        return _fail(str(exc))
+def cmd_verify(args, cfg, out: str | None) -> int:
+    manifest = verification_suite(only=args.only)
     for name, result in manifest["checks"].items():
         _say(args.quiet,
              f"{'PASS' if result['passed'] else 'FAIL'} {name}: {result['detail']}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "verify.json"), manifest)
+    if out:
+        _write_json(os.path.join(out, "verify.json"), manifest)
     return EXIT_OK if manifest["all_passed"] else EXIT_CHECK_FAILED
 
 
@@ -236,6 +199,7 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "solve": cmd_solve,
     "check": cmd_check,
+    "verify": cmd_verify,
 }
 
 
@@ -245,13 +209,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    if args.command == "verify":
-        return cmd_verify(args)
     try:
-        cfg = _config(args)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-    return _COMMANDS[args.command](args, cfg)
+        cfg = None if args.command == "verify" else _config(args)
+        if args.command == "simulate":
+            report = classify_schedule(cfg.run.schedule)
+            if not report.sum_diverges:
+                _say(args.quiet, "warning: step sizes are summable; "
+                                 "the dynamics can stall short of equilibrium")
+            if not report.ratio_vanishes:
+                _say(args.quiet, "warning: squared-to-plain step ratio does not vanish; "
+                                 "convergence is not guaranteed")
+        if args.dry_run:
+            _say(args.quiet, _strict_json({"only": args.only, "checks": "oracle suite"}
+                                          if cfg is None else cfg.describe()))
+            return EXIT_OK
+        out = args.out if cfg is None else _out_dir(args, cfg)
+        if out:
+            os.makedirs(out, exist_ok=True)
+        return _COMMANDS[args.command](args, cfg, out)
+    except (ValueError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def entrypoint() -> None:  # console-script shim

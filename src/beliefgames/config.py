@@ -4,7 +4,9 @@ A config is a single JSON object naming a game file (resolved relative to the
 config's own directory), the per-player families, a step schedule, and run
 and solver settings.  Families may be given once (applied to every player) or
 as a per-player list.  Loading builds the :class:`RunConfig`, so every setting
-of the run is validated once, when the file is read.
+of the run is validated once, when the file is read.  Scalar fields are read
+by the number rule of :mod:`beliefgames.games` (``_field`` with ``_integer``
+or ``_real``), as the game file, family objects and schedule are.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import PROBABILITY_CLAMP, RunConfig, StepSchedule
 from .families import family_from_dict
-from .games import Game, load_game
+from .games import Game, _field, _integer, _real, load_game
 
 
 @dataclass(frozen=True)
@@ -89,23 +91,6 @@ def _families_from_spec(spec, game: Game, label: str) -> tuple:
     return tuple(fams)
 
 
-def _field(doc: dict, key: str, kind, default=None, label: str | None = None):
-    """``kind(doc[key])``, or of ``default`` when the key is absent and a default
-    is given; a value ``kind`` rejects is an error naming the field."""
-    value = doc[key] if default is None else doc.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{label or key}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """``int(value)`` for an integral number; a bool or a fractional float is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _path(value, key: str):
     if not isinstance(value, str):
         raise ValueError(f"{key}: expected a path string, got {value!r}")
@@ -151,7 +136,7 @@ def _parse(path) -> ExperimentConfig:
         risk_families=risk,
         belief_families=belief,
         initial_estimates=doc.get("initial_estimates"),
-        probability_clamp=_field(doc, "clamp", float, PROBABILITY_CLAMP),
+        probability_clamp=_field(doc, "clamp", _real, PROBABILITY_CLAMP),
         record_every=_field(doc, "downsample", _integer, 1),
     )
 
@@ -161,7 +146,7 @@ def _parse(path) -> ExperimentConfig:
         if key not in defaults:
             raise ValueError(f"unknown tolerance {key!r}")
     tols = Tolerances(**{
-        key: _field(given, key, _integer if type(value) is int else type(value), value,
+        key: _field(given, key, _integer if type(value) is int else _real, value,
                     f"tolerance {key!r}")
         for key, value in defaults.items()})
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import equilibrium_residual
 from .families import MarginalFamily
-from .games import Game, StrategyProfile, payoff_vector_rows
+from .games import Game, StrategyProfile, _field, _real, payoff_vector_rows
 from .response import _family_groups, response_operator
 
 #: default lower clamp applied to probabilities inside the update rule.
@@ -76,17 +76,11 @@ class StepSchedule:
     def from_dict(cls, doc: dict) -> "StepSchedule":
         if not isinstance(doc, dict) or "type" not in doc:
             raise ValueError("schedule spec must be an object with a 'type' field")
-
-        def param(key: str) -> float:
-            try:
-                return float(doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"schedule.{key}: {exc}") from exc
-
         if doc["type"] == "constant":
-            return cls.constant(param("c"))
+            return cls.constant(_field(doc, "c", _real, label="schedule.c"))
         if doc["type"] == "power":
-            return cls.power(param("c"), param("a"))
+            return cls.power(_field(doc, "c", _real, label="schedule.c"),
+                             _field(doc, "a", _real, label="schedule.a"))
         raise ValueError(f"unknown schedule type {doc['type']!r}")
 
 

@@ -28,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .games import _check_simplex_rows
+from .games import _check_simplex_rows, _field, _integer, _real
 
 def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
     """t as a float array inside ``domain``, the unit interval with or without ends."""
@@ -487,21 +487,21 @@ def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
     if kind == "exponential":
         eta = doc.get("eta")
         fam: MarginalFamily = ExponentialFamily(
-            float(doc.get("gamma", 1.0)), eta=eta,
+            _field(doc, "gamma", _real, 1.0), eta=eta,
             n_actions=n_actions if eta is None or np.ndim(eta) == 0 else None,
         )
     elif kind == "uniform":
-        n = doc.get("actions", n_actions)
-        if n is None:
+        if doc.get("actions", n_actions) is None:
             raise ValueError("uniform family needs an action count")
-        fam = UniformFamily(float(doc.get("gamma", 1.0)), int(n))
+        fam = UniformFamily(_field(doc, "gamma", _real, 1.0),
+                            _field(doc, "actions", _integer, n_actions))
     elif kind == "pareto":
         eta = doc.get("eta")
         if eta is None or np.ndim(eta) == 0:
             if n_actions is None:
                 raise ValueError("pareto family needs a per-action eta or an action count")
-            eta = np.full(int(n_actions), 1.0 if eta is None else float(eta))
-        fam = ParetoFamily(float(doc.get("gamma", 1.0)), float(doc["q"]), eta)
+            eta = np.full(n_actions, 1.0 if eta is None else _field(doc, "eta", _real))
+        fam = ParetoFamily(_field(doc, "gamma", _real, 1.0), _field(doc, "q", _real), eta)
     elif kind == "tabulated":
         fam = TabulatedFamily(doc["table"])
     else:

@@ -288,6 +288,34 @@ def save_game(game: Game, path) -> None:
         fh.write("\n")
 
 
+def _field(doc: dict, key: str, kind, default=None, label: str | None = None):
+    """``kind(doc[key])``, or of ``default`` when the key is absent and a default
+    is given; a value ``kind`` rejects is an error naming the field.
+
+    The one rule the game, family, schedule and config parsers read their
+    scalar fields by, with ``kind`` :func:`_integer` or :func:`_real`.
+    """
+    value = doc[key] if default is None else doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{label or key}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """``int(value)`` for an integral number; a bool or a fractional float is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """``float(value)`` for a number; a bool is an error."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def load_game(path) -> Game:
     """Inverse of :func:`save_game`; raises ValueError on malformed input."""
     with open(path) as fh:
@@ -295,10 +323,10 @@ def load_game(path) -> Game:
     if not isinstance(doc, dict):
         raise ValueError("game file must hold a JSON object")
     try:
-        m = int(doc["players"])
-        n = int(doc["actions"])
+        m = _field(doc, "players", _integer)
+        n = _field(doc, "actions", _integer)
         flat = doc["payoffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"game file missing or malformed field: {exc}") from exc
     if m < 2 or n < 2:
         raise ValueError("need at least two players and two actions")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .families import ExponentialFamily, MarginalFamily, UniformFamily
 from .games import Game, StrategyProfile
-from .response import _BISECT_MAX_ITER, BISECT_TOL, response_probabilities
+from .response import _BISECT_MAX_ITER, BISECT_TOL, response_solver
 
 #: quantile arguments are capped at this level so draws stay finite even for
 #: unbounded marginals.
@@ -294,8 +294,8 @@ def grid_fixed_point(game: Game, fams, resolution: float = 1e-2) -> StrategyProf
 
     Scans the (p_1, p_2) unit square at the given resolution and returns the
     profile with the smallest sup-norm response gap.  Exponential and uniform
-    families evaluate on the whole grid at once; other families fall back to
-    a Python loop, so keep the resolution coarse for them.
+    families evaluate closed forms on the whole grid at once; other families
+    solve the grid's payoff rows in one :func:`response_solver` call.
     """
     fams = tuple(fams)
     if game.num_players != 2 or game.num_actions != 2:
@@ -335,11 +335,7 @@ def _first_component_response(fam: MarginalFamily, ua: np.ndarray,
     if isinstance(fam, UniformFamily):
         # projection of u / (4 gamma) onto the 2-simplex
         return np.clip(0.5 * ((ua - ub) / (4.0 * fam.gamma) + 1.0), 0.0, 1.0)
-    out = np.empty_like(ua)
-    flat_a, flat_b, flat_o = ua.ravel(), ub.ravel(), out.ravel()
-    for idx in range(flat_a.size):
-        flat_o[idx] = response_probabilities(fam, [flat_a[idx], flat_b[idx]])[0]
-    return out
+    return response_solver(fam)(np.stack([ua, ub], axis=-1))[..., 0]
 
 
 def exhaustive_profile_payoff(game: Game, player: int, profile: StrategyProfile) -> float:

@@ -1,6 +1,24 @@
+import re
 from contextlib import contextmanager
 
 import pytest
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    """Reject a ``-m`` expression that names an unregistered marker.
+
+    ``--strict-markers`` checks only the markers the test files apply, so a
+    mistyped name in ``-m`` would deselect every test without a word.  Runs
+    last, once every plugin has registered its markers.
+    """
+    # keyword arguments, as in ``slow(reason="x")``, name no marker
+    expr = re.sub(r"\b(?!(?:and|or|not)\()([\w.+-]+)\([^)]*\)", r"\1", config.option.markexpr)
+    names = set(re.findall(r"[\w.+-]+", expr)) - {"and", "or", "not"}
+    known = {re.split(r"[:(]", line, maxsplit=1)[0].strip() for line in config.getini("markers")}
+    unknown = sorted(names - known)
+    if unknown:
+        raise pytest.UsageError(f"-m names unregistered markers: {', '.join(unknown)}")
 
 
 @contextmanager

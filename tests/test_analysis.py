@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beliefgames.analysis import (
     assemble_hessian,
@@ -19,7 +21,7 @@ from beliefgames.analysis import (
     variational_stability_probe,
 )
 from beliefgames.dynamics import RunConfig, StepSchedule, run_dynamics
-from beliefgames.families import ExponentialFamily, ParetoFamily, UniformFamily
+from beliefgames.families import ExponentialFamily, ParetoFamily, TabulatedFamily, UniformFamily
 from beliefgames.games import (
     StrategyProfile,
     matching_game,
@@ -145,6 +147,39 @@ def test_fixed_point_on_random_games():
         result = fixed_point_iterate(game, _exp(2.0, n=3))
         assert result.converged
         assert result.residual < 1e-9
+
+
+@st.composite
+def _regularized_games(draw):
+    """A random game, M in {2, 3} and N in 2..4, with one family for every player
+    at gamma in [1.5, 8]: any of the four kinds, Pareto with q on both sides of 1."""
+    m, n = draw(st.sampled_from([2, 3])), draw(st.integers(2, 4))
+    game = random_game(m, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    gamma = draw(st.floats(1.5, 8.0))
+    kind = draw(st.sampled_from(["exponential", "uniform", "pareto", "tabulated"]))
+    if kind == "exponential":
+        fam = ExponentialFamily(gamma, n_actions=n)
+    elif kind == "uniform":
+        fam = UniformFamily(gamma, n)
+    elif kind == "pareto":
+        fam = ParetoFamily(gamma, draw(st.floats(0.2, 0.95) | st.floats(1.05, 1.95)),
+                           np.ones(n))
+    else:
+        ts = np.linspace(0.0, 1.0, 5)
+        steps = st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4)
+        fam = TabulatedFamily([np.column_stack((ts, gamma * np.cumsum([0.0, *draw(steps)])))
+                               for _ in range(n)])
+    return game, (fam,) * m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_regularized_games())
+def test_a_certified_games_fixed_point_has_zero_residual(case):
+    game, fams = case
+    assume(stability_check(game, fams).all_passed)
+    result = fixed_point_iterate(game, fams, tol=1e-12)
+    assert result.converged
+    assert result.residual <= 1e-10
 
 
 def test_fixed_point_reports_nonconvergence():
@@ -284,6 +319,15 @@ def test_coupling_bound_frozen_and_capped():
             bound = coupling_bound(game, j)
             assert bound <= actions * (players - 1) + 1e-9
             assert bound == pytest.approx(_brute_force_coupling(game, j), rel=0, abs=1e-12)
+
+
+def test_both_players_of_a_two_player_game_read_the_same_coupling():
+    # the pair's two matrices are transposes: one orientation gives one set of bits
+    rng = np.random.default_rng(5)
+    for actions in (2, 3, 4, 5):
+        for _ in range(50):
+            game = random_game(2, actions, rng)
+            assert coupling_bound(game, 0) == coupling_bound(game, 1)
 
 
 def test_stability_check_passes_with_strong_regularization():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beliefgames import cli
 from beliefgames.cli import main
 from beliefgames.games import matching_game, random_game, save_game
 from beliefgames.verify import CHECKS
@@ -311,6 +312,23 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert not any(line.startswith("FAIL ") for line in lines)
 
 
+@pytest.mark.parametrize("command, work", [
+    ("simulate", "run_dynamics"), ("solve", "fixed_point_iterate"),
+    ("check", "stability_check"), ("verify", "verification_suite")])
+def test_an_unwritable_out_fails_before_any_work(command, work, workdir, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran although --out cannot be made")
+
+    monkeypatch.setattr(cli, work, never)
+    blocker = workdir / "file"
+    blocker.write_text("")
+    config = [] if command == "verify" else ["--config", _cfg_path(workdir)]
+    assert main([command, *config, "--out", str(blocker / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker / "out") in err
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -323,3 +341,24 @@ def test_no_command_is_an_error(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# test tooling
+
+
+def test_an_unregistered_marker_in_a_marker_expression_is_a_usage_error():
+    def collect(expression):
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "--collect-only", "-q",
+             "-m", expression, str(REPO / "tests" / "test_games.py")],
+            cwd=REPO, env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+
+    done = collect("not slwo")
+    assert done.returncode == 4
+    assert "slwo" in done.stdout + done.stderr
+    for expression in ("not slow", "skip or xfail or parametrize or slow"):
+        done = collect(expression)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "collected" in done.stdout

@@ -64,6 +64,16 @@ MALFORMED = {
                        "risk_families[0]: gamma must be positive and finite"),
     "infinite_pareto_q": (GOOD | {"belief_families": {"type": "pareto", "q": float("inf")}},
                           "belief_families[0]: q must be positive and finite"),
+    "bool_step_scale": (GOOD | {"schedule": {"type": "constant", "c": True}},
+                        "schedule.c: expected a number, got True"),
+    "bool_damping": (GOOD | {"tolerances": {"damping": True}},
+                     "tolerance 'damping': expected a number, got True"),
+    "bool_gamma": (GOOD | {"risk_families": {"type": "exponential", "gamma": True}},
+                   "risk_families[0]: gamma: expected a number, got True"),
+    "fractional_uniform_actions": (
+        GOOD | {"risk_families": {"type": "uniform", "actions": 2.5}},
+        "risk_families[0]: actions: expected an integer, got 2.5"),
+    "fractional_horizon": (GOOD | {"horizon": 2.5}, "horizon: expected an integer, got 2.5"),
 }
 
 INVOCATIONS = {
