@@ -357,7 +357,7 @@ def variational_stability_probe(game: Game, profile: StrategyProfile, fams,
     # the smooth-payoff gradients of every sample (see smooth_payoff_gradient)
     grads = payoff_vector_rows(game, None, rows)
     for j, fam in enumerate(fams):
-        grads[:, j] += fam.quantile_vector(1.0 - rows[:, j])
+        grads[:, j] += fam.tail_quantile_vector(rows[:, j])
     if not np.all(np.isfinite(grads)):
         raise ValueError("gradient is infinite at a sampled profile; raise the floor")
     step = rows - profile.probs
@@ -409,28 +409,18 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
     modulus = 1.0 / lipschitz
     rng = np.random.default_rng(seed)
     n = fam.n_actions
-    worst = np.inf
-    ok = True
-    for _ in range(n_trials):
-        u = rng.random(n)
-        p = rng.dirichlet(np.ones(n))
-        q = rng.dirichlet(np.ones(n))
-        alpha = rng.uniform(0.05, 0.95)
-        mix = alpha * p + (1.0 - alpha) * q
-
-        def g(x):
-            return float(np.dot(x, u)) + fam.regularizer_terms(x)
-
-        slack = g(mix) - (
-            alpha * g(p) + (1.0 - alpha) * g(q)
-            + 0.5 * modulus * alpha * (1.0 - alpha) * float(np.sum((p - q) ** 2))
-        )
-        worst = min(worst, slack)
-        if slack < -1e-9:
-            ok = False
+    # draw one trial at a time, u, p, q and a in turn, then take g on all of them at once
+    draws = [(rng.random(n), rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)),
+              rng.uniform(0.05, 0.95)) for _ in range(n_trials)]
+    u, p, q, alpha = (np.array(column) for column in zip(*draws))
+    a = alpha[:, None]
+    g_mix, g_p, g_q = (np.vecdot(x, u) + fam.regularizer_terms(x)
+                       for x in (a * p + (1.0 - a) * q, p, q))
+    slack = g_mix - (alpha * g_p + (1.0 - alpha) * g_q
+                     + 0.5 * modulus * alpha * (1.0 - alpha) * ((p - q) ** 2).sum(axis=-1))
     return ConcavityReport(
         lipschitz_constant=lipschitz,
         modulus=float(modulus),
-        verified=ok,
-        worst_slack=float(worst),
+        verified=not (slack < -1e-9).any(),
+        worst_slack=float(slack.min()),
     )

@@ -182,19 +182,17 @@ class MarginalFamily:
 
     # -- regularizer ---------------------------------------------------------
 
-    def regularizer_terms(self, p) -> float:
-        """Sum over actions of the quantile integral over [1 - p_i, 1].
+    def regularizer_terms(self, p):
+        """Sum over actions of the quantile integral over [1 - p_i, 1], per row.
 
-        Unlike :meth:`regularizer` this does not require p to be on the
+        One value per row of p, a float for a single row.  Unlike
+        :meth:`regularizer` this does not require the rows to be on the
         simplex, which makes it usable inside finite-difference checks.
         """
-        p = _check_unit(p)
-        if p.shape != (self.n_actions,):
-            raise ValueError(f"need a length-{self.n_actions} vector")
-        return float(self._regularizer(p))
+        return _scalar(self._regularizer(_check_unit(self._actions_last(p))))
 
-    def regularizer(self, p) -> float:
-        """Concave perturbation value h(p) for a simplex point p."""
+    def regularizer(self, p):
+        """Concave perturbation value h(p) of each simplex row of p."""
         return self.regularizer_terms(_check_simplex_rows(p))
 
     # -- analysis hooks ------------------------------------------------------
@@ -243,12 +241,14 @@ class ExponentialFamily(MarginalFamily):
     def _cdf(self, s):
         return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
 
-    def _tail_quantile(self, mass):
-        # log eta - log mass where eta / mass overflows (a subnormal mass)
+    def _log_ratio(self, mass):
+        """log(eta / mass); log eta - log mass where eta / mass overflows (a subnormal mass)."""
         with np.errstate(over="ignore"):
             ratio = self.eta / mass
-        logs = np.where(ratio < np.inf, np.log(ratio), np.log(self.eta) - np.log(mass))
-        return self.gamma * (logs - 1.0)
+        return np.where(ratio < np.inf, np.log(ratio), np.log(self.eta) - np.log(mass))
+
+    def _tail_quantile(self, mass):
+        return self.gamma * (self._log_ratio(mass) - 1.0)
 
     def _ratio_tail_quantile(self, mass):
         """``_tail_quantile`` for masses at which every eta / mass is finite."""
@@ -263,12 +263,9 @@ class ExponentialFamily(MarginalFamily):
         return p / self.gamma
 
     def _regularizer(self, p):
-        # p log(eta/p) with the 0 log 0 = 0 convention; log eta - log p where eta/p overflows
-        safe = np.where(p > 0.0, p, 1.0)
-        with np.errstate(over="ignore"):
-            ratio = self.eta / safe
-        logs = np.where(np.isfinite(ratio), np.log(ratio), np.log(self.eta) - np.log(safe))
-        return self.gamma * np.where(p > 0.0, p * logs, 0.0).sum()
+        # p log(eta/p) with the 0 log 0 = 0 convention
+        logs = self._log_ratio(np.where(p > 0.0, p, 1.0))
+        return self.gamma * np.where(p > 0.0, p * logs, 0.0).sum(axis=-1)
 
     def curvature_scale(self) -> float:
         return self.gamma
@@ -305,7 +302,7 @@ class UniformFamily(MarginalFamily):
         return np.full_like(p, 1.0 / (2.0 * self.gamma * self.n_actions))
 
     def _regularizer(self, p):
-        return self.gamma * (p.sum() - self.n_actions * np.dot(p, p))
+        return self.gamma * (p.sum(axis=-1) - self.n_actions * np.vecdot(p, p))
 
     def curvature_scale(self) -> float:
         return 2.0 * self.gamma * self.n_actions
@@ -376,7 +373,7 @@ class ParetoFamily(MarginalFamily):
         x = (self.q - 1.0) * logs
         with np.errstate(over="ignore"):
             gaps = np.where(x < 1.0, p * np.expm1(x), self.eta * np.exp(self.q * logs) - p)
-        return -self.gamma * np.sum(np.where(p > 0.0, gaps, 0.0)) / (self.q - 1.0)
+        return -self.gamma * np.where(p > 0.0, gaps, 0.0).sum(axis=-1) / (self.q - 1.0)
 
     def curvature_scale(self) -> float:
         if self.q > 2.0:
@@ -423,28 +420,38 @@ class TabulatedFamily(MarginalFamily):
         self.strictly_increasing_cdf = all(np.all(np.diff(vs) > 0.0) for _, vs in grids)
         with np.errstate(divide="ignore"):  # CDF slope dt/dv per segment, inf on a flat one
             self._slopes = [np.diff(ts) / np.diff(vs) for ts, vs in grids]
+        # the exact quantile integral from each knot to 1: its segments' trapezoids,
+        # summed from the top
+        areas = [np.diff(ts) * (vs[1:] + vs[:-1]) / 2.0 for ts, vs in grids]
+        self._tails = [np.append(np.cumsum(area[::-1])[::-1], 0.0) for area in areas]
 
     def _columns(self, fn, x):
-        """``fn(column, ts, vs, slopes)`` on each column of x with its action's table."""
-        return np.stack([fn(x[..., i], ts, vs, slopes)
-                         for i, ((ts, vs), slopes) in enumerate(zip(self._grids, self._slopes))],
-                        axis=-1)
+        """``fn(column, ts, vs, slopes, tails)`` on each column of x with its action's table."""
+        return np.stack([fn(x[..., i], ts, vs, slopes, tails) for i, ((ts, vs), slopes, tails)
+                         in enumerate(zip(self._grids, self._slopes, self._tails))], axis=-1)
 
     def _cdf(self, s):
-        return self._columns(lambda x, ts, vs, _: np.interp(x, vs, ts), s)
+        return self._columns(lambda x, ts, vs, *_: np.interp(x, vs, ts), s)
 
     def _quantile(self, t):
-        return self._columns(lambda x, ts, vs, _: np.interp(x, ts, vs), t)
+        return self._columns(lambda x, ts, vs, *_: np.interp(x, ts, vs), t)
 
     def _density(self, p):
         # the stored slope of the segment holding t = 1 - p; at a knot, the segment
         # starting there (the last one at t = 1); a flat run is an atom, inf
         return self._columns(
-            lambda x, ts, _, slopes: slopes[np.clip(
+            lambda x, ts, _, slopes, __: slopes[np.clip(
                 np.searchsorted(ts, 1.0 - x, side="right") - 1, 0, slopes.size - 1)], p)
 
     def _regularizer(self, p):
-        return sum(self._exact_tail(i, float(p[i])) for i in range(self.n_actions))
+        # per action, the trapezoid from a = 1 - p_i to the next knot above it plus the
+        # stored integral from that knot to 1; p_i = 0 is the empty segment at the top knot
+        def tail(mass, ts, vs, _, tails):
+            a = 1.0 - mass
+            k = np.minimum(np.searchsorted(ts, a, side="right"), ts.size - 1)
+            return (ts[k] - a) * (np.interp(a, ts, vs) + vs[k]) / 2.0 + tails[k]
+
+        return self._columns(tail, p).sum(axis=-1)
 
     def curvature_scale(self) -> float:
         # min over actions is constant between merged breakpoints: take each interval's midpoint
@@ -456,17 +463,6 @@ class TabulatedFamily(MarginalFamily):
 
     def lipschitz_constant(self) -> float:
         return float(max(slopes.max() for slopes in self._slopes))
-
-    def _exact_tail(self, i: int, mass: float) -> float:
-        """Exact integral of the piecewise-linear quantile over [1 - mass, 1]."""
-        if mass == 0.0:
-            return 0.0
-        ts, vs = self._grids[i]
-        a = 1.0 - mass
-        knots = ts[(ts > a) & (ts < 1.0)]
-        xs = np.concatenate(([a], knots, [1.0]))
-        ys = np.interp(xs, ts, vs)
-        return float(np.trapezoid(ys, xs))
 
     def to_dict(self) -> dict:
         return {
@@ -484,8 +480,10 @@ def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("family spec must be an object with a 'type' field")
     kind = doc["type"]
+    eta = doc.get("eta")
+    if kind in ("exponential", "pareto") and eta is not None:  # one number, or one per action
+        eta = _field(doc, "eta", lambda v: _real(v) if np.ndim(v) == 0 else [_real(x) for x in v])
     if kind == "exponential":
-        eta = doc.get("eta")
         fam: MarginalFamily = ExponentialFamily(
             _field(doc, "gamma", _real, 1.0), eta=eta,
             n_actions=n_actions if eta is None or np.ndim(eta) == 0 else None,
@@ -496,11 +494,10 @@ def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
         fam = UniformFamily(_field(doc, "gamma", _real, 1.0),
                             _field(doc, "actions", _integer, n_actions))
     elif kind == "pareto":
-        eta = doc.get("eta")
         if eta is None or np.ndim(eta) == 0:
             if n_actions is None:
                 raise ValueError("pareto family needs a per-action eta or an action count")
-            eta = np.full(n_actions, 1.0 if eta is None else _field(doc, "eta", _real))
+            eta = np.full(n_actions, 1.0 if eta is None else eta)
         fam = ParetoFamily(_field(doc, "gamma", _real, 1.0), _field(doc, "q", _real), eta)
     elif kind == "tabulated":
         fam = TabulatedFamily(doc["table"])

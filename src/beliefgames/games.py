@@ -303,15 +303,15 @@ def _field(doc: dict, key: str, kind, default=None, label: str | None = None):
 
 
 def _integer(value) -> int:
-    """``int(value)`` for an integral number; a bool or a fractional float is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)`` for an integral number; a bool, a string or a fractional float is an error."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _real(value) -> float:
-    """``float(value)`` for a number; a bool is an error."""
-    if isinstance(value, bool):
+    """``float(value)`` for a number; a bool or a string is an error."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _check_families
 from .families import ExponentialFamily, MarginalFamily, UniformFamily
 from .games import Game, StrategyProfile
 from .response import _BISECT_MAX_ITER, BISECT_TOL, response_solver
@@ -297,11 +298,9 @@ def grid_fixed_point(game: Game, fams, resolution: float = 1e-2) -> StrategyProf
     families evaluate closed forms on the whole grid at once; other families
     solve the grid's payoff rows in one :func:`response_solver` call.
     """
-    fams = tuple(fams)
     if game.num_players != 2 or game.num_actions != 2:
         raise ValueError("grid search is implemented for 2-player, 2-action games")
-    if len(fams) != 2:
-        raise ValueError("need one family per player")
+    fams = _check_families(game, fams)
     if not 0.0 < resolution <= 0.5:
         raise ValueError("resolution must lie in (0, 0.5]")
     steps = int(round(1.0 / resolution))

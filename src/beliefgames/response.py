@@ -545,12 +545,14 @@ def smooth_payoff_gradient(game: Game, player: int, profile: StrategyProfile,
                            fam: MarginalFamily) -> np.ndarray:
     """Gradient of :func:`smooth_payoff` in the player's own probabilities.
 
-    Component i is ``u_i + F_i^{-1}(1 - p_i)``.  Raises when some p_i = 0
-    meets an unbounded quantile; clamp the profile away from the boundary
-    before calling in that case.
+    Component i is ``u_i + F_i^{-1}(1 - p_i)``, the quantile taken in its tail
+    form at mass p_i (:meth:`MarginalFamily.tail_quantile_vector`), as the
+    learning dynamics take it, so tiny p_i keep their digits.  Raises when
+    some p_i = 0 meets an unbounded quantile; clamp the profile away from the
+    boundary before calling in that case.
     """
     u = payoff_vector(game, player, profile)
-    grad = u + fam.quantile_vector(1.0 - profile.player(player))
+    grad = u + fam.tail_quantile_vector(profile.player(player))
     if not np.all(np.isfinite(grad)):
         raise ValueError(
             "gradient is infinite at a boundary probability; clamp the profile "

@@ -187,7 +187,7 @@ def _check_gradient_finite_difference() -> tuple[bool, str]:
         def value(x):
             return float(np.dot(x, u)) + fam.regularizer_terms(x)
 
-        grad = u + fam.quantile_vector(1.0 - p)
+        grad = u + fam.tail_quantile_vector(p)
         fd = finite_difference_gradient(value, p, h=1e-5)
         worst = max(worst, float(np.abs(grad - fd).max()))
     return worst <= 1e-5, f"max deviation {worst:.3e}"

@@ -466,6 +466,47 @@ def test_strong_concavity_verified(fam):
     assert report.modulus == pytest.approx(1.0 / report.lipschitz_constant)
 
 
+def _per_trial_concavity(fam, n_trials, seed):
+    """The concavity check as a loop that takes each trial's objective in its own
+    calls, one row at a time: (worst slack, verified)."""
+    modulus = 1.0 / fam.lipschitz_constant()
+    rng = np.random.default_rng(seed)
+    n = fam.n_actions
+    worst, ok = np.inf, True
+    for _ in range(n_trials):
+        u = rng.random(n)
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        alpha = rng.uniform(0.05, 0.95)
+
+        def g(x):
+            return float(np.dot(x, u)) + fam.regularizer_terms(x)
+
+        slack = g(alpha * p + (1.0 - alpha) * q) - (
+            alpha * g(p) + (1.0 - alpha) * g(q)
+            + 0.5 * modulus * alpha * (1.0 - alpha) * float(np.sum((p - q) ** 2)))
+        worst = min(worst, slack)
+        ok = ok and not slack < -1e-9
+    return worst, ok
+
+
+@pytest.mark.parametrize("fam", [
+    ExponentialFamily(gamma=0.7, eta=[0.3, 1.0, 2.5, 0.9, 1.4]),
+    UniformFamily(gamma=1.3, n_actions=9),
+    ParetoFamily(gamma=2.0, q=0.6, eta=[0.5, 1.5, 0.8]),
+    ParetoFamily(gamma=0.9, q=1.7, eta=[0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4]),
+    TabulatedFamily([[[0.0, -1.0], [0.3, 0.2], [0.8, 0.5], [1.0, 2.0]],
+                     [[0.0, 0.0], [0.5, 0.1], [1.0, 3.0]],
+                     [[0.0, -2.0], [0.1, -1.0], [0.2, 0.0], [0.9, 0.4], [1.0, 1.0]],
+                     [[0.0, 0.5], [1.0, 1.5]]]),
+])
+def test_stacked_concavity_check_has_the_bits_of_the_per_trial_loop(fam):
+    report = strong_concavity_check(fam, n_trials=300, seed=11)
+    worst, ok = _per_trial_concavity(fam, 300, 11)
+    assert np.float64(report.worst_slack).tobytes() == np.float64(worst).tobytes()
+    assert report.verified is ok
+
+
 def test_unbounded_pareto_is_never_certified():
     # q > 2: the density at the quantile grows without bound as p -> 0
     fam = ParetoFamily(gamma=3.0, q=2.5, eta=np.array([0.5, 0.5]))

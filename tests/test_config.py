@@ -74,6 +74,16 @@ MALFORMED = {
         GOOD | {"risk_families": {"type": "uniform", "actions": 2.5}},
         "risk_families[0]: actions: expected an integer, got 2.5"),
     "fractional_horizon": (GOOD | {"horizon": 2.5}, "horizon: expected an integer, got 2.5"),
+    "string_horizon": (GOOD | {"horizon": "5000"}, "horizon: expected an integer, got '5000'"),
+    "string_clamp": (GOOD | {"clamp": "1e-9"}, "clamp: expected a number, got '1e-9'"),
+    "bool_exponential_eta": (GOOD | {"risk_families": {"type": "exponential", "eta": True}},
+                             "risk_families[0]: eta: expected a number, got True"),
+    "bool_in_exponential_eta_list": (
+        GOOD | {"risk_families": {"type": "exponential", "eta": [True, 2]}},
+        "risk_families[0]: eta: expected a number, got True"),
+    "string_pareto_eta_list": (
+        GOOD | {"belief_families": {"type": "pareto", "q": 1.5, "eta": ["1", "2"]}},
+        "belief_families[0]: eta: expected a number, got '1'"),
 }
 
 INVOCATIONS = {

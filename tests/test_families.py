@@ -445,7 +445,8 @@ def test_vectorized_methods_match_scalar_loops(any_family):
 @st.composite
 def _kernel_stacks(draw):
     """A family of any kind, Pareto with q below and above 1, and a ``(K, N)`` stack
-    of CDF arguments and one of densities' masses, with K and N around SIMD widths."""
+    of CDF arguments and one of masses for the density and regularizer kernels, with
+    K and N around SIMD widths."""
     n = draw(st.integers(1, 9))
     kind = draw(st.sampled_from(["exponential", "uniform", "pareto_light", "pareto_heavy",
                                  "tabulated"]))
@@ -474,10 +475,11 @@ def _kernel_stacks(draw):
 @given(_kernel_stacks())
 def test_stacked_kernel_rows_have_the_bits_of_their_own_calls(case):
     # the generic solver evaluates two CDF points in one (2, N) call and caches
-    # each row as if it were its own 1-D call
+    # each row as if it were its own 1-D call; the concavity check takes the
+    # regularizer of all its trials in one call
     fam, s, p = case
     with np.errstate(all="ignore"):  # huge densities at tiny masses for q > 2
-        for kernel, x in ((fam._cdf, s), (fam._density, p)):
+        for kernel, x in ((fam._cdf, s), (fam._density, p), (fam._regularizer, p)):
             stacked = kernel(x)
             for row, values in zip(x, stacked):
                 assert values.tobytes() == kernel(row).tobytes()

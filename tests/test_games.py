@@ -314,11 +314,11 @@ def test_load_game_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="per-player"):
         load_game(path)
 
-    for key, bad in (("players", 2.7), ("actions", 2.9)):
+    for key, bad in (("players", 2.7), ("actions", 2.9), ("players", "2")):
         path.write_text(json.dumps({"players": 2, "actions": 2, "payoffs": [[0.5] * 4] * 2,
                                     key: bad}))
         with pytest.raises(ValueError, match=re.escape(
-                f"game file missing or malformed field: {key}: expected an integer, got {bad}")):
+                f"game file missing or malformed field: {key}: expected an integer, got {bad!r}")):
             load_game(path)
 
     path.write_text(json.dumps({"players": 2, "actions": 2,

@@ -1,0 +1,61 @@
+"""Pinned mutants: each planted defect must make its guard test fail.
+
+A mutant is a file, one exact source line in it, the line that replaces it,
+and the node id of the test that guards against it.  Each case copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a scratch directory, plants
+the mutant there and runs the guard on that copy in a fresh interpreter.  A
+guard that still passes has stopped guarding; a line that no longer exists
+means the code moved, and the mutant has to be planted again on its new form.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+MUTANTS = {
+    # the certification margin of a KKT solve cut below the bisection's own resolution
+    "kkt_certification_margin": (
+        "src/beliefgames/response.py",
+        "    need = BISECT_TOL + max(1e-13, 64.0 * n * _EPS)",
+        "    need = 1e-14",
+        "tests/test_response.py::test_predicted_starts_on_drifting_paths_give_plain_bisection_bits",
+    ),
+    # a regularizer kernel that sums a stack of rows into one number
+    "regularizer_sums_the_whole_stack": (
+        "src/beliefgames/families.py",
+        "        return self.gamma * np.where(p > 0.0, p * logs, 0.0).sum(axis=-1)",
+        "        return self.gamma * np.where(p > 0.0, p * logs, 0.0).sum()",
+        "tests/test_families.py::test_stacked_kernel_rows_have_the_bits_of_their_own_calls",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_each_mutant_fails_its_guard(name, tmp_path):
+    path, line, replacement, guard = MUTANTS[name]
+    shutil.copytree(REPO / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(REPO / "tests", tmp_path / "tests",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO / "pyproject.toml", tmp_path)
+    target = tmp_path / path
+    lines = target.read_text().split("\n")
+    assert lines.count(line) == 1, (
+        f"mutant {name!r}: {path} no longer holds the line {line.strip()!r} once; "
+        "plant the mutant again on the code's new form")
+    lines[lines.index(line)] = replacement
+    target.write_text("\n".join(lines))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", guard],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    # the guard must run and fail: a pass lets the mutant survive, and a guard
+    # that is not found or does not collect proves nothing
+    assert "1 failed" in done.stdout, f"mutant {name!r} does not fail {guard}:\n{done.stdout}"

@@ -244,7 +244,7 @@ def test_quadrature_matches_exact_tabulated_integrals_across_interior_knots():
             tables.append(np.column_stack((ts, np.cumsum(rng.uniform(0.05, 2.0, 5)) - 2.0)))
         fam = TabulatedFamily(tables)
         p = rng.permutation(_MASSES)
-        exact = sum(fam._exact_tail(i, m) for i, m in enumerate(p.tolist()))
+        exact = fam.regularizer_terms(p)
         assert quadrature_regularizer(fam, p) == pytest.approx(exact, rel=0.0, abs=1e-10)
 
 
@@ -253,7 +253,7 @@ def test_quadrature_finds_a_kink_outside_the_outermost_nodes():
     # node, 0.0043 from its end: all 15 nodes see one straight line
     fam = TabulatedFamily([[[0.0, -5.0], [0.002, 0.0], [1.0, 1.0]]])
     assert quadrature_regularizer(fam, np.array([1.0])) == pytest.approx(
-        fam._exact_tail(0, 1.0), rel=0.0, abs=1e-10)
+        fam.regularizer_terms(np.array([1.0])), rel=0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("fam", [
@@ -333,5 +333,8 @@ def test_grid_fixed_point_validation():
         grid_fixed_point(matching_game(3), tuple(_fam(3) for _ in range(2)))
     with pytest.raises(ValueError, match="per player"):
         grid_fixed_point(matching_game(2), (_fam(),))
+    # a 3-action family on the 2-action game is refused, not read in its first two weights
+    with pytest.raises(ValueError, match="action count does not match"):
+        grid_fixed_point(matching_game(2), [ExponentialFamily(1.0, n_actions=3)] * 2)
     with pytest.raises(ValueError, match="resolution"):
         grid_fixed_point(matching_game(2), fams2, resolution=0.7)

@@ -658,6 +658,23 @@ def test_smooth_payoff_gradient_matches_finite_differences():
     np.testing.assert_allclose(grad, fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("tiny", [1e-10, 1e-17])
+def test_smooth_payoff_gradient_keeps_the_digits_of_tiny_probabilities(tiny):
+    # F^{-1}(1 - p) taken in its tail form: 1 - p would lose p's digits, or all of p
+    import math
+
+    from beliefgames.games import StrategyProfile, payoff_vector
+
+    game = matching_game(2)
+    fam = ExponentialFamily(gamma=2.0, eta=[1.5, 0.5])
+    prof = StrategyProfile([[tiny, 1.0 - tiny], [0.3, 0.7]])
+    u = payoff_vector(game, 0, prof)
+    grad = smooth_payoff_gradient(game, 0, prof, fam)
+    for i, p in enumerate(prof.player(0)):
+        expected = u[i] + 2.0 * (math.log(fam.eta[i] / p) - 1.0)
+        assert grad[i] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_smooth_payoff_gradient_raises_on_boundary():
     game = matching_game(2)
     fam = ExponentialFamily(gamma=1.0, n_actions=2)
