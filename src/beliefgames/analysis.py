@@ -4,7 +4,7 @@ The central object is the smooth game built from a game plus per-player
 marginal families: each player's payoff is their expected payoff plus the
 concave perturbation value of their own mix.  This module measures how far a
 profile is from the game's quantal-response fixed point, finds that fixed
-point by damped iteration, and checks the curvature-versus-coupling condition
+point by guarded Newton steps, and checks the curvature-versus-coupling condition
 that makes it unique and stable.
 """
 
@@ -57,7 +57,13 @@ def equilibrium_residual(game: Game, profile: StrategyProfile, fams) -> float:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Outcome of the damped response iteration."""
+    """Outcome of the guarded Newton iteration on the response map.
+
+    ``iterations`` counts the accepted Newton steps and the damped sweeps
+    taken in their place (0 for a start that already is a fixed point);
+    ``movement`` is the sup-norm size of the last one, 0.0 when none was
+    taken; ``residual`` is the returned profile's :func:`equilibrium_residual`.
+    """
 
     profile: StrategyProfile
     converged: bool
@@ -66,13 +72,59 @@ class FixedPointResult:
     residual: float
 
 
+def _response_jacobians(fams, targets: np.ndarray) -> np.ndarray:
+    """(M, N, N) derivatives of each player's response in their payoffs, at ``targets``.
+
+    Player j's block is diag(f) - f f^T / sum f, with f the family's density
+    at the response's quantiles, 0 on actions whose response is exactly 0:
+    the softmax Jacobian for an exponential family, the sparsemax Jacobian on
+    the support for a uniform one, and the implicit derivative of the KKT
+    system u_i + F_i^{-1}(1 - p_i) = kappa for every other family.
+    """
+    inside = targets > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = np.stack([np.where(inside[j], fam._density(np.where(inside[j], targets[j], 1.0)), 0.0)
+                      for j, fam in enumerate(fams)])
+        return f[..., None] * np.eye(f.shape[-1]) - (
+            f[..., :, None] * f[..., None, :] / f.sum(axis=-1)[:, None, None])
+
+
+def _newton_step(game: Game, fams, probs: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
+    """P + delta from (I - D C) delta = R(U(P)) - P, clipped at 0 and renormalized.
+
+    D holds the response Jacobians and C the cross-payoff blocks dU_j / dp_k.
+    None when the system is singular or the step is not finite.
+    """
+    m, n = probs.shape
+    jac = np.matmul(_response_jacobians(fams, targets)[:, None], _cross_blocks(game, probs))
+    system = np.eye(m * n) - assemble_hessian(jac)
+    if not np.isfinite(system).all():
+        return None
+    try:
+        delta = np.linalg.solve(system, (targets - probs).ravel())
+    except np.linalg.LinAlgError:
+        return None
+    new = np.maximum(probs + delta.reshape(m, n), 0.0)
+    totals = new.sum(axis=-1, keepdims=True)
+    if not (np.isfinite(new).all() and (totals > 0.0).all()):
+        return None
+    return new / totals
+
+
 def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-10,
                         max_iter: int = 10_000, start: StrategyProfile | None = None) -> FixedPointResult:
-    """Iterate P <- (1 - damping) P + damping * response(P) to a fixed point.
+    """Find a root of G(P) = P - R(U(P)) by guarded Newton steps.
 
-    Starts from the uniform profile unless ``start`` is given.  Stops when the
-    per-iteration sup-norm movement drops to ``tol``; reports (rather than
-    raises on) non-convergence after ``max_iter`` sweeps.
+    R is the families' quantal response and U every player's payoff vector.
+    Each iteration solves (I - D C) delta = R(U(P)) - P, with D the response
+    Jacobians at R(U(P)) and C the cross-payoff blocks, clips P + delta at 0
+    and renormalizes each row.  The step is kept only when it strictly lowers
+    the sup-norm residual |P - R(U(P))|; otherwise, and whenever the system
+    or the step is singular or not finite, the iteration takes the damped
+    sweep P <- (1 - damping) P + damping R(U(P)) from the current P instead.
+    Starts from the uniform profile unless ``start`` is given.  Stops once
+    the residual is at most ``tol``; reports (rather than raises on)
+    non-convergence after ``max_iter`` iterations.
     """
     fams = _check_families(game, fams)
     if not 0.0 < damping <= 1.0:
@@ -80,23 +132,32 @@ def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-
     current = (uniform_profile(game.num_players, game.num_actions) if start is None else start)
     _check_pair(game, current)
     respond = response_operator(fams)
-    probs = current.probs.copy()
-    movement = np.inf
-    iterations = 0
-    # each sweep's rows are a convex mix of simplex rows: no profile to validate
-    for iterations in range(1, max_iter + 1):
+
+    def evaluate(probs):
         targets = respond(payoff_vector_rows(game, None, probs))
-        new = (1.0 - damping) * probs + damping * targets
+        return targets, float(np.abs(probs - targets).max())
+
+    probs = current.probs
+    targets, residual = evaluate(probs)
+    movement, iterations = 0.0, 0
+    # Newton's rows are renormalized and each sweep's rows are a convex mix of
+    # simplex rows: no profile to validate
+    while residual > tol and iterations < max_iter:
+        iterations += 1
+        new = _newton_step(game, fams, probs, targets)
+        if new is not None:
+            new_targets, new_residual = evaluate(new)
+        if new is None or not new_residual < residual:
+            new = (1.0 - damping) * probs + damping * targets
+            new_targets, new_residual = evaluate(new)
         movement = float(np.abs(new - probs).max())
-        probs = new
-        if movement <= tol:
-            break
+        probs, targets, residual = new, new_targets, new_residual
     return FixedPointResult(
         profile=StrategyProfile(probs),
-        converged=movement <= tol,
+        converged=residual <= tol,
         iterations=iterations,
         movement=movement,
-        residual=float(_residuals(game, probs, respond)),
+        residual=residual,
     )
 
 
@@ -116,6 +177,22 @@ def residual_series(game: Game, trace, fams) -> np.ndarray:
 # Hessian of the smooth game
 # ---------------------------------------------------------------------------
 
+def _cross_blocks(game: Game, probs: np.ndarray) -> np.ndarray:
+    """(M, M, N, N) cross-payoff blocks dU_j / dp_k at the ``(M, N)`` rows ``probs``.
+
+    Block (j, k) holds dU_ji / dp_ki' for k != j; the diagonal blocks are
+    zero, since no payoff vector depends on its own player's mix.  One
+    contraction of M N profiles: profile (k, i') puts player k at action i',
+    and its payoff row j is column i' of block (j, k).
+    """
+    m, n = probs.shape
+    profiles = np.tile(probs, (m, n, 1, 1))
+    profiles[np.arange(m), :, np.arange(m)] = np.eye(n)
+    cross = payoff_vector_rows(game, None, profiles).transpose(2, 0, 3, 1)
+    cross[np.arange(m), np.arange(m)] = 0.0
+    return cross
+
+
 def hessian_blocks(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     """(M, M, N, N) second-derivative blocks of the smooth game at ``profile``.
 
@@ -125,13 +202,9 @@ def hessian_blocks(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     Raises when a zero-probability action meets an unbounded quantile.
     """
     fams = _check_families(game, fams)
-    m, n = game.num_players, game.num_actions
-    # profile (k, i') puts player k at action i': its payoff row j is column i' of A_jk
-    profiles = np.tile(profile.probs, (m, n, 1, 1))
-    profiles[np.arange(m), :, np.arange(m)] = np.eye(n)
-    cross = payoff_vector_rows(game, None, profiles).transpose(2, 0, 3, 1)
+    cross = _cross_blocks(game, profile.probs)
     blocks = 0.5 * (cross + cross.transpose(1, 0, 3, 2))
-    for j in range(m):
+    for j in range(game.num_players):
         blocks[j, j] = np.diag(-1.0 / fams[j].density_vector(profile.player(j)))
     return blocks
 

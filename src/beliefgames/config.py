@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import PROBABILITY_CLAMP, RunConfig, StepSchedule
 from .families import family_from_dict
-from .games import Game, _field, _integer, _real, load_game
+from .games import Game, _field, _integer, _known_fields, _real, load_game
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,10 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+_CONFIG_FIELDS = ("game", "risk_families", "belief_families", "schedule", "horizon",
+                  "initial_estimates", "clamp", "downsample", "tolerances", "seed", "out_dir")
+
+
 def _parse(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
@@ -118,6 +122,7 @@ def _parse(path) -> ExperimentConfig:
             raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
+    _known_fields(doc, _CONFIG_FIELDS, "config field")
 
     game_rel = _path(doc["game"], "game")
     base = os.path.dirname(os.path.abspath(path))
@@ -142,9 +147,7 @@ def _parse(path) -> ExperimentConfig:
 
     given = dict(doc.get("tolerances") or {})
     defaults = vars(Tolerances())
-    for key in given:
-        if key not in defaults:
-            raise ValueError(f"unknown tolerance {key!r}")
+    _known_fields(given, defaults, "tolerance")
     tols = Tolerances(**{
         key: _field(given, key, _integer if type(value) is int else _real, value,
                     f"tolerance {key!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import equilibrium_residual
 from .families import MarginalFamily
-from .games import Game, StrategyProfile, _field, _real, payoff_vector_rows
+from .games import Game, StrategyProfile, _field, _known_fields, _real, payoff_vector_rows
 from .response import _family_groups, response_operator
 
 #: default lower clamp applied to probabilities inside the update rule.
@@ -77,8 +77,10 @@ class StepSchedule:
         if not isinstance(doc, dict) or "type" not in doc:
             raise ValueError("schedule spec must be an object with a 'type' field")
         if doc["type"] == "constant":
+            _known_fields(doc, ("type", "c"), "constant schedule field")
             return cls.constant(_field(doc, "c", _real, label="schedule.c"))
         if doc["type"] == "power":
+            _known_fields(doc, ("type", "c", "a"), "power schedule field")
             return cls.power(_field(doc, "c", _real, label="schedule.c"),
                              _field(doc, "a", _real, label="schedule.a"))
         raise ValueError(f"unknown schedule type {doc['type']!r}")

@@ -28,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .games import _check_simplex_rows, _field, _integer, _real
+from .games import _check_simplex_rows, _field, _integer, _known_fields, _real
 
 def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
     """t as a float array inside ``domain``, the unit interval with or without ends."""
@@ -351,7 +351,14 @@ class ParetoFamily(MarginalFamily):
 
     def _cdf(self, s):
         inv_q, q_less_1, gq, power, edge = self._cdf_constants
-        w = inv_q - s * q_less_1 / gq
+        shift = s * q_less_1
+        # for q > 2 that product can overflow to -inf where its quotient by gq is
+        # finite (to +inf, w and its exact value both lie above the support);
+        # in a stack that holds such a product, those entries divide first
+        if q_less_1 > 1.0 and np.minimum.reduce(shift, axis=None) == -np.inf:
+            w = inv_q - np.where(shift > -np.inf, shift / gq, s / gq * q_less_1)
+        else:
+            w = inv_q - shift / gq
         inside = w > 0.0
         # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative);
         # far below the support the power overflows, and the body is -inf
@@ -471,15 +478,26 @@ class TabulatedFamily(MarginalFamily):
         }
 
 
+#: the fields of each family type's JSON form
+_FAMILY_FIELDS = {
+    "exponential": ("type", "gamma", "eta"),
+    "uniform": ("type", "gamma", "actions"),
+    "pareto": ("type", "gamma", "q", "eta"),
+    "tabulated": ("type", "table"),
+}
+
+
 def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
     """Build a family from its JSON form; ``n_actions`` fills in defaults.
 
-    Raises ValueError for unknown types, bad parameters, or an action-count
-    mismatch with ``n_actions``.
+    Raises ValueError for unknown types or fields, bad parameters, or an
+    action-count mismatch with ``n_actions``.
     """
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("family spec must be an object with a 'type' field")
     kind = doc["type"]
+    if kind in _FAMILY_FIELDS:
+        _known_fields(doc, _FAMILY_FIELDS[kind], f"{kind} family field")
     eta = doc.get("eta")
     if kind in ("exponential", "pareto") and eta is not None:  # one number, or one per action
         eta = _field(doc, "eta", lambda v: _real(v) if np.ndim(v) == 0 else [_real(x) for x in v])

@@ -302,6 +302,14 @@ def _field(doc: dict, key: str, kind, default=None, label: str | None = None):
         raise ValueError(f"{label or key}: {exc}") from exc
 
 
+def _known_fields(doc: dict, known, label: str) -> None:
+    """Reject the first key of ``doc`` outside ``known`` with an error naming it,
+    so that a misspelled optional field fails instead of taking its default."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {label} {key!r}")
+
+
 def _integer(value) -> int:
     """``int(value)`` for an integral number; a bool, a string or a fractional float is an error."""
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):

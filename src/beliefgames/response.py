@@ -25,9 +25,8 @@ function body runs Newton, the certification and the bisection over one
 cache of evaluated rows, each with its sum as a Python float.  On 2x3
 Pareto games a cold solve evaluates about 9.3 rows in 5.3 kernel calls
 (plain bisection: about 41) and takes about 85 us, half of it in the
-kernel.  A warm one evaluates about 6.2 rows in 2.3 calls in a fixed-point
-sweep or in 40 learning rounds, and 6.0 rows in 2.1 calls over 400 rounds,
-and takes about 45 us, 20 of them in the kernel (2-core Intel Xeon VM,
+kernel.  A warm one evaluates about 6.2 rows in 2.3 calls over 40 learning
+rounds, and 6.0 rows in 2.1 calls over 400 rounds, and takes about 45 us, 20 of them in the kernel (2-core Intel Xeon VM,
 Python 3.11, numpy 2.4).
 
 :func:`response_operator` gives every player's response at once, one

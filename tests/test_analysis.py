@@ -26,9 +26,11 @@ from beliefgames.games import (
     StrategyProfile,
     matching_game,
     pairwise_payoff_matrix,
+    payoff_vector_rows,
     random_game,
     uniform_profile,
 )
+from beliefgames.response import response_operator
 
 
 def _exp(gamma, n=2, players=2):
@@ -67,26 +69,46 @@ def _pareto_fixed_point_cases():
     return cases
 
 
-def _counted_fixed_point(count_cdf_kernel, game, fams):
-    """(rows per CDF kernel call, result) of ``fixed_point_iterate``."""
+def _damped_sweep(game, fams, damping=0.5, tol=1e-10, max_iter=10_000):
+    """The damped response sweep P <- (1 - damping) P + damping R(U(P)) from the
+    uniform profile, stopped once a sweep moves by at most ``tol``.
+
+    Returns the profile rows, the sweeps taken and the residual from one more
+    response call.  A reference for :func:`fixed_point_iterate`, and the warm
+    solver's row sequence for the kernel-count tests.
+    """
+    respond = response_operator(fams)
+    probs = uniform_profile(game.num_players, game.num_actions).probs
+    for iterations in range(1, max_iter + 1):
+        new = (1.0 - damping) * probs + damping * respond(payoff_vector_rows(game, None, probs))
+        movement = np.abs(new - probs).max()
+        probs = new
+        if movement <= tol:
+            break
+    residual = float(np.abs(probs - respond(payoff_vector_rows(game, None, probs))).max())
+    return probs, iterations, residual
+
+
+def _counted(count_cdf_kernel, solve, game, fams):
+    """(rows per CDF kernel call, result) of ``solve(game, fams)``."""
     with count_cdf_kernel(*fams) as calls:
-        return calls, fixed_point_iterate(game, fams)
+        return calls, solve(game, fams)
 
 
 def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch, count_cdf_kernel):
     # each bound solver restarts Newton from its row's predicted kappa; a cold
-    # solver per call must reach the same bits
+    # solver per call must reach the same bits on the damped sweep's rows
     import beliefgames.response as response
 
     cases = _pareto_fixed_point_cases()
-    warm = [_counted_fixed_point(count_cdf_kernel, game, fams) for game, fams in cases]
+    warm = [_counted(count_cdf_kernel, _damped_sweep, game, fams) for game, fams in cases]
     monkeypatch.setattr(response, "response_solver", lambda fam: lambda u: np.apply_along_axis(
         lambda row: response._bisection_response(fam, row)[0], -1, u))
-    cold = [_counted_fixed_point(count_cdf_kernel, game, fams) for game, fams in cases]
-    for (_, a), (_, b) in zip(warm, cold):
-        assert a.profile.probs.tobytes() == b.profile.probs.tobytes()
-        assert (a.iterations, a.residual) == (b.iterations, b.residual)
-        assert a.converged and a.residual <= 1e-10
+    cold = [_counted(count_cdf_kernel, _damped_sweep, game, fams) for game, fams in cases]
+    for (_, (a, a_iters, a_res)), (_, (b, b_iters, b_res)) in zip(warm, cold):
+        assert a.tobytes() == b.tobytes()
+        assert (a_iters, a_res) == (b_iters, b_res)
+        assert a_res <= 1e-10
     warm_rows, cold_rows = (sum(sum(calls) for calls, _ in runs) for runs in (warm, cold))
     assert warm_rows <= 0.75 * cold_rows
 
@@ -95,12 +117,24 @@ def test_warm_fixed_point_makes_few_kernel_calls_per_solve(count_solves, count_c
     # The first certification points on both sides of Newton's root share one
     # kernel call with the bisection midpoints they would leave to evaluate:
     # the first inside them and the first inside each half after it, so at
-    # most 5 rows.  On these 522 warm solves that is 2.34 kernel calls and
-    # 6.23 rows per solve; with the pair alone it was 3.51 calls and 4.48 rows.
+    # most 5 rows.  On the damped sweep's 522 warm solves that is 2.34 kernel
+    # calls and 6.23 rows per solve; with the pair alone it was 3.51 calls and
+    # 4.48 rows.
     calls = [n for game, fams in _pareto_fixed_point_cases()
-             for n in _counted_fixed_point(count_cdf_kernel, game, fams)[0]]
+             for n in _counted(count_cdf_kernel, _damped_sweep, game, fams)[0]]
     assert len(calls) <= 2.6 * len(count_solves)
     assert max(calls) <= 5
+
+
+def test_newton_fixed_point_evaluates_a_seventh_of_the_sweeps_cdfs(count_cdf_kernel):
+    # two Newton steps per game against about 30 damped sweeps
+    newton = sweep = 0
+    for game, fams in _pareto_fixed_point_cases():
+        calls, result = _counted(count_cdf_kernel, fixed_point_iterate, game, fams)
+        assert result.converged and result.residual <= 1e-10
+        newton += sum(calls)
+        sweep += sum(_counted(count_cdf_kernel, _damped_sweep, game, fams)[0])
+    assert newton <= 0.15 * sweep
 
 
 @pytest.mark.parametrize("horizon", [40, 400])
@@ -180,6 +214,42 @@ def test_a_certified_games_fixed_point_has_zero_residual(case):
     result = fixed_point_iterate(game, fams, tol=1e-12)
     assert result.converged
     assert result.residual <= 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_regularized_games())
+def test_newton_fixed_point_matches_a_damped_sweep(case):
+    # Both stop under the same tol, Newton at its first iterate there; so its
+    # residual is not always below the sweep's (9.2e-11 against 6.5e-11 on one
+    # 2x2 Pareto game among these examples), but it gets there in far fewer iterations
+    game, fams = case
+    assume(stability_check(game, fams).all_passed)
+    result = fixed_point_iterate(game, fams)
+    probs, iterations, _ = _damped_sweep(game, fams)
+    assert result.converged and result.residual <= 1e-10
+    assert np.abs(result.profile.probs - probs).max() <= 1e-9
+    assert 4 * result.iterations <= iterations
+
+
+def test_guarded_newton_converges_on_a_weakly_regularized_game():
+    # Unguarded, Newton's steps stall here far from the root; the guard keeps
+    # only steps that lower the residual and sweeps in place of the others
+    game = random_game(2, 3, np.random.default_rng(39))
+    for fam in (ExponentialFamily(0.1, n_actions=3), ParetoFamily(0.1, 2.2, np.ones(3))):
+        fams = (fam, fam)
+        assert not stability_check(game, fams).all_passed
+        result = fixed_point_iterate(game, fams)
+        assert result.converged and result.residual <= 1e-10
+
+
+def test_fixed_point_stops_at_once_on_a_fixed_point():
+    game = matching_game(2)
+    fams = _exp(3.0)
+    solved = fixed_point_iterate(game, fams)
+    again = fixed_point_iterate(game, fams, start=solved.profile)
+    assert (again.iterations, again.movement, again.converged) == (0, 0.0, True)
+    assert again.profile.probs.tobytes() == solved.profile.probs.tobytes()
+    assert again.residual == solved.residual
 
 
 def test_fixed_point_reports_nonconvergence():

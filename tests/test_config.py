@@ -84,6 +84,14 @@ MALFORMED = {
     "string_pareto_eta_list": (
         GOOD | {"belief_families": {"type": "pareto", "q": 1.5, "eta": ["1", "2"]}},
         "belief_families[0]: eta: expected a number, got '1'"),
+    "unknown_config_field": (GOOD | {"horizn": 9}, "unknown config field 'horizn'"),
+    "unknown_family_field": (GOOD | {"risk_families": {"type": "exponential", "gama": 5.0}},
+                             "risk_families[0]: unknown exponential family field 'gama'"),
+    "eta_on_a_uniform_family": (
+        GOOD | {"belief_families": {"type": "uniform", "gamma": 2.0, "eta": 0.5}},
+        "belief_families[0]: unknown uniform family field 'eta'"),
+    "unknown_schedule_field": (GOOD | {"schedule": {"type": "constant", "c": 1.0, "a": 0.6}},
+                               "unknown constant schedule field 'a'"),
 }
 
 INVOCATIONS = {

@@ -329,9 +329,10 @@ def test_pareto_response_far_below_the_support_is_silent():
 
 
 def test_pareto_cdf_where_w_itself_overflows_is_silent():
-    # s (q - 1) overflows at s = -1e308 with q = 3, and its quotient by
-    # gamma q overflows at |s| = 1e306 with gamma = 1e-3; w = +-inf is the
-    # exact limit, far below (CDF 0) or above (CDF 1) the support
+    # w = 1/q - s (q - 1) / (gamma q) overflows at |s| = 1e306 with
+    # gamma = 1e-3; w = +-inf is the exact limit, far below (CDF 0) or above
+    # (CDF 1) the support.  At s = -1e308 with q = 3 only the product
+    # s (q - 1) overflows, and the CDF at the finite w is 0 as well
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         below = ParetoFamily(1.0, 3.0, np.array([0.5, 1.0, 2.0])).cdf_vector(np.full(3, -1e308))
@@ -341,6 +342,18 @@ def test_pareto_cdf_where_w_itself_overflows_is_silent():
     assert below.tolist() == [0.0, 0.0, 0.0]
     assert both.tolist() == [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
     assert one.tolist() == [1.0, 0.0]
+
+
+def test_pareto_cdf_keeps_its_value_where_only_the_product_overflows():
+    # At s = -1e308 with q = 3, s (q - 1) overflows but w = 1/3 + 1e308 / 15 is
+    # finite, and with eta = 5e-324 the first CDF is 1 - 5e-324 * sqrt(w) = 1
+    fam = ParetoFamily(10.0, 3.0, [5e-324, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far, near = fam.cdf_vector(_every_action([-1e308, -1e307], 2))
+    assert far.tolist() == near.tolist() == [1.0, 0.0]
+    assert fam.cdf(0, -1e308) == 1.0
+    assert fam.cdf_vector([-np.inf, -np.inf]).tolist() == [0.0, 0.0]
 
 
 def _exp_table(gamma: float, points: int = 2001):

@@ -33,6 +33,13 @@ MUTANTS = {
         "        return self.gamma * np.where(p > 0.0, p * logs, 0.0).sum()",
         "tests/test_families.py::test_stacked_kernel_rows_have_the_bits_of_their_own_calls",
     ),
+    # a fixed-point solve that keeps every Newton step, whether or not it lowers the residual
+    "newton_step_always_accepted": (
+        "src/beliefgames/analysis.py",
+        "        if new is None or not new_residual < residual:",
+        "        if new is None:",
+        "tests/test_analysis.py::test_guarded_newton_converges_on_a_weakly_regularized_game",
+    ),
 }
 
 
