@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import equilibrium_residual
-from .families import MarginalFamily
+from .families import MarginalFamily, _operand
 from .games import Game, StrategyProfile, _field, _known_fields, _real, payoff_vector_rows
 from .response import _family_groups, response_operator
 
@@ -258,12 +258,29 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
 
     Deterministic: no randomness enters the loop (responses and payoffs are
     exact expectations).  Each round is one operation on the (M, N) state:
-    one ``response_operator`` call gives every response, one
-    ``payoff_vector_rows`` call every payoff vector, and players with equal
-    risk families take one call of the family's quantile kernel.  Inputs are
-    validated once, here and in :class:`RunConfig`, not every round.  The
-    rounds' profiles are kept in blocks of ``_BLOCK_ROUNDS``; at each block
-    end one vectorized pass takes the movement, the clamp count and the
+    one ``response_operator`` call gives every response, one payoff
+    contraction every payoff vector, and players with equal risk families
+    take one call of the family's quantile kernel.  Inputs are validated
+    once, here and in :class:`RunConfig`, not every round.
+
+    Everything a round touches is bound once per run, so a round is a fixed
+    sequence of in-place ufunc calls.  The responses are copied into a row of
+    the block buffer below; for M = 2 that row's player views feed
+    ``np.matvec`` and ``np.vecmat`` with ``out=`` the payoff buffer (M >= 3
+    copies ``payoff_vector_rows`` into it).  Each risk-family group binds
+    views of its rows of the payoffs and the estimates; a group indexed by an
+    array reads ``pays[index]`` and writes ``estimates[index] += ...`` back
+    every round instead, since fancy indexing copies.  The group's quantile
+    kernel writes into its fresh ``np.maximum(p, clamp)`` array (``out=``),
+    and the update runs ``y + adj``, ``rate * (...)`` and ``estimates += ...``
+    in that order, in place.  Every scalar operand (the clamp, the rate, the
+    families' constants) is a 0-d float64 array, which spares each ufunc call
+    the conversion of a Python float and keeps its bits; an ``(N,)``-shaped
+    one would not, since ``np.power`` takes another SIMD loop for an array
+    exponent.
+
+    The rounds' profiles are kept in blocks of ``_BLOCK_ROUNDS``; at each
+    block end one vectorized pass takes the movement, the clamp count and the
     range check of the clamped probabilities, whose error names the round.
     Solver failures are re-raised with the round and the failing player
     attached.
@@ -302,28 +319,62 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         block[0] = block[size]
 
     respond = response_operator(config.belief_families)
-    tail_quantiles = [(fam._tail_quantile_above(clamp), index)
-                      for fam, _, index in _family_groups(config.risk_families)]
+    pays = np.empty((m, n))
+    rate, clamp0 = np.empty(()), _operand(clamp)  # rate: this round's step, set in place
+
+    def bind(r: int, tail_quantile, index) -> tuple:
+        """A risk group's kernel and index, with views of its rows of block row
+        ``r``, of the payoffs and of the estimates.  An index array gets None for
+        each, since its rows would be copies: the round reads and writes them."""
+        if isinstance(index, np.ndarray):
+            return tail_quantile, index, None, None, None
+        return tail_quantile, index, block[r, index], pays[index], estimates[index]
+
+    groups = [(fam._tail_quantile_above(clamp), index) for fam, _, index
+              in _family_groups(config.risk_families)]
+    # per block row: the row, its player views for the M = 2 contraction, and
+    # its bound risk groups
+    rows = [(block[r], block[r, 0], block[r, 1], [bind(r, *group) for group in groups])
+            for r in range(_BLOCK_ROUNDS + 1)]
+    if m == 2:
+        t0, t1 = game.payoffs
+        y0, y1 = pays
 
     row = 0
-    for t, rate in enumerate(config.schedule.rates(horizon).tolist(), start=1):
+    for t, step in enumerate(config.schedule.rates(horizon).tolist(), start=1):
         try:
             probs = respond(estimates)
         except RuntimeError as exc:
             _check_clamped(block[1:row + 1], clamp, t - row)  # an earlier bad round goes first
             raise RuntimeError(f"round {t}, {exc}") from exc
         row += 1
-        block[row] = probs
-        pays = payoff_vector_rows(game, None, probs)
-        for tail_quantile, index in tail_quantiles:
-            adjustment = tail_quantile(np.maximum(probs[index], clamp))
-            estimates[index] += rate * (pays[index] + adjustment)
+        p, p0, p1, bound = rows[row]
+        p[...] = probs
+        if m == 2:
+            np.matvec(t0, p1, out=y0)
+            np.vecmat(p0, t1, out=y1)
+        else:
+            pays[...] = payoff_vector_rows(game, None, p)
+        rate[()] = step
+        for tail_quantile, index, mine, y, e in bound:
+            if mine is None:
+                mass, y = p[index], pays[index]
+                np.maximum(mass, clamp0, out=mass)
+            else:
+                mass = np.maximum(mine, clamp0)
+            adj = tail_quantile(mass, out=mass)
+            np.add(y, adj, out=adj)
+            np.multiply(rate, adj, out=adj)
+            if e is None:
+                estimates[index] += adj
+            else:
+                e += adj
         if t in record_index:
             idx = record_index[t]
-            probs_hist[idx] = probs
+            probs_hist[idx] = p
             est_hist[idx] = estimates
             pay_hist[idx] = pays
-            rate_hist[idx] = rate
+            rate_hist[idx] = step
         if row == _BLOCK_ROUNDS:
             close_block(t, row)
             row = 0

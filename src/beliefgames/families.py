@@ -58,6 +58,23 @@ def _scalar(out):
     return out if np.ndim(out) else float(out)
 
 
+def _operand(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array: a ufunc operand bound once.
+
+    Under NumPy 2's promotion rules a ufunc call converts a Python float
+    operand on every call, which a 0-d array skips.  The bits are those of the
+    Python float.  Never bind a scalar as an ``(N,)``-shaped array instead: an
+    ``np.power`` exponent of that shape takes another SIMD loop, whose bits
+    differ.
+    """
+    out = np.array(float(value))
+    out.setflags(write=False)
+    return out
+
+
+_ZERO, _ONE = _operand(0.0), _operand(1.0)
+
+
 class MarginalFamily:
     """Base class: N per-action marginals plus the induced regularizer.
 
@@ -101,15 +118,20 @@ class MarginalFamily:
     def _quantile(self, t):
         return self._tail_quantile(1.0 - t)
 
-    def _tail_quantile(self, mass):
-        return self._quantile(1.0 - mass)
+    def _tail_quantile(self, mass, out=None):
+        """Quantiles at 1 - mass; written into ``out`` when it is given."""
+        values = self._quantile(1.0 - mass)
+        if out is None:
+            return values
+        out[...] = values
+        return out
 
     def _tail_quantile_above(self, floor: float):
         """A kernel equal to ``_tail_quantile`` on masses of at least ``floor`` > 0.
 
         A loop that clamps its masses binds it once; a family whose kernel
         pays for a guard at tiny masses returns a leaner one when ``floor``
-        is above them.
+        is above them.  Each takes ``out=``, which may be the mass array.
         """
         return self._tail_quantile
 
@@ -237,6 +259,7 @@ class ExponentialFamily(MarginalFamily):
             raise ValueError("eta must be positive and finite")
         self.eta = eta.copy()
         self.eta.setflags(write=False)
+        self._gamma = _operand(self.gamma)
 
     def _cdf(self, s):
         return np.maximum(0.0, 1.0 - self.eta * np.exp(-s / self.gamma - 1.0))
@@ -247,12 +270,20 @@ class ExponentialFamily(MarginalFamily):
             ratio = self.eta / mass
         return np.where(ratio < np.inf, np.log(ratio), np.log(self.eta) - np.log(mass))
 
-    def _tail_quantile(self, mass):
-        return self.gamma * (self._log_ratio(mass) - 1.0)
+    def _tail_quantile(self, mass, out=None):
+        values = np.subtract(self._log_ratio(mass), _ONE, out=out)
+        return np.multiply(self._gamma, values, out=values)
 
-    def _ratio_tail_quantile(self, mass):
-        """``_tail_quantile`` for masses at which every eta / mass is finite."""
-        return self.gamma * (np.log(self.eta / mass) - 1.0)
+    def _ratio_tail_quantile(self, mass, out=None):
+        """``_tail_quantile`` for masses at which every eta / mass is finite.
+
+        gamma (log(eta / mass) - 1), one ufunc call per operation, each after
+        the first in place.
+        """
+        values = np.divide(self.eta, mass, out=out)
+        np.log(values, out=values)
+        np.subtract(values, _ONE, out=values)
+        return np.multiply(self._gamma, values, out=values)
 
     def _tail_quantile_above(self, floor: float):
         with np.errstate(over="ignore"):
@@ -290,13 +321,17 @@ class UniformFamily(MarginalFamily):
     def __init__(self, gamma: float, n_actions: int) -> None:
         super().__init__(n_actions)
         self.gamma = _positive_finite(gamma, "gamma")
+        self._gamma, self._two_n = _operand(self.gamma), _operand(2.0 * self.n_actions)
 
     def _cdf(self, s):
         raw = 1.0 - (0.5 - s / (2.0 * self.gamma)) / self.n_actions
         return np.clip(raw, 0.0, 1.0)
 
-    def _tail_quantile(self, mass):
-        return self.gamma * (1.0 - 2.0 * self.n_actions * mass)
+    def _tail_quantile(self, mass, out=None):
+        # gamma (1 - 2N mass), one ufunc call per operation
+        values = np.multiply(self._two_n, mass, out=out)
+        np.subtract(_ONE, values, out=values)
+        return np.multiply(self._gamma, values, out=values)
 
     def _density(self, p):
         return np.full_like(p, 1.0 / (2.0 * self.gamma * self.n_actions))
@@ -343,11 +378,21 @@ class ParetoFamily(MarginalFamily):
         self.eta = eta.copy()
         self.eta.setflags(write=False)
         q = self.q
-        # the CDF's scalars, each rounded as the formula rounds it; beyond the
-        # zero of w the CDF is 1 when q > 1 (above the support) and 0 when q < 1
-        self._cdf_constants = (1.0 / q, q - 1.0, self.gamma * q, 1.0 / (q - 1.0),
-                               1.0 if q > 1.0 else 0.0)
-        self._density_scale = self.eta / (self.gamma * q)  # as the density formula rounds it
+        # the kernels' scalars as 0-d operands, each rounded as its formula rounds
+        # it; beyond the zero of w the CDF is 1 when q > 1 (above the support) and
+        # 0 when q < 1
+        self._cdf_constants = tuple(map(_operand, (
+            1.0 / q, q - 1.0, self.gamma * q, 1.0 / (q - 1.0), 1.0 if q > 1.0 else 0.0)))
+        self._tail_constants = tuple(map(_operand, (self.gamma / (q - 1.0), q, q - 1.0)))
+        # the density is scale * (p / eta)^(2 - q), with scale = eta / (gamma q);
+        # where that quotient overflows (eta near the float maximum, gamma q < 1),
+        # it is eta^(q - 1) / (gamma q) * (p / 1)^(2 - q) instead
+        with np.errstate(over="ignore"):
+            scale = self.eta / (self.gamma * q)
+            wide = scale == np.inf
+            self._density_constants = (
+                np.where(wide, np.power(self.eta, q - 1.0) / (self.gamma * q), scale),
+                np.where(wide, 1.0, self.eta), _operand(2.0 - q))
 
     def _cdf(self, s):
         inv_q, q_less_1, gq, power, edge = self._cdf_constants
@@ -355,28 +400,63 @@ class ParetoFamily(MarginalFamily):
         # for q > 2 that product can overflow to -inf where its quotient by gq is
         # finite (to +inf, w and its exact value both lie above the support);
         # in a stack that holds such a product, those entries divide first
-        if q_less_1 > 1.0 and np.minimum.reduce(shift, axis=None) == -np.inf:
+        if self.q > 2.0 and np.minimum.reduce(shift, axis=None) == -np.inf:
             w = inv_q - np.where(shift > -np.inf, shift / gq, s / gq * q_less_1)
         else:
             w = inv_q - shift / gq
-        inside = w > 0.0
+        inside = w > _ZERO
         # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative);
         # far below the support the power overflows, and the body is -inf
-        body = 1.0 - self.eta * np.power(np.where(inside, w, 1.0), power)
+        body = _ONE - self.eta * np.power(np.where(inside, w, _ONE), power)
         # body is never above 1 nor -0.0, so np.maximum alone gives np.clip's bits
-        return np.where(inside, np.maximum(body, 0.0), edge)
+        return np.where(inside, np.maximum(body, _ZERO), edge)
 
-    def _tail_quantile(self, mass):
-        q = self.q
-        return self.gamma / (q - 1.0) * (1.0 - q * np.power(mass / self.eta, q - 1.0))
+    def _log_ratio(self, p):
+        """log(p / eta) of positive p; log p - log eta where p / eta underflows to 0 (a subnormal p)."""
+        ratio = p / self.eta
+        under = ratio == 0.0
+        if not under.any():
+            return np.log(ratio)
+        return np.where(under, np.log(p) - np.log(self.eta), np.log(np.where(under, 1.0, ratio)))
+
+    def _tail_quantile(self, mass, out=None):
+        under = (mass > 0.0) & (mass / self.eta == 0.0)
+        if not under.any():
+            return self._ratio_tail_quantile(mass, out)
+        # a subnormal mass over eta underflows to 0, whose power would be that of
+        # mass 0; there the power is exp((q - 1) log(mass / eta)), from _log_ratio
+        scale, q, q_less_1 = self._tail_constants
+        powers = np.power(np.where(under, 1.0, mass / self.eta), q_less_1)
+        powers[under] = np.exp(q_less_1 * self._log_ratio(np.where(under, mass, 1.0))[under])
+        np.multiply(q, powers, out=powers)
+        np.subtract(_ONE, powers, out=powers)
+        return np.multiply(scale, powers, out=out)
+
+    def _ratio_tail_quantile(self, mass, out=None):
+        """``_tail_quantile`` for masses at which every mass / eta is positive.
+
+        gamma / (q - 1) (1 - q (mass / eta)^(q - 1)), one ufunc call per
+        operation, each after the first in place.
+        """
+        scale, q, q_less_1 = self._tail_constants
+        values = np.divide(mass, self.eta, out=out)
+        np.power(values, q_less_1, out=values)
+        np.multiply(q, values, out=values)
+        np.subtract(_ONE, values, out=values)
+        return np.multiply(scale, values, out=values)
+
+    def _tail_quantile_above(self, floor: float):
+        return (self._ratio_tail_quantile if bool(np.all(floor / self.eta > 0.0))
+                else self._tail_quantile)
 
     def _density(self, p):
-        return self._density_scale * np.power(p / self.eta, 2.0 - self.q)
+        scale, eta, exponent = self._density_constants
+        return scale * np.power(p / eta, exponent)
 
     def _regularizer(self, p):
         # eta (p/eta)^q - p = p expm1(x), x = (q - 1) log(p/eta), stays accurate as q -> 1;
         # from x = 1 on the power form has no cancellation, and expm1 could overflow
-        logs = np.log(np.where(p > 0.0, p, 1.0) / self.eta)
+        logs = self._log_ratio(np.where(p > 0.0, p, 1.0))
         x = (self.q - 1.0) * logs
         with np.errstate(over="ignore"):
             gaps = np.where(x < 1.0, p * np.expm1(x), self.eta * np.exp(self.q * logs) - p)

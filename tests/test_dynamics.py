@@ -419,6 +419,35 @@ def test_block_bookkeeping_equals_a_per_round_replay(kind, m, horizon, every):
         assert trace.clamp_triggers > 0
 
 
+@pytest.mark.parametrize("setup", ["shared", "equal", "per-player"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto"])
+def test_bound_buffers_leak_nowhere(kind, m, setup):
+    # the round loop works in place on buffers and views bound once per run;
+    # none of them may reach the config, a later run or the returned trace
+    n = 3
+    game = random_game(m, n, np.random.default_rng(24))
+    fams = _player_families(kind, m, n, setup)
+    start = np.random.default_rng(25).normal(0.0, 0.5, (m, n))
+    cfg = RunConfig(horizon=_BLOCK_ROUNDS + 9, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=fams, belief_families=fams,
+                    initial_estimates=start.copy(), record_every=4)
+    first, second = run_dynamics(game, cfg), run_dynamics(game, cfg)
+    assert cfg.initial_estimates.tobytes() == start.tobytes()
+    arrays = []
+    for trace in (first, second):
+        fields = {name: getattr(trace, name) for name in Trace.__dataclass_fields__}
+        arrays += [a for a in fields.values() if isinstance(a, np.ndarray)]
+    for name in Trace.__dataclass_fields__:
+        a, b = getattr(first, name), getattr(second, name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    assert len(arrays) == 2 * 6  # rounds, rates, probabilities, estimates, payoffs, movement
+    for i, a in enumerate(arrays):
+        assert not np.shares_memory(a, cfg.initial_estimates)
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def _predicted_start_cases():
     """(game, families) with Pareto q < 1, in (1, 2) and > 2, a tabulated family,
     and a 3-player game of three groups (Pareto q = 2.5, tabulated, exponential)."""

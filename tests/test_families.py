@@ -356,6 +356,126 @@ def test_pareto_cdf_keeps_its_value_where_only_the_product_overflows():
     assert fam.cdf_vector([-np.inf, -np.inf]).tolist() == [0.0, 0.0]
 
 
+def test_pareto_density_is_finite_where_eta_over_gamma_q_overflows():
+    # eta / (gamma q) overflows for eta = 1.7e308 and gamma q = 0.75, while the
+    # density eta^(q - 1) p^(2 - q) / (gamma q) is about 1.2e154; the action with
+    # a finite scale keeps the bits of scale * (p / eta)^(2 - q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = ParetoFamily(0.5, 1.5, [1.7e308, 1.0])
+        dens = fam.density_vector([0.5, 0.5])
+    assert dens[0] == pytest.approx(1.7e308 ** 0.5 * 0.5 ** 0.5 / 0.75, rel=1e-14)
+    assert dens[1] == 1.0 / (0.5 * 1.5) * np.power(0.5 / 1.0, 2.0 - 1.5)
+
+
+def test_pareto_regularizer_is_silent_where_p_over_eta_underflows():
+    # 5e-324 / 2 underflows to 0: its log is log p - log eta, and its term,
+    # about -5e-324, leaves the value at p = 0
+    fam = ParetoFamily(1.0, 1.5, [2.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = fam.regularizer([0.0, 1.0, 0.0, 5e-324])
+    assert value == fam.regularizer([0.0, 1.0, 0.0, 0.0])
+
+
+def test_pareto_quadrature_is_silent_where_mass_over_eta_underflows():
+    # the quadrature evaluates the tail quantile at masses down to 5e-324,
+    # where mass / eta underflows to 0; for q < 1 its power must stay finite
+    fam = ParetoFamily(1.0, 0.6, [2.0] * 3)
+    p = [1 - 2e-323, 1e-323, 1e-323]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = quadrature_regularizer(fam, p)
+        tops = fam.tail_quantile_vector(np.full(3, 5e-324))
+    assert value == pytest.approx(fam.regularizer(p), abs=1e-8)
+    # (5e-324 / 2)^(-0.4), taken as exp(-0.4 (log 5e-324 - log 2))
+    want = 1.0 / (0.6 - 1.0) * (1.0 - 0.6 * np.exp(-0.4 * (np.log(5e-324) - np.log(2.0))))
+    np.testing.assert_allclose(tops, want, rtol=1e-13)
+
+
+def test_pareto_log_ratio_forms_keep_their_bits_where_p_over_eta_is_positive():
+    # the underflow fallbacks of the regularizer and the tail quantile change
+    # no point at which p / eta is a positive float
+    rng = np.random.default_rng(31)
+    for q in (0.4, 1.6, 2.7):
+        fam = ParetoFamily(1.3, q, rng.uniform(0.2, 3.0, 4))
+        p = 10.0 ** rng.uniform(-320.0, 0.0, (20_000, 4))
+        assert (p / fam.eta > 0.0).all()
+        with np.errstate(all="ignore"):  # (p / eta)^(q - 1) overflows at tiny p for q < 1
+            logs = np.log(p / fam.eta)
+            x = (q - 1.0) * logs
+            gaps = np.where(x < 1.0, p * np.expm1(x), fam.eta * np.exp(q * logs) - p)
+            reg = -fam.gamma * gaps.sum(axis=-1) / (q - 1.0)
+            tail = fam.gamma / (q - 1.0) * (1.0 - q * np.power(p / fam.eta, q - 1.0))
+            assert fam._regularizer(p).tobytes() == reg.tobytes()
+            assert fam._tail_quantile(p).tobytes() == tail.tobytes()
+
+
+# Each per-round kernel binds its scalars once as 0-d float64 operands; each
+# must give the bits of its formula written with Python floats, with and
+# without ``out=`` (the round loop passes the mass array itself).
+
+def _masses(rng, k: int, n: int) -> np.ndarray:
+    return np.concatenate((10.0 ** rng.uniform(-12.0, 0.0, (k, n)), rng.uniform(1e-12, 1.0, (k, n))))
+
+
+def _check_tail_kernel(kernel, mass, want):
+    before = mass.copy()
+    assert kernel(mass).tobytes() == want.tobytes()
+    assert mass.tobytes() == before.tobytes()  # without out=, the argument is left alone
+    got = kernel(mass, out=mass)
+    assert got is mass
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_exponential_and_uniform_tail_kernels_keep_the_python_float_bits(n):
+    rng = np.random.default_rng(40 + n)
+    exp = ExponentialFamily(gamma=rng.uniform(0.1, 10.0), eta=rng.uniform(0.2, 3.0, n))
+    uni = UniformFamily(gamma=rng.uniform(0.1, 10.0), n_actions=n)
+    for mass in (_masses(rng, 500, n), _masses(rng, 1, n)[0]):
+        _check_tail_kernel(exp._ratio_tail_quantile, mass.copy(),
+                           exp.gamma * (np.log(exp.eta / mass) - 1.0))
+        _check_tail_kernel(exp._tail_quantile, mass.copy(),
+                           exp.gamma * (np.log(exp.eta / mass) - 1.0))
+        _check_tail_kernel(uni._tail_quantile, mass.copy(),
+                           uni.gamma * (1.0 - 2.0 * uni.n_actions * mass))
+
+
+def _pareto_cdf_with_python_floats(fam, s):
+    """The Pareto CDF kernel's formula, every scalar a Python float."""
+    q, gq = fam.q, fam.gamma * fam.q
+    shift = s * (q - 1.0)
+    if q - 1.0 > 1.0 and np.minimum.reduce(shift, axis=None) == -np.inf:
+        w = 1.0 / q - np.where(shift > -np.inf, shift / gq, s / gq * (q - 1.0))
+    else:
+        w = 1.0 / q - shift / gq
+    inside = w > 0.0
+    body = 1.0 - fam.eta * np.power(np.where(inside, w, 1.0), 1.0 / (q - 1.0))
+    return np.where(inside, np.maximum(body, 0.0), 1.0 if q > 1.0 else 0.0)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 1.4, 1.9, 2.6, 5.0])
+def test_pareto_kernels_keep_the_python_float_bits(q):
+    n = 4
+    rng = np.random.default_rng(int(10 * q))
+    fam = ParetoFamily(gamma=rng.uniform(0.5, 8.0), q=q, eta=rng.uniform(0.2, 3.0, n))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (1000, 1))
+    s = scale * rng.uniform(-1.0, 1.0, (1000, n))
+    far = rng.choice([-1e308, -1e307, 1e308, -np.inf, np.inf], size=(50, n))
+    with np.errstate(over="ignore"):  # far from the support: the exact limit
+        for stack in (s, s[0], far, np.vstack((s, far))):  # the last two overflow s (q - 1) for q > 2
+            assert fam._cdf(stack).tobytes() == _pareto_cdf_with_python_floats(fam, stack).tobytes()
+    for mass in (_masses(rng, 500, n), _masses(rng, 1, n)[0]):
+        want = fam.gamma / (q - 1.0) * (1.0 - q * np.power(mass / fam.eta, q - 1.0))
+        _check_tail_kernel(fam._ratio_tail_quantile, mass.copy(), want)
+        _check_tail_kernel(fam._tail_quantile, mass.copy(), want)
+        assert fam._tail_quantile_above(1e-12) == fam._ratio_tail_quantile
+        dens = fam._density(mass)
+        assert dens.tobytes() == (fam.eta / (fam.gamma * q)
+                                  * np.power(mass / fam.eta, 2.0 - q)).tobytes()
+
+
 def _exp_table(gamma: float, points: int = 2001):
     """Tabulate an exponential quantile on a dense grid (top end capped)."""
     fam = ExponentialFamily(gamma=gamma, n_actions=1)

@@ -40,6 +40,15 @@ MUTANTS = {
         "        if new is None:",
         "tests/test_analysis.py::test_guarded_newton_converges_on_a_weakly_regularized_game",
     ),
+    # a risk group indexed by an array binds a copy of its estimate rows and
+    # updates that copy, never writing the estimates back
+    "index_array_group_updates_a_copy": (
+        "src/beliefgames/dynamics.py",
+        "            return tail_quantile, index, None, None, None",
+        "            return tail_quantile, index, None, None, estimates[index]",
+        "tests/test_dynamics.py::test_run_dynamics_replays_the_public_single_step_api"
+        "[pareto-3-per-player]",
+    ),
 }
 
 
