@@ -28,7 +28,7 @@ _GRID_EDGE = 1e-9
 def _check_families(game: Game, fams) -> tuple:
     fams = tuple(fams)
     if len(fams) != game.num_players:
-        raise ValueError(f"need one family per player ({game.num_players})")
+        raise ValueError(f"need one family per player: {len(fams)} for {game.num_players} players")
     for fam in fams:
         if not isinstance(fam, MarginalFamily):
             raise ValueError("families must be MarginalFamily instances")

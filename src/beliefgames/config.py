@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import PROBABILITY_CLAMP, RunConfig, StepSchedule
 from .families import family_from_dict
-from .games import Game, _field, _integer, _known_fields, _real, load_game
+from .games import Game, _field, _integer, _known_fields, _real, _reals, load_game
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,15 @@ def _parse(path) -> ExperimentConfig:
         schedule=StepSchedule.from_dict(doc["schedule"]),
         risk_families=risk,
         belief_families=belief,
-        initial_estimates=doc.get("initial_estimates"),
+        initial_estimates=(None if doc.get("initial_estimates") is None
+                           else _field(doc, "initial_estimates", _reals)),
         probability_clamp=_field(doc, "clamp", _real, PROBABILITY_CLAMP),
         record_every=_field(doc, "downsample", _integer, 1),
     )
 
-    given = dict(doc.get("tolerances") or {})
+    given = doc.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"tolerances: expected an object, got {given!r}")
     defaults = vars(Tolerances())
     _known_fields(given, defaults, "tolerance")
     tols = Tolerances(**{

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import equilibrium_residual
+from .analysis import _check_families, equilibrium_residual
 from .families import MarginalFamily, _operand
 from .games import Game, StrategyProfile, _field, _known_fields, _real, payoff_vector_rows
 from .response import _family_groups, response_operator
@@ -259,38 +259,32 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     Deterministic: no randomness enters the loop (responses and payoffs are
     exact expectations).  Each round is one operation on the (M, N) state:
     one ``response_operator`` call gives every response, one payoff
-    contraction every payoff vector, and players with equal risk families
-    take one call of the family's quantile kernel.  Inputs are validated
-    once, here and in :class:`RunConfig`, not every round.
+    contraction every payoff vector, and one quantile kernel call each risk
+    group: every player when their risk families are equal, else each player
+    (see ``response._family_groups``).  Inputs are validated once, here and
+    in :class:`RunConfig`, not every round.
 
-    Everything a round touches is bound once per run, so a round is a fixed
-    sequence of in-place ufunc calls.  The responses are copied into a row of
-    the block buffer below; for M = 2 that row's player views feed
-    ``np.matvec`` and ``np.vecmat`` with ``out=`` the payoff buffer (M >= 3
-    copies ``payoff_vector_rows`` into it).  Each risk-family group binds
-    views of its rows of the payoffs and the estimates; a group indexed by an
-    array reads ``pays[index]`` and writes ``estimates[index] += ...`` back
-    every round instead, since fancy indexing copies.  The group's quantile
-    kernel writes into its fresh ``np.maximum(p, clamp)`` array (``out=``),
-    and the update runs ``y + adj``, ``rate * (...)`` and ``estimates += ...``
-    in that order, in place.  Every scalar operand (the clamp, the rate, the
-    families' constants) is a 0-d float64 array, which spares each ufunc call
-    the conversion of a Python float and keeps its bits; an ``(N,)``-shaped
-    one would not, since ``np.power`` takes another SIMD loop for an array
-    exponent.
+    The state a round touches is bound once per run: one ``(M, N)`` profile
+    buffer that each round's responses are copied into, and per risk group a
+    view each of the profile, the payoffs and the estimates.  For M = 2 the
+    profile's player views feed ``np.matvec`` and ``np.vecmat`` with ``out=``
+    the payoff buffer (M >= 3 copies ``payoff_vector_rows`` into it).  A
+    group's quantile kernel writes into its fresh ``np.maximum(p, clamp)``
+    array, and the update runs ``y + adj``, ``rate * (...)`` and
+    ``estimates += ...`` in that order, in place.  Every scalar operand (the
+    clamp, the rate, the families' constants) is a 0-d float64 array, which
+    spares each ufunc call the conversion of a Python float and keeps its
+    bits; an ``(N,)``-shaped one would not, since ``np.power`` takes another
+    SIMD loop for an array exponent.
 
-    The rounds' profiles are kept in blocks of ``_BLOCK_ROUNDS``; at each
-    block end one vectorized pass takes the movement, the clamp count and the
-    range check of the clamped probabilities, whose error names the round.
-    Solver failures are re-raised with the round and the failing player
-    attached.
+    After the update the profile is copied into a block of ``_BLOCK_ROUNDS``
+    rounds; at each block end one vectorized pass takes the movement, the
+    clamp count and the range check of the clamped probabilities, whose
+    error names the round.  Solver failures are re-raised with the round and
+    the failing player attached.
     """
+    _check_families(game, config.risk_families)
     m, n = game.num_players, game.num_actions
-    if len(config.risk_families) != m:
-        raise ValueError(f"config covers {len(config.risk_families)} players, game has {m}")
-    if config.risk_families[0].n_actions != n:
-        raise ValueError("family action count does not match the game")
-
     estimates = (np.zeros((m, n)) if config.initial_estimates is None
                  else config.initial_estimates.copy())
     horizon, every = config.horizon, config.record_every
@@ -319,59 +313,37 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         block[0] = block[size]
 
     respond = response_operator(config.belief_families)
-    pays = np.empty((m, n))
+    profile, pays = np.empty((m, n)), np.empty((m, n))
     rate, clamp0 = np.empty(()), _operand(clamp)  # rate: this round's step, set in place
-
-    def bind(r: int, tail_quantile, index) -> tuple:
-        """A risk group's kernel and index, with views of its rows of block row
-        ``r``, of the payoffs and of the estimates.  An index array gets None for
-        each, since its rows would be copies: the round reads and writes them."""
-        if isinstance(index, np.ndarray):
-            return tail_quantile, index, None, None, None
-        return tail_quantile, index, block[r, index], pays[index], estimates[index]
-
-    groups = [(fam._tail_quantile_above(clamp), index) for fam, _, index
-              in _family_groups(config.risk_families)]
-    # per block row: the row, its player views for the M = 2 contraction, and
-    # its bound risk groups
-    rows = [(block[r], block[r, 0], block[r, 1], [bind(r, *group) for group in groups])
-            for r in range(_BLOCK_ROUNDS + 1)]
+    groups = [(fam._tail_quantile_above(clamp), profile[index], pays[index], estimates[index])
+              for fam, _, index in _family_groups(config.risk_families)]
     if m == 2:
-        t0, t1 = game.payoffs
-        y0, y1 = pays
+        (t0, t1), (p0, p1), (y0, y1) = game.payoffs, profile, pays
 
     row = 0
     for t, step in enumerate(config.schedule.rates(horizon).tolist(), start=1):
         try:
-            probs = respond(estimates)
+            profile[...] = respond(estimates)
         except RuntimeError as exc:
             _check_clamped(block[1:row + 1], clamp, t - row)  # an earlier bad round goes first
             raise RuntimeError(f"round {t}, {exc}") from exc
-        row += 1
-        p, p0, p1, bound = rows[row]
-        p[...] = probs
         if m == 2:
             np.matvec(t0, p1, out=y0)
             np.vecmat(p0, t1, out=y1)
         else:
-            pays[...] = payoff_vector_rows(game, None, p)
+            pays[...] = payoff_vector_rows(game, None, profile)
         rate[()] = step
-        for tail_quantile, index, mine, y, e in bound:
-            if mine is None:
-                mass, y = p[index], pays[index]
-                np.maximum(mass, clamp0, out=mass)
-            else:
-                mass = np.maximum(mine, clamp0)
+        for tail_quantile, mine, y, e in groups:
+            mass = np.maximum(mine, clamp0)
             adj = tail_quantile(mass, out=mass)
             np.add(y, adj, out=adj)
             np.multiply(rate, adj, out=adj)
-            if e is None:
-                estimates[index] += adj
-            else:
-                e += adj
+            e += adj
+        row += 1
+        block[row] = profile
         if t in record_index:
             idx = record_index[t]
-            probs_hist[idx] = p
+            probs_hist[idx] = profile
             est_hist[idx] = estimates
             pay_hist[idx] = pays
             rate_hist[idx] = step

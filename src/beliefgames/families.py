@@ -28,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .games import _check_simplex_rows, _field, _integer, _known_fields, _real
+from .games import _check_simplex_rows, _field, _integer, _known_fields, _real, _reals
 
 def _check_unit(t, domain: str = "[0, 1]") -> np.ndarray:
     """t as a float array inside ``domain``, the unit interval with or without ends."""
@@ -567,6 +567,14 @@ _FAMILY_FIELDS = {
 }
 
 
+def _tables(value) -> list:
+    """A tabulated family's ``table``: a list of per-action tables, each entry
+    read by the number rule."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of per-action tables, got {value!r}")
+    return [_reals(t) for t in value]
+
+
 def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
     """Build a family from its JSON form; ``n_actions`` fills in defaults.
 
@@ -576,10 +584,11 @@ def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("family spec must be an object with a 'type' field")
     kind = doc["type"]
-    if kind in _FAMILY_FIELDS:
-        _known_fields(doc, _FAMILY_FIELDS[kind], f"{kind} family field")
-    eta = doc.get("eta")
-    if kind in ("exponential", "pareto") and eta is not None:  # one number, or one per action
+    if not isinstance(kind, str) or kind not in _FAMILY_FIELDS:
+        raise ValueError(f"unknown family type {kind!r}")
+    _known_fields(doc, _FAMILY_FIELDS[kind], f"{kind} family field")
+    eta = None
+    if "eta" in doc:  # one number, or one per action
         eta = _field(doc, "eta", lambda v: _real(v) if np.ndim(v) == 0 else [_real(x) for x in v])
     if kind == "exponential":
         fam: MarginalFamily = ExponentialFamily(
@@ -587,7 +596,7 @@ def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
             n_actions=n_actions if eta is None or np.ndim(eta) == 0 else None,
         )
     elif kind == "uniform":
-        if doc.get("actions", n_actions) is None:
+        if "actions" not in doc and n_actions is None:
             raise ValueError("uniform family needs an action count")
         fam = UniformFamily(_field(doc, "gamma", _real, 1.0),
                             _field(doc, "actions", _integer, n_actions))
@@ -597,10 +606,8 @@ def family_from_dict(doc: dict, n_actions: int | None = None) -> MarginalFamily:
                 raise ValueError("pareto family needs a per-action eta or an action count")
             eta = np.full(n_actions, 1.0 if eta is None else eta)
         fam = ParetoFamily(_field(doc, "gamma", _real, 1.0), _field(doc, "q", _real), eta)
-    elif kind == "tabulated":
-        fam = TabulatedFamily(doc["table"])
     else:
-        raise ValueError(f"unknown family type {kind!r}")
+        fam = TabulatedFamily(_field(doc, "table", _tables))
     if n_actions is not None and fam.n_actions != n_actions:
         raise ValueError(
             f"family covers {fam.n_actions} actions, game has {n_actions}"

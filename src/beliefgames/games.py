@@ -324,12 +324,21 @@ def _real(value) -> float:
     return float(value)
 
 
+def _reals(value) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, each entry read by
+    :func:`_real`, so a bool or a string anywhere in it is an error."""
+    def read(v):
+        return [read(x) for x in v] if isinstance(v, list) else _real(v)
+    return np.array(read(value), dtype=float)
+
+
 def load_game(path) -> Game:
     """Inverse of :func:`save_game`; raises ValueError on malformed input."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("game file must hold a JSON object")
+    _known_fields(doc, ("players", "actions", "payoffs"), "game file field")
     try:
         m = _field(doc, "players", _integer)
         n = _field(doc, "actions", _integer)
@@ -342,7 +351,7 @@ def load_game(path) -> Game:
         raise ValueError(f"'payoffs' must list {m} per-player tables")
     tensors = []
     for j, entries in enumerate(flat):
-        arr = np.asarray(entries, dtype=float)
+        arr = _field(flat, j, _reals, label=f"player {j} payoff table")
         if arr.shape != (n**m,):
             raise ValueError(
                 f"player {j} payoff table has {arr.size} entries, expected {n**m}"

@@ -32,8 +32,9 @@ kernel.  A warm one evaluates about 6.2 rows in 2.3 calls over 40 learning
 rounds, and 6.0 rows in 2.1 calls over 400 rounds, and takes about 45 us, 20 of them in the kernel (2-core Intel Xeon VM,
 Python 3.11, numpy 2.4).
 
-:func:`response_operator` gives every player's response at once, one
-:func:`response_solver` call per group of players with equal families.
+:func:`response_operator` gives every player's response at once: one
+:func:`response_solver` call for all players when their families are equal,
+one per player otherwise.
 """
 
 from __future__ import annotations
@@ -431,47 +432,41 @@ def response_solver(fam: MarginalFamily):
     return bisection_rows
 
 
-def _family_groups(families) -> list[tuple[MarginalFamily, list[int], object]]:
-    """Players with equal families, each group with one index into the player axis.
+def _family_groups(families) -> list[tuple[MarginalFamily, list[int], int | slice]]:
+    """The players' groups for shared family work, each with its index into the player axis.
 
-    Equal means the same class and the same ``to_dict()``, compared as JSON
-    text so that 0.0 and -0.0 stay apart; a family without a JSON form equals
-    only itself.  Each distinct object is serialized once.  A group of every
-    player indexes with ``slice(None)`` and a group of one with its int, so
-    both give views; other groups take an index array.
+    When all families are equal, every player is one group, indexed by
+    ``slice(None)``; otherwise each player is their own group, indexed by their
+    int.  Both indices give views.  Equal means the same object, or the same
+    class and the same ``to_dict()``, compared as JSON text so that 0.0 and
+    -0.0 stay apart; a family without a JSON form equals only itself.  Each
+    distinct object is serialized at most once.
     """
     keys: dict = {}
-    groups: dict = {}
-    for j, fam in enumerate(families):
-        key = keys.get(id(fam))
-        if key is None:
+
+    def key(fam: MarginalFamily):
+        if id(fam) not in keys:
             try:
-                key = (type(fam), json.dumps(fam.to_dict(), sort_keys=True))
+                keys[id(fam)] = type(fam), json.dumps(fam.to_dict(), sort_keys=True)
             except NotImplementedError:
-                key = id(fam)
-            keys[id(fam)] = key
-        groups.setdefault(key, (fam, []))[1].append(j)
-    out = []
-    for fam, group in groups.values():
-        if len(group) == len(families):
-            index = slice(None)
-        elif len(group) == 1:
-            index = group[0]
-        else:
-            index = np.array(group)
-        out.append((fam, group, index))
-    return out
+                keys[id(fam)] = id(fam)
+        return keys[id(fam)]
+
+    first = families[0]
+    if all(fam is first or key(fam) == key(first) for fam in families):
+        return [(first, list(range(len(families))), slice(None))]
+    return [(fam, [j], j) for j, fam in enumerate(families)]
 
 
 def response_operator(families):
     """Bind every player's response once: a callable from ``(..., M, N)`` payoff
     rows (player j's on row j) to the ``(..., M, N)`` responses of ``families``.
 
-    Each group of equal families makes one :func:`response_solver` call, and
-    each row gets the bits of its own :func:`response_probabilities` call.
-    When all players form one group, that group's solver answers directly.
-    Rows are not validated; a failing solve raises RuntimeError naming the
-    player.
+    When all families are equal, one :func:`response_solver` answers for
+    every player directly; otherwise each player's solver answers for their
+    rows (see :func:`_family_groups`).  Each row gets the bits of its own
+    :func:`response_probabilities` call.  Rows are not validated; a failing
+    solve raises RuntimeError naming the player.
     """
     groups = [(response_solver(fam), group, (..., index, slice(None)))
               for fam, group, index in _family_groups(families)]

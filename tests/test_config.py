@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from beliefgames.cli import _write_json, main
-from beliefgames.config import ExperimentConfig, load_experiment_config
+from beliefgames.config import ExperimentConfig, Tolerances, load_experiment_config
 from beliefgames.dynamics import RunConfig
 from beliefgames.games import matching_game, save_game
 from test_cli import REPO, _src_env
@@ -208,6 +208,119 @@ def test_an_integer_field_rejects_bools_and_fractions(field, tmp_path):
     value = {"horizon": cfg.run.horizon, "downsample": cfg.run.record_every,
              "seed": cfg.seed, "max_iterations": cfg.tolerances.max_iterations}[field]
     assert value == 100 and type(value) is int
+
+
+# one JSON value of each type, tried in every scalar field below
+JSON_VALUES = {"bool": True, "string": "1", "null": None, "list": [1, 1], "object": {},
+               "integer": 2, "fraction": 0.25}
+_FAMILIES = {"exponential": {"type": "exponential", "gamma": 3.0},
+             "pareto": {"type": "pareto", "q": 1.5}, "uniform": {"type": "uniform"},
+             "tabulated": {"type": "tabulated"}}
+_RISK = "risk_families[0]: "
+
+# field: (section, key, the values it loads and what they read as, how to read
+# it from the loaded config, a pattern its errors must hold); every other value
+# must fail, naming the field
+WHOLE_RANGE = {
+    "game": ("config", "game", {}, None, "game"),
+    "risk_families": ("config", "risk_families", {}, None, "risk_families"),
+    "belief_families": ("config", "belief_families", {}, None, "belief_families"),
+    "schedule": ("config", "schedule", {}, None, "schedule"),
+    "horizon": ("config", "horizon", {"integer": 2}, lambda c: c.run.horizon, "horizon"),
+    "initial_estimates": ("config", "initial_estimates", {"null": None},
+                          lambda c: c.run.initial_estimates, "initial[_ ]estimates"),
+    "clamp": ("config", "clamp", {"fraction": 0.25},
+              lambda c: c.run.probability_clamp, "clamp"),
+    "downsample": ("config", "downsample", {"integer": 2},
+                   lambda c: c.run.record_every, "downsample"),
+    "tolerances": ("config", "tolerances", {"object": True},
+                   lambda c: c.tolerances == Tolerances(), "tolerances"),
+    "seed": ("config", "seed", {"integer": 2}, lambda c: c.seed, "seed"),
+    "out_dir": ("config", "out_dir", {"null": None, "string": "1"},
+                lambda c: c.out_dir, "out_dir"),
+    "family_type": ("exponential", "type", {}, None, re.escape(_RISK + "unknown family type")),
+    "gamma": ("exponential", "gamma", {"integer": 2.0, "fraction": 0.25},
+              lambda c: c.run.risk_families[0].gamma, re.escape(_RISK + "gamma")),
+    "exponential_eta": ("exponential", "eta",
+                        {"integer": [2.0] * 2, "fraction": [0.25] * 2, "list": [1.0] * 2},
+                        lambda c: c.run.risk_families[0].eta.tolist(),
+                        re.escape(_RISK + "eta")),
+    "pareto_q": ("pareto", "q", {"integer": 2.0, "fraction": 0.25},
+                 lambda c: c.run.risk_families[0].q, re.escape(_RISK + "q")),
+    "pareto_eta": ("pareto", "eta",
+                   {"integer": [2.0] * 2, "fraction": [0.25] * 2, "list": [1.0] * 2},
+                   lambda c: c.run.risk_families[0].eta.tolist(), re.escape(_RISK + "eta")),
+    "uniform_actions": ("uniform", "actions", {"integer": 2},
+                        lambda c: c.run.risk_families[0].n_actions,
+                        re.escape(_RISK + "actions")),
+    "table": ("tabulated", "table", {}, None, re.escape(_RISK + "table")),
+    "schedule_type": ("schedule", "type", {}, None, "schedule type"),
+    "schedule_c": ("schedule", "c", {"integer": 2.0, "fraction": 0.25},
+                   lambda c: c.run.schedule.c, re.escape("schedule.c")),
+    "schedule_a": ("schedule", "a", {"integer": 2.0, "fraction": 0.25},
+                   lambda c: c.run.schedule.a, re.escape("schedule.a")),
+    "residual": ("tolerances", "residual", {"integer": 2.0, "fraction": 0.25},
+                 lambda c: c.tolerances.residual, "tolerance 'residual'"),
+    "fixed_point": ("tolerances", "fixed_point", {"integer": 2.0, "fraction": 0.25},
+                    lambda c: c.tolerances.fixed_point, "tolerance 'fixed_point'"),
+    "max_iterations": ("tolerances", "max_iterations", {"integer": 2},
+                       lambda c: c.tolerances.max_iterations, "tolerance 'max_iterations'"),
+    "damping": ("tolerances", "damping", {"fraction": 0.25},
+                lambda c: c.tolerances.damping, "tolerance 'damping'"),
+    "players": ("game", "players", {"integer": 2}, lambda c: c.game.num_players, "players"),
+    "actions": ("game", "actions", {"integer": 2}, lambda c: c.game.num_actions, "actions"),
+}
+
+
+@pytest.mark.parametrize("kind", JSON_VALUES)
+@pytest.mark.parametrize("field", WHOLE_RANGE)
+def test_every_field_loads_each_json_type_as_documented_or_names_itself(field, kind,
+                                                                        tmp_path):
+    section, key, loads, read, pattern = WHOLE_RANGE[field]
+    value = JSON_VALUES[kind]
+    doc = dict(GOOD)
+    game = {"players": 2, "actions": 2, "payoffs": [[1.0, 0.0, 0.0, 1.0]] * 2}
+    if section == "config":
+        doc[key] = value
+    elif section == "game":
+        game[key] = value
+    elif section == "tolerances":
+        doc["tolerances"] = {key: value}
+    elif section == "schedule":
+        doc["schedule"] = GOOD["schedule"] | {key: value}
+    else:
+        doc["risk_families"] = _FAMILIES[section] | {key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    (tmp_path / "game.json").write_text(json.dumps(game))
+    if kind in loads:
+        got = read(load_experiment_config(path))
+        assert got == loads[kind] and type(got) is type(loads[kind])
+        return
+    with pytest.raises(ValueError) as info:
+        load_experiment_config(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert re.search(pattern, message.removeprefix(f"{path}: ")), message
+
+
+# lists of numbers: (where an entry sits, the label an error names)
+NUMBER_LISTS = {
+    "initial_estimates": (lambda v: {"initial_estimates": [[0.0, 0.0], [0.0, v]]},
+                          "initial_estimates"),
+    "table": (lambda v: {"risk_families": {"type": "tabulated",
+                                           "table": [[[0.0, 0.0], [1.0, v]]] * 2}},
+              "risk_families[0]: table"),
+}
+
+
+@pytest.mark.parametrize("entry", [True, "1", None, [1.0], {}])
+@pytest.mark.parametrize("field", NUMBER_LISTS)
+def test_each_entry_of_a_list_of_numbers_is_a_number(field, entry, tmp_path):
+    place, label = NUMBER_LISTS[field]
+    path = _write(tmp_path, GOOD | place(entry))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {label}: ")):
+        load_experiment_config(path)
 
 
 @pytest.mark.parametrize("command", ["simulate", "solve", "check"])

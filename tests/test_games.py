@@ -299,6 +299,26 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_load_game_rejects_unknown_fields(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"players": 2, "actions": 2, "payoffs": [[0.5] * 4] * 2,
+                                "player": 3}))
+    with pytest.raises(ValueError, match="unknown game file field 'player'"):
+        load_game(path)
+
+
+@pytest.mark.parametrize("entry", [True, "1", None, [1.0], {}, 1, 0.25])
+def test_load_game_reads_each_payoff_entry_as_a_number(entry, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"players": 2, "actions": 2,
+                                "payoffs": [[0.5] * 4, [0.5, 0.5, entry, 0.5]]}))
+    if type(entry) in (int, float):
+        assert load_game(path).payoffs[1][1, 0] == entry
+        return
+    with pytest.raises(ValueError, match=re.escape("player 1 payoff table: ")):
+        load_game(path)
+
+
 def test_load_game_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.json"
 

@@ -40,14 +40,29 @@ MUTANTS = {
         "        if new is None:",
         "tests/test_analysis.py::test_guarded_newton_converges_on_a_weakly_regularized_game",
     ),
-    # a risk group indexed by an array binds a copy of its estimate rows and
-    # updates that copy, never writing the estimates back
-    "index_array_group_updates_a_copy": (
+    # a risk group's estimate view bound as a copy: the round updates the copy
+    # and never writes the estimates
+    "risk_group_updates_a_copy": (
         "src/beliefgames/dynamics.py",
-        "            return tail_quantile, index, None, None, None",
-        "            return tail_quantile, index, None, None, estimates[index]",
+        "    groups = [(fam._tail_quantile_above(clamp), profile[index], pays[index], estimates[index])",
+        "    groups = [(fam._tail_quantile_above(clamp), profile[index], pays[index],"
+        " estimates[index].copy())",
         "tests/test_dynamics.py::test_run_dynamics_replays_the_public_single_step_api"
         "[pareto-3-per-player]",
+    ),
+    # the bound softmax route at a temperature 1% off the family's
+    "softmax_route_off_gamma": (
+        "src/beliefgames/response.py",
+        "        return lambda u: _softmax_rows(u, eta, gamma)",
+        "        return lambda u: _softmax_rows(u, eta, 1.01 * gamma)",
+        "tests/test_response.py::test_bound_closed_form_routes_match_the_bisection",
+    ),
+    # the bound sparsemax route at a temperature 1% off the family's
+    "sparsemax_route_off_gamma": (
+        "src/beliefgames/response.py",
+        "        return lambda u: _sparsemax_rows(u / gamma)[0]",
+        "        return lambda u: _sparsemax_rows(u / (1.01 * gamma))[0]",
+        "tests/test_response.py::test_bound_closed_form_routes_match_the_bisection",
     ),
 }
 

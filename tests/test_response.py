@@ -178,6 +178,20 @@ def test_bisection_matches_sparsemax(n):
         assert np.abs(direct - solved).max() < 1e-10
 
 
+def test_bound_closed_form_routes_match_the_bisection():
+    # the softmax and sparsemax routes that response_solver binds for the round
+    # loop, on stacked rows and through response_probabilities, one row at a time
+    u = np.random.default_rng(70).uniform(-1.0, 1.0, size=(2, 5, 4))
+    rows = u.reshape(-1, 4)
+    for fam in (ExponentialFamily(gamma=0.4, eta=[0.5, 1.0, 2.0, 1.0]),
+                ExponentialFamily(gamma=3.0, n_actions=4),
+                UniformFamily(gamma=0.4, n_actions=4), UniformFamily(gamma=3.0, n_actions=4)):
+        want = np.stack([response_probabilities(fam, row, method="bisection") for row in rows])
+        assert np.abs(response_solver(fam)(u).reshape(-1, 4) - want).max() < 1e-10
+        for row, p in zip(rows, want):
+            assert np.abs(response_probabilities(fam, row) - p).max() < 1e-10
+
+
 def test_kkt_multiplier_agrees_across_routes():
     rng = np.random.default_rng(8)
     u = rng.uniform(0.0, 1.0, size=5)
@@ -540,14 +554,22 @@ def test_family_groups_serialize_each_object_once():
             calls.append(self)
             return super().to_dict()
 
-    fam = Counted(1.0, n_actions=2)
-    assert [g for _, g, _ in _family_groups((fam, fam, fam))] == [[0, 1, 2]]
-    assert calls == [fam]
+    def groups(fams):
+        calls.clear()
+        out = [(g, index) for _, g, index in _family_groups(fams)]
+        assert len(calls) == len({id(fam) for fam in calls})  # each object at most once
+        return out
+
+    fam, other = Counted(1.0, n_actions=2), Counted(2.0, n_actions=2)
+    assert groups((fam, fam, fam)) == [([0, 1, 2], slice(None))]
+    # any two unequal families: every player is their own group
+    assert groups((fam, fam, other)) == [([0], 0), ([1], 1), ([2], 2)]
     # equal but distinct objects still share a group; 0.0 and -0.0 stay apart
     twins = (Counted(1.0, eta=[0.5, 1.0]), Counted(1.0, eta=[0.5, 1.0]))
-    assert [g for _, g, _ in _family_groups(twins)] == [[0, 1]]
+    assert groups(twins) == [([0, 1], slice(None))]
     tabs = [TabulatedFamily([[[0.0, z], [1.0, 1.0]]] * 2) for z in (0.0, -0.0, 0.0)]
-    assert [g for _, g, _ in _family_groups(tabs)] == [[0, 2], [1]]
+    assert [g for _, g, _ in _family_groups(tabs)] == [[0], [1], [2]]
+    assert [g for _, g, _ in _family_groups(tabs[::2])] == [[0, 1]]
 
 
 def test_bisection_replay_fails_like_plain_bisection(count_cdf_kernel):
