@@ -131,6 +131,8 @@ def _parse(path) -> ExperimentConfig:
         game = load_game(game_path)
     except OSError as exc:
         raise ValueError(f"cannot read game file {game_path!r} ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"game file {game_path!r}: {exc}") from exc
 
     risk = _families_from_spec(doc["risk_families"], game, "risk_families")
     belief = (_families_from_spec(doc["belief_families"], game, "belief_families")

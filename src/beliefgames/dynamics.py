@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import _check_families, equilibrium_residual
 from .families import MarginalFamily, _operand
 from .games import Game, StrategyProfile, _field, _known_fields, _real, payoff_vector_rows
-from .response import _family_groups, response_operator
+from .response import _RESPONSE_TOL, _family_groups, response_operator
 
 #: default lower clamp applied to probabilities inside the update rule.
 PROBABILITY_CLAMP = 1e-12
@@ -265,7 +265,7 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     in :class:`RunConfig`, not every round.
 
     The state a round touches is bound once per run: one ``(M, N)`` profile
-    buffer that each round's responses are copied into, and per risk group a
+    buffer that each round's responses are written into, and per risk group a
     view each of the profile, the payoffs and the estimates.  For M = 2 the
     profile's player views feed ``np.matvec`` and ``np.vecmat`` with ``out=``
     the payoff buffer (M >= 3 copies ``payoff_vector_rows`` into it).  A
@@ -279,9 +279,10 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
 
     After the update the profile is copied into a block of ``_BLOCK_ROUNDS``
     rounds; at each block end one vectorized pass takes the movement, the
-    clamp count and the range check of the clamped probabilities, whose
-    error names the round.  Solver failures are re-raised with the round and
-    the failing player attached.
+    clamp count, and the checks that each clamped probability lies in [0, 1]
+    and each response sums to one within 1e-9, whose error names the round
+    and player.  Solver failures are re-raised with the round and the failing
+    player attached.
     """
     _check_families(game, config.risk_families)
     m, n = game.num_players, game.num_actions
@@ -305,7 +306,7 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         """Bookkeeping of the ``size`` rounds ending at round ``last``."""
         nonlocal clamp_triggers
         first = last - size + 1
-        _check_clamped(block[1:size + 1], clamp, first)
+        _check_rounds(block[1:size + 1], clamp, first)
         if first == 1:
             block[0] = block[1]  # round 1 has no move
         clamp_triggers += int(np.count_nonzero(block[1:size + 1] < clamp))
@@ -323,9 +324,9 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     row = 0
     for t, step in enumerate(config.schedule.rates(horizon).tolist(), start=1):
         try:
-            profile[...] = respond(estimates)
+            respond(estimates, out=profile)
         except RuntimeError as exc:
-            _check_clamped(block[1:row + 1], clamp, t - row)  # an earlier bad round goes first
+            _check_rounds(block[1:row + 1], clamp, t - row)  # an earlier bad round goes first
             raise RuntimeError(f"round {t}, {exc}") from exc
         if m == 2:
             np.matvec(t0, p1, out=y0)
@@ -373,14 +374,17 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     )
 
 
-def _check_clamped(profiles: np.ndarray, clamp: float, first: int) -> None:
-    """The range check of the public quantile methods on ``max(p, clamp)``.
+def _check_rounds(profiles: np.ndarray, clamp: float, first: int) -> None:
+    """The range check of the public quantile methods on ``max(p, clamp)``, and
+    the check that each response sums to one within 1e-9.
 
     ``profiles`` holds the ``(M, N)`` profiles of consecutive rounds from
     round ``first`` on; the error names the first round and player at fault.
     """
     masses = np.maximum(profiles, clamp)
-    bad = (masses < 0.0) | (masses > 1.0)
+    miss = np.abs(np.add.reduce(profiles, axis=-1) - 1.0)
+    bad = ((masses < 0.0) | (masses > 1.0)).any(axis=-1) | ~(miss <= _RESPONSE_TOL)
     if bad.any():
-        k, j, _ = np.argwhere(bad)[0]
-        raise ValueError(f"round {first + k}, player {j}: argument must lie in [0, 1]")
+        k, j = np.argwhere(bad)[0]
+        raise ValueError(f"round {first + k}, player {j}: argument must lie in [0, 1], and the "
+                         f"response sum to one within 1e-9: {profiles[k, j].tolist()}")

@@ -11,26 +11,14 @@ whose scalar unknown kappa is bisected until sum_i p_i(kappa) = 1.  A
 safeguarded Newton phase first brackets the root between two points whose
 sums certify the sign of every gap beyond them; the bisection then takes
 each branch decided by that bracket without evaluating the CDFs, so it
-returns the bits plain bisection would, after a fraction of the evaluations.
-Where Newton starts changes only which CDFs are evaluated: the solver that
-:func:`response_solver` binds starts each row at a predicted kappa, that
-row's last kappa plus p . (u_new - u_old) with p its last response.  That
-is the first-order step of a predictor-corrector continuation only for an
-exponential family: in general dkappa/du_i = f_i / sum_k f_k over the
-density terms f, which is p_i only there.  Weights f / sum f miss the solved
-kappa far less, but on 2x3 Pareto dynamics they save only about 0.1 of the
-2.3 kernel calls per solve, for one more density call per row, so the start
-keeps p.  The solver calls the family's CDF kernel directly.  The
-first certification points on both sides of Newton's root share one call on
-a ``(K, N)`` stack with the bisection midpoints they would leave to evaluate
-(K <= 5), and the bisection resumes past the midpoints it would skip.  One
-function body runs Newton, the certification and the bisection over one
-cache of evaluated rows, each with its sum as a Python float.  On 2x3
-Pareto games a cold solve evaluates about 9.3 rows in 5.3 kernel calls
-(plain bisection: about 41) and takes about 85 us, half of it in the
-kernel.  A warm one evaluates about 6.2 rows in 2.3 calls over 40 learning
-rounds, and 6.0 rows in 2.1 calls over 400 rounds, and takes about 45 us, 20 of them in the kernel (2-core Intel Xeon VM,
-Python 3.11, numpy 2.4).
+returns the bits plain bisection would, after a fraction of the evaluations
+(see :func:`_bisection_response`).  Where Newton starts changes only which
+CDFs are evaluated, so the solver that :func:`response_solver` binds starts
+each row at a kappa predicted from its last solve.  On 2x3 Pareto games a
+cold solve evaluates about 9.3 rows in 5.3 CDF kernel calls (plain
+bisection: about 41) and a warm one about 6.2 rows in 2.3 calls (2-core
+Intel Xeon VM, Python 3.11, numpy 2.4).  The sparse map is one kernel,
+:func:`_sparsemax_rows`, that every sparsemax route calls.
 
 :func:`response_operator` gives every player's response at once: one
 :func:`response_solver` call for all players when their families are equal,
@@ -45,11 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ExponentialFamily, MarginalFamily, UniformFamily, _positive_finite
+from .families import (_ONE, _ZERO, ExponentialFamily, MarginalFamily, UniformFamily,
+                       _positive_finite)
 from .games import Game, StrategyProfile, payoff_vector
 
 #: |sum p - 1| target for the kappa bisection.
 BISECT_TOL = 1e-12
+#: |sum p - 1| bound on every response: the generic solver's acceptance test.
+_RESPONSE_TOL = 1e-9
 #: Enough halvings to take any finite bracket down to adjacent floats (about
 #: 2100 from the widest); the bisection stops sooner at a midpoint that equals
 #: an end, where plain bisection would repeat that step for ever.
@@ -111,14 +102,14 @@ def weighted_softmax(u, eta, gamma: float) -> np.ndarray:
     return _softmax_rows(u, eta, _positive_finite(gamma, "gamma"))
 
 
-def _softmax_rows(u: np.ndarray, eta: np.ndarray, gamma: float) -> np.ndarray:
-    """:func:`weighted_softmax` of already-valid float arrays.
+def _softmax_rows(u: np.ndarray, eta: np.ndarray, gamma: float, out=None) -> np.ndarray:
+    """:func:`weighted_softmax` of already-valid float arrays, written into ``out``.
 
     ``np.maximum.reduce`` and ``np.add.reduce`` are the ufuncs that ``.max``
     and ``.sum`` call, so skipping the method wrappers keeps every bit, and
     each operation after ``u / gamma`` runs in place on that one array.
     """
-    w = u / gamma
+    w = np.divide(u, gamma, out=out)
     np.subtract(w, np.maximum.reduce(w, axis=-1, keepdims=True), out=w)
     np.exp(w, out=w)
     np.multiply(eta, w, out=w)
@@ -131,35 +122,48 @@ def sparsemax(u) -> np.ndarray:
     The threshold kappa is chosen so the output sums to one; the result
     equals the Euclidean projection of u / (2N) onto the simplex.  kappa
     depends only on the sorted values, so permuting u permutes the output
-    exactly.
+    exactly.  Raises ValueError where |u| is too large for a sum within 1e-9.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("sparsemax needs a 1-D vector")
     if not np.isfinite(u).all():
         raise ValueError("sparsemax needs finite inputs")
-    return _sparsemax_rows(u)[0]
+    return response_probabilities(UniformFamily(1.0, u.size), u)
 
 
-def _sparsemax_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sparsemax along the last axis of finite ``(..., N)`` rows; kappa is ``(..., 1)``.
+def _sparsemax_rows(z: np.ndarray, j: np.ndarray, two_n) -> tuple[np.ndarray, np.ndarray]:
+    """Sparsemax along the last axis of finite ``(..., N)`` rows, written over ``z``.
 
-    The sort-based simplex projection (Duchi et al., ICML 2008): the support
-    size k is the largest j with 2N + j * z_(j) > z_(1) + ... + z_(j) over the
-    entries sorted in decreasing order.  Equal entries are equal values, so
-    the sort order among ties does not change the sums.  A pure row can
-    round a hair above one, so the map is capped at one; that leaves every
-    value at or below one unchanged.
+    Returns ``z`` and kappa, ``(..., 1)``, given the float ``j = arange(1,
+    N + 1)`` and ``two_n`` = 2N.  The sort-based simplex projection (Duchi et
+    al., ICML 2008): the support size k is the largest j, and at least 1, with
+    2N + j * z_(j) > z_(1) + ... + z_(j) over the entries sorted in
+    decreasing order (negated, sorted ascending and negated: all exact).
+    Ties are equal values, so their order does not change the sums.  A pure
+    row can round a hair above one, so the map is capped at one.
     """
-    n = u.shape[-1]
-    sorted_u = np.sort(u, axis=-1)[..., ::-1]
-    cumsum = sorted_u.cumsum(axis=-1)
-    j = np.arange(1, n + 1)
-    in_support = 2.0 * n + j * sorted_u > cumsum
-    k = np.maximum.reduce(j * in_support, axis=-1, keepdims=True)  # j = 1 always qualifies
-    top = np.add.reduce(cumsum * (j == k), axis=-1, keepdims=True)  # k-th sum plus exact zeros
-    kappa = (top - 2.0 * n) / k
-    return np.minimum(np.maximum(u - kappa, 0.0) / (2.0 * n), 1.0), kappa
+    s = np.negative(z)
+    s.sort(axis=-1)
+    np.negative(s, out=s)
+    c = np.add.accumulate(s, axis=-1)
+    np.greater(np.add(two_n, np.multiply(j, s, out=s), out=s), c, out=s)  # j in the support
+    k = np.maximum.reduce(np.multiply(j, s, out=s), axis=-1, keepdims=True, initial=1.0)
+    kappa = np.vecdot(c, np.equal(j, k, out=s), keepdims=True)  # k-th sum plus exact zeros
+    np.divide(np.subtract(kappa, two_n, out=kappa), k, out=kappa)
+    np.maximum(np.subtract(z, kappa, out=z), _ZERO, out=z)
+    np.minimum(np.divide(z, two_n, out=z), _ONE, out=z)
+    if j.size == 1:  # z - kappa reads 0 only where 2N is lost; one action always gets 1
+        z[z == 0.0] = 1.0
+    return z, kappa
+
+
+def _on_simplex(p: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
+    """``p``, the sparsemax row of ``u / gamma``, if it sums to one within 1e-9."""
+    if not abs(float(np.add.reduce(p)) - 1.0) <= _RESPONSE_TOL:
+        raise ValueError(f"sparsemax sums to {float(np.add.reduce(p))!r} at |u| / gamma = "
+                         f"{float(np.abs(u).max()) / gamma:.3g}, where 2N is lost in rounding")
+    return p
 
 
 def _bisection_response(fam: MarginalFamily, u: np.ndarray,
@@ -341,7 +345,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
             if last:
                 break
         p, total = _row(cache, cdf, u, kappa)
-        if not (0.5 < total < 2.0) or abs(total - 1.0) > 1e-9:
+        if not (0.5 < total < 2.0) or abs(total - 1.0) > _RESPONSE_TOL:
             raise RuntimeError(
                 f"bisection failed to converge: sum p = {np.float64(total)!r} at "
                 f"kappa = {kappa!r} (bracket [{lo!r}, {hi!r}])"
@@ -384,50 +388,54 @@ def response_probabilities(fam: MarginalFamily, u, method: str = "auto") -> np.n
     """Probabilities of the quantal response, skipping value bookkeeping.
 
     ``method`` is "auto" (the :func:`response_solver` route) or "bisection"
-    (force the generic solver; useful for agreement checks).
+    (force the generic solver; useful for agreement checks).  A sparsemax row
+    that misses the simplex by more than 1e-9 raises ValueError.
     """
     u = _check_response_input(fam, u, method)
     if method == "bisection":
         return _bisection_response(fam, u)[0]
-    return response_solver(fam)(u)
+    p = response_solver(fam)(u)
+    return _on_simplex(p, u, fam.gamma) if isinstance(fam, UniformFamily) else p
 
 
 def response_solver(fam: MarginalFamily):
     """Bind the family's response route once, for per-round hot loops.
 
-    Returns a callable mapping payoff rows ``(..., N)`` to their response
-    probabilities, without input validation: softmax and sparsemax work
-    along the last axis, and the generic route solves the rows of a
-    ``(-1, N)`` view one at a time.  Each row starts Newton at the kappa of
-    the same row in the previous call of the same shape plus p . (u - u_old),
-    the change in its payoffs weighted by its last response (the first call,
-    and the first after a shape change, start cold).  The prediction is
+    Returns ``solve(u, out=None)``, mapping payoff rows ``(..., N)`` to their
+    response probabilities (into ``out`` if given) without input validation:
+    softmax and sparsemax work along the last axis on operands bound here,
+    and the generic route solves the rows of a ``(-1, N)`` view one by one.
+    Each row starts Newton at the kappa of the same row in the previous call
+    of the same shape plus p . (u - u_old), the change in its payoffs
+    weighted by its last response (the first call, and the first after a
+    shape change, start cold).  The prediction is
     computed in Python floats, so one that overflows comes out inf or nan
     without a warning, and the solver ignores it like any start outside the
     bracket.  Each row gets the bits of its own 1-D call.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam._gamma  # gamma as its 0-d operand
-        return lambda u: _softmax_rows(u, eta, gamma)
+        return lambda u, out=None: _softmax_rows(u, eta, gamma, out)
     if isinstance(fam, UniformFamily):
-        gamma = fam._gamma
-        return lambda u: _sparsemax_rows(u / gamma)[0]
+        gamma, j, two_n = fam._gamma, np.arange(1.0, fam.n_actions + 1), fam._two_n
+        return lambda u, out=None: _sparsemax_rows(np.divide(u, gamma, out=out), j, two_n)[0]
 
     shape, last = None, []
 
-    def bisection_rows(u):
+    def bisection_rows(u, out=None):
         nonlocal shape, last
         rows = u.reshape(-1, u.shape[-1])
         if u.shape != shape:
             shape, last = u.shape, [(np.nan, (), ())] * len(rows)
-        out = np.empty_like(rows)
+        out = np.empty(u.shape) if out is None else out
+        solved = out.reshape(rows.shape, copy=False)  # a view of out's rows
         for k, row in enumerate(rows):
             kappa, p, before = last[k]
             now = row.tolist()
             start = kappa + sum(map(operator.mul, p, map(operator.sub, now, before)))
             p, kappa = _bisection_response(fam, row, start)
-            out[k], last[k] = p, (kappa, p.tolist(), now)
-        return out.reshape(u.shape)
+            solved[k], last[k] = p, (kappa, p.tolist(), now)
+        return out
 
     return bisection_rows
 
@@ -459,8 +467,9 @@ def _family_groups(families) -> list[tuple[MarginalFamily, list[int], int | slic
 
 
 def response_operator(families):
-    """Bind every player's response once: a callable from ``(..., M, N)`` payoff
-    rows (player j's on row j) to the ``(..., M, N)`` responses of ``families``.
+    """Bind every player's response once: ``respond(u, out=None)`` maps
+    ``(..., M, N)`` payoff rows (player j's on row j) to the ``(..., M, N)``
+    responses of ``families``, into ``out`` when it is given.
 
     When all families are equal, one :func:`response_solver` answers for
     every player directly; otherwise each player's solver answers for their
@@ -474,19 +483,19 @@ def response_operator(families):
     if len(groups) == 1:
         solve, group, _ = groups[0]
 
-        def respond_all(u: np.ndarray) -> np.ndarray:
+        def respond_all(u: np.ndarray, out=None) -> np.ndarray:
             try:
-                return solve(u)
+                return solve(u, out=out)
             except (ValueError, RuntimeError) as exc:
                 _name_failing_player(solve, group, u, exc)
 
         return respond_all
 
-    def respond(u: np.ndarray) -> np.ndarray:
-        out = np.empty(u.shape)
+    def respond(u: np.ndarray, out=None) -> np.ndarray:
+        out = np.empty(u.shape) if out is None else out
         for solve, group, rows in groups:
             try:
-                out[rows] = solve(u[rows])
+                solve(u[rows], out=out[rows])
             except (ValueError, RuntimeError) as exc:
                 _name_failing_player(solve, group, u, exc)
         return out
@@ -519,13 +528,14 @@ def quantal_response(fam: MarginalFamily, u, method: str = "auto") -> ResponseRe
         kappa = fam.gamma * lse - fam.gamma
         tag = "softmax"
     elif method == "auto" and isinstance(fam, UniformFamily):
-        p, kappa_star = _sparsemax_rows(u / fam.gamma)
-        kappa = fam.gamma * (1.0 + kappa_star[0])
+        p, kappa_star = _sparsemax_rows(u / fam.gamma, np.arange(1.0, fam.n_actions + 1),
+                                        fam._two_n)
+        p, kappa = _on_simplex(p, u, fam.gamma), fam.gamma * (1.0 + kappa_star[0])
         tag = "sparsemax"
     else:
         p, kappa = _bisection_response(fam, u)
         tag = "bisection"
-    value = float(np.dot(p, u)) + fam.regularizer(p)
+    value = float(np.dot(p, u)) + fam.regularizer_terms(p)  # p sums to one within 1e-9
     return ResponseResult(p, value, float(kappa), tag)
 
 

@@ -102,8 +102,17 @@ def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch, count_cdf_
 
     cases = _pareto_fixed_point_cases()
     warm = [_counted(count_cdf_kernel, _damped_sweep, game, fams) for game, fams in cases]
-    monkeypatch.setattr(response, "response_solver", lambda fam: lambda u: np.apply_along_axis(
-        lambda row: response._bisection_response(fam, row)[0], -1, u))
+
+    def cold_solver(fam):
+        def solve(u, out=None):
+            out = np.empty(u.shape) if out is None else out
+            out[...] = np.apply_along_axis(
+                lambda row: response._bisection_response(fam, row)[0], -1, u)
+            return out
+
+        return solve
+
+    monkeypatch.setattr(response, "response_solver", cold_solver)
     cold = [_counted(count_cdf_kernel, _damped_sweep, game, fams) for game, fams in cases]
     for (_, (a, a_iters, a_res)), (_, (b, b_iters, b_res)) in zip(warm, cold):
         assert a.tobytes() == b.tobytes()

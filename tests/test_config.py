@@ -304,6 +304,16 @@ def test_every_field_loads_each_json_type_as_documented_or_names_itself(field, k
     assert re.search(pattern, message.removeprefix(f"{path}: ")), message
 
 
+def test_an_error_in_the_game_file_names_the_game_file(tmp_path):
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"players": 2, "actions": 2, "payoffs": [[1, 0, 0, 1], [1, 0, 0, True]]}))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(GOOD | {"game": "g.json"}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: game file {str(tmp_path / 'g.json')!r}: player 1 payoff table")):
+        load_experiment_config(path)
+
+
 # lists of numbers: (where an entry sits, the label an error names)
 NUMBER_LISTS = {
     "initial_estimates": (lambda v: {"initial_estimates": [[0.0, 0.0], [0.0, v]]},

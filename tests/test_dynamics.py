@@ -476,8 +476,14 @@ def test_predicted_starts_give_a_cold_solver_s_bits(monkeypatch, horizon):
     def cold_solver(fam):
         if isinstance(fam, ExponentialFamily):  # softmax: no start to predict
             return bound(fam)
-        return lambda u: np.apply_along_axis(
-            lambda row: response._bisection_response(fam, row)[0], -1, u)
+
+        def solve(u, out=None):
+            out = np.empty(u.shape) if out is None else out
+            out[...] = np.apply_along_axis(
+                lambda row: response._bisection_response(fam, row)[0], -1, u)
+            return out
+
+        return solve
 
     monkeypatch.setattr(response, "response_solver", cold_solver)
     for game, cfg, warm in runs:
@@ -496,8 +502,8 @@ def _solver_with_bad_round(monkeypatch, bad_round: int, fail_round: int | None =
     def patched(fam):
         solve = solver(fam)
 
-        def tampered(u):
-            p = solve(u)
+        def tampered(u, out=None):
+            p = solve(u, out=out)
             if u.ndim == 2:  # one call per round; an error replay's single rows are 1-D
                 calls["n"] += 1
                 if calls["n"] == bad_round:
@@ -525,6 +531,19 @@ def test_out_of_range_probability_is_reported_before_a_later_solver_failure(monk
     _solver_with_bad_round(monkeypatch, bad_round=3, fail_round=7)
     with pytest.raises(ValueError, match="round 3, player 1"):
         run_dynamics(matching_game(3), _quick_config(horizon=20, n=3))
+
+
+def test_a_response_off_the_simplex_is_reported_with_its_round_and_player():
+    # 2N is lost in 2N + 1e17: player 1's sparsemax row sums to 0, which the
+    # block's check catches without a per-round test
+    fam = UniformFamily(1.0, 3)
+    cfg = RunConfig(horizon=5, schedule=StepSchedule.constant(0.1),
+                    risk_families=(fam, fam), belief_families=(fam, fam),
+                    initial_estimates=np.array([[0.0, 0.0, 0.0], [1e17, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"round 1, player 1: argument must lie in \[0, 1\], "
+                                         r"and the response sum to one within 1e-9: "
+                                         r"\[0\.0, 0\.0, 0\.0\]"):
+        run_dynamics(matching_game(3), cfg)
 
 
 def test_sparsemax_response_is_capped_at_one():

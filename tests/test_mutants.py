@@ -3,15 +3,17 @@
 A mutant is a file, one exact source line in it, the line that replaces it,
 and the node id of the test that guards against it.  Each case copies
 ``src/``, ``tests/`` and ``pyproject.toml`` to a scratch directory, plants
-the mutant there and runs the guard on that copy in a fresh interpreter.  A
-guard that still passes has stopped guarding; a line that no longer exists
-means the code moved, and the mutant has to be planted again on its new form.
+the mutant there and runs the guard on that copy in a fresh interpreter;
+two cases run at a time.  A guard that still passes has stopped guarding; a
+line that no longer exists means the code moved, and the mutant has to be
+planted again on its new form.
 """
 
 import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -53,29 +55,39 @@ MUTANTS = {
     # the bound softmax route at a temperature 1% off the family's
     "softmax_route_off_gamma": (
         "src/beliefgames/response.py",
-        "        return lambda u: _softmax_rows(u, eta, gamma)",
-        "        return lambda u: _softmax_rows(u, eta, 1.01 * gamma)",
+        "        return lambda u, out=None: _softmax_rows(u, eta, gamma, out)",
+        "        return lambda u, out=None: _softmax_rows(u, eta, 1.01 * gamma, out)",
         "tests/test_response.py::test_bound_closed_form_routes_match_the_bisection",
     ),
     # the bound sparsemax route at a temperature 1% off the family's
     "sparsemax_route_off_gamma": (
         "src/beliefgames/response.py",
-        "        return lambda u: _sparsemax_rows(u / gamma)[0]",
-        "        return lambda u: _sparsemax_rows(u / (1.01 * gamma))[0]",
+        "        return lambda u, out=None:"
+        " _sparsemax_rows(np.divide(u, gamma, out=out), j, two_n)[0]",
+        "        return lambda u, out=None:"
+        " _sparsemax_rows(np.divide(u, 1.01 * gamma, out=out), j, two_n)[0]",
         "tests/test_response.py::test_bound_closed_form_routes_match_the_bisection",
+    ),
+    # the sparsemax kernel's threshold from the partial sum one past the support
+    "sparsemax_sum_one_past_the_support": (
+        "src/beliefgames/response.py",
+        "    kappa = np.vecdot(c, np.equal(j, k, out=s), keepdims=True)"
+        "  # k-th sum plus exact zeros",
+        "    kappa = np.vecdot(c, np.equal(j, k + 1, out=s), keepdims=True)",
+        "tests/test_response.py::test_sparsemax_kernel_has_the_bits_of_the_plain_projection",
     ),
 }
 
 
-@pytest.mark.parametrize("name", MUTANTS)
-def test_each_mutant_fails_its_guard(name, tmp_path):
+def _run_guard(name: str, where: Path) -> subprocess.CompletedProcess:
+    """Plant mutant ``name`` in a copy of the project at ``where`` and run its guard there."""
     path, line, replacement, guard = MUTANTS[name]
-    shutil.copytree(REPO / "src", tmp_path / "src",
+    shutil.copytree(REPO / "src", where / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(REPO / "tests", tmp_path / "tests",
+    shutil.copytree(REPO / "tests", where / "tests",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(REPO / "pyproject.toml", tmp_path)
-    target = tmp_path / path
+    shutil.copy(REPO / "pyproject.toml", where)
+    target = where / path
     lines = target.read_text().split("\n")
     assert lines.count(line) == 1, (
         f"mutant {name!r}: {path} no longer holds the line {line.strip()!r} once; "
@@ -83,10 +95,28 @@ def test_each_mutant_fails_its_guard(name, tmp_path):
     lines[lines.index(line)] = replacement
     target.write_text("\n".join(lines))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", guard],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=where, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.fixture(scope="module")
+def guard_runs(request, tmp_path_factory):
+    """The guard run of every selected mutant, started two at a time when the
+    first case asks: name -> a future of its finished process.  Each run keeps
+    its own copy and its own fresh interpreter."""
+    names = [item.callspec.params["name"] for item in request.session.items
+             if getattr(item, "originalname", None) == "test_each_mutant_fails_its_guard"]
+    pool = ThreadPoolExecutor(max_workers=2)
+    yield {name: pool.submit(_run_guard, name, tmp_path_factory.mktemp(name)) for name in names}
+    pool.shutdown(cancel_futures=True)  # a stopped test run starts no further case
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_each_mutant_fails_its_guard(name, guard_runs):
+    done = guard_runs[name].result()
     # the guard must run and fail: a pass lets the mutant survive, and a guard
     # that is not found or does not collect proves nothing
+    guard = MUTANTS[name][3]
     assert "1 failed" in done.stdout, f"mutant {name!r} does not fail {guard}:\n{done.stdout}"

@@ -147,6 +147,94 @@ def test_sparsemax_validation():
         sparsemax(np.array([1.0, np.nan]))
 
 
+def _plain_sparsemax(z):
+    """The sort-based projection of one row, written plainly: the reference
+    that the bound kernel's bits are pinned to.  Returns (p, kappa)."""
+    n = z.size
+    sorted_z = np.sort(z)[::-1]
+    cumsum = sorted_z.cumsum()
+    j = np.arange(1, n + 1)
+    k = np.maximum.reduce(j * (2.0 * n + j * sorted_z > cumsum))
+    kappa = (np.add.reduce(cumsum * (j == k)) - 2.0 * n) / k
+    return np.minimum(np.maximum(z - kappa, 0.0) / (2.0 * n), 1.0), kappa
+
+
+@st.composite
+def _sparsemax_stacks(draw):
+    """(gamma, a (B, N) payoff stack), N in 1..8.  Entries come from [-1, 1] or
+    a pool of ties and signed zeros; |u| / gamma reaches about 1e8, where
+    4-action rows start to miss the simplex by 1e-9."""
+    n, b = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    gamma = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    scale = 10.0 ** draw(st.floats(-3.0, 7.0))
+    entry = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))
+    rows = draw(st.lists(entry, min_size=b * n, max_size=b * n))
+    return gamma, scale * np.array(rows).reshape(b, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sparsemax_stacks())
+def test_sparsemax_kernel_has_the_bits_of_the_plain_projection(case):
+    # every route into the one kernel, row by row: the bound route on the stack,
+    # and the public calls on each row the projection places within 1e-9
+    gamma, u = case
+    fam = UniformFamily(gamma, u.shape[-1])
+    stacked = response_solver(fam)(u)
+    for row, got in zip(u, stacked):
+        want, kappa = _plain_sparsemax(row / gamma)
+        assert got.tobytes() == want.tobytes()
+        if abs(float(np.add.reduce(want)) - 1.0) <= 1e-9:
+            res = quantal_response(fam, row)
+            assert res.probabilities.tobytes() == want.tobytes()
+            assert res.kkt_multiplier == gamma * (1.0 + kappa)
+            assert response_probabilities(fam, row).tobytes() == want.tobytes()
+            assert sparsemax(row / gamma).tobytes() == want.tobytes()
+
+
+def test_sparsemax_rows_off_the_simplex_raise_naming_the_scale():
+    # 2N is lost in 2N + 1e17, so the rows used to come out [1, 1, 1] after a
+    # division by zero; one action still gets all the mass at any scale
+    u, fam = np.array([1e17, 0.0, 0.0]), UniformFamily(1.0, 3)
+    for call in (sparsemax, lambda u: response_probabilities(fam, u),
+                 lambda u: quantal_response(fam, u)):
+        with pytest.raises(ValueError, match=r"sums to 0\.0 at \|u\| / gamma = 1e\+17"):
+            call(u)
+    assert sparsemax(np.array([1e17])).tolist() == [1.0]
+    assert response_probabilities(UniformFamily(1.0, 1), [-1e300]).tolist() == [1.0]
+
+
+def _route_families(kind, m, n, shared):
+    """m families of ``kind``: one object for every player, or each with its own parameters."""
+    rng = np.random.default_rng(77)
+    fams = []
+    for _ in range(1 if shared else m):
+        eta = rng.uniform(0.5, 2.0, n)
+        if kind == "exponential":
+            fams.append(ExponentialFamily(0.7, eta=eta))
+        elif kind == "uniform":
+            fams.append(UniformFamily(float(rng.uniform(0.3, 3.0)), n))
+        else:
+            fams.append(ParetoFamily(0.7, 1.5, eta))
+    return tuple(fams * m if shared else fams)
+
+
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["M-N", "B-M-N"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-player"])
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto"])
+def test_responses_written_into_out_have_the_bits_of_fresh_ones(kind, shared, stack):
+    m, n = 3, 4
+    fams = _route_families(kind, m, n, shared)
+    assert len(_family_groups(fams)) == (1 if shared else m)
+    u = np.random.default_rng(78).normal(0.0, 2.0, size=(*stack, m, n))
+    want = response_operator(fams)(u)
+    buf = np.full(u.shape, np.nan)
+    assert response_operator(fams)(u, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    rows = np.full(u.shape, np.nan)
+    assert response_solver(fams[0])(u, out=rows) is rows
+    assert rows.tobytes() == response_solver(fams[0])(u).tobytes()
+
+
 def test_optimistic_value_frozen_constants():
     # constant payoffs: exponential adds gamma log N, uniform adds nothing
     u = np.full(4, 0.3)
