@@ -199,13 +199,15 @@ def hessian_blocks(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     Diagonal blocks come from the regularizer: -1 / density at the quantile,
     per action.  Off-diagonal blocks are the symmetrized cross-payoff
     matrices, with the remaining players held at their ``profile`` mixes.
-    Raises when a zero-probability action meets an unbounded quantile.
+    Raises when a zero-probability action meets an unbounded quantile; a
+    density too small for its reciprocal to be a float gives -inf.
     """
     fams = _check_families(game, fams)
     cross = _cross_blocks(game, profile.probs)
     blocks = 0.5 * (cross + cross.transpose(1, 0, 3, 2))
     for j in range(game.num_players):
-        blocks[j, j] = np.diag(-1.0 / fams[j].density_vector(profile.player(j)))
+        with np.errstate(divide="ignore", over="ignore"):
+            blocks[j, j] = np.diag(-1.0 / fams[j].density_vector(profile.player(j)))
     return blocks
 
 
@@ -229,20 +231,17 @@ def game_hessian(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
 class PlayerStability:
     """One player's side of the stability comparison.
 
-    ``curvature`` is the regularization strength actually compared against
-    ``coupling``: the family's closed form, 0.0 when its density is unbounded,
-    which never passes.  ``curvature_grid`` reads the same quantity off a
-    p-grid, as an independent cross-check only.  The ``curvature_conservative``
-    variant, 1 / lipschitz_constant, uses the worst action instead of the best
-    one; ``readings_differ`` flags families where the two disagree, in which
-    case the conservative value is the safer margin.
+    ``curvature`` is the bound compared against ``coupling``: 1 over the
+    largest density at any quantile of any action, 1 / ``lipschitz_constant()``,
+    and 0.0 when that density is unbounded, which never passes.  It bounds the
+    concavity of the regularizer, whose Hessian on the simplex's tangent space
+    is -diag(1 / f_i(p_i)), from below at every p.  ``curvature_grid`` reads it
+    off a p-grid, as a cross-check that never certifies.
     """
 
     player: int
     curvature: float
     curvature_grid: float
-    curvature_conservative: float
-    readings_differ: bool
     coupling: float
     passed: bool
 
@@ -269,11 +268,17 @@ class StabilityReport:
         }
 
 
+def _curvature(fam: MarginalFamily) -> float:
+    """1 / ``lipschitz_constant()``, 0.0 where that is inf: each ``curvature`` and ``modulus``."""
+    return 1.0 / float(fam.lipschitz_constant())
+
+
 def _curvature_grid(fam: MarginalFamily) -> float:
-    """Grid infimum of 1 / (best-action density at the quantile) over p."""
+    """Grid infimum of 1 / (worst-action density at the quantile) over p."""
     p = np.linspace(_GRID_EDGE, 1.0 - _GRID_EDGE, CURVATURE_GRID)
     dens = fam.density_vector(np.repeat(p[:, None], fam.n_actions, axis=1))
-    return float(1.0 / dens.min(axis=1).max())
+    with np.errstate(divide="ignore", over="ignore"):  # densities that underflow
+        return float(1.0 / dens.max())
 
 
 def coupling_bound(game: Game, player: int) -> float:
@@ -303,24 +308,23 @@ def coupling_bound(game: Game, player: int) -> float:
 def stability_check(game: Game, fams) -> StabilityReport:
     """Compare each player's regularization curvature against payoff coupling.
 
-    A player passes when curvature strictly exceeds the coupling bound; all
-    players passing implies a unique, dynamically stable equilibrium.  The
-    report carries block-diagonal dominance and tangent-space negative
-    definiteness of the Hessian at the uniform profile as corroborating
-    diagnostics.
+    A player passes when the curvature, 1 / ``lipschitz_constant()``, strictly
+    exceeds :func:`coupling_bound`, which bounds the norms of the symmetrized
+    cross blocks in the player's row of the Hessian.  So when every player
+    passes, the Hessian's symmetric part is block diagonally dominant on the
+    tangent space at every profile: the smooth game is diagonally strictly
+    concave, and by Rosen (1965) its equilibrium is unique.  The report
+    carries block-diagonal dominance and tangent-space negative definiteness
+    of the Hessian at the uniform profile as corroborating diagnostics.
     """
     fams = _check_families(game, fams)
     players = []
     for j, fam in enumerate(fams):
-        curvature = float(fam.curvature_scale())
-        conservative = 1.0 / float(fam.lipschitz_constant())
-        coupling = coupling_bound(game, j)
+        curvature, coupling = _curvature(fam), coupling_bound(game, j)
         players.append(PlayerStability(
             player=j,
             curvature=curvature,
             curvature_grid=_curvature_grid(fam),
-            curvature_conservative=conservative,
-            readings_differ=abs(curvature - conservative) > 1e-9 * max(1.0, abs(curvature)),
             coupling=coupling,
             passed=bool(curvature > coupling),
         ))
@@ -380,7 +384,7 @@ def negdef_on_tangent_check(hessian: np.ndarray, n_players: int, tol: float = 1e
 
     Splits the dimension into ``n_players`` equal action blocks, projects onto
     the per-player zero-sum subspace and checks that the largest eigenvalue is
-    below ``-tol``.
+    below ``-tol``.  A Hessian with an entry that is not finite fails.
     """
     h = np.asarray(hessian, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -388,6 +392,8 @@ def negdef_on_tangent_check(hessian: np.ndarray, n_players: int, tol: float = 1e
     dim = h.shape[0]
     if dim % n_players != 0 or dim // n_players < 2:
         raise ValueError(f"dimension {dim} does not split into {n_players} players")
+    if not np.isfinite(h).all():
+        return False
     basis = _tangent_basis(n_players, dim // n_players)
     projected = basis.T @ h @ basis
     top = float(np.linalg.eigvalsh(projected).max())
@@ -449,10 +455,10 @@ def variational_stability_probe(game: Game, profile: StrategyProfile, fams,
 class ConcavityReport:
     """Lipschitz constant of the CDFs and a sampled strong-concavity check.
 
-    ``modulus`` is 1 / lipschitz_constant: the strong-concavity constant of
-    the response objective guaranteed by that CDF slope bound.  An unbounded
-    slope gives ``modulus`` 0.0, ``verified`` False and no trials, so
-    ``worst_slack`` is NaN.
+    ``modulus`` is 1 / lipschitz_constant, the stability check's
+    ``curvature``: the strong-concavity constant of the response objective
+    guaranteed by that CDF slope bound.  An unbounded slope gives ``modulus``
+    0.0, ``verified`` False and no trials, so ``worst_slack`` is NaN.
     """
 
     lipschitz_constant: float
@@ -473,13 +479,10 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
     """
     if n_trials < 1:
         raise ValueError("the concavity check needs at least one trial")
-    lipschitz = float(fam.lipschitz_constant())
-    if not lipschitz > 0.0:
-        raise ValueError("family has no positive CDF slope bound")
-    if lipschitz == np.inf:
+    lipschitz, modulus = float(fam.lipschitz_constant()), _curvature(fam)
+    if modulus == 0.0:
         return ConcavityReport(lipschitz_constant=lipschitz, modulus=0.0, verified=False,
                                worst_slack=np.nan)
-    modulus = 1.0 / lipschitz
     rng = np.random.default_rng(seed)
     n = fam.n_actions
     # draw one trial at a time, u, p, q and a in turn, then take g on all of them at once
@@ -487,13 +490,14 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
               rng.uniform(0.05, 0.95)) for _ in range(n_trials)]
     u, p, q, alpha = (np.array(column) for column in zip(*draws))
     a = alpha[:, None]
-    g_mix, g_p, g_q = (np.vecdot(x, u) + fam.regularizer_terms(x)
-                       for x in (a * p + (1.0 - a) * q, p, q))
-    slack = g_mix - (alpha * g_p + (1.0 - alpha) * g_q
-                     + 0.5 * modulus * alpha * (1.0 - alpha) * ((p - q) ** 2).sum(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a regularizer past the float range
+        g_mix, g_p, g_q = (np.vecdot(x, u) + fam.regularizer_terms(x)
+                           for x in (a * p + (1.0 - a) * q, p, q))
+        slack = g_mix - (alpha * g_p + (1.0 - alpha) * g_q
+                         + 0.5 * modulus * alpha * (1.0 - alpha) * ((p - q) ** 2).sum(axis=-1))
     return ConcavityReport(
         lipschitz_constant=lipschitz,
-        modulus=float(modulus),
-        verified=not (slack < -1e-9).any(),
+        modulus=modulus,
+        verified=bool((slack >= -1e-9).all()),
         worst_slack=float(slack.min()),
     )

@@ -11,9 +11,8 @@ derived from the CDFs:
   over [1 - p_i, 1]``, whose maximization over the simplex defines the
   quantal response.
 
-Every shipped family gives the density, the regularizer, its curvature scale
-and the CDF slope bound in closed form; the base class has no numeric
-fallback for them.
+Every shipped family gives the density, the regularizer and the CDF slope
+bound in closed form; the base class has no numeric fallback for them.
 
 The CDF kernels run bare: far from the support an intermediate overflows to
 inf, which IEEE arithmetic carries to the exact limit, a CDF of 0 or 1.  The
@@ -73,6 +72,8 @@ def _operand(value) -> np.ndarray:
 
 
 _ZERO, _ONE = _operand(0.0), _operand(1.0)
+#: the smallest normal float, the floor of every CDF slope bound
+_TINY = 2.0 ** -1022
 
 
 class MarginalFamily:
@@ -80,13 +81,13 @@ class MarginalFamily:
 
     Subclasses write each formula once, as a kernel on arrays whose last axis
     is the action axis: ``_cdf``, then ``_tail_quantile`` or ``_quantile``
-    (each defaults to the other), and ``_density``, ``_regularizer``,
-    :meth:`curvature_scale` and :meth:`lipschitz_constant`, which have no
-    default.  The ``*_vector`` methods validate once and call the kernels;
-    the kernels take valid arrays only, and ``_cdf`` runs bare.  The quantile
-    methods, the only paths that pass an unbounded end, silence its
-    divide-by-zero; the CDF methods silence the kernel's overflow far from
-    the support, as the generic solve, which calls ``_cdf`` directly, does.
+    (each defaults to the other), and ``_density``, ``_regularizer`` and
+    :meth:`lipschitz_constant`, which have no default.  The ``*_vector``
+    methods validate once and call the kernels; the kernels take valid
+    arrays only, and ``_cdf`` runs bare.  The quantile methods, the only
+    paths that pass an unbounded end, silence its divide-by-zero; the CDF
+    methods silence the kernel's overflow far from the support, as the
+    generic solve, which calls ``_cdf`` directly, does.
     """
 
     #: The p-interval on which the density at the quantile is defined.
@@ -219,16 +220,15 @@ class MarginalFamily:
 
     # -- analysis hooks ------------------------------------------------------
 
-    def curvature_scale(self) -> float:
-        """inf over p of 1 / min(density_vector(p, ..., p)), in closed form.
-
-        This is the regularization-strength side of the stability condition;
-        0.0 when the densities are unbounded at some p.
-        """
-        raise NotImplementedError
-
     def lipschitz_constant(self) -> float:
-        """Common Lipschitz constant of the CDFs, in closed form; inf if unbounded."""
+        """Common Lipschitz constant of the CDFs, in closed form; inf if unbounded.
+
+        It is the largest density at any quantile of any action, and its
+        reciprocal is the regularizer's curvature, the side of the stability
+        condition that must beat the payoff coupling.  A closed form that
+        underflows is rounded up to the smallest normal float, which is still
+        an upper bound and has a finite reciprocal.
+        """
         raise NotImplementedError
 
     # -- serialization -------------------------------------------------------
@@ -298,11 +298,8 @@ class ExponentialFamily(MarginalFamily):
         logs = self._log_ratio(np.where(p > 0.0, p, 1.0))
         return self.gamma * np.where(p > 0.0, p * logs, 0.0).sum(axis=-1)
 
-    def curvature_scale(self) -> float:
-        return self.gamma
-
     def lipschitz_constant(self) -> float:
-        return 1.0 / self.gamma
+        return max(1.0 / self.gamma, _TINY)
 
     def to_dict(self) -> dict:
         return {"type": "exponential", "gamma": self.gamma, "eta": self.eta.tolist()}
@@ -339,11 +336,8 @@ class UniformFamily(MarginalFamily):
     def _regularizer(self, p):
         return self.gamma * (p.sum(axis=-1) - self.n_actions * np.vecdot(p, p))
 
-    def curvature_scale(self) -> float:
-        return 2.0 * self.gamma * self.n_actions
-
     def lipschitz_constant(self) -> float:
-        return 1.0 / (2.0 * self.gamma * self.n_actions)
+        return max(1.0 / (2.0 * self.gamma * self.n_actions), _TINY)
 
     def to_dict(self) -> dict:
         return {"type": "uniform", "gamma": self.gamma, "actions": self.n_actions}
@@ -462,15 +456,10 @@ class ParetoFamily(MarginalFamily):
             gaps = np.where(x < 1.0, p * np.expm1(x), self.eta * np.exp(self.q * logs) - p)
         return -self.gamma * np.where(p > 0.0, gaps, 0.0).sum(axis=-1) / (self.q - 1.0)
 
-    def curvature_scale(self) -> float:
-        if self.q > 2.0:
-            return 0.0
-        return self.gamma * self.q / float(np.power(self.eta, self.q - 1.0).min())
-
     def lipschitz_constant(self) -> float:
         if self.q > 2.0:
             return np.inf
-        return float(np.power(self.eta, self.q - 1.0).max()) / (self.gamma * self.q)
+        return max(float(np.power(self.eta, self.q - 1.0).max()) / (self.gamma * self.q), _TINY)
 
     def to_dict(self) -> dict:
         return {"type": "pareto", "gamma": self.gamma, "q": self.q, "eta": self.eta.tolist()}
@@ -482,7 +471,7 @@ class TabulatedFamily(MarginalFamily):
     Each table is a sequence of (t, value) rows with t strictly increasing
     from 0 to 1 and values nondecreasing.  Piecewise-linear quantiles keep the
     regularizer concave and piecewise quadratic, so it integrates exactly, and
-    the density is constant on each segment, so both bounds are exact maxima.
+    the density is constant on each segment, so the slope bound is an exact maximum.
     """
 
     density_domain = "[0, 1]"
@@ -540,16 +529,8 @@ class TabulatedFamily(MarginalFamily):
 
         return self._columns(tail, p).sum(axis=-1)
 
-    def curvature_scale(self) -> float:
-        # min over actions is constant between merged breakpoints: take each interval's midpoint
-        knots = np.unique(np.concatenate([ts for ts, _ in self._grids]))
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        least = np.min([slopes[np.searchsorted(ts, mids) - 1]
-                        for (ts, _), slopes in zip(self._grids, self._slopes)], axis=0)
-        return float(1.0 / least.max())
-
     def lipschitz_constant(self) -> float:
-        return float(max(slopes.max() for slopes in self._slopes))
+        return float(max(_TINY, *(slopes.max() for slopes in self._slopes)))
 
     def to_dict(self) -> dict:
         return {

@@ -2,6 +2,11 @@ import re
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import Phase, settings
+
+#: chosen by the pinned-mutant runner: a failing property is reported as found,
+#: with no time spent shrinking or explaining it
+settings.register_profile("mutant-guard", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 @pytest.hookimpl(trylast=True)

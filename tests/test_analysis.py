@@ -417,9 +417,7 @@ def test_stability_check_passes_with_strong_regularization():
     p0 = report.players[0]
     assert p0.curvature == pytest.approx(3.0)
     assert p0.coupling == pytest.approx(1.0, abs=1e-10)
-    assert p0.curvature_conservative == pytest.approx(3.0)
-    assert not p0.readings_differ
-    # identical per-action densities: the grid agrees with the closed form
+    # the grid agrees with the closed form
     assert p0.curvature_grid == pytest.approx(3.0, rel=1e-6)
 
 
@@ -447,12 +445,114 @@ def test_stability_check_closed_form_for_pareto():
                  for _ in range(2))
     report = stability_check(matching_game(2), fams)
     p0 = report.players[0]
-    # gamma q / min eta^(q - 1) and gamma q / max eta^(q - 1)
-    assert p0.curvature == pytest.approx(4.5 / np.sqrt(0.2))
-    assert p0.curvature_conservative == pytest.approx(4.5 / np.sqrt(0.8))
-    assert p0.readings_differ  # per-action densities genuinely differ
-    assert p0.curvature_conservative < p0.curvature
+    # gamma q / max eta^(q - 1): the worst action's density sets the curvature
+    assert p0.curvature == pytest.approx(4.5 / np.sqrt(0.8))
     assert p0.passed
+
+
+def _near_pure(players, actions, k):
+    """Every player puts 0.9 on action k and spreads the rest evenly."""
+    row = np.full(actions, 0.1 / (actions - 1))
+    row[k] = 0.9
+    return StrategyProfile(np.tile(row, (players, 1)))
+
+
+def test_a_coordination_game_with_three_equilibria_is_not_certified():
+    # the best action's density would give 2.012 > 1, which bounds nothing; the worst
+    # action's gives 0.45
+    fam = ParetoFamily(gamma=0.3, q=1.5, eta=[0.05, 1.0, 1.0])
+    game = matching_game(3)
+    report = stability_check(game, (fam, fam))
+    for player in report.players:
+        assert player.curvature == pytest.approx(0.45)
+        assert player.coupling == pytest.approx(1.0)
+        assert not player.passed
+    assert not report.all_passed
+    assert strong_concavity_check(fam, n_trials=10).modulus == report.players[0].curvature
+    # a pass would be false: three starts reach three distinct fixed points
+    ends = []
+    for k in range(3):
+        result = fixed_point_iterate(game, (fam, fam), start=_near_pure(2, 3, k))
+        assert result.converged
+        ends.append(result.profile.probs)
+    assert all(np.abs(a - b).max() > 0.4 for a, b in itertools.combinations(ends, 2))
+
+
+def _zero_sum_basis(n):
+    """Orthonormal columns spanning {d : sum(d) = 0}, from the SVD of a row of ones."""
+    return np.linalg.svd(np.ones((1, n)))[2][1:].T
+
+
+@st.composite
+def _unequal_families(draw):
+    """A Pareto or strictly increasing tabulated family of 2-4 actions whose
+    per-action parameters are drawn independently, so that they differ."""
+    n = draw(st.integers(2, 4))
+    unit = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        q = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 2.0), st.floats(2.05, 3.0)))
+        return ParetoFamily(0.1 + 5.0 * draw(unit), q, [0.05 + 3.0 * draw(unit) for _ in range(n)])
+    tables = []
+    for _ in range(n):
+        knots = sorted(set(draw(st.lists(st.integers(1, 99), max_size=3))))
+        ts = [0.0, *(k / 100.0 for k in knots), 1.0]
+        steps = [0.05 + 4.0 * draw(unit) for _ in ts]
+        tables.append(np.column_stack((ts, np.cumsum(steps) - 1.0)))
+    return TabulatedFamily(tables)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_unequal_families(), st.integers(0, 2**32 - 1))
+def test_reported_curvature_bounds_the_tangent_concavity(fam, seed):
+    # on the simplex's tangent space the regularizer's Hessian is -diag(1 / f_i(p_i)):
+    # the curvature may not exceed its smallest eigenvalue there at any profile
+    n = fam.n_actions
+    curvature = stability_check(matching_game(n), (fam, fam)).players[0].curvature
+    assert strong_concavity_check(fam, n_trials=1).modulus == curvature
+    rows = np.random.default_rng(seed).dirichlet(np.ones(n), size=400)
+    weights = 1.0 / fam.density_vector(rows)
+    basis = _zero_sum_basis(n)
+    tangent = np.linalg.eigvalsh(basis.T @ (weights[:, :, None] * basis)).min(axis=-1)
+    # eigvalsh is accurate to a few ulps of the matrix norm, the largest weight
+    assert np.all(curvature <= tangent + 1e-12 * weights.max(axis=-1))
+
+
+@st.composite
+def _games_and_families(draw):
+    """A random 2- or 3-player game of 2-3 actions, one random family per player."""
+    m, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    game = random_game(m, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    unit = st.floats(0.0, 1.0)
+    fams = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("exponential", "uniform", "pareto")))
+        gamma = 1.0 + 8.0 * draw(unit)
+        if kind == "exponential":
+            fams.append(ExponentialFamily(gamma, [0.1 + 2.0 * draw(unit) for _ in range(n)]))
+        elif kind == "uniform":
+            fams.append(UniformFamily(gamma, n))
+        else:
+            fams.append(ParetoFamily(gamma, draw(st.floats(1.05, 2.0)),
+                                     [0.1 + 2.0 * draw(unit) for _ in range(n)]))
+    return game, tuple(fams)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_games_and_families())
+def test_a_certified_game_has_one_equilibrium(case):
+    # wherever every player passes, fixed points from the uniform start and from
+    # a start near each pure profile agree
+    game, fams = case
+    if not stability_check(game, fams).all_passed:
+        return
+    m, n = game.num_players, game.num_actions
+    starts = [uniform_profile(m, n), *(_near_pure(m, n, k) for k in range(n))]
+    ends = []
+    for start in starts:
+        result = fixed_point_iterate(game, fams, start=start)
+        assert result.converged
+        ends.append(result.profile.probs)
+    assert all(np.abs(end - ends[0]).max() <= 1e-8 for end in ends[1:])
 
 
 def test_diagonal_dominance_rejects_degenerate_blocks():
@@ -591,7 +691,7 @@ def test_unbounded_pareto_is_never_certified():
     fam = ParetoFamily(gamma=3.0, q=2.5, eta=np.array([0.5, 0.5]))
     report = stability_check(matching_game(2), (ExponentialFamily(3.0, n_actions=2), fam))
     p1 = report.players[1]
-    assert p1.curvature == 0.0 and p1.curvature_conservative == 0.0
+    assert p1.curvature == 0.0
     assert not p1.passed and not report.all_passed
     assert 0.0 < p1.curvature_grid < 1e-3  # the grid reading is only a cross-check
     concavity = strong_concavity_check(fam, n_trials=200)
@@ -599,6 +699,26 @@ def test_unbounded_pareto_is_never_certified():
     assert concavity.modulus == 0.0
     assert not concavity.verified
     assert np.isnan(concavity.worst_slack)
+
+
+@pytest.mark.parametrize("fam", [
+    UniformFamily(1e308, 2),
+    ParetoFamily(1e300, 0.5, [1e300, 1e300]),
+    ExponentialFamily(np.finfo(float).max, n_actions=2),
+])
+def test_a_slope_bound_that_underflows_is_rounded_up(fam):
+    # each closed form reads 0.0 or a subnormal in floats; 0.0 bounds no slope, and
+    # the reciprocal of a subnormal need not be finite
+    lipschitz = fam.lipschitz_constant()
+    assert lipschitz == np.finfo(float).tiny
+    report = stability_check(matching_game(2), (fam, fam))
+    concavity = strong_concavity_check(fam, n_trials=20)
+    for player in report.players:
+        assert player.curvature == concavity.modulus == 1.0 / lipschitz
+        assert player.passed
+    # the Pareto regularizer, about 2e450 at every profile, is past the float
+    # range: the sampled check cannot verify it
+    assert concavity.verified is not isinstance(fam, ParetoFamily)
 
 
 def test_strong_concavity_modulus_closed_forms():

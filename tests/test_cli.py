@@ -227,6 +227,39 @@ def test_check_reports_an_unbounded_family_as_not_strongly_concave(tmp_path, cap
     assert doc["concavity"][0]["verified"] is True
 
 
+def test_check_does_not_certify_a_game_with_three_equilibria(tmp_path, capsys):
+    save_game(matching_game(3), tmp_path / "game.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "game": "game.json",
+        "risk_families": {"type": "pareto", "gamma": 0.3, "q": 1.5, "eta": [0.05, 1.0, 1.0]},
+        "schedule": {"type": "power", "c": 1.0, "a": 0.6},
+        "horizon": 10,
+    }))
+    out = tmp_path / "chk"
+    assert main(["check", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 3
+    printed = capsys.readouterr().out
+    assert "player 0: curvature 0.45 <= coupling 1 -> FAIL" in printed
+    assert "check: NOT certified stable" in printed
+    doc = json.loads((out / "stability.json").read_text())
+    assert set(doc["players"][0]) == {"player", "curvature", "curvature_grid", "coupling",
+                                      "passed"}
+    assert all(c["modulus"] == p["curvature"] for c, p in zip(doc["concavity"], doc["players"]))
+
+
+@pytest.mark.parametrize("family, code", [
+    ({"type": "uniform", "gamma": 1e308}, 0),
+    ({"type": "pareto", "gamma": 1e300, "q": 0.5, "eta": [1e300, 1e300]}, 3),
+])
+def test_check_ends_with_a_verdict_where_a_slope_bound_underflows(workdir, capsys, family, code):
+    _rewrite(workdir, risk_families=family)
+    assert main(["check", "--config", _cfg_path(workdir), "--out", str(workdir / "chk")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "player 0: curvature 4.494e+307 > coupling 1 -> pass" in captured.out
+    verdict = "check: stable" if code == 0 else "check: NOT certified stable"
+    assert verdict in captured.out
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -662,14 +662,13 @@ def test_regularizer_requires_simplex_but_terms_do_not():
 def test_curvature_and_lipschitz_hooks():
     exp = ExponentialFamily(gamma=0.6, n_actions=3)
     uni = UniformFamily(gamma=0.6, n_actions=3)
+    # eta^(q - 1) = 1/sqrt(3) for every action: a slope bound of 1 / (gamma q sqrt(3))
     par = ParetoFamily(gamma=0.6, q=1.5, eta=np.full(3, 1 / 3))
-    assert exp.curvature_scale() == pytest.approx(0.6)
-    assert exp.lipschitz_constant() == pytest.approx(1.0 / 0.6)
-    assert uni.curvature_scale() == pytest.approx(3.6)
-    assert uni.lipschitz_constant() == pytest.approx(1.0 / 3.6)
-    # eta^(q - 1) = 1/sqrt(3) for every action: gamma q sqrt(3) both ways
-    assert par.curvature_scale() == pytest.approx(0.9 * np.sqrt(3.0))
-    assert par.lipschitz_constant() == pytest.approx(1.0 / (0.9 * np.sqrt(3.0)))
+    for fam, curvature in ((exp, 0.6), (uni, 3.6), (par, 0.9 * np.sqrt(3.0))):
+        assert fam.lipschitz_constant() == pytest.approx(1.0 / curvature)
+        player = stability_check(matching_game(3), (fam, fam)).players[0]
+        assert player.curvature == 1.0 / fam.lipschitz_constant()
+        assert player.curvature == pytest.approx(curvature)
 
 
 @pytest.mark.parametrize("fam", [
@@ -709,7 +708,7 @@ def _closed_form_cases(draw):
 
     Pareto shapes stay 0.05 away from q = 1, where the oracle's quantile
     1 - q (s / eta)^(q - 1) cancels; table knots lie on a 1/100 lattice so
-    that the density grid samples the inside of every merged segment.
+    that the density grid samples the inside of every segment.
     """
     n = draw(st.integers(2, 5))
     unit = st.floats(0.0, 1.0)
@@ -748,7 +747,9 @@ def test_closed_forms_match_independent_readings(case):
     assert np.all(dens <= lipschitz * (1.0 + 1e-6))
 
     report = stability_check(matching_game(fam.n_actions), (fam, fam))
-    curvature = fam.curvature_scale()
+    curvature = 1.0 / lipschitz
+    concavity = strong_concavity_check(fam, n_trials=3)
+    assert concavity.modulus == curvature
     for player in report.players:
         assert player.curvature == curvature
         if curvature > 0.0:
@@ -756,4 +757,4 @@ def test_closed_forms_match_independent_readings(case):
         else:
             assert not player.passed
     if lipschitz == np.inf:
-        assert not strong_concavity_check(fam, n_trials=3).verified
+        assert not concavity.verified

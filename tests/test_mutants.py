@@ -3,10 +3,11 @@
 A mutant is a file, one exact source line in it, the line that replaces it,
 and the node id of the test that guards against it.  Each case copies
 ``src/``, ``tests/`` and ``pyproject.toml`` to a scratch directory, plants
-the mutant there and runs the guard on that copy in a fresh interpreter;
-two cases run at a time.  A guard that still passes has stopped guarding; a
-line that no longer exists means the code moved, and the mutant has to be
-planted again on its new form.
+the mutant there and runs the guard on that copy in a fresh interpreter,
+under a hypothesis profile that reports a failing example without shrinking
+or explaining it; two cases run at a time.  A guard that still passes has
+stopped guarding; a line that no longer exists means the code moved, and the
+mutant has to be planted again on its new form.
 """
 
 import os
@@ -76,6 +77,15 @@ MUTANTS = {
         "    kappa = np.vecdot(c, np.equal(j, k + 1, out=s), keepdims=True)",
         "tests/test_response.py::test_sparsemax_kernel_has_the_bits_of_the_plain_projection",
     ),
+    # the curvature read off the best action's density instead of the worst's
+    "best_action_curvature": (
+        "src/beliefgames/families.py",
+        "        return max(float(np.power(self.eta, self.q - 1.0).max()) / (self.gamma * self.q),"
+        " _TINY)",
+        "        return max(float(np.power(self.eta, self.q - 1.0).min()) / (self.gamma * self.q),"
+        " _TINY)",
+        "tests/test_analysis.py::test_reported_curvature_bounds_the_tangent_concavity",
+    ),
 }
 
 
@@ -96,7 +106,8 @@ def _run_guard(name: str, where: Path) -> subprocess.CompletedProcess:
     target.write_text("\n".join(lines))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", guard],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutant-guard", guard],
         cwd=where, env=env, capture_output=True, text=True, timeout=300,
     )
 
