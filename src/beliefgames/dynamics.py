@@ -282,7 +282,8 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     clamp count, and the checks that each clamped probability lies in [0, 1]
     and each response sums to one within 1e-9, whose error names the round
     and player.  Solver failures are re-raised with the round and the failing
-    player attached.
+    player attached, and estimates that leave the float range end the run with
+    the round and player where they did; the loop runs under one ``np.errstate``.
     """
     _check_families(game, config.risk_families)
     m, n = game.num_players, game.num_actions
@@ -302,17 +303,6 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     # row 0: the last profile before the block; rows 1..: the block's rounds
     block = np.empty((_BLOCK_ROUNDS + 1, m, n))
 
-    def close_block(last: int, size: int) -> None:
-        """Bookkeeping of the ``size`` rounds ending at round ``last``."""
-        nonlocal clamp_triggers
-        first = last - size + 1
-        _check_rounds(block[1:size + 1], clamp, first)
-        if first == 1:
-            block[0] = block[1]  # round 1 has no move
-        clamp_triggers += int(np.count_nonzero(block[1:size + 1] < clamp))
-        movement[first - 1:last] = np.abs(np.diff(block[:size + 1], axis=0)).max(axis=(1, 2))
-        block[0] = block[size]
-
     respond = response_operator(config.belief_families)
     profile, pays = np.empty((m, n)), np.empty((m, n))
     rate, clamp0 = np.empty(()), _operand(clamp)  # rate: this round's step, set in place
@@ -320,14 +310,11 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
               for fam, _, index in _family_groups(config.risk_families)]
     if m == 2:
         (t0, t1), (p0, p1), (y0, y1) = game.payoffs, profile, pays
+    steps = config.schedule.rates(horizon).tolist()
+    start = estimates.copy()  # the estimates before the open block's first round
 
-    row = 0
-    for t, step in enumerate(config.schedule.rates(horizon).tolist(), start=1):
-        try:
-            respond(estimates, out=profile)
-        except RuntimeError as exc:
-            _check_rounds(block[1:row + 1], clamp, t - row)  # an earlier bad round goes first
-            raise RuntimeError(f"round {t}, {exc}") from exc
+    def advance(step: float) -> None:
+        """A round's payoffs and estimate update, from the responses in ``profile``."""
         if m == 2:
             np.matvec(t0, p1, out=y0)
             np.vecmat(p0, t1, out=y1)
@@ -340,22 +327,55 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
             np.add(y, adj, out=adj)
             np.multiply(rate, adj, out=adj)
             e += adj
-        row += 1
-        block[row] = profile
-        if t in record_index:
-            idx = record_index[t]
-            probs_hist[idx] = profile
-            est_hist[idx] = estimates
-            pay_hist[idx] = pays
-            rate_hist[idx] = step
-        if row == _BLOCK_ROUNDS:
-            close_block(t, row)
-            row = 0
-    if row:
-        close_block(horizon, row)
 
-    if not np.all(np.isfinite(estimates)):
-        raise RuntimeError("estimates diverged to non-finite values")
+    def close_block(last: int, size: int) -> None:
+        """Bookkeeping of the ``size`` rounds ending at round ``last``."""
+        nonlocal clamp_triggers
+        first = last - size + 1
+        # a non-finite estimate stays non-finite: replay the block's updates from its
+        # start on its recorded responses to find the round that left the float range
+        if not np.isfinite(estimates).all():
+            estimates[...] = start
+            for k in range(size):
+                profile[...] = block[k + 1]
+                advance(steps[first - 1 + k])
+                if not np.isfinite(estimates).all():
+                    _check_rounds(block[1:k + 2], clamp, first)  # an earlier bad round goes first
+                    j = np.argwhere(~np.isfinite(estimates))[0][0]
+                    raise RuntimeError(f"round {first + k}, player {j}: "
+                                       "estimates diverged to non-finite values")
+        _check_rounds(block[1:size + 1], clamp, first)
+        if first == 1:
+            block[0] = block[1]  # round 1 has no move
+        clamp_triggers += int(np.count_nonzero(block[1:size + 1] < clamp))
+        movement[first - 1:last] = np.abs(np.diff(block[:size + 1], axis=0)).max(axis=(1, 2))
+        block[0] = block[size]
+        start[...] = estimates
+
+    row = 0
+    # estimates past the float range overflow and give NaN responses; the block's
+    # end catches both, so the loop raises no warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, step in enumerate(steps, start=1):
+            try:
+                respond(estimates, out=profile)
+            except RuntimeError as exc:
+                close_block(t - 1, row)  # an earlier bad round goes first
+                raise RuntimeError(f"round {t}, {exc}") from exc
+            advance(step)
+            row += 1
+            block[row] = profile
+            if t in record_index:
+                idx = record_index[t]
+                probs_hist[idx] = profile
+                est_hist[idx] = estimates
+                pay_hist[idx] = pays
+                rate_hist[idx] = step
+            if row == _BLOCK_ROUNDS:
+                close_block(t, row)
+                row = 0
+        if row:
+            close_block(horizon, row)
 
     final_residual = equilibrium_residual(
         game, StrategyProfile(probs_hist[-1]), config.risk_families

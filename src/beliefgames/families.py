@@ -198,10 +198,16 @@ class MarginalFamily:
         At kappa = min_i(u_i + lows_i) some component has probability one; at
         kappa = max_i(u_i + tops_i) every component has at most 1/N.  Both
         depend only on the family, so they are computed once, as float lists.
+        Both are finite in exact arithmetic, so an infinite one has overflowed.
         """
         n = self.n_actions
-        return (self.quantile_vector(np.zeros(n)).tolist(),
-                self.tail_quantile_vector(np.full(n, 1.0 / n)).tolist())
+        with np.errstate(over="ignore"):
+            lows = self.quantile_vector(np.zeros(n))
+            tops = self.tail_quantile_vector(np.full(n, 1.0 / n))
+        if not (np.isfinite(lows).all() and np.isfinite(tops).all()):
+            raise ValueError(f"{type(self).__name__} {self.to_dict()}: the response bracket "
+                             "lies beyond the float range")
+        return lows.tolist(), tops.tolist()
 
     # -- regularizer ---------------------------------------------------------
 
@@ -469,7 +475,8 @@ class TabulatedFamily(MarginalFamily):
     """Marginals given by per-action quantile tables, interpolated linearly.
 
     Each table is a sequence of (t, value) rows with t strictly increasing
-    from 0 to 1 and values nondecreasing.  Piecewise-linear quantiles keep the
+    from 0 to 1 and finite values, nondecreasing and less than the float
+    range apart.  Piecewise-linear quantiles keep the
     regularizer concave and piecewise quadratic, so it integrates exactly, and
     the density is constant on each segment, so the slope bound is an exact maximum.
     """
@@ -485,16 +492,21 @@ class TabulatedFamily(MarginalFamily):
             ts, vs = arr[:, 0], arr[:, 1]
             if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0.0):
                 raise ValueError(f"table {i}: t grid must increase strictly from 0 to 1")
-            if np.any(np.diff(vs) < 0.0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = np.diff(vs)
+            if np.any(steps < 0.0):
                 raise ValueError(f"table {i}: quantile values must be nondecreasing")
             if not np.all(np.isfinite(vs)):
                 raise ValueError(f"table {i}: quantile values must be finite")
+            if not np.all(np.isfinite(steps)):
+                raise ValueError(f"table {i}: quantile values must not span more than the "
+                                 f"float range: {vs.tolist()}")
             grids.append((ts.copy(), vs.copy()))
         super().__init__(len(grids))
         self._grids = grids
         # a flat run of quantile values is an atom of the marginal
         self.strictly_increasing_cdf = all(np.all(np.diff(vs) > 0.0) for _, vs in grids)
-        with np.errstate(divide="ignore"):  # CDF slope dt/dv per segment, inf on a flat one
+        with np.errstate(divide="ignore", over="ignore"):  # dt/dv, inf if flat or too steep
             self._slopes = [np.diff(ts) / np.diff(vs) for ts, vs in grids]
         # the exact quantile integral from each knot to 1: its segments' trapezoids,
         # summed from the top
@@ -507,7 +519,11 @@ class TabulatedFamily(MarginalFamily):
                          in enumerate(zip(self._grids, self._slopes, self._tails))], axis=-1)
 
     def _cdf(self, s):
-        return self._columns(lambda x, ts, vs, *_: np.interp(x, vs, ts), s)
+        # np.interp's slope form can round past the segment's top t, or overflow to
+        # inf on a segment too steep for a float slope; capping at that top keeps
+        # the CDF nondecreasing and in [0, 1] (a steep segment jumps, as an atom does)
+        return self._columns(lambda x, ts, vs, *_: np.minimum(
+            np.interp(x, vs, ts), ts.take(np.searchsorted(vs, x, side="right"), mode="clip")), s)
 
     def _quantile(self, t):
         return self._columns(lambda x, ts, vs, *_: np.interp(x, ts, vs), t)

@@ -20,9 +20,13 @@ bisection: about 41) and a warm one about 6.2 rows in 2.3 calls (2-core
 Intel Xeon VM, Python 3.11, numpy 2.4).  The sparse map is one kernel,
 :func:`_sparsemax_rows`, that every sparsemax route calls.
 
-:func:`response_operator` gives every player's response at once: one
-:func:`response_solver` call for all players when their families are equal,
-one per player otherwise.
+A route is chosen in one place for each call shape: the single-row calls
+:func:`response_probabilities` and :func:`quantal_response` validate a row
+and solve it, with its kappa, in one body (:func:`_solve_row`), and
+:func:`response_solver` binds the route once for unvalidated ``(..., N)``
+stacks, written into ``out`` and without kappa.  :func:`response_operator`
+gives every player's response at once: one :func:`response_solver` call for
+all players when their families are equal, one per player otherwise.
 """
 
 from __future__ import annotations
@@ -73,17 +77,6 @@ class ResponseResult:
     solver_tag: str
 
 
-def _check_response_input(fam: MarginalFamily, u, method: str) -> np.ndarray:
-    if method not in ("auto", "bisection"):
-        raise ValueError("method must be 'auto' or 'bisection'")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (fam.n_actions,):
-        raise ValueError(f"payoff vector must have length {fam.n_actions}")
-    if not np.isfinite(u).all():
-        raise ValueError("payoff vector must be finite")
-    return u
-
-
 def weighted_softmax(u, eta, gamma: float) -> np.ndarray:
     """Softmax of u / gamma with positive prior weights eta, along the last axis.
 
@@ -127,8 +120,6 @@ def sparsemax(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("sparsemax needs a 1-D vector")
-    if not np.isfinite(u).all():
-        raise ValueError("sparsemax needs finite inputs")
     return response_probabilities(UniformFamily(1.0, u.size), u)
 
 
@@ -156,14 +147,6 @@ def _sparsemax_rows(z: np.ndarray, j: np.ndarray, two_n) -> tuple[np.ndarray, np
     if j.size == 1:  # z - kappa reads 0 only where 2N is lost; one action always gets 1
         z[z == 0.0] = 1.0
     return z, kappa
-
-
-def _on_simplex(p: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
-    """``p``, the sparsemax row of ``u / gamma``, if it sums to one within 1e-9."""
-    if not abs(float(np.add.reduce(p)) - 1.0) <= _RESPONSE_TOL:
-        raise ValueError(f"sparsemax sums to {float(np.add.reduce(p))!r} at |u| / gamma = "
-                         f"{float(np.abs(u).max()) / gamma:.3g}, where 2N is lost in rounding")
-    return p
 
 
 def _bisection_response(fam: MarginalFamily, u: np.ndarray,
@@ -384,18 +367,43 @@ def _walk(lo: float, hi: float, a: float, b: float) -> tuple[float, float, float
     return lo, hi, None, _BISECT_MAX_ITER
 
 
+def _solve_row(fam: MarginalFamily, u, method: str) -> tuple[np.ndarray, np.ndarray, float, str]:
+    """Validate one payoff row and solve it: ``(u, p, kappa, route)``, u as floats.
+
+    The routes and bits of :func:`response_solver`, plus each route's kappa.
+    """
+    if method not in ("auto", "bisection"):
+        raise ValueError("method must be 'auto' or 'bisection'")
+    u = np.asarray(u, dtype=float)
+    if u.shape != (fam.n_actions,):
+        raise ValueError(f"payoff vector must have length {fam.n_actions}")
+    if not np.isfinite(u).all():
+        raise ValueError("payoff vector must be finite")
+    if method == "auto" and isinstance(fam, ExponentialFamily):
+        z = u / fam.gamma
+        m = float(z.max())
+        kappa = fam.gamma * (m + np.log(np.dot(fam.eta, np.exp(z - m)))) - fam.gamma
+        return u, _softmax_rows(u, fam.eta, fam._gamma), kappa, "softmax"
+    if method == "auto" and isinstance(fam, UniformFamily):
+        p, kappa = _sparsemax_rows(u / fam._gamma, np.arange(1.0, fam.n_actions + 1), fam._two_n)
+        total = float(np.add.reduce(p))
+        if not abs(total - 1.0) <= _RESPONSE_TOL:
+            scale = float(np.abs(u).max()) / fam.gamma
+            raise ValueError(f"sparsemax sums to {total!r} at |u| / gamma = {scale:.3g}, "
+                             "where 2N is lost in rounding")
+        return u, p, fam.gamma * (1.0 + kappa[0]), "sparsemax"
+    p, kappa = _bisection_response(fam, u)
+    return u, p, kappa, "bisection"
+
+
 def response_probabilities(fam: MarginalFamily, u, method: str = "auto") -> np.ndarray:
     """Probabilities of the quantal response, skipping value bookkeeping.
 
-    ``method`` is "auto" (the :func:`response_solver` route) or "bisection"
-    (force the generic solver; useful for agreement checks).  A sparsemax row
-    that misses the simplex by more than 1e-9 raises ValueError.
+    ``method`` is "auto" (the family's closed form where it has one) or
+    "bisection" (force the generic solver; useful for agreement checks).  A
+    sparsemax row that misses the simplex by more than 1e-9 raises ValueError.
     """
-    u = _check_response_input(fam, u, method)
-    if method == "bisection":
-        return _bisection_response(fam, u)[0]
-    p = response_solver(fam)(u)
-    return _on_simplex(p, u, fam.gamma) if isinstance(fam, UniformFamily) else p
+    return _solve_row(fam, u, method)[1]
 
 
 def response_solver(fam: MarginalFamily):
@@ -519,22 +527,7 @@ def _name_failing_player(solve, group: list[int], u: np.ndarray, exc: Exception)
 
 def quantal_response(fam: MarginalFamily, u, method: str = "auto") -> ResponseResult:
     """Maximize ``p . u + h(p)`` over the simplex for payoff vector u."""
-    u = _check_response_input(fam, u, method)
-    if method == "auto" and isinstance(fam, ExponentialFamily):
-        p = weighted_softmax(u, fam.eta, fam.gamma)
-        z = u / fam.gamma
-        m = float(z.max())
-        lse = m + np.log(np.dot(fam.eta, np.exp(z - m)))
-        kappa = fam.gamma * lse - fam.gamma
-        tag = "softmax"
-    elif method == "auto" and isinstance(fam, UniformFamily):
-        p, kappa_star = _sparsemax_rows(u / fam.gamma, np.arange(1.0, fam.n_actions + 1),
-                                        fam._two_n)
-        p, kappa = _on_simplex(p, u, fam.gamma), fam.gamma * (1.0 + kappa_star[0])
-        tag = "sparsemax"
-    else:
-        p, kappa = _bisection_response(fam, u)
-        tag = "bisection"
+    u, p, kappa, tag = _solve_row(fam, u, method)
     value = float(np.dot(p, u)) + fam.regularizer_terms(p)  # p sums to one within 1e-9
     return ResponseResult(p, value, float(kappa), tag)
 

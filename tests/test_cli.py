@@ -260,6 +260,47 @@ def test_check_ends_with_a_verdict_where_a_slope_bound_underflows(workdir, capsy
     assert verdict in captured.out
 
 
+_PARETO_BEYOND_FLOATS = {"type": "pareto", "gamma": 1e300, "q": 0.5, "eta": [1e300, 1e300]}
+_PARETO_ERROR = ("ParetoFamily {'type': 'pareto', 'gamma': 1e+300, 'q': 0.5, "
+                 "'eta': [1e+300, 1e+300]}: the response bracket lies beyond the float range")
+
+
+@pytest.mark.parametrize("command, family, error", [
+    ("simulate", {"type": "uniform", "gamma": 1e308},
+     "round 3, player 0: estimates diverged to non-finite values"),
+    ("simulate", {"type": "exponential", "gamma": 1e308},
+     "round 17, player 0: estimates diverged to non-finite values"),
+    ("simulate", _PARETO_BEYOND_FLOATS, f"round 1, player 0: {_PARETO_ERROR}"),
+    ("solve", _PARETO_BEYOND_FLOATS, f"player 0: {_PARETO_ERROR}"),
+], ids=["uniform", "exponential", "pareto-simulate", "pareto-solve"])
+def test_a_run_beyond_the_float_range_ends_with_one_error(workdir, capsys, command, family,
+                                                          error):
+    # pytest turns a RuntimeWarning into an exception, which main does not catch
+    _rewrite(workdir, risk_families=family, horizon=50)
+    assert main([command, "--config", _cfg_path(workdir), "--out", str(workdir / "o"),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_simulate_warns_when_the_final_residual_is_above_tolerance(workdir, capsys):
+    # the matching game starts at its equilibrium, so another game is played
+    save_game(random_game(2, 3, np.random.default_rng(3)), workdir / "game.json")
+    _rewrite(workdir, horizon=5, tolerances={"residual": 1e-12})
+    assert main(["simulate", "--config", _cfg_path(workdir), "--out", str(workdir / "o")]) == 2
+    assert "warning: final residual above tolerance" in capsys.readouterr().out
+    summary = json.loads((workdir / "o" / "summary.json").read_text())
+    assert summary["converged"] is False
+
+
+def test_solve_warns_when_the_iteration_stops_short_of_tolerance(workdir, capsys):
+    save_game(random_game(2, 3, np.random.default_rng(3)), workdir / "game.json")
+    _rewrite(workdir, tolerances={"fixed_point": 1e-300, "max_iterations": 1})
+    assert main(["solve", "--config", _cfg_path(workdir), "--out", str(workdir / "o")]) == 2
+    assert "warning: iteration stopped before reaching tolerance" in capsys.readouterr().out
+    doc = json.loads((workdir / "o" / "equilibrium.json").read_text())
+    assert doc["converged"] is False and doc["iterations"] == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 

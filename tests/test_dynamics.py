@@ -562,6 +562,45 @@ def test_sparsemax_response_is_capped_at_one():
     assert trace.probabilities.max() <= 1.0
 
 
+@pytest.mark.parametrize("fam, last_finite", [
+    (UniformFamily(1e308, 2), 2),
+    (ExponentialFamily(1e308, n_actions=2), 16),
+    (UniformFamily(1e307, 2), 178),  # in the third block: replayed from that block's start
+])
+def test_estimates_that_leave_the_float_range_end_the_run_naming_the_round(fam, last_finite):
+    # the estimate update overflows, and the next responses are NaN; no warning
+    # is raised (pytest turns RuntimeWarnings into errors)
+    def cfg(horizon):
+        return RunConfig(horizon=horizon, schedule=StepSchedule.power(1.0, 0.6),
+                         risk_families=(fam, fam), belief_families=(fam, fam))
+
+    assert np.isfinite(run_dynamics(matching_game(2), cfg(last_finite)).estimates).all()
+    with pytest.raises(RuntimeError, match=rf"^round {last_finite + 1}, player 0: "
+                                           "estimates diverged to non-finite values$"):
+        run_dynamics(matching_game(2), cfg(last_finite + 50))
+
+
+def test_diverged_estimates_are_reported_before_a_later_solver_failure(monkeypatch):
+    solver = response.response_solver
+
+    def refusing(fam):
+        solve = solver(fam)
+
+        def checked(u, out=None):
+            if not np.isfinite(u).all():
+                raise RuntimeError("no response to non-finite payoffs")
+            return solve(u, out=out)
+
+        return checked
+
+    monkeypatch.setattr(response, "response_solver", refusing)
+    fam = UniformFamily(1e308, 2)
+    cfg = RunConfig(horizon=50, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=(fam, fam), belief_families=(fam, fam))
+    with pytest.raises(RuntimeError, match="^round 3, player 0: estimates diverged"):
+        run_dynamics(matching_game(2), cfg)
+
+
 def test_run_dynamics_rejects_mismatched_game():
     cfg = _quick_config(n=2)
     with pytest.raises(ValueError, match="does not match"):

@@ -539,6 +539,15 @@ def test_tabulated_validation():
         TabulatedFamily([np.array([0.0, 1.0])])
 
 
+def test_tabulated_tables_wider_than_the_float_range_are_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"table 0: .* float range: \[-1e\+308, 1e\+308\]"):
+            TabulatedFamily([[[0, -1e308], [1, 1e308]], [[0, 0], [1, 1]]])
+        # a segment steeper than the float range has an unbounded slope
+        assert TabulatedFamily([[[0.0, 0.0], [1.0, 5e-324]]]).lipschitz_constant() == np.inf
+
+
 # ---------------------------------------------------------------------------
 # vectorized fast paths stay glued to the scalar definitions
 
@@ -616,6 +625,59 @@ def test_stacked_kernel_rows_have_the_bits_of_their_own_calls(case):
             stacked = kernel(x)
             for row, values in zip(x, stacked):
                 assert values.tobytes() == kernel(row).tobytes()
+
+
+#: CDF arguments over the whole float range, increasing: +-inf, then +-1.8e308 in
+#: to +-5e-324, and 0
+_MAGNITUDES = np.concatenate(([np.finfo(float).max], np.logspace(308.25, -323.3, 300)))
+_WHOLE_RANGE = np.concatenate(([-np.inf], -_MAGNITUDES, [0.0], _MAGNITUDES[::-1], [np.inf]))
+
+
+@st.composite
+def _wide_families(draw):
+    """A family of any kind, its scales and weights anywhere from 1e-300 to 1e300;
+    a tabulated family's values reach 8e307 in size and may repeat (atoms)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["exponential", "uniform", "pareto", "tabulated"]))
+    scale = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    if kind == "exponential":
+        return ExponentialFamily(draw(scale), eta=[draw(scale) for _ in range(n)])
+    if kind == "uniform":
+        return UniformFamily(draw(scale), n)
+    if kind == "pareto":
+        q = draw(st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 8.0)))
+        return ParetoFamily(draw(scale), q, [draw(scale) for _ in range(n)])
+    # values of random sign and size, each table from its own seed
+    tables = []
+    for _ in range(n):
+        ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))), 1.0]
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        vs = rng.choice([-1.0, 1.0], len(ts)) * 10.0 ** rng.uniform(-320.0, 307.9, len(ts))
+        if draw(st.booleans()):
+            vs[1] = vs[0]  # an atom, or a flat top
+        tables.append(np.column_stack((ts, np.sort(vs))))
+    return TabulatedFamily(tables)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_wide_families())
+def test_cdf_is_a_silent_distribution_function_over_the_whole_float_range(fam):
+    # the points also take each kink of a CDF (the lower end of the support, a
+    # table's knots) and the floats on either side of it
+    n = fam.n_actions
+    with np.errstate(over="ignore"):
+        kinks = fam.quantile_vector(np.zeros(n)).tolist()
+    if isinstance(fam, TabulatedFamily):
+        kinks += [v for table in fam.to_dict()["table"] for _, v in table]
+    kinks = np.array(kinks)
+    s = np.unique(np.concatenate((_WHOLE_RANGE, kinks, np.nextafter(kinks, -np.inf),
+                                  np.nextafter(kinks, np.inf))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = fam.cdf_vector(np.repeat(s[:, None], n, axis=1))
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values, axis=0) >= 0.0)
+    assert values[0].tolist() == [0.0] * n and values[-1].tolist() == [1.0] * n
 
 
 def test_action_index_checked(any_family):

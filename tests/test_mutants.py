@@ -77,6 +77,20 @@ MUTANTS = {
         "    kappa = np.vecdot(c, np.equal(j, k + 1, out=s), keepdims=True)",
         "tests/test_response.py::test_sparsemax_kernel_has_the_bits_of_the_plain_projection",
     ),
+    # a resumed bisection whose certified ends are not the predicted pair
+    "resume_without_the_predicted_ends_check": (
+        "src/beliefgames/response.py",
+        "            if a_cert != a or b_cert != b:",
+        "            if False:",
+        "tests/test_response.py::test_bisection_replay_is_bitwise_plain_bisection",
+    ),
+    # a resumed bisection after the bracket expansion moved hi
+    "resume_without_the_unchanged_hi_check": (
+        "src/beliefgames/response.py",
+        "        if walked is not None and hi == top:",
+        "        if walked is not None:",
+        "tests/test_response.py::test_bisection_replay_is_bitwise_plain_bisection",
+    ),
     # the curvature read off the best action's density instead of the worst's
     "best_action_curvature": (
         "src/beliefgames/families.py",

@@ -12,7 +12,7 @@ from beliefgames.families import (
     TabulatedFamily,
     UniformFamily,
 )
-from beliefgames.games import matching_game
+from beliefgames.games import matching_game, random_game
 from beliefgames.oracles import (
     _BLOCK,
     _T_CAP,
@@ -325,6 +325,17 @@ def test_grid_fixed_point_loop_fallback():
     solved = fixed_point_iterate(game, fams).profile
     gridded = grid_fixed_point(game, fams, resolution=0.05)
     assert np.abs(gridded.probs - solved.probs).max() <= 0.05
+
+
+def test_grid_fixed_point_uniform_closed_form_agrees_with_the_solver():
+    rng = np.random.default_rng(12)
+    fams = (UniformFamily(0.8, 2),) * 2
+    for _ in range(10):
+        game = random_game(2, 2, rng)
+        solved = fixed_point_iterate(game, fams)
+        assert solved.converged
+        gridded = grid_fixed_point(game, fams, resolution=1e-3)
+        assert np.abs(gridded.probs - solved.profile.probs).max() <= 1e-3
 
 
 def test_grid_fixed_point_validation():

@@ -732,6 +732,26 @@ def test_bisection_evaluates_few_cdfs_on_pareto_games(count_cdf_kernel):
     assert rows / 200 <= 14
 
 
+def test_a_response_bracket_beyond_the_float_range_names_the_family():
+    # the offsets overflow to inf; the error names the family, without a warning
+    fam = ParetoFamily(1e300, 0.5, [1e300, 1e300])
+    match = (r"^ParetoFamily \{'type': 'pareto', 'gamma': 1e\+300, 'q': 0\.5, "
+             r"'eta': \[1e\+300, 1e\+300\]\}: the response bracket lies beyond the float range$")
+    with pytest.raises(ValueError, match=match):
+        response_probabilities(fam, [0.0, 0.0])
+    with pytest.raises(RuntimeError, match=r"^player 0: ParetoFamily .* beyond the float range$"):
+        response_operator((fam, fam))(np.zeros((2, 2)))
+
+
+def test_a_per_player_group_failure_names_the_player():
+    flat = TabulatedFamily([np.array([[0.0, -1.0], [0.4, 0.0], [0.6, 0.0], [1.0, 1.0]])] * 2)
+    respond = response_operator((ExponentialFamily(1.0, n_actions=2), flat))
+    with pytest.raises(RuntimeError, match=r"^player 1: TabulatedFamily has a "
+                                           r"non-strictly-increasing CDF; the response is not "
+                                           r"unique$"):
+        respond(np.zeros((2, 2)))
+
+
 def test_payoff_vector_input_validation():
     fam = ExponentialFamily(gamma=1.0, n_actions=3)
     with pytest.raises(ValueError, match="length 3"):
