@@ -231,26 +231,39 @@ class Trace:
         """Long-format CSV: one row per recorded round, player, and action.
 
         Floats are written as their ``repr``, which round-trips exactly.  Rows
-        are formatted and written a block of recorded rounds at a time, which
-        bounds the memory the text takes.  Each cell's ``player,action,`` text
-        is formatted once per file, and each round's ``round,`` head and
-        ``,lambda`` tail once per round.
+        are formatted a block of recorded rounds at a time, one ``write`` per
+        block, which bounds the memory the text takes.  A block's probability,
+        estimate, payoff and lambda values are keyed together on their bits
+        (the int64 view), and ``repr`` runs once per distinct key: a run that
+        settles replays the same floats, and sparse responses repeat exact
+        zeros.  Equal bits have equal ``repr``, and ``-0.0`` keeps apart from
+        ``0.0``, so the bytes stay those of one ``repr`` per value.  Each
+        cell's ``player,action,`` text is formatted once per file, and each
+        round's ``round,`` head once.
         """
         n_players, n_actions = self.probabilities.shape[1:]
-        cells = [f"{j},{i}," for j in range(n_players) for i in range(n_actions)]
+        cells = n_players * n_actions
+        # a block's lines as rows of pieces: round, cell, probability, ",", estimate,
+        # ",", payoff, ",", lambda, "\n"; the cells and separators never change
+        lines = np.empty((_CSV_BLOCK_ROUNDS, cells, 10), dtype=object)
+        lines[:, :, 1] = [f"{j},{i}," for j in range(n_players) for i in range(n_actions)]
+        lines[:, :, 3:9:2] = ","
+        lines[:, :, 9] = "\n"
         with open(path, "w", newline="") as fh:
             fh.write("round,player,action,probability,estimate,payoff,lambda\n")
             for start in range(0, self.rounds.size, _CSV_BLOCK_ROUNDS):
                 block = slice(start, start + _CSV_BLOCK_ROUNDS)
-                columns = [a[block].reshape(-1, len(cells)).tolist()
-                           for a in (self.probabilities, self.estimates, self.payoffs)]
-                fh.write("".join(
-                    f"{head}{cell}{p!r},{e!r},{y!r}{tail}"
-                    for head, tail, ps, es, ys in zip(
-                        [f"{t}," for t in self.rounds[block].tolist()],
-                        [f",{lam!r}\n" for lam in self.rates[block].tolist()], *columns)
-                    for cell, p, e, y in zip(cells, ps, es, ys)
-                ))
+                rounds = self.rounds[block].tolist()
+                size = len(rounds) * cells
+                values = np.concatenate([a[block].ravel() for a in (
+                    self.probabilities, self.estimates, self.payoffs, self.rates)])
+                keys, where = np.unique(values.view(np.int64), return_inverse=True)
+                texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)[where]
+                rows = lines[:len(rounds)]
+                rows[:, :, 0] = [[f"{t},"] for t in rounds]
+                rows[:, :, 2:7:2] = texts[:3 * size].reshape(3, -1, cells).transpose(1, 2, 0)
+                rows[:, :, 8] = texts[3 * size:, None]
+                fh.write("".join(rows.ravel().tolist()))
 
 
 def run_dynamics(game: Game, config: RunConfig) -> Trace:

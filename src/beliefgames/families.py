@@ -509,8 +509,8 @@ class TabulatedFamily(MarginalFamily):
         with np.errstate(divide="ignore", over="ignore"):  # dt/dv, inf if flat or too steep
             self._slopes = [np.diff(ts) / np.diff(vs) for ts, vs in grids]
         # the exact quantile integral from each knot to 1: its segments' trapezoids,
-        # summed from the top
-        areas = [np.diff(ts) * (vs[1:] + vs[:-1]) / 2.0 for ts, vs in grids]
+        # summed from the top; each end is halved before the sum, which cannot overflow
+        areas = [np.diff(ts) * (vs[1:] / 2.0 + vs[:-1] / 2.0) for ts, vs in grids]
         self._tails = [np.append(np.cumsum(area[::-1])[::-1], 0.0) for area in areas]
 
     def _columns(self, fn, x):
@@ -541,7 +541,7 @@ class TabulatedFamily(MarginalFamily):
         def tail(mass, ts, vs, _, tails):
             a = 1.0 - mass
             k = np.minimum(np.searchsorted(ts, a, side="right"), ts.size - 1)
-            return (ts[k] - a) * (np.interp(a, ts, vs) + vs[k]) / 2.0 + tails[k]
+            return (ts[k] - a) * (np.interp(a, ts, vs) / 2.0 + vs[k] / 2.0) + tails[k]
 
         return self._columns(tail, p).sum(axis=-1)
 

@@ -1,14 +1,16 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 from beliefgames.analysis import equilibrium_residual
-from beliefgames import response
+from beliefgames import dynamics, response
 from beliefgames.dynamics import (
     _BLOCK_ROUNDS,
+    _CSV_BLOCK_ROUNDS,
     PROBABILITY_CLAMP,
     RunConfig,
     StepSchedule,
@@ -660,30 +662,92 @@ def _reference_csv(trace) -> str:
     return "".join(lines)
 
 
+#: the values a writer test draws its columns from: exact zeros of both signs,
+#: infinities, two NaN payloads, subnormals and a few plain floats, so that values
+#: repeat within a block and across blocks
+_CSV_POOL = [0.0, -0.0, np.inf, -np.inf,
+             *np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float),
+             5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1 / 3, -1e-5, 1e16, 123456789.0]
+
+
+def _pooled_trace(rng, players, actions, records, every, pool) -> Trace:
+    shape = (records, players, actions)
+    columns = [rng.choice(pool, size=shape) for _ in range(3)]
+    columns[0][0, 0, :2] = [0.0, -0.0]  # both zeros in the first block
+    return Trace(horizon=records * every, record_every=every,
+                 rounds=np.arange(1, records + 1) * every, rates=rng.choice(pool, size=records),
+                 probabilities=columns[0], estimates=columns[1], payoffs=columns[2],
+                 movement=np.zeros(records * every), clamp_triggers=0, final_residual=0.0)
+
+
 @pytest.mark.parametrize("players, actions, records, every", [
-    (2, 3, 37, 5),   # two full 16-round blocks and a short one
-    (3, 4, 16, 1),   # one full block
-    (3, 2, 5, 3),    # one short block
+    pytest.param(2, 3, 3 * _CSV_BLOCK_ROUNDS - 1, 5, id="full-blocks-and-a-short-one"),
+    pytest.param(3, 4, _CSV_BLOCK_ROUNDS, 1, id="one-block"),
+    pytest.param(3, 2, _CSV_BLOCK_ROUNDS // 2, 3, id="one-short-block"),
 ])
 def test_trace_csv_equals_a_plain_line_writer(tmp_path, players, actions, records, every):
     rng = np.random.default_rng(players * 100 + records)
-    special = [-0.0, 5e-324, 2.2e-308, 1e16, 1e-5, 0.1, -1e16, 123456789.0]
-    shape = (records, players, actions)
-
-    def column():
-        values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
-        values.flat[:len(special)] = rng.permutation(special)
-        return values
-
-    rates = rng.random(records)
-    rates[:3] = [1e-5, 5e-324, 1e16]
-    trace = Trace(horizon=records * every, record_every=every,
-                  rounds=np.arange(1, records + 1) * every, rates=rates,
-                  probabilities=column(), estimates=column(), payoffs=column(),
-                  movement=np.zeros(records * every), clamp_triggers=0, final_residual=0.0)
+    pool = _CSV_POOL + (rng.normal(size=4) * 10.0 ** rng.integers(-20, 20, size=4)).tolist()
+    trace = _pooled_trace(rng, players, actions, records, every, pool)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert path.read_bytes() == _reference_csv(trace).encode()
+
+
+def test_trace_csv_of_an_every_round_sparse_run_equals_a_plain_line_writer(tmp_path):
+    fams = (UniformFamily(0.05, 4),) * 3
+    cfg = RunConfig(horizon=5 * _CSV_BLOCK_ROUNDS + 3, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=fams, belief_families=fams)
+    trace = run_dynamics(random_game(3, 4, np.random.default_rng(11)), cfg)
+    assert (trace.probabilities == 0.0).any()  # sparse responses repeat exact zeros
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == _reference_csv(trace).encode()
+
+
+class _RecordingFile:
+    """A text file that keeps the line and character count of each ``write``."""
+
+    def __init__(self, fh, writes):
+        self._fh, self.writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self.writes.append((text.count("\n"), len(text)))
+        return self._fh.write(text)
+
+
+def test_trace_csv_holds_one_block_of_text_at_a_time(tmp_path, monkeypatch):
+    writes = []
+    monkeypatch.setattr(dynamics, "open", lambda *args, **kwargs: _RecordingFile(
+        open(*args, **kwargs), writes), raising=False)
+    rng = np.random.default_rng(3)
+    path = tmp_path / "trace.csv"
+
+    def peak_while_writing(records):
+        trace = _pooled_trace(rng, 3, 4, records, 1, rng.normal(size=10000).tolist())
+        writes.clear()
+        tracemalloc.start()
+        try:
+            trace.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = _reference_csv(trace)
+        assert path.read_text() == text and sum(size for _, size in writes) == len(text)
+        return peak
+
+    small = peak_while_writing(2 * _CSV_BLOCK_ROUNDS)
+    large = peak_while_writing(12 * _CSV_BLOCK_ROUNDS + 5)
+    # the header, then one write per block that carries that block's lines
+    assert [lines for lines, _ in writes] == [1] + [_CSV_BLOCK_ROUNDS * 12] * 12 + [5 * 12]
+    # text formatted ahead of its block would grow with the trace
+    assert large < 1.5 * small
 
 
 def test_trace_summary_json():

@@ -548,6 +548,32 @@ def test_tabulated_tables_wider_than_the_float_range_are_rejected():
         assert TabulatedFamily([[[0.0, 0.0], [1.0, 5e-324]]]).lipschitz_constant() == np.inf
 
 
+def test_tabulated_trapezoids_near_the_float_max_do_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = TabulatedFamily([[[0, 1e308], [1, 1.5e308]]] * 2)
+        # the whole table's quantile integral, then twice its top half
+        assert fam.regularizer_terms(np.array([1.0, 0.0])) == 1.25e308
+        assert fam.regularizer_terms(np.array([0.5, 0.5])) == 1.375e308
+
+
+def test_halved_tabulated_trapezoids_keep_the_bits_of_the_plain_sum():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        ts = np.concatenate([[0.0], np.sort(rng.random(5)), [1.0]])
+        vs = np.sort(rng.normal(size=7)) * 10.0 ** rng.uniform(-300, 300)
+        fam = TabulatedFamily([np.column_stack([ts, vs])] * 2)
+        areas = np.diff(ts) * (vs[1:] + vs[:-1]) / 2.0
+        tails = np.append(np.cumsum(areas[::-1])[::-1], 0.0)
+        assert fam.regularizer_terms(np.array([1.0, 0.0])) == tails[0] + 0.0
+        for mass in rng.random(3):
+            terms = []
+            for a in (1.0 - mass, 1.0 - (1.0 - mass)):  # each action's start, 1 - p_i
+                k = min(np.searchsorted(ts, a, side="right"), ts.size - 1)
+                terms.append((ts[k] - a) * (np.interp(a, ts, vs) + vs[k]) / 2.0 + tails[k])
+            assert fam.regularizer_terms(np.array([mass, 1.0 - mass])) == terms[0] + terms[1]
+
+
 # ---------------------------------------------------------------------------
 # vectorized fast paths stay glued to the scalar definitions
 

@@ -91,6 +91,13 @@ MUTANTS = {
         "        if walked is not None:",
         "tests/test_response.py::test_bisection_replay_is_bitwise_plain_bisection",
     ),
+    # the CSV writer's dedupe keyed on float values, which merges -0.0 with 0.0
+    "csv_dedupe_on_float_values": (
+        "src/beliefgames/dynamics.py",
+        "                keys, where = np.unique(values.view(np.int64), return_inverse=True)",
+        "                keys, where = np.unique(values, return_inverse=True)",
+        "tests/test_dynamics.py::test_trace_csv_equals_a_plain_line_writer[one-block]",
+    ),
     # the curvature read off the best action's density instead of the worst's
     "best_action_curvature": (
         "src/beliefgames/families.py",
