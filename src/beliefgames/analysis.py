@@ -23,6 +23,10 @@ from .response import response_operator
 #: endpoints stay strictly inside (0, 1).
 CURVATURE_GRID = 10_000
 _GRID_EDGE = 1e-9
+#: a concavity trial passes when its slack is above minus this many ulps of the
+#: largest magnitude it compares (see :func:`strong_concavity_check`)
+_CONCAVITY_ULPS = 64.0
+_EPS = np.finfo(float).eps
 
 
 def _check_families(game: Game, fams) -> tuple:
@@ -72,21 +76,25 @@ class FixedPointResult:
     residual: float
 
 
-def _response_jacobians(fams, targets: np.ndarray) -> np.ndarray:
-    """(M, N, N) derivatives of each player's response in their payoffs, at ``targets``.
+def _response_jacobians(fams, targets: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """(M, M, N, N) products D_j C_jk of each player's response Jacobian, at
+    ``targets``, with the cross-payoff blocks ``cross``.
 
-    Player j's block is diag(f) - f f^T / sum f, with f the family's density
-    at the response's quantiles, 0 on actions whose response is exactly 0:
-    the softmax Jacobian for an exponential family, the sparsemax Jacobian on
-    the support for a uniform one, and the implicit derivative of the KKT
-    system u_i + F_i^{-1}(1 - p_i) = kappa for every other family.
+    D_j, the derivative of player j's response in their payoffs, is
+    diag(f) - f f^T / sum f, with f the family's density at the response's
+    quantiles, 0 on actions whose response is exactly 0: the softmax Jacobian
+    for an exponential family, the sparsemax Jacobian on the support for a
+    uniform one, and the implicit derivative of the KKT system
+    u_i + F_i^{-1}(1 - p_i) = kappa for every other family.  Where f f^T
+    overflows, D_j and its products hold inf or NaN, without a warning.
     """
     inside = targets > 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f = np.stack([np.where(inside[j], fam._density(np.where(inside[j], targets[j], 1.0)), 0.0)
                       for j, fam in enumerate(fams)])
-        return f[..., None] * np.eye(f.shape[-1]) - (
+        jac = f[..., None] * np.eye(f.shape[-1]) - (
             f[..., :, None] * f[..., None, :] / f.sum(axis=-1)[:, None, None])
+        return np.matmul(jac[:, None], cross)
 
 
 def _newton_step(game: Game, fams, probs: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
@@ -96,7 +104,7 @@ def _newton_step(game: Game, fams, probs: np.ndarray, targets: np.ndarray) -> np
     None when the system is singular or the step is not finite.
     """
     m, n = probs.shape
-    jac = np.matmul(_response_jacobians(fams, targets)[:, None], _cross_blocks(game, probs))
+    jac = _response_jacobians(fams, targets, _cross_blocks(game, probs))
     system = np.eye(m * n) - assemble_hessian(jac)
     if not np.isfinite(system).all():
         return None
@@ -473,9 +481,15 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
 
     The objective g(p) = p . u + h(p) must satisfy the interpolation bound
     g(a p + (1-a) q) >= a g(p) + (1-a) g(q)
-                        + (1 / (2 L)) a (1-a) ||p - q||^2 - 1e-9
-    for random u in [0, 1]^N, simplex points p, q, and a in (0, 1).  A family
-    whose CDF slope is unbounded is reported as not strongly concave.
+                        + (1 / (2 L)) a (1-a) ||p - q||^2 - tol
+    for random u in [0, 1]^N, simplex points p, q, and a in (0, 1).  The
+    roundoff ``tol`` is ``_CONCAVITY_ULPS`` ulps of the largest magnitude the
+    trial compares: |g| at the three points, and the modulus 1 / L, which
+    bounds the quadratic term and sets the scale of the regularizer's own
+    terms.  So an exactly quadratic regularizer, whose true slack is 0,
+    passes at any scale, while a modulus that is off by more than a relative
+    1e-12 or so still fails.  A family whose CDF slope is unbounded is
+    reported as not strongly concave.
     """
     if n_trials < 1:
         raise ValueError("the concavity check needs at least one trial")
@@ -495,9 +509,10 @@ def strong_concavity_check(fam: MarginalFamily, n_trials: int = 500,
                            for x in (a * p + (1.0 - a) * q, p, q))
         slack = g_mix - (alpha * g_p + (1.0 - alpha) * g_q
                          + 0.5 * modulus * alpha * (1.0 - alpha) * ((p - q) ** 2).sum(axis=-1))
+        scale = np.maximum(np.maximum(np.abs(g_mix), np.abs(g_p)), np.maximum(np.abs(g_q), modulus))
     return ConcavityReport(
         lipschitz_constant=lipschitz,
         modulus=modulus,
-        verified=bool((slack >= -1e-9).all()),
+        verified=bool((slack >= -_CONCAVITY_ULPS * _EPS * scale).all()),
         worst_slack=float(slack.min()),
     )

@@ -140,14 +140,19 @@ def cmd_check(args, cfg: ExperimentConfig, out: str) -> int:
     doc["concavity"] = [vars(c) | {} for c in concavity]
     doc["config"] = cfg.describe()
     _write_json(os.path.join(out, "stability.json"), doc)
-    for p in report.players:
+    # each failing player's reason: an unbounded density, curvature <= coupling,
+    # or the sampled concavity check
+    for p, c in zip(report.players, concavity):
         if p.curvature == 0.0:
-            _say(args.quiet, f"player {p.player}: not strongly concave -> FAIL")
+            _say(args.quiet, f"player {p.player}: not strongly concave -> FAIL (unbounded density)")
             continue
         _say(args.quiet,
              f"player {p.player}: curvature {p.curvature:.4g} "
              f"{'>' if p.passed else '<='} coupling {p.coupling:.4g} "
              f"-> {'pass' if p.passed else 'FAIL'}")
+        if not c.verified:
+            _say(args.quiet, f"player {p.player}: sampled concavity check, worst slack "
+                             f"{c.worst_slack:.4g} -> FAIL")
     all_ok = report.all_passed and all(c.verified for c in concavity)
     _say(args.quiet,
          f"check: {'stable' if all_ok else 'NOT certified stable'} "

@@ -14,10 +14,10 @@ derived from the CDFs:
 Every shipped family gives the density, the regularizer and the CDF slope
 bound in closed form; the base class has no numeric fallback for them.
 
-The CDF kernels run bare: far from the support an intermediate overflows to
-inf, which IEEE arithmetic carries to the exact limit, a CDF of 0 or 1.  The
-guard that silences that overflow belongs to their callers: the public CDF
-methods, the generic KKT solve and the plain-bisection oracle.
+The CDF kernels run bare: outside the support an intermediate can overflow
+to inf, which IEEE arithmetic carries to the exact limit, a CDF of 0 or 1.
+The guard that silences that overflow belongs to their callers: the public
+CDF methods, the generic KKT solve and the plain-bisection oracle.
 """
 
 from __future__ import annotations
@@ -84,9 +84,10 @@ class MarginalFamily:
     (each defaults to the other), and ``_density``, ``_regularizer`` and
     :meth:`lipschitz_constant`, which have no default.  The ``*_vector``
     methods validate once and call the kernels; the kernels take valid
-    arrays only, and ``_cdf`` runs bare.  The quantile methods, the only
+    arrays only, and ``_cdf`` runs bare and returns a new array, which the
+    generic solve overwrites with 1 - F.  The quantile methods, the only
     paths that pass an unbounded end, silence its divide-by-zero; the CDF
-    methods silence the kernel's overflow far from the support, as the
+    methods silence the kernel's overflow outside the support, as the
     generic solve, which calls ``_cdf`` directly, does.
     """
 
@@ -149,7 +150,7 @@ class MarginalFamily:
     def cdf_vector(self, s) -> np.ndarray:
         """Per-action CDF values: component i is F_i(s_i); s may be +-inf, not NaN."""
         s = _check_not_nan(self._actions_last(s))
-        with np.errstate(over="ignore"):  # far from the support: the exact limit
+        with np.errstate(over="ignore"):  # outside the support: the exact limit
             return self._cdf(s)
 
     def quantile_vector(self, t) -> np.ndarray:
@@ -186,7 +187,7 @@ class MarginalFamily:
         i = self._action(i)
         s = _check_not_nan(np.asarray(s, dtype=float))
         every = np.broadcast_to(s[..., None], s.shape + (self.n_actions,))
-        with np.errstate(over="ignore"):  # far from the support: the exact limit
+        with np.errstate(over="ignore"):  # outside the support: the exact limit
             return _scalar(self._cdf(every)[..., i])
 
     # -- response bracket ----------------------------------------------------
@@ -379,10 +380,10 @@ class ParetoFamily(MarginalFamily):
         self.eta.setflags(write=False)
         q = self.q
         # the kernels' scalars as 0-d operands, each rounded as its formula rounds
-        # it; beyond the zero of w the CDF is 1 when q > 1 (above the support) and
-        # 0 when q < 1
+        # it; the last is the floor of w, which takes w <= 0 to the CDF's value
+        # beyond the zero of w (see _cdf)
         self._cdf_constants = tuple(map(_operand, (
-            1.0 / q, q - 1.0, self.gamma * q, 1.0 / (q - 1.0), 1.0 if q > 1.0 else 0.0)))
+            1.0 / q, q - 1.0, self.gamma * q, 1.0 / (q - 1.0), 0.0 if q > 1.0 else 5e-324)))
         self._tail_constants = tuple(map(_operand, (self.gamma / (q - 1.0), q, q - 1.0)))
         # the density is scale * (p / eta)^(2 - q), with scale = eta / (gamma q);
         # where that quotient overflows (eta near the float maximum, gamma q < 1),
@@ -395,21 +396,26 @@ class ParetoFamily(MarginalFamily):
                 np.where(wide, 1.0, self.eta), _operand(2.0 - q))
 
     def _cdf(self, s):
-        inv_q, q_less_1, gq, power, edge = self._cdf_constants
-        shift = s * q_less_1
+        inv_q, q_less_1, gq, power, floor = self._cdf_constants
+        w = np.multiply(s, q_less_1)
         # for q > 2 that product can overflow to -inf where its quotient by gq is
         # finite (to +inf, w and its exact value both lie above the support);
         # in a stack that holds such a product, those entries divide first
-        if self.q > 2.0 and np.minimum.reduce(shift, axis=None) == -np.inf:
-            w = inv_q - np.where(shift > -np.inf, shift / gq, s / gq * q_less_1)
+        if self.q > 2.0 and np.minimum.reduce(w, axis=None) == -np.inf:
+            w = inv_q - np.where(w > -np.inf, w / gq, s / gq * q_less_1)
         else:
-            w = inv_q - shift / gq
-        inside = w > _ZERO
-        # w <= 0 takes the edge value, so its power is taken at 1 (no 0 ** negative);
-        # far below the support the power overflows, and the body is -inf
-        body = _ONE - self.eta * np.power(np.where(inside, w, _ONE), power)
-        # body is never above 1 nor -0.0, so np.maximum alone gives np.clip's bits
-        return np.where(inside, np.maximum(body, _ZERO), edge)
+            np.subtract(inv_q, np.divide(w, gq, out=w), out=w)
+        # w > 0 is at least the floor, so only w <= 0 moves, and no w is -0.0.  For
+        # q > 1 it moves to 0, whose power is 0 and body 1, the CDF above the
+        # support.  For q < 1 the exponent is at most -1, so the floor's power
+        # overflows to inf, as it does far below the support for either q; the
+        # body is then -inf, which the last np.maximum takes to 0.  The body is
+        # never above 1 nor -0.0, so that np.maximum alone gives np.clip's bits.
+        np.maximum(w, floor, out=w)
+        np.power(w, power, out=w)
+        np.multiply(self.eta, w, out=w)
+        np.subtract(_ONE, w, out=w)
+        return np.maximum(w, _ZERO, out=w)
 
     def _log_ratio(self, p):
         """log(p / eta) of positive p; log p - log eta where p / eta underflows to 0 (a subnormal p)."""

@@ -12,12 +12,16 @@ safeguarded Newton phase first brackets the root between two points whose
 sums certify the sign of every gap beyond them; the bisection then takes
 each branch decided by that bracket without evaluating the CDFs, so it
 returns the bits plain bisection would, after a fraction of the evaluations
-(see :func:`_bisection_response`).  Where Newton starts changes only which
-CDFs are evaluated, so the solver that :func:`response_solver` binds starts
-each row at a kappa predicted from its last solve.  On 2x3 Pareto games a
-cold solve evaluates about 9.3 rows in 5.3 CDF kernel calls (plain
-bisection: about 41) and a warm one about 6.2 rows in 2.3 calls (2-core
-Intel Xeon VM, Python 3.11, numpy 2.4).  The sparse map is one kernel,
+(see :func:`_kkt_solve`).  Where Newton starts changes only which CDFs are
+evaluated, so the solver that :func:`response_solver` binds starts each row
+at a kappa predicted from its last solve.  That solver binds the family's
+operands (:func:`_kkt_route`) with each new call shape, and holds one
+``np.errstate`` for all the rows of a call.  On 2x3 Pareto games a cold solve evaluates about 9.3 rows
+in 5.3 CDF kernel calls (plain bisection: about 41) and a warm one about 6.2
+rows in 2.3 calls.  A warm solve takes about 36 us, about 10 us of it in the
+CDF kernel (about 3.5 us per 1-row Pareto call); the rest is numpy call
+overhead and the Newton, walk and bisection steps in Python (2-core Intel
+Xeon VM, Python 3.11, numpy 2.4).  The sparse map is one kernel,
 :func:`_sparsemax_rows`, that every sparsemax route calls.
 
 A route is chosen in one place for each call shape: the single-row calls
@@ -32,6 +36,7 @@ all players when their families are equal, one per player otherwise.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -57,7 +62,7 @@ _NEWTON_GAP = 1e-6
 _NEWTON_MAX_ITER = 30
 _CERT_MAX_TRIES = 6
 #: Newton stops at a near-pure iterate: its largest probability and its sum
-#: both this close to 1 (see :func:`_bisection_response`).
+#: both this close to 1 (see :func:`_kkt_solve`).
 _KINK = 1e-6
 _EPS = np.finfo(float).eps
 
@@ -151,7 +156,48 @@ def _sparsemax_rows(z: np.ndarray, j: np.ndarray, two_n) -> tuple[np.ndarray, np
 
 def _bisection_response(fam: MarginalFamily, u: np.ndarray,
                         start: float | None = None) -> tuple[np.ndarray, float]:
+    """Solve sum_i (1 - F_i(kappa - u_i)) = 1 for kappa: one row, bound and guarded here.
+
+    The single-row form of the generic route: it binds the family's operands
+    (:func:`_kkt_route`) and runs :func:`_kkt_solve` inside its own
+    ``np.errstate``, as the solver of :func:`response_solver` does once per
+    call for all its rows.  ``u`` must be a float vector of the family's
+    length; a row with a NaN or an infinite entry raises RuntimeError.
+    """
+    route = _kkt_route(fam)
+    # the solve's one floating-point guard: kappa - u overflows on rows near the
+    # float range and the CDF kernels outside the support, each to its exact
+    # limit, and Newton's slope evaluates every component's density, unbounded
+    # at p = 0 for Pareto q > 2
+    with np.errstate(divide="ignore", over="ignore"):
+        return _kkt_solve(route, u, start)
+
+
+def _kkt_route(fam: MarginalFamily) -> tuple:
+    """The generic route's per-family operands, which a bound solver takes once.
+
+    ``(cdf, density, lows, tops, need)``: the CDF and density kernels, the
+    response offsets (:attr:`MarginalFamily._response_offsets`) and the
+    certification margin ``need`` of :func:`_kkt_solve`.  Raises ValueError
+    for a family whose response is not unique or whose bracket lies beyond
+    the float range.
+    """
+    if not fam.strictly_increasing_cdf:
+        raise ValueError(
+            f"{type(fam).__name__} has a non-strictly-increasing CDF; "
+            "the response is not unique"
+        )
+    lows, tops = fam._response_offsets
+    need = BISECT_TOL + max(1e-13, 64.0 * fam.n_actions * _EPS)
+    return fam._cdf, fam._density, lows, tops, need
+
+
+def _kkt_solve(route: tuple, u: np.ndarray, start: float | None) -> tuple[np.ndarray, float]:
     """Solve sum_i (1 - F_i(kappa - u_i)) = 1 for kappa by bisection.
+
+    ``route`` comes from :func:`_kkt_route`, and the caller holds the
+    ``np.errstate`` of :func:`_bisection_response`.  A row with a NaN or an
+    infinite entry raises RuntimeError at once: its bracket would never close.
 
     Components with kappa - u_i at or above the support's upper end come out
     exactly zero (their CDF saturates at one).  The midpoints are those of
@@ -169,9 +215,10 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     Newton begins at hi.  Points a small step to each side of Newton's root
     are then evaluated, the step growing fourfold until that side
     certifies.  Every point Newton or that search evaluates certifies
-    wherever its gap allows, and the certified ends combine by max and
-    min, so where Newton starts changes only which midpoints are skipped,
-    never the result.  Failure only widens the bracket, up to (-inf, inf).
+    wherever its gap allows, as it is evaluated, and the certified ends
+    combine by max and min, so where Newton starts changes only which
+    midpoints are skipped, never the result.  Failure only widens the
+    bracket, up to (-inf, inf).
 
     The first point of each side usually certifies both ends.  So one CDF
     kernel call on a ``(K, N)`` stack evaluates that pair together with the
@@ -193,154 +240,150 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
 
     Every evaluated row and its sum, as a float, live in one cache keyed by
     kappa, and the per-step tests read Python floats, not numpy reductions.
-    ``u`` must be a finite float vector of the family's length, since the
-    family's CDF kernel is called on it without validation.
     """
-    if not fam.strictly_increasing_cdf:
-        raise ValueError(
-            f"{type(fam).__name__} has a non-strictly-increasing CDF; "
-            "the response is not unique"
-        )
-    n = fam.n_actions
-    lows, tops = fam._response_offsets
+    cdf, density, lows, tops, need = route
     us = u.tolist()
+    if not all(map(math.isfinite, us)):
+        raise RuntimeError(f"payoff row {us} is not finite")
     kinks = list(map(operator.add, us, lows))  # where each component's probability reaches 1
     lo = min(kinks)
+    n = len(us)
     if n == 1:
         return np.array([1.0]), lo
     hi = max(max(map(operator.add, us, tops)), lo + 1e-12)
     if start is None or not lo < start < hi:
         start = hi
-    cdf = fam._cdf
     cache: dict = {}  # kappa -> (p, sum p)
-    need = BISECT_TOL + max(1e-13, 64.0 * n * _EPS)
     a_cert, b_cert, walked = -np.inf, np.inf, None
-    # the solve's one floating-point guard: kappa - u and the CDF kernels
-    # overflow to their exact limits on rows far from the support, and Newton's
-    # slope evaluates every component's density, unbounded at p = 0 for Pareto q > 2
-    with np.errstate(divide="ignore", over="ignore"):
-        # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
-        # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
-        a, b = lo, hi
-        kappa, root = float(start), None
-        for _ in range(_NEWTON_MAX_ITER):
-            p, total = _row(cache, cdf, u, kappa)
-            g = total - 1.0
-            if g > 0.0:
-                a = max(a, kappa)
-                if a >= b:
-                    b = np.inf
-            elif g < 0.0:
-                b = min(b, kappa)
-            ps = p.tolist()
-            big = max(ps)
-            if abs(g) <= _KINK and big >= 1.0 - _KINK:
-                break
-            if ps.count(0.0) == n - 1:
-                # the sum is this component's alone, so the root is at or below its kink;
-                # a sum of one there means a flat stretch that the bisection hits at once
-                kink = kinks[ps.index(big)]
-                if a < kink < b and _row(cache, cdf, u, kink)[1] <= 1.0:
-                    break
-            # -dg/dkappa: the densities of the components inside their support
-            f = fam._density(p)
-            if not (min(ps) > 0.0 and big < 1.0):
-                f = f[(p > 0.0) & (p < 1.0)]
-            d = float(np.add.reduce(f))
-            if 0.0 < d < np.inf:
-                nxt = kappa + g / d
-                if abs(g) <= _NEWTON_GAP and abs(nxt - kappa) <= _NEWTON_GAP * max(1.0, abs(kappa)):
-                    root = nxt
-                    break
-            elif g == 0.0:  # every component saturated, and the sum is exactly one
-                break
-            else:
-                nxt = np.nan
-            if not a < nxt < b:
-                if b == np.inf:
-                    break
-                nxt = 0.5 * (a + b)
-            kappa = nxt
-        for x, (_, total) in cache.items():  # so far, the points Newton evaluated
-            if total - 1.0 >= need:
-                a_cert = max(a_cert, x)
-            elif total - 1.0 <= -need:
-                b_cert = min(b_cert, x)
-        if root is not None:
-            first = 1.25 * need / d
-            a, b = root - first, root + first
-            if a_cert < a and b < b_cert:
-                lo_mid, hi_mid, mid, steps = _walk(lo, hi, a, b)
-                points = [a, b]
-                if mid is not None:
-                    walked = lo_mid, hi_mid, steps
-                    points.append(mid)
-                    for half in ((mid, hi_mid), (lo_mid, mid)):
-                        nxt = _walk(*half, a, b)[2]
-                        if nxt is not None:
-                            points.append(nxt)
-                rows = 1.0 - cdf(np.array(points)[:, None] - u)
-                cache.update(zip(points, zip(rows, np.add.reduce(rows, axis=-1).tolist())))
-            for side in (-1.0, 1.0):
-                h = first
-                for _ in range(_CERT_MAX_TRIES):
-                    x = root + side * h
-                    if (x <= a_cert) if side < 0.0 else (x >= b_cert):
-                        break
-                    g = _row(cache, cdf, u, x)[1] - 1.0
-                    if g >= need:
-                        a_cert = max(a_cert, x)
-                    elif g <= -need:
-                        b_cert = min(b_cert, x)
-                    elif g == 0.0:  # a flat stretch of saturated components
-                        break
-                    h *= 4.0
-            if a_cert != a or b_cert != b:
-                walked = None
-        top, step = hi, max(1.0, hi - lo)
-        while not (hi >= b_cert or (hi > a_cert and _row(cache, cdf, u, hi)[1] <= 1.0)):
-            if hi + step == np.inf:
-                raise RuntimeError(
-                    f"bisection bracket failure: sum of probabilities still above 1 at "
-                    f"kappa = {hi!r} (lo = {lo!r})"
-                )
-            hi += step
-            step *= 2.0
-        iters = _BISECT_MAX_ITER
-        if walked is not None and hi == top:
-            lo, hi, steps = walked
-            iters -= steps
-        for _ in range(iters):
-            kappa = 0.5 * (lo + hi)
-            last = not lo < kappa < hi  # adjacent ends: plain bisection repeats this step
-            if kappa <= a_cert:
-                lo = kappa
-            elif kappa >= b_cert:
-                hi = kappa
-            else:
-                gap = _row(cache, cdf, u, kappa)[1] - 1.0
-                if abs(gap) <= BISECT_TOL:
-                    break
-                if gap > 0.0:
-                    lo = kappa
-                else:
-                    hi = kappa
-            if last:
-                break
+    # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
+    # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
+    a, b = lo, hi
+    kappa, root = float(start), None
+    for _ in range(_NEWTON_MAX_ITER):
         p, total = _row(cache, cdf, u, kappa)
-        if not (0.5 < total < 2.0) or abs(total - 1.0) > _RESPONSE_TOL:
+        g = total - 1.0
+        if g > 0.0:
+            a = max(a, kappa)
+            if a >= b:
+                b = np.inf
+            if g >= need:
+                a_cert = max(a_cert, kappa)
+        elif g < 0.0:
+            b = min(b, kappa)
+            if g <= -need:
+                b_cert = min(b_cert, kappa)
+        ps = p.tolist()
+        big = max(ps)
+        if abs(g) <= _KINK and big >= 1.0 - _KINK:
+            break
+        if ps.count(0.0) == n - 1:
+            # the sum is this component's alone, so the root is at or below its kink;
+            # a sum of one there means a flat stretch that the bisection hits at once
+            kink = kinks[ps.index(big)]
+            if a < kink < b:
+                gap = _row(cache, cdf, u, kink)[1] - 1.0
+                if gap >= need:
+                    a_cert = max(a_cert, kink)
+                elif gap <= -need:
+                    b_cert = min(b_cert, kink)
+                if gap <= 0.0:
+                    break
+        # -dg/dkappa: the densities of the components inside their support
+        f = density(p)
+        if not (min(ps) > 0.0 and big < 1.0):
+            f = f[(p > 0.0) & (p < 1.0)]
+        d = float(np.add.reduce(f))
+        if 0.0 < d < np.inf:
+            nxt = kappa + g / d
+            if abs(g) <= _NEWTON_GAP and abs(nxt - kappa) <= _NEWTON_GAP * max(1.0, abs(kappa)):
+                root = nxt
+                break
+        elif g == 0.0:  # every component saturated, and the sum is exactly one
+            break
+        else:
+            nxt = np.nan
+        if not a < nxt < b:
+            if b == np.inf:
+                break
+            nxt = 0.5 * (a + b)
+        kappa = nxt
+    if root is not None:
+        first = 1.25 * need / d
+        a, b = root - first, root + first
+        if a_cert < a and b < b_cert:
+            lo_mid, hi_mid, mid, steps = _walk(lo, hi, a, b)
+            points = [a, b]
+            if mid is not None:
+                walked = lo_mid, hi_mid, steps
+                points.append(mid)
+                for half in ((mid, hi_mid), (lo_mid, mid)):
+                    nxt = _walk(*half, a, b)[2]
+                    if nxt is not None:
+                        points.append(nxt)
+            rows = cdf(np.array(points)[:, None] - u)
+            np.subtract(_ONE, rows, out=rows)
+            cache.update(zip(points, zip(rows, np.add.reduce(rows, axis=-1).tolist())))
+        for side in (-1.0, 1.0):
+            h = first
+            for _ in range(_CERT_MAX_TRIES):
+                x = root + side * h
+                if (x <= a_cert) if side < 0.0 else (x >= b_cert):
+                    break
+                g = _row(cache, cdf, u, x)[1] - 1.0
+                if g >= need:
+                    a_cert = max(a_cert, x)
+                elif g <= -need:
+                    b_cert = min(b_cert, x)
+                elif g == 0.0:  # a flat stretch of saturated components
+                    break
+                h *= 4.0
+        if a_cert != a or b_cert != b:
+            walked = None
+    top, step = hi, max(1.0, hi - lo)
+    while not (hi >= b_cert or (hi > a_cert and _row(cache, cdf, u, hi)[1] <= 1.0)):
+        if hi + step == np.inf:
             raise RuntimeError(
-                f"bisection failed to converge: sum p = {np.float64(total)!r} at "
-                f"kappa = {kappa!r} (bracket [{lo!r}, {hi!r}])"
+                f"bisection bracket failure: sum of probabilities still above 1 at "
+                f"kappa = {hi!r} (lo = {lo!r})"
             )
-        return p / total, float(kappa)
+        hi += step
+        step *= 2.0
+    iters = _BISECT_MAX_ITER
+    if walked is not None and hi == top:
+        lo, hi, steps = walked
+        iters -= steps
+    for _ in range(iters):
+        kappa = 0.5 * (lo + hi)
+        last = not lo < kappa < hi  # adjacent ends: plain bisection repeats this step
+        if kappa <= a_cert:
+            lo = kappa
+        elif kappa >= b_cert:
+            hi = kappa
+        else:
+            gap = _row(cache, cdf, u, kappa)[1] - 1.0
+            if abs(gap) <= BISECT_TOL:
+                break
+            if gap > 0.0:
+                lo = kappa
+            else:
+                hi = kappa
+        if last:
+            break
+    p, total = _row(cache, cdf, u, kappa)
+    if not (0.5 < total < 2.0) or abs(total - 1.0) > _RESPONSE_TOL:
+        raise RuntimeError(
+            f"bisection failed to converge: sum p = {np.float64(total)!r} at "
+            f"kappa = {kappa!r} (bracket [{lo!r}, {hi!r}])"
+        )
+    return p / total, float(kappa)
 
 
 def _row(cache: dict, cdf, u: np.ndarray, kappa: float) -> tuple[np.ndarray, float]:
     """(p, sum p) at kappa: the cached row, else one CDF kernel call stored in the cache."""
     hit = cache.get(kappa)
     if hit is None:
-        p = 1.0 - cdf(kappa - u)
+        p = cdf(kappa - u)
+        np.subtract(_ONE, p, out=p)
         hit = cache[kappa] = p, float(np.add.reduce(p))
     return hit
 
@@ -356,14 +399,14 @@ def _walk(lo: float, hi: float, a: float, b: float) -> tuple[float, float, float
     """
     for steps in range(_BISECT_MAX_ITER):
         kappa = 0.5 * (lo + hi)
-        if a < kappa < b:
-            return lo, hi, kappa, steps
-        if not lo < kappa < hi:
-            break
-        if kappa <= a:
+        if lo < kappa <= a:
             lo = kappa
-        else:
+        elif b <= kappa < hi:
             hi = kappa
+        elif a < kappa < b:
+            return lo, hi, kappa, steps
+        else:  # a midpoint that equals an end (adjacent ends), or that overflowed
+            break
     return lo, hi, None, _BISECT_MAX_ITER
 
 
@@ -428,21 +471,23 @@ def response_solver(fam: MarginalFamily):
         gamma, j, two_n = fam._gamma, np.arange(1.0, fam.n_actions + 1), fam._two_n
         return lambda u, out=None: _sparsemax_rows(np.divide(u, gamma, out=out), j, two_n)[0]
 
-    shape, last = None, []
+    shape, last, route = None, [], None
 
     def bisection_rows(u, out=None):
-        nonlocal shape, last
+        nonlocal shape, last, route
         rows = u.reshape(-1, u.shape[-1])
         if u.shape != shape:
+            route = _kkt_route(fam)
             shape, last = u.shape, [(np.nan, (), ())] * len(rows)
         out = np.empty(u.shape) if out is None else out
         solved = out.reshape(rows.shape, copy=False)  # a view of out's rows
-        for k, row in enumerate(rows):
-            kappa, p, before = last[k]
-            now = row.tolist()
-            start = kappa + sum(map(operator.mul, p, map(operator.sub, now, before)))
-            p, kappa = _bisection_response(fam, row, start)
-            solved[k], last[k] = p, (kappa, p.tolist(), now)
+        with np.errstate(divide="ignore", over="ignore"):  # as in _bisection_response
+            for k, row in enumerate(rows):
+                kappa, p, before = last[k]
+                now = row.tolist()
+                start = kappa + sum(map(operator.mul, p, map(operator.sub, now, before)))
+                p, kappa = _kkt_solve(route, row, start)
+                solved[k], last[k] = p, (kappa, p.tolist(), now)
         return out
 
     return bisection_rows

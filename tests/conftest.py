@@ -54,11 +54,14 @@ def count_cdf_kernel():
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """A list that gets one entry per generic-route solve while the test runs."""
+    """A list that gets one entry per generic-route row solve while the test runs.
+
+    Every row solve, single or in a bound solver's stack, is one call of
+    ``response._kkt_solve``, which both look up at call time.
+    """
     import beliefgames.response as response
 
     solves: list = []
-    bisect = response._bisection_response
-    monkeypatch.setattr(response, "_bisection_response",
-                        lambda *args: (solves.append(1), bisect(*args))[1])
+    solve = response._kkt_solve
+    monkeypatch.setattr(response, "_kkt_solve", lambda *args: (solves.append(1), solve(*args))[1])
     return solves

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +250,17 @@ def test_guarded_newton_converges_on_a_weakly_regularized_game():
         assert not stability_check(game, fams).all_passed
         result = fixed_point_iterate(game, fams)
         assert result.converged and result.residual <= 1e-10
+
+
+def test_a_newton_step_whose_jacobian_overflows_is_rejected_silently():
+    # gamma = 1e-160: f = p / gamma reaches 1e154, and f f^T overflows; the step
+    # is rejected for a sweep, and the product with C raises no warning
+    game = random_game(2, 3, np.random.default_rng(0))
+    fam = ExponentialFamily(1e-160, np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fixed_point_iterate(game, (fam, fam), max_iter=20)
+    assert result.iterations == 20 and np.isfinite(result.residual)
 
 
 def test_fixed_point_stops_at_once_on_a_fixed_point():
@@ -661,11 +673,12 @@ def _per_trial_concavity(fam, n_trials, seed):
         def g(x):
             return float(np.dot(x, u)) + fam.regularizer_terms(x)
 
-        slack = g(alpha * p + (1.0 - alpha) * q) - (
-            alpha * g(p) + (1.0 - alpha) * g(q)
-            + 0.5 * modulus * alpha * (1.0 - alpha) * float(np.sum((p - q) ** 2)))
+        values = g(alpha * p + (1.0 - alpha) * q), g(p), g(q)
+        slack = values[0] - (alpha * values[1] + (1.0 - alpha) * values[2]
+                             + 0.5 * modulus * alpha * (1.0 - alpha) * float(np.sum((p - q) ** 2)))
         worst = min(worst, slack)
-        ok = ok and not slack < -1e-9
+        # roundoff: 64 ulps of the largest magnitude the trial compares
+        ok = ok and not slack < -64.0 * np.finfo(float).eps * max(*map(abs, values), modulus)
     return worst, ok
 
 
@@ -684,6 +697,52 @@ def test_stacked_concavity_check_has_the_bits_of_the_per_trial_loop(fam):
     worst, ok = _per_trial_concavity(fam, 300, 11)
     assert np.float64(report.worst_slack).tobytes() == np.float64(worst).tobytes()
     assert report.verified is ok
+
+
+@st.composite
+def _scaled_families(draw):
+    """A family of any kind with N in 1..6 and its scale gamma from 1e-3 to 1e14.
+
+    Pareto q lies below 1, within 1e-3 of 1 or in (1, 2], where the slope
+    bound is finite; a table's values are gamma times steps of order one.
+    """
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["exponential", "uniform", "pareto", "tabulated"]))
+    gamma = 10.0 ** draw(st.floats(-3.0, 14.0))
+    weight = st.floats(-3.0, 3.0).map(lambda k: 10.0 ** k)
+    if kind == "exponential":
+        return ExponentialFamily(gamma, eta=[draw(weight) for _ in range(n)])
+    if kind == "uniform":
+        return UniformFamily(gamma, n)
+    if kind == "pareto":
+        q = draw(st.one_of(st.floats(0.05, 0.999), st.floats(0.999, 1.001).filter(lambda q: q != 1.0),
+                           st.floats(1.001, 2.0)))
+        return ParetoFamily(gamma, q, [draw(weight) for _ in range(n)])
+    tables = []
+    for _ in range(n):
+        ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))), 1.0]
+        steps = [draw(st.floats(0.05, 2.0)) for _ in ts]
+        tables.append(np.column_stack((ts, gamma * (np.cumsum(steps) - 1.0))))
+    return TabulatedFamily(tables)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scaled_families(), st.integers(0, 2 ** 32 - 1))
+def test_the_sampled_concavity_check_passes_wherever_the_slope_bound_holds(fam, seed):
+    # 1 / L is a proven modulus, so only roundoff can push a trial's slack below
+    # 0; the exactly quadratic uniform regularizer has a true slack of 0
+    report = strong_concavity_check(fam, n_trials=200, seed=seed)
+    assert report.modulus > 0.0
+    assert report.verified, (fam.to_dict(), report)
+
+
+def test_the_sampled_concavity_check_fails_a_modulus_a_billionth_too_large():
+    # a slope bound 1e-9 below the true one claims a modulus the regularizer
+    # does not have: the uniform regularizer's slack is then about -1e-9 of it
+    fam = UniformFamily(1e8, 3)
+    fam.lipschitz_constant = lambda: (1.0 - 1e-9) / (2.0 * 1e8 * 3)
+    report = strong_concavity_check(fam, n_trials=200)
+    assert not report.verified and report.worst_slack < -1e-2
 
 
 def test_unbounded_pareto_is_never_certified():

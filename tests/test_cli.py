@@ -10,6 +10,7 @@ import pytest
 
 from beliefgames import cli
 from beliefgames.cli import main
+from beliefgames.families import UniformFamily
 from beliefgames.games import matching_game, random_game, save_game
 from beliefgames.verify import CHECKS
 
@@ -214,7 +215,7 @@ def test_check_reports_an_unbounded_family_as_not_strongly_concave(tmp_path, cap
     out = tmp_path / "chk"
     code = main(["check", "--config", str(tmp_path / "mixed_families.json"), "--out", str(out)])
     assert code == 3
-    assert "player 1: not strongly concave -> FAIL" in capsys.readouterr().out
+    assert "player 1: not strongly concave -> FAIL (unbounded density)" in capsys.readouterr().out
 
     def reject(name):
         raise ValueError(f"stability.json is not strict JSON: {name}")
@@ -244,6 +245,40 @@ def test_check_does_not_certify_a_game_with_three_equilibria(tmp_path, capsys):
     assert set(doc["players"][0]) == {"player", "curvature", "curvature_grid", "coupling",
                                       "passed"}
     assert all(c["modulus"] == p["curvature"] for c, p in zip(doc["concavity"], doc["players"]))
+
+
+def _shipped_config(tmp_path, name: str, **changes) -> str:
+    """Copy shipped config ``name`` and its game file to ``tmp_path``, with ``changes``."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    doc = json.loads((configs / name).read_text()) | changes
+    (tmp_path / doc["game"]).write_text((configs / doc["game"]).read_text())
+    (tmp_path / name).write_text(json.dumps(doc))
+    return str(tmp_path / name)
+
+
+def test_check_certifies_a_sparse_game_at_a_large_scale(tmp_path, capsys):
+    # the uniform regularizer is exactly quadratic, so the sampled concavity
+    # check's slack is roundoff alone, about -6e-8 at gamma = 1e8
+    family = {"type": "uniform", "gamma": 1e8}
+    config = _shipped_config(tmp_path, "skewed_sparse.json", risk_families=family,
+                             belief_families=family)
+    assert main(["check", "--config", config, "--out", str(tmp_path / "chk")]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("> coupling 1.021 -> pass") == 2
+    assert "check: stable" in printed and "FAIL" not in printed
+
+
+def test_check_names_a_player_whose_sampled_concavity_check_fails(tmp_path, capsys, monkeypatch):
+    # a slope bound below the true one: the curvature passes, the sample does not
+    monkeypatch.setattr(UniformFamily, "lipschitz_constant",
+                        lambda self: 0.5 / (2.0 * self.gamma * self.n_actions))
+    config = _shipped_config(tmp_path, "skewed_sparse.json")
+    assert main(["check", "--config", config, "--out", str(tmp_path / "chk")]) == 3
+    printed = capsys.readouterr().out
+    for player in (0, 1):
+        assert f"player {player}: curvature 16 > coupling 1.021 -> pass" in printed
+        assert f"player {player}: sampled concavity check, worst slack -" in printed
+    assert "check: NOT certified stable" in printed
 
 
 @pytest.mark.parametrize("family, code", [

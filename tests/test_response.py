@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,6 +734,57 @@ def test_bisection_evaluates_few_cdfs_on_pareto_games(count_cdf_kernel):
         fam = ParetoFamily(6.0, q, rng.uniform(0.5, 2.0, 3))
         rows += _counted(count_cdf_kernel, fam, _bisection_response, rng.random(3))[0]
     assert rows / 200 <= 14
+
+
+#: a child that should end at once gets this long: a regression that hangs fails
+_HANG_TIMEOUT_S = 5
+
+
+def _run_child(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter on this project's ``src``, under a timeout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=_HANG_TIMEOUT_S)
+
+
+def test_a_non_finite_row_ends_the_generic_solve_at_once():
+    # a NaN bracket end never compares true, so the bracket expansion looped for
+    # ever on such a row; the bound solver does not validate its rows
+    done = _run_child(
+        "import numpy as np\n"
+        "from beliefgames.families import ParetoFamily\n"
+        "from beliefgames.response import response_solver\n"
+        "solve = response_solver(ParetoFamily(1.0, 1.5, [0.5, 0.5]))\n"
+        "for row in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]):\n"
+        "    try:\n"
+        "        solve(np.array(row))\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["payoff row [nan, 0.0] is not finite",
+                                        "payoff row [0.0, inf] is not finite",
+                                        "payoff row [-inf, nan] is not finite"]
+
+
+def test_a_run_whose_payoffs_turn_nan_ends_with_an_error():
+    # the tiny-gamma softmax player's estimates overflow u / gamma, so their
+    # response and the Pareto player's next payoff row are NaN; the run ends,
+    # naming the first bad response, instead of hanging in the Pareto solve
+    done = _run_child(
+        "from beliefgames.dynamics import RunConfig, StepSchedule, run_dynamics\n"
+        "from beliefgames.families import ExponentialFamily, ParetoFamily\n"
+        "from beliefgames.games import matching_game\n"
+        "fams = (ExponentialFamily(1e-300, n_actions=2), ParetoFamily(1.0, 1.5, [0.5, 0.5]))\n"
+        "config = RunConfig(horizon=50, schedule=StepSchedule.power(1e10, 0.6),\n"
+        "                   risk_families=fams, belief_families=fams, record_every=10)\n"
+        "try:\n"
+        "    run_dynamics(matching_game(), config)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("round 2, player 0: argument must lie in [0, 1], and the response "
+                           "sum to one within 1e-9: [nan, nan]\n")
 
 
 def test_a_response_bracket_beyond_the_float_range_names_the_family():
