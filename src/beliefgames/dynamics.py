@@ -273,9 +273,10 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     exact expectations).  Each round is one operation on the (M, N) state:
     one ``response_operator`` call gives every response, one payoff
     contraction every payoff vector, and one quantile kernel call each risk
-    group: every player when their risk families are equal, else each player
-    (see ``response._family_groups``).  Inputs are validated once, here and
-    in :class:`RunConfig`, not every round.
+    group: every player when their risk families are equal or differ only in
+    eta (the kernel then broadcasts the ``(M, N)`` stack of their etas), else
+    each player (see ``response._family_groups``).  Inputs are validated
+    once, here and in :class:`RunConfig`, not every round.
 
     The state a round touches is bound once per run: one ``(M, N)`` profile
     buffer that each round's responses are written into, and per risk group a

@@ -387,10 +387,11 @@ class ParetoFamily(MarginalFamily):
         self._tail_constants = tuple(map(_operand, (self.gamma / (q - 1.0), q, q - 1.0)))
         # the density is scale * (p / eta)^(2 - q), with scale = eta / (gamma q);
         # where that quotient overflows (eta near the float maximum, gamma q < 1),
+        # or (1 / eta)^(2 - q) does, and so the power near p = 1 (tiny eta, q < 2),
         # it is eta^(q - 1) / (gamma q) * (p / 1)^(2 - q) instead
         with np.errstate(over="ignore"):
             scale = self.eta / (self.gamma * q)
-            wide = scale == np.inf
+            wide = (scale == np.inf) | (np.power(1.0 / self.eta, 2.0 - q) == np.inf)
             self._density_constants = (
                 np.where(wide, np.power(self.eta, q - 1.0) / (self.gamma * q), scale),
                 np.where(wide, 1.0, self.eta), _operand(2.0 - q))
@@ -559,6 +560,27 @@ class TabulatedFamily(MarginalFamily):
             "type": "tabulated",
             "table": [np.column_stack((ts, vs)).tolist() for ts, vs in self._grids],
         }
+
+
+def _stack_eta(fams) -> MarginalFamily:
+    """One family of ``fams[0]``'s class with the players' etas stacked to ``(M, N)``.
+
+    For exponential or Pareto families that differ only in eta.  Every
+    kernel operation on eta is elementwise, and the other operands are the
+    shared 0-d ones, so on ``(..., M, N)`` stacks of the players' rows each
+    entry has the bits of its own player's call.  ``_members`` holds the
+    players' own families, whose operands the generic solver binds per row.
+    """
+    stacked = object.__new__(type(fams[0]))
+    stacked.__dict__.update(fams[0].__dict__)
+    stacked.__dict__.pop("_response_offsets", None)  # one player's cached bracket
+    stacked.eta = np.array([fam.eta for fam in fams])
+    stacked.eta.setflags(write=False)
+    if isinstance(stacked, ParetoFamily):
+        scales, etas, exponents = zip(*(fam._density_constants for fam in fams))
+        stacked._density_constants = np.array(scales), np.array(etas), exponents[0]
+    stacked._members = tuple(fams)
+    return stacked
 
 
 #: the fields of each family type's JSON form

@@ -12,17 +12,23 @@ safeguarded Newton phase first brackets the root between two points whose
 sums certify the sign of every gap beyond them; the bisection then takes
 each branch decided by that bracket without evaluating the CDFs, so it
 returns the bits plain bisection would, after a fraction of the evaluations
-(see :func:`_kkt_solve`).  Where Newton starts changes only which CDFs are
-evaluated, so the solver that :func:`response_solver` binds starts each row
-at a kappa predicted from its last solve.  That solver binds the family's
-operands (:func:`_kkt_route`) with each new call shape, and holds one
-``np.errstate`` for all the rows of a call.  On 2x3 Pareto games a cold solve evaluates about 9.3 rows
-in 5.3 CDF kernel calls (plain bisection: about 41) and a warm one about 6.2
-rows in 2.3 calls.  A warm solve takes about 36 us, about 10 us of it in the
-CDF kernel (about 3.5 us per 1-row Pareto call); the rest is numpy call
-overhead and the Newton, walk and bisection steps in Python (2-core Intel
-Xeon VM, Python 3.11, numpy 2.4).  The sparse map is one kernel,
-:func:`_sparsemax_rows`, that every sparsemax route calls.
+(see :func:`_kkt_solve`).  Where the solve starts changes only which CDFs
+are evaluated, so the solver that :func:`response_solver` binds starts each
+row at a kappa predicted from its last solve, by the derivative of the root
+in the payoffs, and certifies a close prediction in one CDF kernel call,
+with no Newton step.  That solver binds each family's operands
+(:func:`_kkt_route`) with each new call shape, and holds one ``np.errstate``
+for all the rows of a call.  On 2x3 Pareto games a cold solve evaluates
+about 9.3 rows in 5.3 CDF kernel calls (plain bisection: about 41).  In the
+learning dynamics a warm solve evaluates about 5.4 rows in 1.35 calls over
+400 rounds (1.68 calls over 40), and 97 in 100 warm solves (7 in 10 over 40
+rounds) take the one-call path, which evaluates at most 5 rows.  A warm
+solve takes about 26 us, about 5 us of it in the CDF kernel (about 3.5 us
+per Pareto call); the rest is numpy call overhead and the walk and
+bisection steps in Python (2-core Intel Xeon VM, Python 3.11, numpy 2.4).
+A row whose solve fails at its own level, far above the family's scale, is
+solved again as u - max u (:func:`_kkt_solve_or_shift`).  The sparse map is
+one kernel, :func:`_sparsemax_rows`, that every sparsemax route calls.
 
 A route is chosen in one place for each call shape: the single-row calls
 :func:`response_probabilities` and :func:`quantal_response` validate a row
@@ -30,7 +36,8 @@ and solve it, with its kappa, in one body (:func:`_solve_row`), and
 :func:`response_solver` binds the route once for unvalidated ``(..., N)``
 stacks, written into ``out`` and without kappa.  :func:`response_operator`
 gives every player's response at once: one :func:`response_solver` call for
-all players when their families are equal, one per player otherwise.
+all players when their families are equal or differ only in eta, one per
+player otherwise.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (_ONE, _ZERO, ExponentialFamily, MarginalFamily, UniformFamily,
-                       _positive_finite)
+from .families import (_ONE, _ZERO, ExponentialFamily, MarginalFamily, ParetoFamily,
+                       UniformFamily, _positive_finite, _stack_eta)
 from .games import Game, StrategyProfile, payoff_vector
 
 #: |sum p - 1| target for the kappa bisection.
@@ -158,11 +165,14 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
                         start: float | None = None) -> tuple[np.ndarray, float]:
     """Solve sum_i (1 - F_i(kappa - u_i)) = 1 for kappa: one row, bound and guarded here.
 
-    The single-row form of the generic route: it binds the family's operands
-    (:func:`_kkt_route`) and runs :func:`_kkt_solve` inside its own
-    ``np.errstate``, as the solver of :func:`response_solver` does once per
-    call for all its rows.  ``u`` must be a float vector of the family's
-    length; a row with a NaN or an infinite entry raises RuntimeError.
+    The direct solve of one row, with the bits of plain bisection
+    (``oracles.bisection_response``) or its error, from a Newton phase at
+    ``start``: it binds the family's operands (:func:`_kkt_route`) and runs
+    :func:`_kkt_solve` inside its own ``np.errstate``, as the solver of
+    :func:`response_solver` does once per call for all its rows.  The public
+    routes add the shifted retry of :func:`_kkt_solve_or_shift`.  ``u`` must
+    be a float vector of the family's length; a row with a NaN or an
+    infinite entry raises RuntimeError.
     """
     route = _kkt_route(fam)
     # the solve's one floating-point guard: kappa - u overflows on rows near the
@@ -170,7 +180,7 @@ def _bisection_response(fam: MarginalFamily, u: np.ndarray,
     # limit, and Newton's slope evaluates every component's density, unbounded
     # at p = 0 for Pareto q > 2
     with np.errstate(divide="ignore", over="ignore"):
-        return _kkt_solve(route, u, start)
+        return _kkt_solve(route, u, start)[:2]
 
 
 def _kkt_route(fam: MarginalFamily) -> tuple:
@@ -192,12 +202,42 @@ def _kkt_route(fam: MarginalFamily) -> tuple:
     return fam._cdf, fam._density, lows, tops, need
 
 
-def _kkt_solve(route: tuple, u: np.ndarray, start: float | None) -> tuple[np.ndarray, float]:
+def _kkt_solve_or_shift(route: tuple, u: np.ndarray, start: float | None,
+                        slope: float | None) -> tuple[np.ndarray, float, tuple | None, bool]:
+    """:func:`_kkt_solve`, retried on u - max u where a finite row fails.
+
+    A response depends only on u - max u, but the direct solve works at the
+    row's own level, where kappa - u_i loses digits as |u| grows far beyond
+    the family's scale: there the bisection can end on one float with a sum
+    away from one, or its bracket overflow.  Where the direct solve raises
+    (bisection failed to converge, or a bracket failure), the shifted row is
+    solved cold and kappa + max u reported.  Rows that solve directly keep
+    their bits; a non-finite row still raises at once, and where the
+    shifted solve fails too, the direct solve's error stands.
+    """
+    try:
+        return _kkt_solve(route, u, start, slope)
+    except RuntimeError as exc:
+        top = float(np.maximum.reduce(u))
+        if top == 0.0 or not np.isfinite(u).all():  # nothing to shift, or the guard's row
+            raise
+        try:
+            p, kappa = _kkt_solve(route, u - top, None)[:2]
+        except RuntimeError:
+            raise exc from None
+        return p, kappa + top, None, False
+
+
+def _kkt_solve(route: tuple, u: np.ndarray, start: float | None,
+               slope: float | None = None) -> tuple[np.ndarray, float, tuple | None, bool]:
     """Solve sum_i (1 - F_i(kappa - u_i)) = 1 for kappa by bisection.
 
-    ``route`` comes from :func:`_kkt_route`, and the caller holds the
-    ``np.errstate`` of :func:`_bisection_response`.  A row with a NaN or an
-    infinite entry raises RuntimeError at once: its bracket would never close.
+    Returns ``(p, kappa, weights, accurate)``: the response and its kappa,
+    then what a bound solver keeps for the row's next start (see
+    :func:`response_solver`).  ``route`` comes from :func:`_kkt_route`, and
+    the caller holds the ``np.errstate`` of :func:`_bisection_response`.  A
+    row with a NaN or an infinite entry raises RuntimeError at once: its
+    bracket would never close.
 
     Components with kappa - u_i at or above the support's upper end come out
     exactly zero (their CDF saturates at one).  The midpoints are those of
@@ -207,36 +247,28 @@ def _kkt_solve(route: tuple, u: np.ndarray, start: float | None) -> tuple[np.nda
     ``need`` at a and at most ``-need`` at b.  The computed sum is monotone in
     kappa up to a few ulps per term, and ``need`` exceeds BISECT_TOL by a
     margin above that noise, so the gap computed at any kappa <= a is still
-    above BISECT_TOL (and at any kappa >= b below -BISECT_TOL).
-
-    A safeguarded Newton phase from ``start`` locates the root inside the
-    sign bracket [lo, hi]: ``start`` is used when it lies strictly inside
-    (a warm start, such as the kappa of a nearby payoff vector), otherwise
-    Newton begins at hi.  Points a small step to each side of Newton's root
-    are then evaluated, the step growing fourfold until that side
-    certifies.  Every point Newton or that search evaluates certifies
-    wherever its gap allows, as it is evaluated, and the certified ends
-    combine by max and min, so where Newton starts changes only which
+    above BISECT_TOL (and at any kappa >= b below -BISECT_TOL).  Every
+    evaluated point certifies wherever its gap allows, and the certified ends
+    combine by max and min, so where the solve starts changes only which
     midpoints are skipped, never the result.  Failure only widens the
     bracket, up to (-inf, inf).
 
-    The first point of each side usually certifies both ends.  So one CDF
-    kernel call on a ``(K, N)`` stack evaluates that pair together with the
-    midpoints plain bisection from [lo, hi] would evaluate inside it: the
-    first midpoint strictly inside, and the first inside midpoint of each
-    half the bisection could take next (K <= 5).  Each row and each row sum
-    has the bits of its own 1-D call.  When the certified ends are that
-    pair, the bisection resumes at the first inside midpoint, with the
-    steps of :func:`_walk` before it counted.
+    ``start`` is used when it lies strictly inside the sign bracket [lo, hi]
+    (a warm start, such as a kappa predicted from a nearby payoff vector).
+    Given also ``slope``, the sum of the densities at the row's last Newton
+    iterate, the solve first tries its one-call path: one CDF kernel call on
+    a ``(K, N)`` stack (K <= 5) evaluates the pair ``start -+ h``, h =
+    2 ``need`` / ``slope``, with the midpoints plain bisection from
+    [lo, hi] would evaluate inside it (see :func:`_evaluate_pair`).  When the
+    pair certifies both ends, the bisection resumes at the first inside
+    midpoint, with no Newton step and no density call.  Otherwise, and on
+    every solve without a slope, the Newton phase of :func:`_newton_bracket`
+    runs from ``start`` (or from hi) with the evaluated rows in its cache.
 
-    On pure and near-pure responses the root sits at or just below a kink:
-    the ``kinks`` entry where the top component's probability reaches one.
-    There Newton zigzags across the kink or crawls towards it, while plain
-    bisection lands on the flat stretch below it in a few steps.  So Newton
-    hands over to the bisection at an iterate whose top probability and sum
-    are both within ``_KINK`` of one (a step that overshoots past a kink,
-    far from the root, goes on), and at an iterate with a single positive
-    component whose kink sums to no more than one.
+    ``weights`` is ``(f, sum f)``, the densities of Newton's last iterate as
+    a list, 0.0 outside 0 < p_i < 1, or None when no Newton iterate took a
+    density.  ``accurate`` says that the start was close: its one-call path
+    certified, or Newton's first gap, at ``start``, was within 2 ``need``.
 
     Every evaluated row and its sum, as a float, live in one cache keyed by
     kappa, and the per-step tests read Python floats, not numpy reductions.
@@ -247,98 +279,28 @@ def _kkt_solve(route: tuple, u: np.ndarray, start: float | None) -> tuple[np.nda
         raise RuntimeError(f"payoff row {us} is not finite")
     kinks = list(map(operator.add, us, lows))  # where each component's probability reaches 1
     lo = min(kinks)
-    n = len(us)
-    if n == 1:
-        return np.array([1.0]), lo
+    if len(us) == 1:
+        return np.array([1.0]), lo, None, False
     hi = max(max(map(operator.add, us, tops)), lo + 1e-12)
-    if start is None or not lo < start < hi:
-        start = hi
+    warm = start is not None and lo < start < hi
     cache: dict = {}  # kappa -> (p, sum p)
-    a_cert, b_cert, walked = -np.inf, np.inf, None
-    # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
-    # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
-    a, b = lo, hi
-    kappa, root = float(start), None
-    for _ in range(_NEWTON_MAX_ITER):
-        p, total = _row(cache, cdf, u, kappa)
-        g = total - 1.0
-        if g > 0.0:
-            a = max(a, kappa)
-            if a >= b:
-                b = np.inf
+    a_cert, b_cert, weights, accurate = -np.inf, np.inf, None, False
+    if warm and slope is not None:
+        h = 2.0 * need / slope
+        a, b = start - h, start + h
+        walked = _evaluate_pair(cache, cdf, u, lo, hi, a, b)
+        for x in (a, b):
+            g = cache[x][1] - 1.0
             if g >= need:
-                a_cert = max(a_cert, kappa)
-        elif g < 0.0:
-            b = min(b, kappa)
-            if g <= -need:
-                b_cert = min(b_cert, kappa)
-        ps = p.tolist()
-        big = max(ps)
-        if abs(g) <= _KINK and big >= 1.0 - _KINK:
-            break
-        if ps.count(0.0) == n - 1:
-            # the sum is this component's alone, so the root is at or below its kink;
-            # a sum of one there means a flat stretch that the bisection hits at once
-            kink = kinks[ps.index(big)]
-            if a < kink < b:
-                gap = _row(cache, cdf, u, kink)[1] - 1.0
-                if gap >= need:
-                    a_cert = max(a_cert, kink)
-                elif gap <= -need:
-                    b_cert = min(b_cert, kink)
-                if gap <= 0.0:
-                    break
-        # -dg/dkappa: the densities of the components inside their support
-        f = density(p)
-        if not (min(ps) > 0.0 and big < 1.0):
-            f = f[(p > 0.0) & (p < 1.0)]
-        d = float(np.add.reduce(f))
-        if 0.0 < d < np.inf:
-            nxt = kappa + g / d
-            if abs(g) <= _NEWTON_GAP and abs(nxt - kappa) <= _NEWTON_GAP * max(1.0, abs(kappa)):
-                root = nxt
-                break
-        elif g == 0.0:  # every component saturated, and the sum is exactly one
-            break
-        else:
-            nxt = np.nan
-        if not a < nxt < b:
-            if b == np.inf:
-                break
-            nxt = 0.5 * (a + b)
-        kappa = nxt
-    if root is not None:
-        first = 1.25 * need / d
-        a, b = root - first, root + first
-        if a_cert < a and b < b_cert:
-            lo_mid, hi_mid, mid, steps = _walk(lo, hi, a, b)
-            points = [a, b]
-            if mid is not None:
-                walked = lo_mid, hi_mid, steps
-                points.append(mid)
-                for half in ((mid, hi_mid), (lo_mid, mid)):
-                    nxt = _walk(*half, a, b)[2]
-                    if nxt is not None:
-                        points.append(nxt)
-            rows = cdf(np.array(points)[:, None] - u)
-            np.subtract(_ONE, rows, out=rows)
-            cache.update(zip(points, zip(rows, np.add.reduce(rows, axis=-1).tolist())))
-        for side in (-1.0, 1.0):
-            h = first
-            for _ in range(_CERT_MAX_TRIES):
-                x = root + side * h
-                if (x <= a_cert) if side < 0.0 else (x >= b_cert):
-                    break
-                g = _row(cache, cdf, u, x)[1] - 1.0
-                if g >= need:
-                    a_cert = max(a_cert, x)
-                elif g <= -need:
-                    b_cert = min(b_cert, x)
-                elif g == 0.0:  # a flat stretch of saturated components
-                    break
-                h *= 4.0
-        if a_cert != a or b_cert != b:
-            walked = None
+                a_cert = max(a_cert, x)
+            elif g <= -need:
+                b_cert = min(b_cert, x)
+        accurate = a_cert == a and b_cert == b
+    if not accurate:
+        a_cert, b_cert, walked, weights = _newton_bracket(
+            cache, cdf, density, u, kinks, lo, hi, need, float(start) if warm else hi, a_cert,
+            b_cert)
+        accurate = warm and abs(cache[start][1] - 1.0) <= 2.0 * need
     top, step = hi, max(1.0, hi - lo)
     while not (hi >= b_cert or (hi > a_cert and _row(cache, cdf, u, hi)[1] <= 1.0)):
         if hi + step == np.inf:
@@ -375,7 +337,141 @@ def _kkt_solve(route: tuple, u: np.ndarray, start: float | None) -> tuple[np.nda
             f"bisection failed to converge: sum p = {np.float64(total)!r} at "
             f"kappa = {kappa!r} (bracket [{lo!r}, {hi!r}])"
         )
-    return p / total, float(kappa)
+    return p / total, float(kappa), weights, accurate
+
+
+def _newton_bracket(cache: dict, cdf, density, u: np.ndarray, kinks: list, lo: float,
+                    hi: float, need: float, kappa: float, a_cert: float,
+                    b_cert: float) -> tuple[float, float, tuple | None, tuple | None]:
+    """The Newton phase of :func:`_kkt_solve`: ``(a_cert, b_cert, walked, weights)``.
+
+    A safeguarded Newton iteration from ``kappa`` locates the root inside
+    the sign bracket [lo, hi].  Points a small step to each side of Newton's
+    root are then evaluated, the step growing fourfold until that side
+    certifies.  Every point evaluated here certifies wherever its gap allows,
+    on top of the certified ends given.
+
+    The first point of each side usually certifies both ends, so it is
+    evaluated in one kernel call with the bisection's midpoints inside the
+    pair (:func:`_evaluate_pair`).  ``walked`` is the bisection's bracket at
+    the first inside midpoint and the steps before it, when the certified
+    ends are that pair; else None.  ``weights`` is ``(f, sum f)`` at the last
+    iterate that took a density (see :func:`_kkt_solve`), or None.
+
+    On pure and near-pure responses the root sits at or just below a kink:
+    the ``kinks`` entry where the top component's probability reaches one.
+    There Newton zigzags across the kink or crawls towards it, while plain
+    bisection lands on the flat stretch below it in a few steps.  So Newton
+    hands over to the bisection at an iterate whose top probability and sum
+    are both within ``_KINK`` of one (a step that overshoots past a kink,
+    far from the root, goes on), and at an iterate with a single positive
+    component whose kink sums to no more than one.
+    """
+    n = len(kinks)
+    # Newton inside the sign bracket [a, b]; its midpoint when a step leaves it.
+    # No sum exceeds one at hi, so b starts there, unless rounding says otherwise.
+    a, b = lo, hi
+    root, weights, walked = None, None, None
+    for _ in range(_NEWTON_MAX_ITER):
+        p, total = _row(cache, cdf, u, kappa)
+        g = total - 1.0
+        if g > 0.0:
+            a = max(a, kappa)
+            if a >= b:
+                b = np.inf
+            if g >= need:
+                a_cert = max(a_cert, kappa)
+        elif g < 0.0:
+            b = min(b, kappa)
+            if g <= -need:
+                b_cert = min(b_cert, kappa)
+        ps = p.tolist()
+        big = max(ps)
+        if abs(g) <= _KINK and big >= 1.0 - _KINK:
+            break
+        if ps.count(0.0) == n - 1:
+            # the sum is this component's alone, so the root is at or below its kink;
+            # a sum of one there means a flat stretch that the bisection hits at once
+            kink = kinks[ps.index(big)]
+            if a < kink < b:
+                gap = _row(cache, cdf, u, kink)[1] - 1.0
+                if gap >= need:
+                    a_cert = max(a_cert, kink)
+                elif gap <= -need:
+                    b_cert = min(b_cert, kink)
+                if gap <= 0.0:
+                    break
+        # -dg/dkappa: the densities of the components inside their support
+        f = density(p)
+        if not (min(ps) > 0.0 and big < 1.0):
+            f[(p <= 0.0) | (p >= 1.0)] = 0.0
+        d = float(np.add.reduce(f))
+        if 0.0 < d < np.inf:
+            weights = f, d
+            nxt = kappa + g / d
+            if abs(g) <= _NEWTON_GAP and abs(nxt - kappa) <= _NEWTON_GAP * max(1.0, abs(kappa)):
+                root = nxt
+                break
+        elif g == 0.0:  # every component saturated, and the sum is exactly one
+            break
+        else:
+            nxt = np.nan
+        if not a < nxt < b:
+            if b == np.inf:
+                break
+            nxt = 0.5 * (a + b)
+        kappa = nxt
+    if weights is not None:
+        weights = weights[0].tolist(), weights[1]
+    if root is not None:
+        first = 1.25 * need / d
+        a, b = root - first, root + first
+        if a_cert < a and b < b_cert:
+            walked = _evaluate_pair(cache, cdf, u, lo, hi, a, b)
+        for side in (-1.0, 1.0):
+            h = first
+            for _ in range(_CERT_MAX_TRIES):
+                x = root + side * h
+                if (x <= a_cert) if side < 0.0 else (x >= b_cert):
+                    break
+                g = _row(cache, cdf, u, x)[1] - 1.0
+                if g >= need:
+                    a_cert = max(a_cert, x)
+                elif g <= -need:
+                    b_cert = min(b_cert, x)
+                elif g == 0.0:  # a flat stretch of saturated components
+                    break
+                h *= 4.0
+        if a_cert != a or b_cert != b:
+            walked = None
+    return a_cert, b_cert, walked, weights
+
+
+def _evaluate_pair(cache: dict, cdf, u: np.ndarray, lo: float, hi: float, a: float,
+                   b: float) -> tuple[float, float, int] | None:
+    """Evaluate a < b in one CDF kernel call with the midpoints plain bisection
+    from [lo, hi] would evaluate inside (a, b), and cache every row.
+
+    The midpoints are the first strictly inside (a, b) and the first inside
+    midpoint of each half the bisection could take next, so the ``(K, N)``
+    stack has K <= 5 rows, each row and each row sum with the bits of its own
+    1-D call.  Returns the bisection's bracket at that first inside midpoint
+    and the steps of :func:`_walk` before it, or None when there is none: the
+    bisection resumes there when a and b are its certified ends.
+    """
+    lo_mid, hi_mid, mid, steps = _walk(lo, hi, a, b)
+    points, walked = [a, b], None
+    if mid is not None:
+        walked = lo_mid, hi_mid, steps
+        points.append(mid)
+        for half in ((mid, hi_mid), (lo_mid, mid)):
+            nxt = _walk(*half, a, b)[2]
+            if nxt is not None:
+                points.append(nxt)
+    rows = cdf(np.array(points)[:, None] - u)
+    np.subtract(_ONE, rows, out=rows)
+    cache.update(zip(points, zip(rows, np.add.reduce(rows, axis=-1).tolist())))
+    return walked
 
 
 def _row(cache: dict, cdf, u: np.ndarray, kappa: float) -> tuple[np.ndarray, float]:
@@ -435,7 +531,9 @@ def _solve_row(fam: MarginalFamily, u, method: str) -> tuple[np.ndarray, np.ndar
             raise ValueError(f"sparsemax sums to {total!r} at |u| / gamma = {scale:.3g}, "
                              "where 2N is lost in rounding")
         return u, p, fam.gamma * (1.0 + kappa[0]), "sparsemax"
-    p, kappa = _bisection_response(fam, u)
+    route = _kkt_route(fam)
+    with np.errstate(divide="ignore", over="ignore"):  # as in _bisection_response
+        p, kappa = _kkt_solve_or_shift(route, u, None, None)[:2]
     return u, p, kappa, "bisection"
 
 
@@ -456,13 +554,24 @@ def response_solver(fam: MarginalFamily):
     response probabilities (into ``out`` if given) without input validation:
     softmax and sparsemax work along the last axis on operands bound here,
     and the generic route solves the rows of a ``(-1, N)`` view one by one.
-    Each row starts Newton at the kappa of the same row in the previous call
-    of the same shape plus p . (u - u_old), the change in its payoffs
-    weighted by its last response (the first call, and the first after a
-    shape change, start cold).  The prediction is
-    computed in Python floats, so one that overflows comes out inf or nan
-    without a warning, and the solver ignores it like any start outside the
-    bracket.  Each row gets the bits of its own 1-D call.
+    A family with etas stacked to ``(M, N)`` (see :func:`_family_groups`)
+    takes ``(..., M, N)`` rows: softmax broadcasts its etas, and the generic
+    route solves row k with the operands of player k % M's own family.
+
+    Each generic row starts at the kappa of the same row in the previous call
+    of the same shape plus w . (u - u_old), with w = f / sum f, the densities
+    of its last Newton iterate at the quantiles (0 outside 0 < p_i < 1):
+    implicit differentiation of sum_i (1 - F_i(kappa - u_i)) = 1 gives
+    d kappa / d u_i = f_i / sum f.  A row whose Newton phase took no density
+    (a near-pure one) keeps its last w, or else weighs by its response p, as
+    softmax's f, proportional to p, does.  Where the row's last start was
+    close (see :func:`_kkt_solve`), the solve tries the one-call path with
+    its last sum f.  The first call, and the first after a shape change,
+    start cold.  The prediction is computed in Python floats, so one that
+    overflows comes out inf or nan without a warning, and the solver ignores
+    it like any start outside the bracket.  A row that fails at its own level
+    is solved as u - max u (:func:`_kkt_solve_or_shift`).  Each row gets the
+    bits of its own :func:`response_probabilities` call.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam._gamma  # gamma as its 0-d operand
@@ -471,23 +580,28 @@ def response_solver(fam: MarginalFamily):
         gamma, j, two_n = fam._gamma, np.arange(1.0, fam.n_actions + 1), fam._two_n
         return lambda u, out=None: _sparsemax_rows(np.divide(u, gamma, out=out), j, two_n)[0]
 
-    shape, last, route = None, [], None
+    members = getattr(fam, "_members", (fam,))  # a stacked group's own families
+    shape, last, routes = None, [], []
 
     def bisection_rows(u, out=None):
-        nonlocal shape, last, route
+        nonlocal shape, last, routes
         rows = u.reshape(-1, u.shape[-1])
         if u.shape != shape:
-            route = _kkt_route(fam)
-            shape, last = u.shape, [(np.nan, (), ())] * len(rows)
+            # row k of a stacked group's (..., M, N) rows is player k % M's
+            routes = [_kkt_route(member) for member in members] * (len(rows) // len(members))
+            shape, last = u.shape, [(np.nan, ((), 1.0), (), False)] * len(rows)
         out = np.empty(u.shape) if out is None else out
         solved = out.reshape(rows.shape, copy=False)  # a view of out's rows
         with np.errstate(divide="ignore", over="ignore"):  # as in _bisection_response
-            for k, row in enumerate(rows):
-                kappa, p, before = last[k]
+            for k, (row, route) in enumerate(zip(rows, routes)):
+                kappa, (f, d), before, accurate = last[k]
                 now = row.tolist()
-                start = kappa + sum(map(operator.mul, p, map(operator.sub, now, before)))
-                p, kappa = _kkt_solve(route, row, start)
-                solved[k], last[k] = p, (kappa, p.tolist(), now)
+                start = kappa + sum(map(operator.mul, f, map(operator.sub, now, before))) / d
+                p, kappa, weights, accurate = _kkt_solve_or_shift(
+                    route, row, start, d if accurate else None)
+                if weights is None:  # no Newton density: keep the last, else weigh by p
+                    weights = (f, d) if accurate else (p.tolist(), 1.0)
+                solved[k], last[k] = p, (kappa, weights, now, accurate)
         return out
 
     return bisection_rows
@@ -497,25 +611,35 @@ def _family_groups(families) -> list[tuple[MarginalFamily, list[int], int | slic
     """The players' groups for shared family work, each with its index into the player axis.
 
     When all families are equal, every player is one group, indexed by
-    ``slice(None)``; otherwise each player is their own group, indexed by their
-    int.  Both indices give views.  Equal means the same object, or the same
-    class and the same ``to_dict()``, compared as JSON text so that 0.0 and
-    -0.0 stay apart; a family without a JSON form equals only itself.  Each
-    distinct object is serialized at most once.
+    ``slice(None)``, with the first player's family.  When they are all
+    exponential, or all Pareto, and differ only in eta, every player is also
+    one group, with their etas stacked to ``(M, N)`` (``families._stack_eta``).
+    Otherwise each player is their own group, indexed by their int.  Both
+    indices give views.  Equal means the same object, or the same class and
+    the same ``to_dict()``, compared as JSON text so that 0.0 and -0.0 stay
+    apart; a family without a JSON form equals only itself.  Each distinct
+    object is serialized at most once.
     """
     keys: dict = {}
 
-    def key(fam: MarginalFamily):
+    def key(fam: MarginalFamily) -> tuple:
+        """(class, actions and JSON text without eta; eta's JSON text), or the object's id."""
         if id(fam) not in keys:
             try:
-                keys[id(fam)] = type(fam), json.dumps(fam.to_dict(), sort_keys=True)
+                doc = fam.to_dict()
             except NotImplementedError:
-                keys[id(fam)] = id(fam)
+                keys[id(fam)] = id(fam), None
+            else:
+                eta = json.dumps(doc.pop("eta", None))
+                keys[id(fam)] = (type(fam), fam.n_actions, json.dumps(doc, sort_keys=True)), eta
         return keys[id(fam)]
 
-    first = families[0]
+    first, players = families[0], list(range(len(families)))
     if all(fam is first or key(fam) == key(first) for fam in families):
-        return [(first, list(range(len(families))), slice(None))]
+        return [(first, players, slice(None))]
+    if type(first) in (ExponentialFamily, ParetoFamily) and all(
+            key(fam)[0] == key(first)[0] for fam in families):
+        return [(_stack_eta(families), players, slice(None))]
     return [(fam, [j], j) for j, fam in enumerate(families)]
 
 
@@ -524,12 +648,15 @@ def response_operator(families):
     ``(..., M, N)`` payoff rows (player j's on row j) to the ``(..., M, N)``
     responses of ``families``, into ``out`` when it is given.
 
-    When all families are equal, one :func:`response_solver` answers for
-    every player directly; otherwise each player's solver answers for their
-    rows (see :func:`_family_groups`).  Each row gets the bits of its own
-    :func:`response_probabilities` call.  Rows are not validated; a failing
-    solve raises RuntimeError naming the player.
+    When all families are equal, or differ only in eta, one
+    :func:`response_solver` answers for every player directly: softmax
+    broadcasts the stacked etas, and the generic route solves each row with
+    its own player's operands.  Otherwise each player's solver answers for
+    their rows (see :func:`_family_groups`).  Each row gets the bits of its
+    own :func:`response_probabilities` call.  Rows are not validated; a
+    failing solve raises RuntimeError naming the player.
     """
+    families = tuple(families)
     groups = [(response_solver(fam), group, (..., index, slice(None)))
               for fam, group, index in _family_groups(families)]
 
@@ -540,7 +667,7 @@ def response_operator(families):
             try:
                 return solve(u, out=out)
             except (ValueError, RuntimeError) as exc:
-                _name_failing_player(solve, group, u, exc)
+                _name_failing_player(families, group, u, exc)
 
         return respond_all
 
@@ -550,21 +677,22 @@ def response_operator(families):
             try:
                 solve(u[rows], out=out[rows])
             except (ValueError, RuntimeError) as exc:
-                _name_failing_player(solve, group, u, exc)
+                _name_failing_player(families, group, u, exc)
         return out
 
     return respond
 
 
-def _name_failing_player(solve, group: list[int], u: np.ndarray, exc: Exception):
+def _name_failing_player(families: tuple, group: list[int], u: np.ndarray, exc: Exception):
     """Re-raise a group's failed solve as a RuntimeError naming the player.
 
-    The group's rows are solved singly, and the first that fails names its
-    player; if none fails alone, the error names the whole group.
+    The group's rows are solved singly, each by a fresh solver of its
+    player's own family, and the first that fails names its player; if none
+    fails alone, the error names the whole group.
     """
     for j in group:
         try:
-            solve(u[..., j, :])
+            response_solver(families[j])(u[..., j, :])
         except (ValueError, RuntimeError) as single:
             raise RuntimeError(f"player {j}: {single}") from single
     raise RuntimeError(f"players {group}: {exc}") from exc

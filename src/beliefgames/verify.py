@@ -27,6 +27,7 @@ from .oracles import (
 from .response import (
     _bisection_response,
     quantal_response,
+    response_operator,
     response_probabilities,
     sparsemax,
     weighted_softmax,
@@ -71,7 +72,9 @@ def _check_sparsemax_bisection() -> tuple[bool, str]:
 
 
 def _check_kkt_bisection_replay() -> tuple[bool, str]:
-    """Each case solved cold and warm-started from the kappa of a nearby payoff vector."""
+    """Each case solved cold and warm-started from the kappa of a nearby payoff
+    vector; then drifting payoff paths through bound solvers, whose rows start
+    at predicted kappas: one family's, and an eta-stacked pair's."""
     rng = np.random.default_rng(22)
     nudge = np.random.default_rng(23)
     mismatches = 0
@@ -92,7 +95,22 @@ def _check_kkt_bisection_replay() -> tuple[bool, str]:
         for start in (None, nearby):
             p, kappa = _bisection_response(fam, u, start)
             mismatches += not (p.tobytes() == p_ref.tobytes() and kappa == kappa_ref)
-    return mismatches == 0, f"{mismatches} of 80 solves (40 cold, 40 warm) differ in some bit"
+    # each step moves every payoff by one common amount and each by a tiny one of
+    # its own, as learning rounds near a fixed point move the estimates: the
+    # predicted kappas then certify in one kernel call
+    drift = np.random.default_rng(24)
+    pair = tuple(ParetoFamily(6.0, 1.8, drift.uniform(0.5, 2.0, 3)) for _ in range(2))
+    paths = 0
+    for fams in (pair[:1], pair):
+        respond = response_operator(fams)
+        u = drift.uniform(-1.0, 1.0, (len(fams), 3))
+        for _ in range(20):
+            u = u + drift.normal(0.0, 1.0, (len(fams), 1)) + drift.normal(0.0, 1e-7, u.shape)
+            for fam, row, p in zip(fams, u, respond(u)):
+                mismatches += p.tobytes() != bisection_response(fam, row)[0].tobytes()
+                paths += 1
+    return mismatches == 0, (f"{mismatches} of {80 + paths} solves (40 cold, 40 warm, {paths} "
+                             "on drifting paths) differ in some bit")
 
 
 def _check_regularizer_quadrature() -> tuple[bool, str]:

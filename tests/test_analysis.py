@@ -105,10 +105,15 @@ def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch, count_cdf_
     warm = [_counted(count_cdf_kernel, _damped_sweep, game, fams) for game, fams in cases]
 
     def cold_solver(fam):
+        # the players' families differ only in eta, so one stacked family answers
+        # for both: row k of its (..., M, N) rows is player k % M's
+        members = fam._members
+
         def solve(u, out=None):
             out = np.empty(u.shape) if out is None else out
-            out[...] = np.apply_along_axis(
-                lambda row: response._bisection_response(fam, row)[0], -1, u)
+            rows, solved = u.reshape(-1, u.shape[-1]), out.reshape(-1, u.shape[-1])
+            for k, row in enumerate(rows):
+                solved[k] = response._bisection_response(members[k % len(members)], row)[0]
             return out
 
         return solve
@@ -124,12 +129,12 @@ def test_warm_fixed_point_evaluates_a_quarter_fewer_cdfs(monkeypatch, count_cdf_
 
 
 def test_warm_fixed_point_makes_few_kernel_calls_per_solve(count_solves, count_cdf_kernel):
-    # The first certification points on both sides of Newton's root share one
+    # The first certification points on both sides of the root share one
     # kernel call with the bisection midpoints they would leave to evaluate:
     # the first inside them and the first inside each half after it, so at
-    # most 5 rows.  On the damped sweep's 522 warm solves that is 2.34 kernel
-    # calls and 6.23 rows per solve; with the pair alone it was 3.51 calls and
-    # 4.48 rows.
+    # most 5 rows.  On the damped sweep's 522 warm solves that is 1.68 kernel
+    # calls and 5.62 rows per solve (2.34 and 6.23 when every warm solve took a
+    # Newton step first); with the pair alone it was 3.51 calls and 4.48 rows.
     calls = [n for game, fams in _pareto_fixed_point_cases()
              for n in _counted(count_cdf_kernel, _damped_sweep, game, fams)[0]]
     assert len(calls) <= 2.6 * len(count_solves)
@@ -152,9 +157,11 @@ def test_warm_dynamics_makes_few_kernel_calls_per_solve(count_solves, count_cdf_
     # A learning round moves every payoff estimate, so the row's last kappa
     # alone is a poor start: 5.71 kernel calls per solve at horizon 40 and
     # 5.31 at 400 (a cold solve makes about 6.4).  The predicted start
-    # kappa + p . (u_new - u_old) makes 3.47 and 3.15, and evaluating the
-    # bisection midpoints in the certification call 2.27 and 2.06, the
-    # final residual's cold solves included.
+    # kappa + p . (u_new - u_old) made 3.47 and 3.15, and evaluating the
+    # bisection midpoints in the certification call 2.27 and 2.06.  The start
+    # kappa + f / sum f . (u_new - u_old), certified in one call where the last
+    # start was close, makes 1.68 and 1.35, the final residual's cold solves
+    # included.
     calls = []
     for game, fams in _pareto_fixed_point_cases():
         cfg = RunConfig(horizon=horizon, schedule=StepSchedule.power(1.0, 0.6),
@@ -164,6 +171,23 @@ def test_warm_dynamics_makes_few_kernel_calls_per_solve(count_solves, count_cdf_
         calls += run_calls
     assert len(count_solves) >= 16 * horizon
     assert len(calls) <= 2.5 * len(count_solves)
+
+
+@pytest.mark.parametrize("horizon, most", [(40, 1.8), (400, 1.5)])
+def test_warm_dynamics_certifies_most_predicted_starts_in_one_kernel_call(
+        count_solves, count_cdf_kernel, horizon, most):
+    # About three in four warm solves take the one-call path: their predicted
+    # kappa and the midpoints around it in one kernel call, no Newton step
+    calls = []
+    for game, fams in _pareto_fixed_point_cases():
+        cfg = RunConfig(horizon=horizon, schedule=StepSchedule.power(1.0, 0.6),
+                        risk_families=fams, belief_families=fams, record_every=1)
+        with count_cdf_kernel(*fams) as run_calls:
+            run_dynamics(game, cfg)
+        calls += run_calls
+    assert len(count_solves) >= 16 * horizon
+    assert len(calls) <= most * len(count_solves)
+    assert max(calls) <= 5
 
 
 def test_residual_checks_family_count():

@@ -26,7 +26,7 @@ from beliefgames.families import (
     UniformFamily,
 )
 from beliefgames.games import StrategyProfile, matching_game, payoff_vector, random_game
-from beliefgames.response import response_operator, response_probabilities
+from beliefgames.response import _family_groups, response_operator, response_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +350,32 @@ def test_run_dynamics_wraps_solver_failures_with_context():
 
 
 def test_solver_failure_names_the_failing_player_of_a_shared_group():
-    # near-vertical CDF: the response at (0, 0) exists, the one at (1e3, 1e3) fails
-    steep = np.array([[0.0, -1.0], [0.2, 0.0], [0.8, 1e-13], [1.0, 1.0]])
+    # a CDF near-vertical at 1e3: the response at (0, -1) exists, while at (5, 5)
+    # adjacent floats straddle the root, as they do for the shifted row (0, 0)
+    steep = np.array([[0.0, -1.0], [0.2, 1000.0], [0.8, 1000.0 + 1e-13], [1.0, 1001.0]])
     fam = TabulatedFamily([steep, steep])
     cfg = RunConfig(horizon=5, schedule=StepSchedule.constant(0.1),
                     risk_families=_exp_pair(), belief_families=(fam, fam),
-                    initial_estimates=np.array([[0.0, 0.0], [1000.0, 1000.0]]))
+                    initial_estimates=np.array([[0.0, -1.0], [5.0, 5.0]]))
     with pytest.raises(RuntimeError, match="round 1, player 1: bisection failed to converge"):
         run_dynamics(matching_game(2), cfg)
+
+
+@pytest.mark.parametrize("gamma", [1e307, 1e308])
+def test_beliefs_far_above_their_scale_solve_at_a_shifted_level(gamma):
+    # uniform risk families of scale gamma drive the estimates towards -gamma;
+    # there kappa - u keeps no digit of the belief family's scale, and the direct
+    # solve ended the run at round 2 with "bisection failed to converge"
+    belief = ParetoFamily(gamma / 10.0 if gamma == 1e308 else 1.0, 1.5, [0.5, 0.5])
+    cfg = RunConfig(horizon=50, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=(UniformFamily(gamma, 2),) * 2, belief_families=(belief,) * 2)
+    if gamma == 1e308:  # the estimates leave the float range at round 3
+        with pytest.raises(RuntimeError, match="^round 3, player 0: estimates diverged"):
+            run_dynamics(matching_game(2), cfg)
+        cfg.horizon = 2
+    trace = run_dynamics(matching_game(2), cfg)
+    assert trace.estimates.max() < -gamma / 10.0
+    assert trace.probabilities.tolist() == [[[0.5, 0.5]] * 2] * cfg.horizon
 
 
 def _replay(game, cfg) -> dict:
@@ -421,6 +439,25 @@ def test_block_bookkeeping_equals_a_per_round_replay(kind, m, horizon, every):
         assert trace.clamp_triggers > 0
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["exponential", "pareto-q0.7", "pareto-q2.5"])
+def test_families_that_differ_only_in_eta_replay_the_single_step_api(kind, m):
+    # one stacked group answers every player's response and takes every risk
+    # quantile in one kernel call, each entry with its own player's bits
+    game = random_game(m, 3, np.random.default_rng(26))
+    etas = np.random.default_rng(27).uniform(0.5, 2.0, (m, 3))
+    fams = tuple(ExponentialFamily(2.0, eta=e) if kind == "exponential"
+                 else ParetoFamily(3.0, float(kind[-3:]), e) for e in etas)
+    assert len(_family_groups(fams)) == 1
+    cfg = RunConfig(horizon=_BLOCK_ROUNDS + 9, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=fams, belief_families=fams, record_every=3)
+    trace = run_dynamics(game, cfg)
+    want = _replay(game, cfg)
+    for name in ("probabilities", "estimates", "payoffs", "movement"):
+        assert getattr(trace, name).tobytes() == want[name].tobytes(), name
+    assert trace.final_residual == want["final_residual"]
+
+
 @pytest.mark.parametrize("setup", ["shared", "equal", "per-player"])
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto"])
@@ -465,8 +502,8 @@ def _predicted_start_cases():
 
 @pytest.mark.parametrize("horizon", [40, 400])
 def test_predicted_starts_give_a_cold_solver_s_bits(monkeypatch, horizon):
-    # each bound generic-route solver starts a row's Newton phase at
-    # kappa + p . (u_new - u_old) from that row's last call; a solver that
+    # each bound generic-route solver starts a row at
+    # kappa + w . (u_new - u_old) from that row's last call; a solver that
     # starts every row cold must give every Trace field the same bytes
     runs = []
     for game, fams in _predicted_start_cases():

@@ -1,11 +1,12 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefgames.analysis import stability_check, strong_concavity_check
+from beliefgames.analysis import _GRID_EDGE, stability_check, strong_concavity_check
 from beliefgames.families import (
     ExponentialFamily,
     ParetoFamily,
@@ -13,7 +14,7 @@ from beliefgames.families import (
     UniformFamily,
     family_from_dict,
 )
-from beliefgames.games import matching_game
+from beliefgames.games import matching_game, random_game
 from beliefgames.oracles import finite_difference_gradient, quadrature_regularizer
 from beliefgames.response import quantal_response, response_probabilities
 
@@ -419,6 +420,22 @@ def test_pareto_density_is_finite_where_eta_over_gamma_q_overflows():
         dens = fam.density_vector([0.5, 0.5])
     assert dens[0] == pytest.approx(1.7e308 ** 0.5 * 0.5 ** 0.5 / 0.75, rel=1e-14)
     assert dens[1] == 1.0 / (0.5 * 1.5) * np.power(0.5 / 1.0, 2.0 - 1.5)
+
+
+def test_pareto_density_is_finite_where_p_over_eta_to_the_two_minus_q_overflows():
+    # eta = 1e-218 and q = 0.41: (p / eta)^1.59 overflows near p = 1, where the
+    # density eta^(q - 1) p^(2 - q) / (gamma q) is about 1e129, so the grid
+    # curvature read 0.0 and the stability check warned
+    fam = ParetoFamily(1.0, 0.41, [1e-218] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = stability_check(random_game(2, 2, np.random.default_rng(1)), (fam, fam))
+    top = 1.0 - _GRID_EDGE  # the grid's largest p, where the density peaks
+    with mpmath.workdps(40):
+        want = 0.41 / (mpmath.mpf(1e-218) ** (0.41 - 1) * mpmath.mpf(top) ** (2 - 0.41))
+    for player in report.players:
+        assert player.curvature_grid == pytest.approx(float(want), rel=1e-13)
+        assert player.curvature_grid >= player.curvature
 
 
 def test_pareto_regularizer_is_silent_where_p_over_eta_underflows():

@@ -91,6 +91,31 @@ MUTANTS = {
         "    if walked is not None:",
         "tests/test_response.py::test_bisection_replay_is_bitwise_plain_bisection",
     ),
+    # a one-call path that resumes the bisection at its walked bracket although
+    # only the lower end of its pair certified
+    "one_call_path_without_the_upper_certificate": (
+        "src/beliefgames/response.py",
+        "        accurate = a_cert == a and b_cert == b",
+        "        accurate = a_cert == a",
+        "tests/test_response.py::"
+        "test_predicted_starts_on_common_drift_paths_give_each_row_its_cold_bits",
+    ),
+    # a stacked group whose generic route solves every row with player 0's operands
+    "stacked_group_with_player_zero_s_route": (
+        "src/beliefgames/response.py",
+        "            routes = [_kkt_route(member) for member in members]"
+        " * (len(rows) // len(members))",
+        "            routes = [_kkt_route(members[0])] * len(rows)",
+        "tests/test_response.py::test_a_stacked_group_gives_each_row_its_own_players_bits"
+        "[pareto-q1.5-lead0]",
+    ),
+    # a solver that raises inside the replay check: one FAIL, and the suite runs on
+    "kkt_replay_solver_raises": (
+        "src/beliefgames/verify.py",
+        "            for fam, row, p in zip(fams, u, respond(u)):",
+        "            for fam, row, p in zip(fams, u, respond(u * np.nan)):",
+        "tests/test_verify.py::test_kkt_bisection_replay_reaches_the_one_call_path",
+    ),
     # a generic solve that takes a row holding a NaN or an infinite entry: its
     # bracket never closes, so the guard's child process runs into its timeout
     "non_finite_row_guard_removed": (

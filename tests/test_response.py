@@ -228,7 +228,8 @@ def _route_families(kind, m, n, shared):
 def test_responses_written_into_out_have_the_bits_of_fresh_ones(kind, shared, stack):
     m, n = 3, 4
     fams = _route_families(kind, m, n, shared)
-    assert len(_family_groups(fams)) == (1 if shared else m)
+    # per-player exponential and Pareto families differ only in eta: one stacked group
+    assert len(_family_groups(fams)) == (1 if shared or kind != "uniform" else m)
     u = np.random.default_rng(78).normal(0.0, 2.0, size=(*stack, m, n))
     want = response_operator(fams)(u)
     buf = np.full(u.shape, np.nan)
@@ -507,9 +508,10 @@ def test_bound_solver_gives_shuffled_rows_their_cold_bits():
 
 
 def test_bound_solver_ignores_a_non_finite_predicted_start():
-    # The bound solver starts Newton at kappa + p . (u_new - u_old).  A jump of
-    # 1.8e308 overflows that prediction to -inf or nan, which the solver takes
-    # as no start at all; the row still gets its cold bits.
+    # The bound solver starts a row at kappa + w . (u_new - u_old).  A jump of
+    # 1.8e308 overflows to -inf, so that prediction is -inf or nan for any
+    # weights (p here), which the solver takes as no start at all; the row
+    # still gets its cold bits.
     tables = [[[0.0, -2e307], [0.5, 1e306 * i], [1.0, 3e307]] for i in range(3)]
     for fam in (ParetoFamily(1e307, 0.6, [0.5, 1.0, 2.0]), ParetoFamily(1e307, 1.5, [0.5, 1.0, 2.0]),
                 ParetoFamily(1e307, 2.5, [0.5, 1.0, 2.0]), TabulatedFamily(tables)):
@@ -567,7 +569,7 @@ def _plain_or_message(fam, u):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_drifting_paths())
 def test_predicted_starts_on_drifting_paths_give_plain_bisection_bits(case):
-    # each bound solver starts a row at its last kappa plus p . (u - u_old):
+    # each bound solver starts a row at its last kappa plus w . (u - u_old):
     # rows fed one path at a time, then each round's rows of all paths as a stack
     fam, paths = case
     want = [[_plain_or_message(fam, row) for row in path] for path in paths]
@@ -589,6 +591,108 @@ def test_predicted_starts_on_drifting_paths_give_plain_bisection_bits(case):
             assert str(info.value) == failed[0]
         else:
             assert solve(paths[:, t]).tobytes() == b"".join(wanted)
+
+
+def test_family_groups_stack_families_that_differ_only_in_eta():
+    eta = np.array([[0.5, 1.0, 2.0], [1.5, 0.7, 0.9], [1.0, 1.0, 1.0]])
+    for make in (lambda e: ExponentialFamily(0.7, eta=e), lambda e: ParetoFamily(0.7, 1.5, e)):
+        fams = tuple(make(e) for e in eta)
+        ((stacked, players, index),) = _family_groups(fams)
+        assert (players, index) == ([0, 1, 2], slice(None))
+        assert type(stacked) is type(fams[0]) and stacked._members == fams
+        assert stacked.eta.tobytes() == eta.tobytes()
+        assert [fam.eta.shape for fam in fams] == [(3,)] * 3  # the players' own stay
+    # any other difference, mixed kinds, and kinds without eta stay per player
+    tables = [[[[0.0, -1.0], [1.0, 1.0 + i]]] * 3 for i in range(2)]
+    for fams in ((ExponentialFamily(0.7, eta=eta[0]), ExponentialFamily(0.8, eta=eta[1])),
+                 (ParetoFamily(0.7, 1.5, eta[0]), ParetoFamily(0.8, 1.5, eta[1])),
+                 (ParetoFamily(0.7, 1.5, eta[0]), ParetoFamily(0.7, 1.6, eta[1])),
+                 (ParetoFamily(0.7, 1.5, eta[0]), ExponentialFamily(0.7, eta=eta[1])),
+                 (UniformFamily(0.7, 3), UniformFamily(0.8, 3)),
+                 tuple(TabulatedFamily(table) for table in tables)):
+        assert [group for _, group, _ in _family_groups(fams)] == [[0], [1]]
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("kind", ["exponential", "pareto-q0.6", "pareto-q1.5", "pareto-q2.5"])
+def test_a_stacked_group_gives_each_row_its_own_players_bits(kind, lead):
+    # one solver for players whose families differ only in eta: softmax
+    # broadcasts the stacked etas, and the generic route binds each row's own
+    # player's operands; repeated calls start each row from its predicted kappa
+    rng = np.random.default_rng(79)
+    etas = rng.uniform(0.5, 2.0, (3, 4))
+    fams = tuple(ExponentialFamily(0.7, eta=e) if kind == "exponential"
+                 else ParetoFamily(0.7, float(kind[-3:]), e) for e in etas)
+    respond = response_operator(fams)
+    u = rng.normal(0.0, 2.0, (*lead, 3, 4))
+    for _ in range(3):
+        want = np.empty_like(u)
+        for idx in np.ndindex(*lead, 3):
+            want[idx] = response_probabilities(fams[idx[-1]], u[idx])
+        assert respond(u).tobytes() == want.tobytes()
+        u = u + rng.normal(0.0, 0.1, (*lead, 3, 1))
+
+
+@st.composite
+def _common_drift_paths(draw):
+    """(families, (T, M, N) payoff paths): one family, or an eta-stacked pair.
+
+    Each step moves all of a player's payoffs by one common amount and each
+    by a tiny amount of its own, as learning rounds near a fixed point move
+    the estimates, so the predicted starts are close enough for the one-call
+    path.  Pareto q comes from below 1, between 1 and 2 and above 2; tables
+    have no atoms; the pair is Pareto with a shared gamma and q.
+    """
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["low", "mid", "high", "tabulated", "stacked"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "tabulated":
+        tables = []
+        for _ in range(n):
+            ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))), 1.0]
+            steps = [0.05 + 2.0 * draw(unit) for _ in ts]
+            tables.append(np.column_stack((ts, np.cumsum(steps) - 1.0)))
+        fams = (TabulatedFamily(tables),)
+    else:
+        low, mid, high = st.floats(0.2, 0.95), st.floats(1.05, 2.0), st.floats(2.0, 4.0,
+                                                                               exclude_min=True)
+        q = draw({"low": low, "mid": mid, "high": high,
+                  "stacked": st.one_of(low, mid, high)}[kind])
+        gamma = 0.3 + 8.0 * draw(unit)
+        fams = tuple(ParetoFamily(gamma, q, [0.2 + 3.0 * draw(unit) for _ in range(n)])
+                     for _ in range(2 if kind == "stacked" else 1))
+    m, t = len(fams), draw(st.integers(2, 12))
+    scale, tiny = 10.0 ** draw(st.floats(-2.0, 2.0)), 10.0 ** draw(st.floats(-12.0, -3.0))
+    moves = draw(arrays(float, (t, m, n), elements=st.floats(-1.0, 1.0)))
+    common = draw(arrays(float, (t, m, 1), elements=st.floats(-1.0, 1.0)))
+    moves[1:] = common[1:] + tiny * moves[1:]
+    return fams, scale * np.cumsum(moves, axis=0)
+
+
+def _cold_or_message(fam, u):
+    """A cold ``response_probabilities`` call's bytes, or its error message."""
+    try:
+        return response_probabilities(fam, u).tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_common_drift_paths())
+def test_predicted_starts_on_common_drift_paths_give_each_row_its_cold_bits(case):
+    # a bound solver starts each row at its last kappa plus f / sum f . (u - u_old),
+    # and certifies that start in one kernel call where its last start was close
+    fams, path = case
+    respond = response_operator(fams)
+    for rows in path:
+        wanted = [_cold_or_message(fam, row) for fam, row in zip(fams, rows)]
+        failed = [(j, w) for j, w in enumerate(wanted) if isinstance(w, str)]
+        if failed:
+            with pytest.raises(RuntimeError) as info:
+                respond(rows)
+            assert str(info.value) == "player {}: {}".format(*failed[0])
+        else:
+            assert respond(rows).tobytes() == b"".join(wanted)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -682,6 +786,26 @@ def test_bisection_replay_fails_like_plain_bisection(count_cdf_kernel):
     assert "at kappa = 1000.0 (bracket [1000.0, 1000.0000000000001])" in messages[0]
 
 
+def test_a_row_whose_direct_solve_fails_solves_shifted():
+    # at (1e3, 1e3) adjacent floats straddle the root of the steep CDF above, and
+    # plain bisection fails; the same row at level 0 solves
+    steep = np.array([[0.0, -1.0], [0.2, 0.0], [0.8, 1e-13], [1.0, 1.0]])
+    fam = TabulatedFamily([steep, steep])
+    u = np.array([1000.0, 1000.0])
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        bisection_response(fam, u)
+    p, kappa = bisection_response(fam, u - 1000.0)
+    got = quantal_response(fam, u)
+    assert (got.probabilities.tobytes(), got.kkt_multiplier) == (p.tobytes(), kappa + 1000.0)
+    assert response_solver(fam)(np.stack([u, u - 1000.0])).tobytes() == p.tobytes() * 2
+    # a non-finite row still raises at once, and so does a row that fails shifted too
+    with pytest.raises(RuntimeError, match=r"^payoff row \[nan, 1000.0\] is not finite$"):
+        response_solver(fam)(np.array([np.nan, 1000.0]))
+    shifted_steep = steep + [0.0, 1000.0]
+    with pytest.raises(RuntimeError, match=r"failed to converge: .* at kappa = 1000.0 "):
+        response_probabilities(TabulatedFamily([shifted_steep] * 2), [0.0, 0.0])
+
+
 @pytest.mark.parametrize("fam", [
     ParetoFamily(6.0, 0.6, [0.5, 1.0, 2.0]),
     ParetoFamily(6.0, 1.5, [0.5, 1.0, 2.0]),
@@ -713,6 +837,55 @@ def test_rows_wider_than_the_float_range_solve_silently():
 def test_the_widest_row_solves_to_its_response():
     p = response_probabilities(ParetoFamily(6.0, 0.6, [0.5, 1.0, 2.0]), [-1e308, 0.3, 0.0])
     np.testing.assert_allclose(p, [0.0, 0.3454, 0.6546], atol=1e-4)
+
+
+@st.composite
+def _leveled_rows(draw):
+    """(family, u): a family of any kind with N in 2..5 and its payoffs at a level.
+
+    The row is ``level + scale * offsets`` with level = +-10^k scale, k up to
+    300, scale the family's (gamma, or a table's span) and offsets in
+    [-1, 1].  Tables have no atoms.
+    """
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["exponential", "uniform", "pareto", "tabulated"]))
+    unit = st.floats(0.0, 1.0)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if kind == "exponential":
+        fam = ExponentialFamily(scale, eta=[0.2 + 3.0 * draw(unit) for _ in range(n)])
+    elif kind == "uniform":
+        fam = UniformFamily(scale, n)
+    elif kind == "pareto":
+        q = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0)))
+        fam = ParetoFamily(scale, q, [0.2 + 3.0 * draw(unit) for _ in range(n)])
+    else:
+        tables = []
+        for _ in range(n):
+            ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3)))), 1.0]
+            steps = [0.05 + draw(unit) for _ in ts]
+            tables.append(np.column_stack((ts, scale * (np.cumsum(steps) - 1.0))))
+        fam = TabulatedFamily(tables)
+    level = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(0.0, 300.0)) * scale
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return fam, level + scale * np.array(offsets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_leveled_rows())
+def test_rows_at_any_level_solve_like_their_shifted_rows(case):
+    # The direct solve works at the row's level, where kappa takes only the
+    # floats of that level; where it fails, the solver solves u - max u.  Where
+    # it succeeds, its sum was within 1e-9 of one before p / sum, which moves
+    # each p_i by at most about 1e-9 from the exact response of the row.
+    fam, u = case
+    shifted = u - u.max()
+    p = response_probabilities(fam, u, method="bisection")
+    want = response_probabilities(fam, shifted, method="bisection")
+    assert abs(p.sum() - 1.0) <= 1e-9
+    assert np.abs(p - want).max() <= 2e-9, (fam.to_dict(), u.tolist())
+    if not isinstance(fam, (ExponentialFamily, UniformFamily)):  # the bound generic route
+        assert response_solver(fam)(np.stack([u, shifted])).tobytes() == np.concatenate(
+            [p, want]).tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -38,3 +38,22 @@ def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL softmax_bisection: RuntimeError: solver blew up" in out
     assert "PASS gumbel_softmax" in out
+
+
+def test_kkt_bisection_replay_reaches_the_one_call_path(monkeypatch):
+    # the drifting paths' rows certify most predicted kappas in one kernel call,
+    # with no Newton phase, and every row keeps plain bisection's bits
+    import beliefgames.response as response
+
+    counts = {"solves": 0, "newton": 0}
+    solve, newton = response._kkt_solve, response._newton_bracket
+
+    def counted(name, fn):
+        return lambda *args: (counts.__setitem__(name, counts[name] + 1), fn(*args))[1]
+
+    monkeypatch.setattr(response, "_kkt_solve", counted("solves", solve))
+    monkeypatch.setattr(response, "_newton_bracket", counted("newton", newton))
+    manifest = verification_suite(only="kkt_bisection_replay")
+    assert manifest["checks"]["kkt_bisection_replay"] == {"passed": True, "detail": (
+        "0 of 140 solves (40 cold, 40 warm, 60 on drifting paths) differ in some bit")}
+    assert counts["solves"] - counts["newton"] >= 40
