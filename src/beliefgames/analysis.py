@@ -17,7 +17,7 @@ import numpy as np
 from .families import MarginalFamily
 from .games import (Game, StrategyProfile, _check_pair, _check_simplex_rows, payoff_vector_rows,
                     uniform_profile)
-from .response import response_operator
+from .response import _family_groups, response_operator
 
 #: resolution of the probability grid behind the ``curvature_grid`` cross-check;
 #: endpoints stay strictly inside (0, 1).
@@ -76,97 +76,88 @@ class FixedPointResult:
     residual: float
 
 
-def _response_jacobians(fams, targets: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """(M, M, N, N) products D_j C_jk of each player's response Jacobian, at
-    ``targets``, with the cross-payoff blocks ``cross``.
-
-    D_j, the derivative of player j's response in their payoffs, is
-    diag(f) - f f^T / sum f, with f the family's density at the response's
-    quantiles, 0 on actions whose response is exactly 0: the softmax Jacobian
-    for an exponential family, the sparsemax Jacobian on the support for a
-    uniform one, and the implicit derivative of the KKT system
-    u_i + F_i^{-1}(1 - p_i) = kappa for every other family.  Where f f^T
-    overflows, D_j and its products hold inf or NaN, without a warning.
-    """
-    inside = targets > 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = np.stack([np.where(inside[j], fam._density(np.where(inside[j], targets[j], 1.0)), 0.0)
-                      for j, fam in enumerate(fams)])
-        jac = f[..., None] * np.eye(f.shape[-1]) - (
-            f[..., :, None] * f[..., None, :] / f.sum(axis=-1)[:, None, None])
-        return np.matmul(jac[:, None], cross)
-
-
-def _newton_step(game: Game, fams, probs: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
-    """P + delta from (I - D C) delta = R(U(P)) - P, clipped at 0 and renormalized.
-
-    D holds the response Jacobians and C the cross-payoff blocks dU_j / dp_k.
-    None when the system is singular or the step is not finite.
-    """
-    m, n = probs.shape
-    jac = _response_jacobians(fams, targets, _cross_blocks(game, probs))
-    system = np.eye(m * n) - assemble_hessian(jac)
-    if not np.isfinite(system).all():
-        return None
-    try:
-        delta = np.linalg.solve(system, (targets - probs).ravel())
-    except np.linalg.LinAlgError:
-        return None
-    new = np.maximum(probs + delta.reshape(m, n), 0.0)
-    totals = new.sum(axis=-1, keepdims=True)
-    if not (np.isfinite(new).all() and (totals > 0.0).all()):
-        return None
-    return new / totals
-
-
 def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-10,
                         max_iter: int = 10_000, start: StrategyProfile | None = None) -> FixedPointResult:
     """Find a root of G(P) = P - R(U(P)) by guarded Newton steps.
 
     R is the families' quantal response and U every player's payoff vector.
-    Each iteration solves (I - D C) delta = R(U(P)) - P, with D the response
-    Jacobians at R(U(P)) and C the cross-payoff blocks, clips P + delta at 0
-    and renormalizes each row.  The step is kept only when it strictly lowers
-    the sup-norm residual |P - R(U(P))|; otherwise, and whenever the system
-    or the step is singular or not finite, the iteration takes the damped
-    sweep P <- (1 - damping) P + damping R(U(P)) from the current P instead.
-    Starts from the uniform profile unless ``start`` is given.  Stops once
-    the residual is at most ``tol``; reports (rather than raises on)
+    Each iteration solves (I - D C) delta = R(U(P)) - P, clips P + delta at 0
+    and renormalizes each row.  C holds the cross-payoff blocks and D the
+    response Jacobians at R(U(P)): D_j = diag(f) - f f^T / sum f, with f the
+    density at the response's quantiles, 0 on actions whose response is 0 (the
+    softmax or sparsemax Jacobian, or the implicit derivative of the KKT system
+    u_i + F_i^{-1}(1 - p_i) = kappa).  The step is kept only when it strictly
+    lowers the sup-norm residual |P - R(U(P))|; otherwise, and whenever the
+    system or the step is singular or not finite (f f^T can overflow, silently),
+    the iteration takes the damped sweep P <- (1 - damping) P + damping R(U(P))
+    instead.  Starts from the uniform rows unless ``start`` is given.  Stops
+    once the residual is at most ``tol``; reports (rather than raises on)
     non-convergence after ``max_iter`` iterations.
+
+    A call binds what its steps reuse: the response operator, each family group's
+    density kernel, the buffers, the cross blocks' profile stack, and for two
+    players the blocks, which do not depend on P.
     """
     fams = _check_families(game, fams)
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    current = (uniform_profile(game.num_players, game.num_actions) if start is None else start)
-    _check_pair(game, current)
+    m, n = game.num_players, game.num_actions
+    if start is not None:
+        _check_pair(game, start)
+    probs = np.full((m, n), 1.0 / n) if start is None else start.probs
     respond = response_operator(fams)
+    densities = [(fam._density, index) for fam, _, index in _family_groups(fams)]
+    blocks = _cross_blocks(game)
+    fixed = blocks(probs) if m == 2 else None  # a two-player game's blocks at every P
+    eye, total = np.eye(n), np.empty(m)
+    diag, outer, prod = np.empty((m, n, n)), np.empty((m, n, n)), np.empty((m, m, n, n))
+    identity, system = np.eye(m * n).reshape(m, n, m, n), np.empty((m * n, m * n))
 
     def evaluate(probs):
         targets = respond(payoff_vector_rows(game, None, probs))
-        return targets, float(np.abs(probs - targets).max())
+        return targets, float(np.maximum.reduce(np.abs(probs - targets), axis=None))
 
-    probs = current.probs
+    def newton_step(probs, targets):  # None when the system or the step is singular or not finite
+        cross = fixed if fixed is not None else blocks(probs)
+        inside = targets > 0.0
+        f = np.where(inside, targets, 1.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for density, index in densities:
+                f[index] = density(f[index])
+            f = np.where(inside, f, 0.0)
+            np.add.reduce(f, axis=-1, out=total)
+            np.multiply(f[..., None], eye, out=diag)
+            np.multiply(f[..., :, None], f[..., None, :], out=outer)
+            np.divide(outer, total[:, None, None], out=outer)
+            np.matmul(np.subtract(diag, outer, out=diag)[:, None], cross, out=prod)
+        np.subtract(identity, prod.transpose(0, 2, 1, 3), out=system.reshape(m, n, m, n))
+        if not np.isfinite(system).all():
+            return None
+        try:
+            delta = np.linalg.solve(system, (targets - probs).ravel())
+        except np.linalg.LinAlgError:
+            return None
+        new = np.maximum(probs + delta.reshape(m, n), 0.0)
+        totals = new.sum(axis=-1, keepdims=True)
+        if not (np.isfinite(new).all() and (totals > 0.0).all()):
+            return None
+        return new / totals
+
     targets, residual = evaluate(probs)
     movement, iterations = 0.0, 0
-    # Newton's rows are renormalized and each sweep's rows are a convex mix of
-    # simplex rows: no profile to validate
+    # Newton's rows are renormalized and a sweep mixes simplex rows: nothing to validate
     while residual > tol and iterations < max_iter:
         iterations += 1
-        new = _newton_step(game, fams, probs, targets)
+        new = newton_step(probs, targets)
         if new is not None:
             new_targets, new_residual = evaluate(new)
         if new is None or not new_residual < residual:
             new = (1.0 - damping) * probs + damping * targets
             new_targets, new_residual = evaluate(new)
-        movement = float(np.abs(new - probs).max())
+        movement = float(np.maximum.reduce(np.abs(new - probs), axis=None))
         probs, targets, residual = new, new_targets, new_residual
-    return FixedPointResult(
-        profile=StrategyProfile(probs),
-        converged=residual <= tol,
-        iterations=iterations,
-        movement=movement,
-        residual=residual,
-    )
+    return FixedPointResult(profile=StrategyProfile(probs), converged=residual <= tol,
+                            iterations=iterations, movement=movement, residual=residual)
 
 
 def residual_series(game: Game, trace, fams) -> np.ndarray:
@@ -185,20 +176,27 @@ def residual_series(game: Game, trace, fams) -> np.ndarray:
 # Hessian of the smooth game
 # ---------------------------------------------------------------------------
 
-def _cross_blocks(game: Game, probs: np.ndarray) -> np.ndarray:
-    """(M, M, N, N) cross-payoff blocks dU_j / dp_k at the ``(M, N)`` rows ``probs``.
+def _cross_blocks(game: Game):
+    """Bind ``game``'s pure-action profile stack once: ``blocks(probs)`` gives the
+    (M, M, N, N) cross-payoff blocks dU_j / dp_k at the ``(M, N)`` rows ``probs``.
 
-    Block (j, k) holds dU_ji / dp_ki' for k != j; the diagonal blocks are
-    zero, since no payoff vector depends on its own player's mix.  One
-    contraction of M N profiles: profile (k, i') puts player k at action i',
-    and its payoff row j is column i' of block (j, k).
+    Block (j, k) holds dU_ji / dp_ki' for k != j; the diagonal blocks are zero,
+    since no payoff vector depends on its own player's mix.  One contraction of
+    M N profiles: profile (k, i') puts player k at action i', and its payoff row
+    j is column i' of block (j, k).  A call writes ``probs`` into the mixed rows
+    only; two players' blocks read none, so they are the same at every ``probs``.
     """
-    m, n = probs.shape
-    profiles = np.tile(probs, (m, n, 1, 1))
-    profiles[np.arange(m), :, np.arange(m)] = np.eye(n)
-    cross = payoff_vector_rows(game, None, profiles).transpose(2, 0, 3, 1)
-    cross[np.arange(m), np.arange(m)] = 0.0
-    return cross
+    m, n = game.num_players, game.num_actions
+    pure = np.eye(m, dtype=bool)[:, None, :, None]  # row k of each profile (k, i')
+    profiles, mixed = np.where(pure, np.eye(n)[:, None, :], 0.0), ~pure
+
+    def blocks(probs: np.ndarray) -> np.ndarray:
+        np.copyto(profiles, probs, where=mixed)
+        cross = payoff_vector_rows(game, None, profiles)
+        np.copyto(cross, 0.0, where=pure)
+        return cross.transpose(2, 0, 3, 1)
+
+    return blocks
 
 
 def hessian_blocks(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
@@ -211,7 +209,7 @@ def hessian_blocks(game: Game, profile: StrategyProfile, fams) -> np.ndarray:
     density too small for its reciprocal to be a float gives -inf.
     """
     fams = _check_families(game, fams)
-    cross = _cross_blocks(game, profile.probs)
+    cross = _cross_blocks(game)(profile.probs)
     blocks = 0.5 * (cross + cross.transpose(1, 0, 3, 2))
     for j in range(game.num_players):
         with np.errstate(divide="ignore", over="ignore"):
@@ -302,14 +300,20 @@ def coupling_bound(game: Game, player: int) -> float:
     of a pair read the same bits (a transpose's norm can differ in the last
     place).
     """
-    m, n = game.num_players, game.num_actions
-    total = 0.0
-    for k in range(m):
+    return _coupling(game, player, {})
+
+
+def _coupling(game: Game, player: int, pairs: dict) -> float:
+    """:func:`coupling_bound`, each pair's term read from ``pairs``, or taken and stored there."""
+    n, total = game.num_actions, 0.0
+    for k in range(game.num_players):
         if k == player:
             continue
         pair = (min(player, k), max(player, k))
-        cross = sum(np.moveaxis(game.payoffs[r], pair, (-2, -1)) for r in pair)
-        total += 0.5 * float(np.linalg.norm(cross.reshape(-1, n, n), 2, axis=(-2, -1)).max())
+        if pair not in pairs:
+            cross = sum(np.moveaxis(game.payoffs[r], pair, (-2, -1)) for r in pair).reshape(-1, n, n)
+            pairs[pair] = 0.5 * float(np.linalg.norm(cross, 2, axis=(-2, -1)).max())
+        total += pairs[pair]
     return total
 
 
@@ -323,28 +327,24 @@ def stability_check(game: Game, fams) -> StabilityReport:
     tangent space at every profile: the smooth game is diagonally strictly
     concave, and by Rosen (1965) its equilibrium is unique.  The report
     carries block-diagonal dominance and tangent-space negative definiteness
-    of the Hessian at the uniform profile as corroborating diagnostics.
+    of the Hessian at the uniform profile as corroborating diagnostics.  Each
+    pair's norm batch is taken once for both its players, and each distinct
+    family object's ``curvature_grid`` once for the players who share it.
     """
     fams = _check_families(game, fams)
-    players = []
+    players, pairs, grids = [], {}, {}
     for j, fam in enumerate(fams):
-        curvature, coupling = _curvature(fam), coupling_bound(game, j)
-        players.append(PlayerStability(
-            player=j,
-            curvature=curvature,
-            curvature_grid=_curvature_grid(fam),
-            coupling=coupling,
-            passed=bool(curvature > coupling),
-        ))
+        key = id(fam)  # not the class: families of one class differ in their parameters
+        if key not in grids:
+            grids[key] = _curvature_grid(fam)
+        curvature, coupling = _curvature(fam), _coupling(game, j, pairs)
+        players.append(PlayerStability(player=j, curvature=curvature, curvature_grid=grids[key],
+                                       coupling=coupling, passed=bool(curvature > coupling)))
     blocks = hessian_blocks(game, uniform_profile(game.num_players, game.num_actions), fams)
     return StabilityReport(
-        players=tuple(players),
-        all_passed=all(p.passed for p in players),
+        players=tuple(players), all_passed=all(p.passed for p in players),
         diag_dominant=diagonal_dominance_check(blocks),
-        negdef_on_tangent=negdef_on_tangent_check(
-            assemble_hessian(blocks), n_players=game.num_players
-        ),
-    )
+        negdef_on_tangent=negdef_on_tangent_check(assemble_hessian(blocks), game.num_players))
 
 
 def diagonal_dominance_check(blocks: np.ndarray) -> bool:

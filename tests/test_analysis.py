@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefgames.analysis import (
+    CURVATURE_GRID,
     assemble_hessian,
     coupling_bound,
     diagonal_dominance_check,
@@ -29,6 +30,7 @@ from beliefgames.games import (
     pairwise_payoff_matrix,
     payoff_vector_rows,
     random_game,
+    random_profile,
     uniform_profile,
 )
 from beliefgames.response import response_operator
@@ -88,6 +90,82 @@ def _damped_sweep(game, fams, damping=0.5, tol=1e-10, max_iter=10_000):
             break
     residual = float(np.abs(probs - respond(payoff_vector_rows(game, None, probs))).max())
     return probs, iterations, residual
+
+
+def _reference_cross_blocks(game, probs):
+    """(M, M, N, N) cross-payoff blocks at ``probs``: the pure-action profiles
+    tiled from ``probs``, one contraction, and the diagonal blocks zeroed."""
+    m, n = probs.shape
+    profiles = np.tile(probs, (m, n, 1, 1))
+    profiles[np.arange(m), :, np.arange(m)] = np.eye(n)
+    cross = payoff_vector_rows(game, None, profiles).transpose(2, 0, 3, 1)
+    cross[np.arange(m), np.arange(m)] = 0.0
+    return cross
+
+
+def _reference_newton_step(game, fams, probs, targets):
+    """P + delta from (I - D C) delta = R(U(P)) - P, each player's response
+    Jacobian D_j = diag(f) - f f^T / sum f built on its own; None when the
+    system is singular or the step is not finite."""
+    m, n = probs.shape
+    cross = _reference_cross_blocks(game, probs)
+    inside = targets > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = np.stack([np.where(inside[j], fam._density(np.where(inside[j], targets[j], 1.0)), 0.0)
+                      for j, fam in enumerate(fams)])
+        jac = f[..., None] * np.eye(n) - (
+            f[..., :, None] * f[..., None, :] / f.sum(axis=-1)[:, None, None])
+        jac = np.matmul(jac[:, None], cross)
+    system = np.eye(m * n) - assemble_hessian(jac)
+    if not np.isfinite(system).all():
+        return None
+    try:
+        delta = np.linalg.solve(system, (targets - probs).ravel())
+    except np.linalg.LinAlgError:
+        return None
+    new = np.maximum(probs + delta.reshape(m, n), 0.0)
+    totals = new.sum(axis=-1, keepdims=True)
+    if not (np.isfinite(new).all() and (totals > 0.0).all()):
+        return None
+    return new / totals
+
+
+def _reference_fixed_point(game, fams, damping=0.5, tol=1e-10, max_iter=10_000, start=None):
+    """The guarded Newton iteration with every step built from scratch: a
+    reference for :func:`fixed_point_iterate`, which binds what its steps
+    reuse.  Returns (profile rows, converged, iterations, movement, residual)."""
+    respond = response_operator(fams)
+
+    def evaluate(probs):
+        targets = respond(payoff_vector_rows(game, None, probs))
+        return targets, float(np.abs(probs - targets).max())
+
+    probs = (uniform_profile(game.num_players, game.num_actions) if start is None
+             else start).probs
+    targets, residual = evaluate(probs)
+    movement, iterations = 0.0, 0
+    while residual > tol and iterations < max_iter:
+        iterations += 1
+        new = _reference_newton_step(game, fams, probs, targets)
+        if new is not None:
+            new_targets, new_residual = evaluate(new)
+        if new is None or not new_residual < residual:
+            new = (1.0 - damping) * probs + damping * targets
+            new_targets, new_residual = evaluate(new)
+        movement = float(np.abs(new - probs).max())
+        probs, targets, residual = new, new_targets, new_residual
+    return probs, residual <= tol, iterations, movement, residual
+
+
+def _assert_reference_bits(game, fams, **kwargs):
+    """Every field of ``fixed_point_iterate``'s result equals the reference's, bit for bit."""
+    result = fixed_point_iterate(game, fams, **kwargs)
+    probs, converged, iterations, movement, residual = _reference_fixed_point(game, fams, **kwargs)
+    assert result.profile.probs.tobytes() == probs.tobytes()
+    assert (result.converged, result.iterations) == (converged, iterations)
+    assert np.array([result.movement, result.residual]).tobytes() == (
+        np.array([movement, residual]).tobytes())
+    return result
 
 
 def _counted(count_cdf_kernel, solve, game, fams):
@@ -287,6 +365,92 @@ def test_a_newton_step_whose_jacobian_overflows_is_rejected_silently():
     assert result.iterations == 20 and np.isfinite(result.residual)
 
 
+@st.composite
+def _fixed_point_cases(draw):
+    """A :func:`_regularized_games` case; or its game with per-player mixed kinds
+    (exponential beside Pareto) or an eta-stacked Pareto group; with or
+    without a random interior start."""
+    game, fams = draw(_regularized_games())
+    m, n = game.num_players, game.num_actions
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma, q = draw(st.floats(1.5, 8.0)), draw(st.floats(0.2, 0.95) | st.floats(1.05, 1.95))
+    variant = draw(st.sampled_from(["shared", "mixed", "stacked"]))
+    if variant == "mixed":
+        fams = tuple(ExponentialFamily(gamma, rng.uniform(0.5, 2.0, n)) if j % 2 == 0
+                     else ParetoFamily(gamma, q, rng.uniform(0.5, 2.0, n)) for j in range(m))
+    elif variant == "stacked":
+        fams = tuple(ParetoFamily(gamma, q, rng.uniform(0.5, 2.0, n)) for _ in range(m))
+    start = random_profile(m, n, rng, floor=0.01) if draw(st.booleans()) else None
+    return game, fams, start
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fixed_point_cases())
+def test_bound_fixed_point_has_the_reference_bits(case):
+    # the bound solve makes the reference step's array operations on the same
+    # operand layouts, so every field keeps its bits, certified game or not
+    game, fams, start = case
+    _assert_reference_bits(game, fams, start=start)
+
+
+@pytest.mark.parametrize("seed, fam, max_iter", [
+    (39, ExponentialFamily(0.1, n_actions=3), 10_000),  # guarded: Newton steps are rejected
+    (39, ParetoFamily(0.1, 2.2, np.ones(3)), 10_000),
+    (0, ExponentialFamily(1e-160, np.ones(3)), 20),  # f f^T overflows: every step is a sweep
+])
+def test_guarded_and_overflowing_solves_have_the_reference_bits(seed, fam, max_iter):
+    game = random_game(2, 3, np.random.default_rng(seed))
+    _assert_reference_bits(game, (fam, fam), max_iter=max_iter)
+
+
+def _criterion_07_games(count=4):
+    """The acceptance criterion-07 shape: random 2x3 games, exponential gamma = 6."""
+    rng = np.random.default_rng(107)
+    fams = tuple(ExponentialFamily(gamma=6.0, n_actions=3) for _ in range(2))
+    return [(random_game(2, 3, rng), fams) for _ in range(count)]
+
+
+def _counting(monkeypatch, owner, name, counts, key, when=lambda *a, **k: True):
+    """Replace ``owner.name`` by a wrapper that counts its calls under ``key``."""
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += bool(when(*args, **kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_two_player_solve_builds_its_cross_blocks_once(monkeypatch):
+    import beliefgames.analysis as analysis
+
+    counts = dict.fromkeys(["blocks", "solve", "density"], 0)
+    _counting(monkeypatch, analysis, "_cross_blocks", counts, "blocks")
+    _counting(monkeypatch, np.linalg, "solve", counts, "solve")
+    games = _criterion_07_games()
+    for fam in games[0][1]:  # equal families form one group: one kernel call a step
+        _counting(monkeypatch, fam, "_density", counts, "density")
+    for game, fams in games:
+        counts.update(dict.fromkeys(counts, 0))
+        result = fixed_point_iterate(game, fams)
+        assert result.converged and result.iterations >= 2  # one Newton system per iteration
+        assert counts == {"blocks": 1, "solve": result.iterations, "density": result.iterations}
+
+
+def test_a_three_player_solve_makes_one_contraction_a_step_and_no_tile(monkeypatch):
+    import beliefgames.analysis as analysis
+
+    counts = dict.fromkeys(["stacks", "solve", "tile"], 0)
+    _counting(monkeypatch, analysis, "payoff_vector_rows", counts, "stacks",
+              lambda game, player, rows: rows.ndim == 4)
+    _counting(monkeypatch, np.linalg, "solve", counts, "solve")
+    _counting(monkeypatch, np, "tile", counts, "tile")
+    game = random_game(3, 4, np.random.default_rng(3))
+    result = fixed_point_iterate(game, _exp(1.5, n=4, players=3))
+    assert result.converged and counts["solve"] >= 2
+    assert counts == {"stacks": counts["solve"], "solve": counts["solve"], "tile": 0}
+
+
 def test_fixed_point_stops_at_once_on_a_fixed_point():
     game = matching_game(2)
     fams = _exp(3.0)
@@ -484,6 +648,62 @@ def test_stability_check_closed_form_for_pareto():
     # gamma q / max eta^(q - 1): the worst action's density sets the curvature
     assert p0.curvature == pytest.approx(4.5 / np.sqrt(0.8))
     assert p0.passed
+
+
+def _stability_families(kind, m, n):
+    """``m`` players' families: one shared object, distinct exponential objects
+    that differ in gamma, or Pareto, uniform and tabulated families, players 0
+    and 2 sharing one Pareto object."""
+    if kind == "shared":
+        return (ExponentialFamily(2.0, n_actions=n),) * m
+    if kind == "distinct":
+        return tuple(ExponentialFamily(1.0 + j, n_actions=n) for j in range(m))
+    ts = np.linspace(0.0, 1.0, 4)
+    kinds = (ParetoFamily(1.5, 0.6, np.linspace(0.5, 2.0, n)), UniformFamily(0.8, n),
+             TabulatedFamily([np.column_stack((ts, [0.0, 1.0, 1.5, 3.0]))] * n))
+    return tuple(kinds[j % 2] if j < 3 else kinds[2] for j in range(m))
+
+
+def _assembled_stability(game, fams):
+    """A stability report's dict assembled from per-player public calls; the
+    grid curvature read off the p-grid as ``PlayerStability`` describes it."""
+    p = np.linspace(1e-9, 1.0 - 1e-9, CURVATURE_GRID)
+    players = []
+    for j, fam in enumerate(fams):
+        dens = fam.density_vector(np.repeat(p[:, None], fam.n_actions, axis=1))
+        with np.errstate(divide="ignore", over="ignore"):
+            grid = float(1.0 / dens.max())
+        curvature, coupling = 1.0 / float(fam.lipschitz_constant()), coupling_bound(game, j)
+        players.append({"player": j, "curvature": curvature, "curvature_grid": grid,
+                        "coupling": coupling, "passed": curvature > coupling})
+    blocks = hessian_blocks(game, uniform_profile(game.num_players, game.num_actions), fams)
+    return {"all_passed": all(p["passed"] for p in players),
+            "diag_dominant": diagonal_dominance_check(blocks),
+            "negdef_on_tangent": negdef_on_tangent_check(assemble_hessian(blocks),
+                                                         n_players=game.num_players),
+            "players": players}
+
+
+@pytest.mark.parametrize("kind", ["shared", "distinct", "mixed"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_stability_report_equals_its_per_player_assembly(kind, m):
+    # one norm batch per pair and one grid per family object keep every bit
+    game = random_game(m, 3, np.random.default_rng(10 + m))
+    fams = _stability_families(kind, m, 3)
+    report = stability_check(game, fams).to_dict()
+    assert report == _assembled_stability(game, fams)
+    assert len({p["curvature_grid"] for p in report["players"]}) == len(set(map(id, fams)))
+
+
+@pytest.mark.parametrize("kind, grids", [("shared", 1), ("distinct", 3), ("mixed", 2)])
+def test_stability_check_takes_each_pair_and_each_family_object_once(monkeypatch, kind, grids):
+    import beliefgames.analysis as analysis
+
+    counts = {"batches": 0, "grids": 0}
+    _counting(monkeypatch, np.linalg, "norm", counts, "batches", lambda *a, **k: "axis" in k)
+    _counting(monkeypatch, analysis, "_curvature_grid", counts, "grids")
+    stability_check(random_game(3, 4, np.random.default_rng(5)), _stability_families(kind, 3, 4))
+    assert counts == {"batches": 3, "grids": grids}
 
 
 def _near_pure(players, actions, k):

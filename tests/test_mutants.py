@@ -43,6 +43,20 @@ MUTANTS = {
         "        if new is None:",
         "tests/test_analysis.py::test_guarded_newton_converges_on_a_weakly_regularized_game",
     ),
+    # a three-player solve whose every Newton step reuses the start profile's cross blocks
+    "cross_blocks_bound_at_the_start_profile": (
+        "src/beliefgames/analysis.py",
+        "    fixed = blocks(probs) if m == 2 else None  # a two-player game's blocks at every P",
+        "    fixed = blocks(probs)",
+        "tests/test_analysis.py::test_bound_fixed_point_has_the_reference_bits",
+    ),
+    # a stability check that reuses one curvature grid for every family of a class
+    "curvature_grid_cached_by_family_class": (
+        "src/beliefgames/analysis.py",
+        "        key = id(fam)  # not the class: families of one class differ in their parameters",
+        "        key = type(fam)",
+        "tests/test_analysis.py::test_stability_report_equals_its_per_player_assembly[3-distinct]",
+    ),
     # a risk group's estimate view bound as a copy: the round updates the copy
     # and never writes the estimates
     "risk_group_updates_a_copy": (
