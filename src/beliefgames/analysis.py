@@ -352,21 +352,20 @@ def diagonal_dominance_check(blocks: np.ndarray) -> bool:
 
     True iff for every player the smallest diagonal magnitude of their own
     block strictly exceeds the summed operator norms of their off-diagonal
-    row.  Non-diagonal or singular own-blocks fail.
+    row.  Non-diagonal or singular own-blocks fail, before any norm is taken.
     """
     blocks = np.asarray(blocks, dtype=float)
-    m = blocks.shape[0]
+    m, floors = blocks.shape[0], []
     for j in range(m):
         own = blocks[j, j]
         if not np.allclose(own, np.diag(np.diagonal(own)), atol=1e-12):
             return False
-        floor = float(np.abs(np.diagonal(own)).min())
-        if floor == 0.0 or not np.isfinite(floor):
+        floors.append(float(np.abs(np.diagonal(own)).min()))
+        if floors[j] == 0.0 or not np.isfinite(floors[j]):
             return False
-        off = sum(float(np.linalg.norm(blocks[j, k], 2)) for k in range(m) if k != j)
-        if not floor > off:
-            return False
-    return True
+    # every off-diagonal block's norm in one batched call, each row summed in column order
+    off = np.linalg.norm(blocks[~np.eye(m, dtype=bool)], 2, axis=(-2, -1)).reshape(m, m - 1)
+    return all(floor > sum(norms) for floor, norms in zip(floors, off.tolist()))
 
 
 def _tangent_basis(n_players: int, n_actions: int) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 A config is a single JSON object naming a game file (resolved relative to the
 config's own directory), the per-player families, a step schedule, and run
-and solver settings.  Families may be given once (applied to every player) or
-as a per-player list.  Loading builds the :class:`RunConfig`, so every setting
-of the run is validated once, when the file is read.  Scalar fields are read
-by the number rule of :mod:`beliefgames.games` (``_field`` with ``_integer``
-or ``_real``), as the game file, family objects and schedule are.
+and solver settings.  Families may be given once, as one object that every
+player holds and so shares kernel calls, or as a per-player list.  Loading
+builds the :class:`RunConfig`, so every setting of the run is validated once,
+when the file is read.  Scalar fields are read by the number rule of
+:mod:`beliefgames.games` (``_field`` with ``_integer`` or ``_real``), as the
+game file, family objects and schedule are.
 """
 
 from __future__ import annotations
@@ -72,23 +73,18 @@ class ExperimentConfig:
 
 
 def _families_from_spec(spec, game: Game, label: str) -> tuple:
-    if isinstance(spec, dict):
-        specs = [spec] * game.num_players
-    elif isinstance(spec, list):
-        specs = spec
-    else:
+    if not isinstance(spec, (dict, list)):
         raise ValueError(f"{label} must be a family object or a per-player list")
-    if len(specs) != game.num_players:
+    if isinstance(spec, list) and len(spec) != game.num_players:
         raise ValueError(
-            f"{label} lists {len(specs)} families, game has {game.num_players} players"
-        )
+            f"{label} lists {len(spec)} families, game has {game.num_players} players")
     fams = []
-    for j, doc in enumerate(specs):
+    for j, doc in enumerate([spec] if isinstance(spec, dict) else spec):
         try:
             fams.append(family_from_dict(doc, n_actions=game.num_actions))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{label}[{j}]: {exc}") from exc
-    return tuple(fams)
+    return tuple(fams) * (game.num_players // len(fams))
 
 
 def _path(value, key: str):

@@ -565,10 +565,10 @@ class TabulatedFamily(MarginalFamily):
 def _stack_eta(fams) -> MarginalFamily:
     """One family of ``fams[0]``'s class with the players' etas stacked to ``(M, N)``.
 
-    For exponential or Pareto families that differ only in eta.  Every
-    kernel operation on eta is elementwise, and the other operands are the
-    shared 0-d ones, so on ``(..., M, N)`` stacks of the players' rows each
-    entry has the bits of its own player's call.  ``_members`` holds the
+    For exponential or Pareto families of one class whose other parameters,
+    gamma (and q), are equal, so their 0-d operands have equal bits.  Every
+    kernel operation on eta is elementwise, so on ``(..., M, N)`` stacks of
+    the players' rows each entry has the bits of its own player's call.  ``_members`` holds the
     players' own families, whose operands the generic solver binds per row.
     """
     stacked = object.__new__(type(fams[0]))

@@ -36,13 +36,12 @@ and solve it, with its kappa, in one body (:func:`_solve_row`), and
 :func:`response_solver` binds the route once for unvalidated ``(..., N)``
 stacks, written into ``out`` and without kappa.  :func:`response_operator`
 gives every player's response at once: one :func:`response_solver` call for
-all players when their families are equal or differ only in eta, one per
-player otherwise.
+all players when they hold one family object or families that differ only in
+eta, one per player otherwise.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -94,6 +93,7 @@ def weighted_softmax(u, eta, gamma: float) -> np.ndarray:
 
     Computed with the max subtracted from the exponent, so any finite inputs
     are safe; components whose exponent underflows come out as exact zeros.
+    A row whose u / gamma overflows is taken as u - max u, the same response.
     Each row of a ``(..., N)`` input gets the bits of its own 1-D call.
     """
     u = np.asarray(u, dtype=float)
@@ -104,7 +104,11 @@ def weighted_softmax(u, eta, gamma: float) -> np.ndarray:
         raise ValueError("weighted_softmax needs finite payoffs")
     if eta.shape != u.shape[-1:] or not (np.all(eta > 0.0) and np.isfinite(eta).all()):
         raise ValueError(f"eta must hold {u.shape[-1]} positive finite weights")
-    return _softmax_rows(u, eta, _positive_finite(gamma, "gamma"))
+    gamma = _positive_finite(gamma, "gamma")
+    with np.errstate(over="ignore"):  # a row whose u / gamma overflows is taken as u - max u
+        wide = ~np.isfinite(np.divide(u, gamma)).all(axis=-1, keepdims=True)
+        top = np.maximum.reduce(u, axis=-1, keepdims=True)
+        return _softmax_rows(np.where(wide, u - top, u), eta, gamma)
 
 
 def _softmax_rows(u: np.ndarray, eta: np.ndarray, gamma: float, out=None) -> np.ndarray:
@@ -510,6 +514,8 @@ def _solve_row(fam: MarginalFamily, u, method: str) -> tuple[np.ndarray, np.ndar
     """Validate one payoff row and solve it: ``(u, p, kappa, route)``, u as floats.
 
     The routes and bits of :func:`response_solver`, plus each route's kappa.
+    Where u / gamma overflows, which the bound closed forms leave NaN,
+    softmax takes u - max u and sparsemax raises its scale error.
     """
     if method not in ("auto", "bisection"):
         raise ValueError("method must be 'auto' or 'bisection'")
@@ -519,12 +525,19 @@ def _solve_row(fam: MarginalFamily, u, method: str) -> tuple[np.ndarray, np.ndar
     if not np.isfinite(u).all():
         raise ValueError("payoff vector must be finite")
     if method == "auto" and isinstance(fam, ExponentialFamily):
-        z = u / fam.gamma
+        with np.errstate(over="ignore"):  # u - max u where u / gamma overflows, kappa shifted back
+            top = 0.0 if np.isfinite(u / fam._gamma).all() else float(u.max())
+            v = u - top
+            z = v / fam._gamma
+            p = _softmax_rows(v, fam.eta, fam._gamma)
         m = float(z.max())
         kappa = fam.gamma * (m + np.log(np.dot(fam.eta, np.exp(z - m)))) - fam.gamma
-        return u, _softmax_rows(u, fam.eta, fam._gamma), kappa, "softmax"
+        return u, p, top + kappa, "softmax"
     if method == "auto" and isinstance(fam, UniformFamily):
-        p, kappa = _sparsemax_rows(u / fam._gamma, np.arange(1.0, fam.n_actions + 1), fam._two_n)
+        # u / gamma past the float range leaves a NaN sum, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, kappa = _sparsemax_rows(u / fam._gamma, np.arange(1.0, fam.n_actions + 1),
+                                       fam._two_n)
         total = float(np.add.reduce(p))
         if not abs(total - 1.0) <= _RESPONSE_TOL:
             scale = float(np.abs(u).max()) / fam.gamma
@@ -587,8 +600,15 @@ def response_solver(fam: MarginalFamily):
         nonlocal shape, last, routes
         rows = u.reshape(-1, u.shape[-1])
         if u.shape != shape:
+            bound = []
+            for k, member in enumerate(members):
+                try:
+                    bound.append(_kkt_route(member))
+                except ValueError as exc:
+                    exc._row = k  # the failing member, whose player response_operator names
+                    raise
             # row k of a stacked group's (..., M, N) rows is player k % M's
-            routes = [_kkt_route(member) for member in members] * (len(rows) // len(members))
+            routes = bound * (len(rows) // len(members))
             shape, last = u.shape, [(np.nan, ((), 1.0), (), False)] * len(rows)
         out = np.empty(u.shape) if out is None else out
         solved = out.reshape(rows.shape, copy=False)  # a view of out's rows
@@ -597,8 +617,12 @@ def response_solver(fam: MarginalFamily):
                 kappa, (f, d), before, accurate = last[k]
                 now = row.tolist()
                 start = kappa + sum(map(operator.mul, f, map(operator.sub, now, before))) / d
-                p, kappa, weights, accurate = _kkt_solve_or_shift(
-                    route, row, start, d if accurate else None)
+                try:
+                    p, kappa, weights, accurate = _kkt_solve_or_shift(
+                        route, row, start, d if accurate else None)
+                except RuntimeError as exc:
+                    exc._row = k  # the failing row, whose player response_operator names
+                    raise
                 if weights is None:  # no Newton density: keep the last, else weigh by p
                     weights = (f, d) if accurate else (p.tolist(), 1.0)
                 solved[k], last[k] = p, (kappa, weights, now, accurate)
@@ -610,35 +634,22 @@ def response_solver(fam: MarginalFamily):
 def _family_groups(families) -> list[tuple[MarginalFamily, list[int], int | slice]]:
     """The players' groups for shared family work, each with its index into the player axis.
 
-    When all families are equal, every player is one group, indexed by
-    ``slice(None)``, with the first player's family.  When they are all
-    exponential, or all Pareto, and differ only in eta, every player is also
-    one group, with their etas stacked to ``(M, N)`` (``families._stack_eta``).
-    Otherwise each player is their own group, indexed by their int.  Both
-    indices give views.  Equal means the same object, or the same class and
-    the same ``to_dict()``, compared as JSON text so that 0.0 and -0.0 stay
-    apart; a family without a JSON form equals only itself.  Each distinct
-    object is serialized at most once.
+    One rule, read off the families themselves.  When every player has the
+    same object, they are one group, indexed by ``slice(None)``, with that
+    family.  When they are all exponential, or all Pareto, of one class and
+    one action count, with equal gamma (and q), they are one group too, with
+    their etas stacked to ``(M, N)`` (``families._stack_eta``).  Otherwise
+    each player is their own group, indexed by their int.  Both indices give
+    views.  So equal uniform or tabulated families share a group only as one
+    object, as a config that gives its family once builds them.
     """
-    keys: dict = {}
-
-    def key(fam: MarginalFamily) -> tuple:
-        """(class, actions and JSON text without eta; eta's JSON text), or the object's id."""
-        if id(fam) not in keys:
-            try:
-                doc = fam.to_dict()
-            except NotImplementedError:
-                keys[id(fam)] = id(fam), None
-            else:
-                eta = json.dumps(doc.pop("eta", None))
-                keys[id(fam)] = (type(fam), fam.n_actions, json.dumps(doc, sort_keys=True)), eta
-        return keys[id(fam)]
-
     first, players = families[0], list(range(len(families)))
-    if all(fam is first or key(fam) == key(first) for fam in families):
+    if all(fam is first for fam in families):
         return [(first, players, slice(None))]
-    if type(first) in (ExponentialFamily, ParetoFamily) and all(
-            key(fam)[0] == key(first)[0] for fam in families):
+    kind = type(first)
+    if kind in (ExponentialFamily, ParetoFamily) and all(
+            type(fam) is kind and fam.n_actions == first.n_actions and fam.gamma == first.gamma
+            and getattr(fam, "q", None) == getattr(first, "q", None) for fam in families):
         return [(_stack_eta(families), players, slice(None))]
     return [(fam, [j], j) for j, fam in enumerate(families)]
 
@@ -648,17 +659,23 @@ def response_operator(families):
     ``(..., M, N)`` payoff rows (player j's on row j) to the ``(..., M, N)``
     responses of ``families``, into ``out`` when it is given.
 
-    When all families are equal, or differ only in eta, one
-    :func:`response_solver` answers for every player directly: softmax
-    broadcasts the stacked etas, and the generic route solves each row with
-    its own player's operands.  Otherwise each player's solver answers for
-    their rows (see :func:`_family_groups`).  Each row gets the bits of its
-    own :func:`response_probabilities` call.  Rows are not validated; a
-    failing solve raises RuntimeError naming the player.
+    When all players have one family object, or families that differ only
+    in eta, one :func:`response_solver` answers for every player directly:
+    softmax broadcasts the stacked etas, and the generic route solves each
+    row with its own player's operands.  Otherwise each player's solver
+    answers for their rows (see :func:`_family_groups`).  Each row gets the
+    bits of its own :func:`response_probabilities` call.  Rows are not
+    validated; a generic solve that fails marks its row on the error (or the
+    member whose route fails to bind), which is raised again as a
+    RuntimeError naming that row's player, with no row solved again.
     """
-    families = tuple(families)
     groups = [(response_solver(fam), group, (..., index, slice(None)))
-              for fam, group, index in _family_groups(families)]
+              for fam, group, index in _family_groups(tuple(families))]
+
+    def name(exc: Exception, group: list[int]) -> None:
+        """Raise a failure its solver marked again, naming the player of the marked row."""
+        if hasattr(exc, "_row"):
+            raise RuntimeError(f"player {group[exc._row % len(group)]}: {exc}") from exc
 
     if len(groups) == 1:
         solve, group, _ = groups[0]
@@ -667,7 +684,8 @@ def response_operator(families):
             try:
                 return solve(u, out=out)
             except (ValueError, RuntimeError) as exc:
-                _name_failing_player(families, group, u, exc)
+                name(exc, group)
+                raise
 
         return respond_all
 
@@ -677,25 +695,11 @@ def response_operator(families):
             try:
                 solve(u[rows], out=out[rows])
             except (ValueError, RuntimeError) as exc:
-                _name_failing_player(families, group, u, exc)
+                name(exc, group)
+                raise
         return out
 
     return respond
-
-
-def _name_failing_player(families: tuple, group: list[int], u: np.ndarray, exc: Exception):
-    """Re-raise a group's failed solve as a RuntimeError naming the player.
-
-    The group's rows are solved singly, each by a fresh solver of its
-    player's own family, and the first that fails names its player; if none
-    fails alone, the error names the whole group.
-    """
-    for j in group:
-        try:
-            response_solver(families[j])(u[..., j, :])
-        except (ValueError, RuntimeError) as single:
-            raise RuntimeError(f"player {j}: {single}") from single
-    raise RuntimeError(f"players {group}: {exc}") from exc
 
 
 def quantal_response(fam: MarginalFamily, u, method: str = "auto") -> ResponseResult:

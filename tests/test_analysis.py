@@ -699,11 +699,13 @@ def test_stability_report_equals_its_per_player_assembly(kind, m):
 def test_stability_check_takes_each_pair_and_each_family_object_once(monkeypatch, kind, grids):
     import beliefgames.analysis as analysis
 
-    counts = {"batches": 0, "grids": 0}
+    counts = {"batches": 0, "norms": 0, "grids": 0}
     _counting(monkeypatch, np.linalg, "norm", counts, "batches", lambda *a, **k: "axis" in k)
+    _counting(monkeypatch, np.linalg, "norm", counts, "norms")
     _counting(monkeypatch, analysis, "_curvature_grid", counts, "grids")
     stability_check(random_game(3, 4, np.random.default_rng(5)), _stability_families(kind, 3, 4))
-    assert counts == {"batches": 3, "grids": grids}
+    # one batch per pair, and one for every off-diagonal block of the dominance check
+    assert counts == {"batches": 4, "norms": 4, "grids": grids}
 
 
 def _near_pure(players, actions, k):
@@ -820,6 +822,49 @@ def test_diagonal_dominance_rejects_degenerate_blocks():
     sing = good.copy()
     sing[1, 1] = np.zeros((2, 2))
     assert not diagonal_dominance_check(sing)
+
+
+def _reference_diagonal_dominance(blocks: np.ndarray) -> bool:
+    """The per-block loop: one spectral norm per off-diagonal block, summed per row."""
+    m = blocks.shape[0]
+    for j in range(m):
+        own = blocks[j, j]
+        if not np.allclose(own, np.diag(np.diagonal(own)), atol=1e-12):
+            return False
+        floor = float(np.abs(np.diagonal(own)).min())
+        if floor == 0.0 or not np.isfinite(floor):
+            return False
+        off = sum(float(np.linalg.norm(blocks[j, k], 2)) for k in range(m) if k != j)
+        if not floor > off:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_diagonal_dominance_equals_the_per_block_loop(m):
+    # one batched norm call, each row summed in column order: the loop's bits,
+    # so a floor at the loop's exact sum fails and one float above it passes
+    rng, verdicts = np.random.default_rng(90 + m), []
+    for trial in range(80):
+        n = int(rng.integers(2, 5))
+        blocks = rng.normal(0.0, 1.0, (m, m, n, n))
+        sums = [sum(float(np.linalg.norm(blocks[j, k], 2)) for k in range(m) if k != j)
+                for j in range(m)]
+        floors = {0: [np.nextafter(total, np.inf) for total in sums],
+                  1: sums[:-1] + [np.nextafter(sums[-1], np.inf)]}.get(
+                      trial % 5, [total * rng.uniform(0.9, 1.5) for total in sums])
+        for j, floor in enumerate(floors):
+            blocks[j, j] = -floor * np.eye(n)
+        if trial % 5 == 2:
+            blocks[m - 1, m - 1, 0, 1] = 1e-6  # a non-diagonal own block
+        if trial % 5 == 3:
+            blocks[0, 0, 0, 0] = 0.0  # a zero on the diagonal
+        want = _reference_diagonal_dominance(blocks)
+        assert diagonal_dominance_check(blocks) is want
+        verdicts.append(want)
+        assert want is (trial % 5 == 0 or (trial % 5 == 4 and all(
+            floor > total for floor, total in zip(floors, sums))))
+    assert True in verdicts and False in verdicts
 
 
 def test_negdef_on_tangent_frozen_examples():

@@ -138,6 +138,16 @@ def test_loading_builds_the_run_config(tmp_path):
     assert (plan["horizon"], plan["downsample"], plan["clamp"]) == (50, 10, 1e-9)
 
 
+def test_a_family_given_once_is_one_object_for_every_player(tmp_path):
+    # one object is one group: the players share each response and quantile kernel call
+    cfg = load_experiment_config(_write(tmp_path, GOOD | {"belief_families": GOOD["risk_families"]}))
+    risk, belief = cfg.run.risk_families, cfg.run.belief_families
+    assert risk[0] is risk[1] and belief[0] is belief[1] and risk[0] is not belief[0]
+    listed = load_experiment_config(_write(tmp_path, GOOD | {
+        "risk_families": [GOOD["risk_families"]] * 2})).run.risk_families
+    assert listed[0] is not listed[1] and listed[0].to_dict() == listed[1].to_dict()
+
+
 def test_summary_records_the_initial_estimates(tmp_path, capsys):
     start = [[1.0, 0.0], [0.0, 0.5]]
     path = _write(tmp_path, GOOD | {"initial_estimates": start})

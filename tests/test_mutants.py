@@ -117,11 +117,19 @@ MUTANTS = {
     # a stacked group whose generic route solves every row with player 0's operands
     "stacked_group_with_player_zero_s_route": (
         "src/beliefgames/response.py",
-        "            routes = [_kkt_route(member) for member in members]"
-        " * (len(rows) // len(members))",
-        "            routes = [_kkt_route(members[0])] * len(rows)",
+        "                    bound.append(_kkt_route(member))",
+        "                    bound.append(_kkt_route(members[0]))",
         "tests/test_response.py::test_a_stacked_group_gives_each_row_its_own_players_bits"
         "[pareto-q1.5-lead0]",
+    ),
+    # an eta-stack rule that ignores Pareto's q: families of another shape share a group
+    "stack_rule_ignores_q": (
+        "src/beliefgames/response.py",
+        "            and getattr(fam, \"q\", None) == getattr(first, \"q\", None)"
+        " for fam in families):",
+        "            for fam in families):",
+        "tests/test_response.py::"
+        "test_family_groups_follow_the_rule_and_keep_each_player_s_bits[pareto-other]",
     ),
     # a solver that raises inside the replay check: one FAIL, and the suite runs on
     "kkt_replay_solver_raises": (

@@ -76,6 +76,22 @@ def test_weighted_softmax_prior_weights_tilt_the_outcome():
     np.testing.assert_allclose(p, [0.75, 0.25], atol=1e-15)
 
 
+def test_rows_whose_u_over_gamma_overflows_get_the_limit_response_silently():
+    # u / gamma overflowed before the max was subtracted: NaN rows and warnings;
+    # the suite turns every RuntimeWarning into an error
+    fam = ExponentialFamily(1e-300, [0.5, 0.5])
+    assert response_probabilities(fam, [1e80, 0.0]).tolist() == [1.0, 0.0]
+    result = quantal_response(fam, [1e80, 0.0])
+    assert result.probabilities.tolist() == [1.0, 0.0] and result.kkt_multiplier == 1e80
+    # ties share the mass by eta; a finite row keeps its bits in a stack
+    u = np.array([[1e80, 0.0], [1e80, 1e80], [-1e80, 0.0], [1e-300, 0.0]])
+    p = weighted_softmax(u, [0.5, 1.5], 1e-300)
+    assert p[:3].tolist() == [[1.0, 0.0], [0.25, 0.75], [0.0, 1.0]]
+    assert p[3].tobytes() == weighted_softmax(u[3], [0.5, 1.5], 1e-300).tobytes()
+    with pytest.raises(ValueError, match=r"^sparsemax sums to nan at \|u\| / gamma = inf, "):
+        response_probabilities(UniformFamily(1e-300, 2), [1e80, 0.0])
+
+
 def test_sparsemax_frozen_values():
     np.testing.assert_array_equal(sparsemax(np.array([4.0, 0.0])), [1.0, 0.0])
     np.testing.assert_allclose(sparsemax(np.zeros(2)), [0.5, 0.5], atol=1e-15)
@@ -742,30 +758,119 @@ def test_unbounded_densities_in_a_solve_stay_silent():
     assert len(unguarded) >= 10 and all((p == 0.0).any() for p in unguarded)
 
 
-def test_family_groups_serialize_each_object_once():
-    calls = []
-
-    class Counted(ExponentialFamily):
+def test_family_groups_follow_identity_and_the_eta_stack_rule():
+    class Unserialized(ExponentialFamily):
         def to_dict(self):
-            calls.append(self)
-            return super().to_dict()
+            raise AssertionError("grouping reads no serialized form")
 
     def groups(fams):
-        calls.clear()
-        out = [(g, index) for _, g, index in _family_groups(fams)]
-        assert len(calls) == len({id(fam) for fam in calls})  # each object at most once
-        return out
+        return [(g, index) for _, g, index in _family_groups(fams)]
 
-    fam, other = Counted(1.0, n_actions=2), Counted(2.0, n_actions=2)
+    fam, other = Unserialized(1.0, n_actions=2), Unserialized(2.0, n_actions=2)
     assert groups((fam, fam, fam)) == [([0, 1, 2], slice(None))]
-    # any two unequal families: every player is their own group
     assert groups((fam, fam, other)) == [([0], 0), ([1], 1), ([2], 2)]
-    # equal but distinct objects still share a group; 0.0 and -0.0 stay apart
-    twins = (Counted(1.0, eta=[0.5, 1.0]), Counted(1.0, eta=[0.5, 1.0]))
-    assert groups(twins) == [([0, 1], slice(None))]
-    tabs = [TabulatedFamily([[[0.0, z], [1.0, 1.0]]] * 2) for z in (0.0, -0.0, 0.0)]
-    assert [g for _, g, _ in _family_groups(tabs)] == [[0], [1], [2]]
-    assert [g for _, g, _ in _family_groups(tabs[::2])] == [[0, 1]]
+    # equal but distinct objects share a group only by the eta-stack rule, which
+    # takes the exponential and Pareto classes themselves, not a subclass
+    assert groups((Unserialized(1.0, n_actions=2),) * 2) == [([0, 1], slice(None))]
+    assert groups((Unserialized(1.0, n_actions=2), Unserialized(1.0, n_actions=2))) == [
+        ([0], 0), ([1], 1)]
+    ((stacked, _, _),) = _family_groups((ExponentialFamily(1.0, n_actions=2),) * 2)
+    assert not hasattr(stacked, "_members")  # one object: no stack
+    for make in (lambda: UniformFamily(1.0, 2),
+                 lambda: TabulatedFamily([[[0.0, -1.0], [1.0, 1.0]]] * 2)):
+        assert groups((make(), make())) == [([0], 0), ([1], 1)]
+        one = make()
+        assert groups((one, one)) == [([0, 1], slice(None))]
+    # one action count: etas of different lengths never stack
+    two, three = ExponentialFamily(1.0, n_actions=2), ExponentialFamily(1.0, n_actions=3)
+    assert groups((two, three)) == [([0], 0), ([1], 1)]
+
+
+@st.composite
+def _grouped_families(draw, kind, how):
+    """(families, the number of groups the rule gives, (B, M, N) payoff rows).
+
+    Families of ``kind`` built ``how``: one object for every player, equal
+    copies, eta-only differences (other per-action parameters for kinds
+    without eta), or other differences (Pareto's q, the others' gamma).
+    """
+    m, n, b = draw(st.integers(2, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0)
+    gamma = 0.3 + 5.0 * draw(unit)
+    q = draw(st.one_of(st.floats(0.3, 0.95), st.floats(1.05, 3.5)))
+
+    def per_action():
+        if kind != "tabulated":
+            return [0.2 + 3.0 * draw(unit) for _ in range(n)]
+        tables = []
+        for _ in range(n):
+            ts = [0.0, *sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=2)))), 1.0]
+            tables.append(np.column_stack((ts, np.cumsum([0.05 + 2.0 * draw(unit) for _ in ts])
+                                           - 1.0)))
+        return tables
+
+    shared = per_action()
+    if how == "same":
+        fams = (_family_of(kind, gamma, q, shared),) * m
+    elif how == "copies":
+        fams = tuple(_family_of(kind, gamma, q, shared) for _ in range(m))
+    elif how == "eta":
+        fams = tuple(_family_of(kind, gamma, q, per_action()) for _ in range(m))
+    else:  # Pareto's q differs; the others' gamma (tabulated tables are copies)
+        pareto = kind == "pareto"
+        fams = tuple(_family_of(kind, gamma if pareto else gamma * (1.0 + 0.5 * j),
+                                q * (1.0 + 0.05 * j) if pareto else q, shared)
+                     for j in range(m))
+    stacks = how != "other" and kind in ("exponential", "pareto")
+    u = 10.0 ** draw(st.floats(-1.0, 1.0)) * draw(arrays(float, (b, m, n),
+                                                         elements=st.floats(-1.0, 1.0)))
+    return fams, 1 if how == "same" or stacks else m, u
+
+
+@pytest.mark.parametrize("how", ["same", "copies", "eta", "other"])
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto", "tabulated"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_family_groups_follow_the_rule_and_keep_each_player_s_bits(kind, how, data):
+    # the same object, or exponential or Pareto families with equal gamma (and q),
+    # give one group; anything else one group per player; every row keeps the
+    # bits of its own player's single-row call, on two calls in turn
+    fams, count, u = data.draw(_grouped_families(kind, how))
+    assert len(_family_groups(fams)) == count
+    respond = response_operator(fams)
+    for rows in (u, u + 0.01):
+        want = [response_probabilities(fams[j], rows[k, j])
+                for k, j in np.ndindex(rows.shape[:2])]
+        assert respond(rows).tobytes() == b"".join(p.tobytes() for p in want)
+
+
+@pytest.mark.parametrize("how", ["shared", "stacked", "per-player"])
+def test_a_failing_row_names_its_player_from_its_own_solve(how, count_solves):
+    pareto = [ParetoFamily(0.7, 1.5, eta) for eta in ([0.5, 1.0], [1.5, 0.7], [1.0, 1.0])]
+    fams = {"shared": (pareto[0],) * 3, "stacked": tuple(pareto),
+            "per-player": (ExponentialFamily(0.7, n_actions=2), pareto[1],
+                           ParetoFamily(0.9, 1.5, [1.0, 1.0]))}[how]
+    u = np.random.default_rng(81).normal(0.0, 1.0, (2, 3, 2))
+    u[1, 2] = [np.nan, 0.0]
+    single = r"payoff row \[nan, 0\.0\] is not finite$"
+    with pytest.raises(RuntimeError, match="^" + single):  # the row's own solve
+        response_solver(fams[2])(u[1, 2])
+    count_solves.clear()
+    with pytest.raises(RuntimeError, match="^player 2: " + single):
+        response_operator(fams)(u)
+    # each KKT row up to the failing one, once: all six rows of one group in
+    # order, or players 1 and 2 of their own groups (player 0 takes softmax)
+    assert len(count_solves) == (4 if how == "per-player" else 6)
+
+
+def test_a_stacked_pair_whose_second_bracket_overflows_names_player_one(count_solves):
+    fams = (ParetoFamily(1e300, 0.5, [1.0, 1.0]), ParetoFamily(1e300, 0.5, [1e300, 1e300]))
+    assert len(_family_groups(fams)) == 1
+    with pytest.raises(RuntimeError, match=r"^player 1: ParetoFamily \{'type': 'pareto', "
+                                           r"'gamma': 1e\+300, 'q': 0\.5, 'eta': \[1e\+300, "
+                                           r"1e\+300\]\}: the response bracket lies beyond"):
+        response_operator(fams)(np.zeros((2, 2)))
+    assert count_solves == []
 
 
 def test_bisection_replay_fails_like_plain_bisection(count_cdf_kernel):
