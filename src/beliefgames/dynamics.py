@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _check_families, equilibrium_residual
+from .analysis import _check_families, _residuals
 from .families import MarginalFamily, _operand
 from .games import Game, StrategyProfile, _field, _known_fields, _real, payoff_vector_rows
 from .response import _RESPONSE_TOL, _family_groups, response_operator
@@ -27,7 +27,7 @@ PROBABILITY_CLAMP = 1e-12
 #: recorded rounds per block of ``Trace.to_csv`` text.
 _CSV_BLOCK_ROUNDS = 16
 #: rounds per block of :func:`run_dynamics` bookkeeping (movement, clamp
-#: count, probability range check), done as one vectorized pass per block.
+#: count, response check), done as one vectorized pass per block.
 _BLOCK_ROUNDS = 64
 
 
@@ -278,26 +278,28 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     each player (see ``response._family_groups``).  Inputs are validated
     once, here and in :class:`RunConfig`, not every round.
 
-    The state a round touches is bound once per run: one ``(M, N)`` profile
-    buffer that each round's responses are written into, and per risk group a
-    view each of the profile, the payoffs and the estimates.  For M = 2 the
-    profile's player views feed ``np.matvec`` and ``np.vecmat`` with ``out=``
-    the payoff buffer (M >= 3 copies ``payoff_vector_rows`` into it).  A
-    group's quantile kernel writes into its fresh ``np.maximum(p, clamp)``
-    array, and the update runs ``y + adj``, ``rate * (...)`` and
-    ``estimates += ...`` in that order, in place.  Every scalar operand (the
-    clamp, the rate, the families' constants) is a 0-d float64 array, which
-    spares each ufunc call the conversion of a Python float and keeps its
-    bits; an ``(N,)``-shaped one would not, since ``np.power`` takes another
-    SIMD loop for an array exponent.
+    The state a round touches is bound once per run: an ``(M, N)`` buffer
+    each for the profile, which each round's responses are written into, the
+    payoffs and the quantile adjustments.  For M = 2 the profile's player
+    views feed ``np.matvec`` and ``np.vecmat`` with ``out=`` the payoff buffer
+    (M >= 3 copies ``payoff_vector_rows`` into it).  A round writes
+    ``max(p, clamp)`` into the adjustment buffer, each risk group's quantile
+    kernel overwrites its own rows, and ``y + adj``, ``rate * (...)`` and
+    ``estimates += ...`` run once on the whole state, in that order, in place.
+    Every scalar operand (the clamp, the rate, the families' constants) is a
+    0-d float64 array, which spares each ufunc call the conversion of a Python
+    float and keeps its bits; an ``(N,)``-shaped one would not, since
+    ``np.power`` takes another SIMD loop for an array exponent.
 
     After the update the profile is copied into a block of ``_BLOCK_ROUNDS``
     rounds; at each block end one vectorized pass takes the movement, the
-    clamp count, and the checks that each clamped probability lies in [0, 1]
-    and each response sums to one within 1e-9, whose error names the round
-    and player.  Solver failures are re-raised with the round and the failing
-    player attached, and estimates that leave the float range end the run with
-    the round and player where they did; the loop runs under one ``np.errstate``.
+    clamp count, and the checks that each response lies in [0, 1] and sums to
+    one within 1e-9, whose error names the round and player.  It is the only
+    check of the loop's rows: the final residual is the last recorded
+    profile's, under the risk families' ``response_operator``.  Solver failures
+    are re-raised with the round and the failing player attached, and
+    estimates that leave the float range end the run with the round and
+    player where they did; the loop runs under one ``np.errstate``.
     """
     _check_families(game, config.risk_families)
     m, n = game.num_players, game.num_actions
@@ -318,10 +320,10 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     block = np.empty((_BLOCK_ROUNDS + 1, m, n))
 
     respond = response_operator(config.belief_families)
-    profile, pays = np.empty((m, n)), np.empty((m, n))
+    profile, pays, mass = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
     rate, clamp0 = np.empty(()), _operand(clamp)  # rate: this round's step, set in place
-    groups = [(fam._tail_quantile_above(clamp), profile[index], pays[index], estimates[index])
-              for fam, _, index in _family_groups(config.risk_families)]
+    quantiles = [(fam._tail_quantile_above(clamp), mass[index])
+                 for fam, _, index in _family_groups(config.risk_families)]
     if m == 2:
         (t0, t1), (p0, p1), (y0, y1) = game.payoffs, profile, pays
     steps = config.schedule.rates(horizon).tolist()
@@ -335,12 +337,12 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         else:
             pays[...] = payoff_vector_rows(game, None, profile)
         rate[()] = step
-        for tail_quantile, mine, y, e in groups:
-            mass = np.maximum(mine, clamp0)
-            adj = tail_quantile(mass, out=mass)
-            np.add(y, adj, out=adj)
-            np.multiply(rate, adj, out=adj)
-            e += adj
+        np.maximum(profile, clamp0, out=mass)
+        for tail_quantile, rows in quantiles:
+            tail_quantile(rows, out=rows)
+        np.add(pays, mass, out=mass)
+        np.multiply(rate, mass, out=mass)
+        np.add(estimates, mass, out=estimates)
 
     def close_block(last: int, size: int) -> None:
         """Bookkeeping of the ``size`` rounds ending at round ``last``."""
@@ -354,11 +356,11 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
                 profile[...] = block[k + 1]
                 advance(steps[first - 1 + k])
                 if not np.isfinite(estimates).all():
-                    _check_rounds(block[1:k + 2], clamp, first)  # an earlier bad round goes first
+                    _check_rounds(block[1:k + 2], first)  # an earlier bad round goes first
                     j = np.argwhere(~np.isfinite(estimates))[0][0]
                     raise RuntimeError(f"round {first + k}, player {j}: "
                                        "estimates diverged to non-finite values")
-        _check_rounds(block[1:size + 1], clamp, first)
+        _check_rounds(block[1:size + 1], first)
         if first == 1:
             block[0] = block[1]  # round 1 has no move
         clamp_triggers += int(np.count_nonzero(block[1:size + 1] < clamp))
@@ -391,9 +393,7 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         if row:
             close_block(horizon, row)
 
-    final_residual = equilibrium_residual(
-        game, StrategyProfile(probs_hist[-1]), config.risk_families
-    )
+    final_residual = float(_residuals(game, probs_hist[-1], response_operator(config.risk_families)))
     return Trace(
         horizon=horizon,
         record_every=every,
@@ -408,16 +408,15 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     )
 
 
-def _check_rounds(profiles: np.ndarray, clamp: float, first: int) -> None:
-    """The range check of the public quantile methods on ``max(p, clamp)``, and
-    the check that each response sums to one within 1e-9.
+def _check_rounds(profiles: np.ndarray, first: int) -> None:
+    """The check that each response lies in [0, 1] and sums to one within 1e-9.
 
     ``profiles`` holds the ``(M, N)`` profiles of consecutive rounds from
     round ``first`` on; the error names the first round and player at fault.
+    A response is never negative, and NaN fails the sum test.
     """
-    masses = np.maximum(profiles, clamp)
     miss = np.abs(np.add.reduce(profiles, axis=-1) - 1.0)
-    bad = ((masses < 0.0) | (masses > 1.0)).any(axis=-1) | ~(miss <= _RESPONSE_TOL)
+    bad = (profiles > 1.0).any(axis=-1) | ~(miss <= _RESPONSE_TOL)
     if bad.any():
         k, j = np.argwhere(bad)[0]
         raise ValueError(f"round {first + k}, player {j}: argument must lie in [0, 1], and the "

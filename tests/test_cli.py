@@ -114,6 +114,24 @@ def test_shipped_config_traces_match_the_reference_digests(stem, tmp_path):
     assert digest == reference["trace_sha256"][stem]
 
 
+def test_simulate_completes_a_run_whose_rows_miss_the_profile_rule(tmp_path):
+    # sparsemax rows at estimates near 1e6 sum to one within the loop's 1e-9,
+    # not within a StrategyProfile's 1e-12; the run must still end with its outputs
+    cfg = {
+        "game": str(REPO / "configs" / "matching3.json"),
+        "risk_families": {"type": "uniform", "gamma": 1.0},
+        "schedule": {"type": "power", "c": 1.0, "a": 0.6},
+        "horizon": 200,
+        "initial_estimates": (1e6 + np.random.default_rng(1).uniform(-3.0, 3.0, (2, 3))).tolist(),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    assert (out / "trace.csv").exists()
+    assert json.loads((out / "summary.json").read_text())["horizon"] == 200
+
+
 def test_simulate_warns_on_summable_schedule(workdir, capsys):
     _rewrite(workdir, schedule={"type": "power", "c": 1.0, "a": 1.5})
     code = main(["simulate", "--config", _cfg_path(workdir),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from beliefgames.analysis import equilibrium_residual
+from beliefgames.analysis import _residuals, equilibrium_residual
 from beliefgames import dynamics, response
 from beliefgames.dynamics import (
     _BLOCK_ROUNDS,
@@ -267,6 +267,47 @@ def test_run_dynamics_replays_the_public_single_step_api(kind, m, setup):
     assert trace.clamp_triggers == clamp_triggers
     if kind == "uniform":
         assert clamp_triggers > 0
+
+
+def _split_families(setup: str) -> tuple:
+    """(belief, risk) families of three players that the kind-by-kind replay leaves out."""
+    n = 3
+    if setup == "mixed-kinds":  # one risk group per player, each with its own kind of kernel
+        fams = (_family("exponential", n, 0), _family("pareto", n, 1), _family("tabulated", n, 0))
+        return fams, fams
+    # one shared belief family; a risk group per player, not the belief group
+    return (_family("exponential", n, 0),) * 3, tuple(_family("pareto", n, j) for j in range(3))
+
+
+@pytest.mark.parametrize("setup", ["mixed-kinds", "shared-belief-per-player-risk"])
+def test_risk_groups_that_differ_from_the_belief_groups_replay_the_single_step_api(setup):
+    # every risk group's kernel fills its own rows of the one adjustment buffer
+    game = random_game(3, 3, np.random.default_rng(21))
+    belief, risk = _split_families(setup)
+    assert len(_family_groups(risk)) == 3
+    cfg = RunConfig(horizon=_BLOCK_ROUNDS + 9, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=risk, belief_families=belief)
+    trace = run_dynamics(game, cfg)
+    want = _replay(game, cfg)
+    for name in ("probabilities", "estimates", "payoffs", "movement"):
+        assert getattr(trace, name).tobytes() == want[name].tobytes(), name
+    assert trace.clamp_triggers == want["clamp_triggers"]
+    assert trace.final_residual == want["final_residual"]
+
+
+def test_a_run_far_from_zero_ends_with_its_last_row_s_residual():
+    # at estimates near 1e6 the sparsemax rows miss a sum of one by up to about 6e-11:
+    # inside the loop's 1e-9 check, which is the run's only check of its rows, and
+    # outside the 1e-12 rule of a StrategyProfile
+    game = random_game(2, 4, np.random.default_rng(3))
+    fam = UniformFamily(1.0, 4)
+    cfg = RunConfig(horizon=50, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=(fam, fam), belief_families=(fam, fam),
+                    initial_estimates=1e6 + np.random.default_rng(1).uniform(-3.0, 3.0, (2, 4)))
+    trace = run_dynamics(game, cfg)
+    assert np.abs(trace.probabilities.sum(axis=-1) - 1.0).max() > 1e-12
+    want = _residuals(game, trace.probabilities[-1], response_operator(cfg.risk_families))
+    assert np.float64(trace.final_residual).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])

@@ -57,13 +57,12 @@ MUTANTS = {
         "        key = type(fam)",
         "tests/test_analysis.py::test_stability_report_equals_its_per_player_assembly[3-distinct]",
     ),
-    # a risk group's estimate view bound as a copy: the round updates the copy
-    # and never writes the estimates
+    # a risk group's rows of the adjustment buffer bound as a copy: the kernel
+    # fills the copy, and the update reads max(p, clamp) in place of the quantiles
     "risk_group_updates_a_copy": (
         "src/beliefgames/dynamics.py",
-        "    groups = [(fam._tail_quantile_above(clamp), profile[index], pays[index], estimates[index])",
-        "    groups = [(fam._tail_quantile_above(clamp), profile[index], pays[index],"
-        " estimates[index].copy())",
+        "    quantiles = [(fam._tail_quantile_above(clamp), mass[index])",
+        "    quantiles = [(fam._tail_quantile_above(clamp), mass[index].copy())",
         "tests/test_dynamics.py::test_run_dynamics_replays_the_public_single_step_api"
         "[pareto-3-per-player]",
     ),
