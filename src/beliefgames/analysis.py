@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import MarginalFamily
-from .games import (Game, StrategyProfile, _check_pair, _check_simplex_rows, payoff_vector_rows,
+from .games import (Game, StrategyProfile, _check_pair, _check_produced_rows, payoff_vector_rows,
                     uniform_profile)
-from .response import _family_groups, response_operator
+from .response import _RESPONSE_TOL, _family_groups, response_operator
 
 #: resolution of the probability grid behind the ``curvature_grid`` cross-check;
 #: endpoints stay strictly inside (0, 1).
@@ -162,13 +162,17 @@ def fixed_point_iterate(game: Game, fams, damping: float = 0.5, tol: float = 1e-
 
 def residual_series(game: Game, trace, fams) -> np.ndarray:
     """Equilibrium residual at every recorded round of a dynamics trace, in one
-    call on its ``(R, M, N)`` profiles, each with its own residual's bits."""
+    call on its ``(R, M, N)`` profiles, each with its own residual's bits.
+
+    The records are checked by the rule the round loop checks its responses
+    by (entries in [0, 1], sums within 1e-9 of one), not a user profile's
+    1e-12, which a run at payoffs far from zero can miss."""
     fams = _check_families(game, fams)
     probs = np.asarray(trace.probabilities, dtype=float)
     want = (game.num_players, game.num_actions)
     if probs.ndim != 3 or probs.shape[1:] != want:
         raise ValueError(f"trace records have shape {probs.shape[1:]}, the game needs {want}")
-    _check_simplex_rows(probs)
+    _check_produced_rows(probs, _RESPONSE_TOL)
     return _residuals(game, probs, response_operator(fams))
 
 

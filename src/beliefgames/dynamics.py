@@ -19,7 +19,8 @@ import numpy as np
 
 from .analysis import _check_families, _residuals
 from .families import MarginalFamily, _operand
-from .games import Game, StrategyProfile, _field, _known_fields, _real, payoff_vector_rows
+from .games import (Game, StrategyProfile, _field, _known_fields, _produced_profile, _real,
+                    payoff_vector_rows)
 from .response import _RESPONSE_TOL, _family_groups, response_operator
 
 #: default lower clamp applied to probabilities inside the update rule.
@@ -188,7 +189,10 @@ class Trace:
     post-update estimates, and the realized payoff vectors.  ``movement``
     holds the per-round sup-norm profile change for *every* round (entry 0 is
     zero by convention).  ``final_residual`` is the equilibrium residual of
-    the last profile under the risk families.
+    the last profile under the risk families.  ``profile_at`` and
+    ``final_profile`` check their rows by the loop's own rule (entries in
+    [0, 1], sums within 1e-9 of one) and keep their bits; a run at payoffs far
+    from zero can miss a user profile's 1e-12 rule.
     """
 
     horizon: int
@@ -209,11 +213,11 @@ class Trace:
         return int(hits[0])
 
     def profile_at(self, t: int) -> StrategyProfile:
-        return StrategyProfile(self.probabilities[self._row(t)])
+        return _produced_profile(self.probabilities[self._row(t)], _RESPONSE_TOL)
 
     @property
     def final_profile(self) -> StrategyProfile:
-        return StrategyProfile(self.probabilities[-1])
+        return _produced_profile(self.probabilities[-1], _RESPONSE_TOL)
 
     def summary(self) -> dict:
         last = self.movement[-min(100, self.movement.size):]
@@ -296,7 +300,11 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
     clamp count, and the checks that each response lies in [0, 1] and sums to
     one within 1e-9, whose error names the round and player.  It is the only
     check of the loop's rows: the final residual is the last recorded
-    profile's, under the risk families' ``response_operator``.  Solver failures
+    profile's, under the risk families' responses.  Where every player's risk
+    family is their belief family object, the loop's own bound operator
+    answers it, so each generic row starts warm from its last round; else a
+    ``response_operator`` of the risk families is bound for it.  Either way
+    each row has the bits of its own ``response_probabilities`` call.  Solver failures
     are re-raised with the round and the failing player attached, and
     estimates that leave the float range end the run with the round and
     player where they did; the loop runs under one ``np.errstate``.
@@ -393,7 +401,11 @@ def run_dynamics(game: Game, config: RunConfig) -> Trace:
         if row:
             close_block(horizon, row)
 
-    final_residual = float(_residuals(game, probs_hist[-1], response_operator(config.risk_families)))
+    # risk families that are the belief objects answer with the loop's warm solver
+    shared = all(risk is belief for risk, belief in
+                 zip(config.risk_families, config.belief_families))
+    final_residual = float(_residuals(game, probs_hist[-1], respond if shared
+                                      else response_operator(config.risk_families)))
     return Trace(
         horizon=horizon,
         record_every=every,

@@ -142,18 +142,43 @@ class StrategyProfile:
         return f"StrategyProfile({self.probs.tolist()})"
 
 
-def _check_simplex_rows(rows) -> np.ndarray:
-    """``rows`` as a float array, once every row along its last axis is on the simplex."""
+def _check_simplex_rows(rows, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """``rows`` as a float array, once every row along its last axis is on the
+    simplex: finite, nonnegative entries that sum to one within ``tol``."""
     arr = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("strategy entries must be finite")
     if arr.min() < 0.0:
         raise ValueError("strategy entries must be nonnegative")
     gap = np.abs(arr.sum(axis=-1) - 1.0).max()
-    if gap > SIMPLEX_TOL:
-        raise ValueError(f"strategy rows must sum to 1 within {SIMPLEX_TOL:g} to lie on "
+    if gap > tol:
+        raise ValueError(f"strategy rows must sum to 1 within {tol:g} to lie on "
                          f"the simplex (off by {gap:.3g})")
     return arr
+
+
+def _check_produced_rows(rows, tol: float) -> np.ndarray:
+    """:func:`_check_simplex_rows` by the rule the package's solvers accept a
+    response by: entries in [0, 1], and sums within ``tol`` of one.
+
+    For rows the package produced, such as a trace's records: a response at
+    payoffs far from zero can miss one by more than ``SIMPLEX_TOL``, the rule
+    that a user's rows keep.
+    """
+    arr = np.asarray(rows, dtype=float)
+    if arr.max() > 1.0:
+        raise ValueError("strategy entries must lie in [0, 1]")
+    return _check_simplex_rows(arr, tol)
+
+
+def _produced_profile(rows, tol: float) -> StrategyProfile:
+    """A read-only profile of ``(M, N)`` rows the package produced, with their
+    bits, checked by :func:`_check_produced_rows` at ``tol``."""
+    arr = _check_produced_rows(np.array(rows, dtype=float), tol)
+    arr.setflags(write=False)
+    profile = object.__new__(StrategyProfile)
+    object.__setattr__(profile, "probs", arr)
+    return profile
 
 
 def uniform_profile(num_players: int, num_actions: int) -> StrategyProfile:

@@ -206,8 +206,9 @@ def _kkt_route(fam: MarginalFamily) -> tuple:
     return fam._cdf, fam._density, lows, tops, need
 
 
-def _kkt_solve_or_shift(route: tuple, u: np.ndarray, start: float | None,
-                        slope: float | None) -> tuple[np.ndarray, float, tuple | None, bool]:
+def _kkt_solve_or_shift(route: tuple, u: np.ndarray, start: float | None, slope: float | None,
+                        us: list | None = None,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, float, tuple | None, bool]:
     """:func:`_kkt_solve`, retried on u - max u where a finite row fails.
 
     A response depends only on u - max u, but the direct solve works at the
@@ -217,23 +218,25 @@ def _kkt_solve_or_shift(route: tuple, u: np.ndarray, start: float | None,
     (bisection failed to converge, or a bracket failure), the shifted row is
     solved cold and kappa + max u reported.  Rows that solve directly keep
     their bits; a non-finite row still raises at once, and where the
-    shifted solve fails too, the direct solve's error stands.
+    shifted solve fails too, the direct solve's error stands.  ``us`` and
+    ``out`` are passed on to :func:`_kkt_solve`; a failed solve writes nothing.
     """
     try:
-        return _kkt_solve(route, u, start, slope)
+        return _kkt_solve(route, u, start, slope, us, out)
     except RuntimeError as exc:
         top = float(np.maximum.reduce(u))
         if top == 0.0 or not np.isfinite(u).all():  # nothing to shift, or the guard's row
             raise
         try:
-            p, kappa = _kkt_solve(route, u - top, None)[:2]
+            p, kappa = _kkt_solve(route, u - top, None, None, None, out)[:2]
         except RuntimeError:
             raise exc from None
         return p, kappa + top, None, False
 
 
-def _kkt_solve(route: tuple, u: np.ndarray, start: float | None,
-               slope: float | None = None) -> tuple[np.ndarray, float, tuple | None, bool]:
+def _kkt_solve(route: tuple, u: np.ndarray, start: float | None, slope: float | None = None,
+               us: list | None = None,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, float, tuple | None, bool]:
     """Solve sum_i (1 - F_i(kappa - u_i)) = 1 for kappa by bisection.
 
     Returns ``(p, kappa, weights, accurate)``: the response and its kappa,
@@ -276,15 +279,22 @@ def _kkt_solve(route: tuple, u: np.ndarray, start: float | None,
 
     Every evaluated row and its sum, as a float, live in one cache keyed by
     kappa, and the per-step tests read Python floats, not numpy reductions.
+    ``us`` is ``u.tolist()`` when the caller has read it already.  The
+    response p / sum p is written into ``out`` when it is given, a float
+    vector of the row's length, and returned; nothing is written when the
+    solve raises.
     """
     cdf, density, lows, tops, need = route
-    us = u.tolist()
+    if us is None:
+        us = u.tolist()
     if not all(map(math.isfinite, us)):
         raise RuntimeError(f"payoff row {us} is not finite")
     kinks = list(map(operator.add, us, lows))  # where each component's probability reaches 1
     lo = min(kinks)
     if len(us) == 1:
-        return np.array([1.0]), lo, None, False
+        p = np.empty(1) if out is None else out
+        p.fill(1.0)
+        return p, lo, None, False
     hi = max(max(map(operator.add, us, tops)), lo + 1e-12)
     warm = start is not None and lo < start < hi
     cache: dict = {}  # kappa -> (p, sum p)
@@ -341,7 +351,7 @@ def _kkt_solve(route: tuple, u: np.ndarray, start: float | None,
             f"bisection failed to converge: sum p = {np.float64(total)!r} at "
             f"kappa = {kappa!r} (bracket [{lo!r}, {hi!r}])"
         )
-    return p / total, float(kappa), weights, accurate
+    return np.divide(p, total, out=out), float(kappa), weights, accurate
 
 
 def _newton_bracket(cache: dict, cdf, density, u: np.ndarray, kinks: list, lo: float,
@@ -583,8 +593,10 @@ def response_solver(fam: MarginalFamily):
     start cold.  The prediction is computed in Python floats, so one that
     overflows comes out inf or nan without a warning, and the solver ignores
     it like any start outside the bracket.  A row that fails at its own level
-    is solved as u - max u (:func:`_kkt_solve_or_shift`).  Each row gets the
-    bits of its own :func:`response_probabilities` call.
+    is solved as u - max u (:func:`_kkt_solve_or_shift`).  Each row's floats,
+    read once for its prediction, go on to the solve, which writes the row's
+    response into its row of ``out`` in place.  Each row gets the bits of its
+    own :func:`response_probabilities` call.
     """
     if isinstance(fam, ExponentialFamily):
         eta, gamma = fam.eta, fam._gamma  # gamma as its 0-d operand
@@ -619,13 +631,13 @@ def response_solver(fam: MarginalFamily):
                 start = kappa + sum(map(operator.mul, f, map(operator.sub, now, before))) / d
                 try:
                     p, kappa, weights, accurate = _kkt_solve_or_shift(
-                        route, row, start, d if accurate else None)
+                        route, row, start, d if accurate else None, now, solved[k])
                 except RuntimeError as exc:
                     exc._row = k  # the failing row, whose player response_operator names
                     raise
                 if weights is None:  # no Newton density: keep the last, else weigh by p
                     weights = (f, d) if accurate else (p.tolist(), 1.0)
-                solved[k], last[k] = p, (kappa, weights, now, accurate)
+                last[k] = kappa, weights, now, accurate
         return out
 
     return bisection_rows

@@ -1,12 +1,13 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
-from beliefgames.analysis import _residuals, equilibrium_residual
+from beliefgames.analysis import _residuals, equilibrium_residual, residual_series
 from beliefgames import dynamics, response
 from beliefgames.dynamics import (
     _BLOCK_ROUNDS,
@@ -308,6 +309,91 @@ def test_a_run_far_from_zero_ends_with_its_last_row_s_residual():
     assert np.abs(trace.probabilities.sum(axis=-1) - 1.0).max() > 1e-12
     want = _residuals(game, trace.probabilities[-1], response_operator(cfg.risk_families))
     assert np.float64(trace.final_residual).tobytes() == want.tobytes()
+
+
+def test_a_run_far_from_zero_reads_back_its_recorded_rows():
+    # the trace's readers check its rows by the loop's own rule, and keep their bits
+    game = matching_game(3)
+    fam = UniformFamily(1.0, 3)
+    cfg = RunConfig(horizon=200, schedule=StepSchedule.power(1.0, 0.6),
+                    risk_families=(fam,) * 2, belief_families=(fam,) * 2,
+                    initial_estimates=1e6 + np.random.default_rng(1).uniform(-3.0, 3.0, (2, 3)))
+    trace = run_dynamics(game, cfg)
+    series = residual_series(game, trace, cfg.risk_families)
+    assert np.float64(series[-1]).tobytes() == np.float64(trace.final_residual).tobytes()
+    for profile in (trace.final_profile, trace.profile_at(200)):
+        assert profile.probs.tobytes() == trace.probabilities[-1].tobytes()
+    off = np.abs(trace.probabilities[-1].sum(axis=-1) - 1.0).max()
+    assert 1e-12 < off < 1e-9
+    # a user's profile keeps the 1e-12 rule
+    with pytest.raises(ValueError, match=r"sum to 1 within 1e-12 .*\(off by 2e-11\)"):
+        StrategyProfile([[0.5, 0.5 + 2e-11, 0.0], [1.0, 0.0, 0.0]])
+    # rows outside [0, 1] are not the loop's, whatever their sum
+    bad = trace.probabilities.copy()
+    bad[-1, 0] = [1.5, -0.5, 0.0]
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        replace(trace, probabilities=bad).final_profile
+
+
+@pytest.mark.parametrize("setup", ["shared", "equal", "unlike"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["exponential", "uniform", "pareto", "tabulated"])
+def test_final_residual_has_the_bits_of_a_fresh_risk_operator(kind, m, setup):
+    # risk families that are the belief objects answer with the loop's warm
+    # solver, and equal copies and unlike families with an operator of their own:
+    # every way, the residual has the bits of a freshly bound operator
+    n = 3
+    game = random_game(m, n, np.random.default_rng(23))
+    belief = _player_families(kind, m, n, "shared" if setup == "shared" else "equal")
+    risk = {"shared": belief, "equal": _player_families(kind, m, n, "equal"),
+            "unlike": _player_families(kind, m, n, "per-player")[::-1]}[setup]
+    cfg = RunConfig(horizon=45, schedule=StepSchedule.power(1.0, 0.6), risk_families=risk,
+                    belief_families=belief,
+                    initial_estimates=np.random.default_rng(24).normal(0.0, 1.0, (m, n)))
+    trace = run_dynamics(game, cfg)
+    want = _residuals(game, trace.probabilities[-1], response_operator(risk))
+    assert np.float64(trace.final_residual).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["pareto", "tabulated"])
+def test_a_run_whose_risk_families_are_its_beliefs_binds_one_operator(monkeypatch, kind, m):
+    # the final residual is answered by the loop's own solver: every generic row
+    # solved after the last round starts warm, inside its sign bracket
+    game = random_game(m, 3, np.random.default_rng(25))
+    binds, starts, after = [], [], []
+    operator, solve, residuals = (dynamics.response_operator, response._kkt_solve,
+                                  dynamics._residuals)
+
+    def counted_operator(fams):
+        binds.append(fams)
+        return operator(fams)
+
+    def recorded_solve(*args):
+        if after:
+            (_, _, lows, tops, _), u, start = args[:3]
+            us = u.tolist()
+            lo = min(x + low for x, low in zip(us, lows))
+            hi = max(max(x + top for x, top in zip(us, tops)), lo + 1e-12)
+            starts.append(start is not None and lo < start < hi)
+        return solve(*args)
+
+    def marked_residuals(*args):
+        after.append(True)
+        return residuals(*args)
+
+    monkeypatch.setattr(dynamics, "response_operator", counted_operator)
+    monkeypatch.setattr(response, "_kkt_solve", recorded_solve)
+    monkeypatch.setattr(dynamics, "_residuals", marked_residuals)
+    for setup, bound in (("shared", 1), ("equal", 1), ("equal-copies", 2)):
+        fams = _player_families(kind, m, 3, "equal" if setup != "shared" else "shared")
+        risk = tuple(_family(kind, 3, 0) for _ in fams) if setup == "equal-copies" else fams
+        del binds[:], starts[:], after[:]
+        run_dynamics(game, RunConfig(horizon=30, schedule=StepSchedule.power(1.0, 0.6),
+                                     risk_families=risk, belief_families=fams))
+        assert len(binds) == bound, setup
+        assert len(starts) == m, setup
+        assert all(starts) == (bound == 1), setup
 
 
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])

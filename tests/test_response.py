@@ -605,8 +605,10 @@ def test_predicted_starts_on_drifting_paths_give_plain_bisection_bits(case):
             with pytest.raises(RuntimeError) as info:
                 solve(paths[:, t])
             assert str(info.value) == failed[0]
-        else:
-            assert solve(paths[:, t]).tobytes() == b"".join(wanted)
+        else:  # each row written in place into out, which is returned
+            out = np.full(paths[:, t].shape, np.nan)
+            assert solve(paths[:, t], out=out) is out
+            assert out.tobytes() == b"".join(wanted)
 
 
 def test_family_groups_stack_families_that_differ_only_in_eta():
